@@ -9,11 +9,10 @@ with hypothesis pruning and dead mode removal for tractability.
 from .discrete import (DecisionTree, DiscreteConditional, DiscreteFactor,
                        DiscreteKey, DiscreteLookup, eliminate_discrete_max,
                        eliminate_discrete_sum, enumerate_assignments,
-                       multiply_factors, prune_to_top, tree_apply, tree_choose)
-from .gaussian import (GaussianConditional, GaussianFactorGraph,
-                       JacobianFactor, UnderconstrainedVariable, VectorValues,
-                       back_substitute, eliminate_one, graph_error,
-                       log_normalization_constant, whiten)
+                       multiply_factors, prune_to_top)
+from .gaussian import (GaussianConditional, JacobianFactor,
+                       UnderconstrainedVariable, VectorValues, back_substitute,
+                       eliminate_one, log_normalization_constant, whiten)
 from .hybrid import (HybridBayesNet, HybridGaussianConditional,
                      HybridGaussianFactor, HybridGaussianFactorGraph,
                      HybridValues, conditional_to_factor,

@@ -59,6 +59,13 @@ def _merge_keys(a: Sequence[DiscreteKey], b: Sequence[DiscreteKey]) -> Tuple[Dis
     return tuple(sorted(by_id.values(), key=lambda k: k.id))
 
 
+def check_enumeration(shape: Sequence[int]) -> None:
+    """Refuse a joint assignment space of this shape beyond ENUMERATION_CAP."""
+    if math.prod(shape) > ENUMERATION_CAP:
+        raise ValueError(f"enumeration too large: product of cardinalities "
+                         f"exceeds {ENUMERATION_CAP}")
+
+
 def _leaf_array(shape: Tuple[int, ...], leaves) -> np.ndarray:
     """Build the shaped leaf array; numeric payloads become float64,
     everything else an object array."""
@@ -92,6 +99,7 @@ class DecisionTree:
         keys = tuple(keys)
         skeys = _sorted_keys(keys)
         shape = tuple(k.cardinality for k in keys)
+        check_enumeration(shape)
         arr = _leaf_array(shape, leaves)
         if skeys != keys:
             # Canonicalize to id order by permuting axes.
@@ -199,27 +207,15 @@ class DecisionTree:
         return f"DecisionTree(keys={ids}, leaves={self.leaves!r})"
 
 
-def tree_apply(t1: DecisionTree, t2: DecisionTree, op) -> DecisionTree:
-    return t1.apply(t2, op)
-
-
-def tree_choose(t: DecisionTree, partial: Assignment) -> DecisionTree:
-    return t.choose(partial)
-
-
 def enumerate_assignments(keys: Sequence[DiscreteKey]) -> List[Dict[Any, int]]:
     """All joint assignments, lexicographic by key id then value."""
     if not keys:
         raise ValueError("keys must be nonempty")
     skeys = _sorted_keys(keys)
-    total = 1
-    for k in skeys:
-        total *= k.cardinality
-        if total > ENUMERATION_CAP:
-            raise ValueError(f"enumeration too large: product of cardinalities "
-                             f"exceeds {ENUMERATION_CAP}")
+    shape = tuple(k.cardinality for k in skeys)
+    check_enumeration(shape)
     out = []
-    for idx in np.ndindex(tuple(k.cardinality for k in skeys)):
+    for idx in np.ndindex(shape):
         out.append({k.id: int(v) for k, v in zip(skeys, idx)})
     return out
 

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .discrete import (DecisionTree, DiscreteConditional,
-                       DiscreteFactor, DiscreteKey, DiscreteLookup,
+                       DiscreteFactor, DiscreteKey, check_enumeration,
                        eliminate_discrete_max, eliminate_discrete_sum,
                        multiply_factors, prune_to_top, _merge_keys)
 from .gaussian import (GaussianConditional, JacobianFactor,
@@ -129,6 +129,7 @@ def _eliminate_continuous(factors: Sequence[ContinuousFactor], var,
         return conditional, marginal
 
     shape = tuple(k.cardinality for k in keys)
+    check_enumeration(shape)
     key_pos = {k.id: i for i, k in enumerate(keys)}
     projections = [tuple(key_pos[k.id] for k in f.keys) for f in hybrids]
     cond_leaves: List[Optional[GaussianConditional]] = []
@@ -206,63 +207,51 @@ def _discrete_product(factors, key: DiscreteKey):
     return multiply_factors(involved), rest
 
 
-def sum_product(g: HybridGaussianFactorGraph,
-                ordering: Optional[Sequence[Any]] = None) -> HybridBayesNet:
-    """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z)."""
+def _eliminate(g: HybridGaussianFactorGraph, ordering: Optional[Sequence[Any]],
+               use_sum: bool) -> Tuple[List[Any], List[Any]]:
+    """Eliminate the whole graph along a strong ordering.
+
+    Returns the continuous and the discrete results in elimination order:
+    conditionals under Sum-Product, argmax lookups under Max-Product.
+    """
     if ordering is None:
         ordering = strong_ordering(g)
     _validate_ordering(g, ordering)
     cont = set(g.continuous_variables())
     keymap = {k.id: k for k in g.discrete_keys()}
     factors: List[Any] = g.all_factors()
-    bn = HybridBayesNet()
+    cont_out: List[Any] = []
+    disc_out: List[Any] = []
     for vid in ordering:
         if vid in cont:
-            involved, rest = _split_for(factors, vid)
-            conditional, separator = eliminate_hybrid_sum(involved, vid)
-            bn.append(conditional)
-            factors = rest
+            involved, factors = _split_for(factors, vid)
+            conditional, separator = _eliminate_continuous(involved, vid, use_sum)
+            cont_out.append(conditional)
             if separator is not None and not (
                     isinstance(separator, DiscreteFactor) and not separator.keys):
                 factors.append(separator)
         else:
-            product, rest = _discrete_product(factors, keymap[vid])
-            conditional, tau = eliminate_discrete_sum(product, keymap[vid])
-            bn.append(conditional)
-            factors = rest
+            product, factors = _discrete_product(factors, keymap[vid])
+            eliminate = eliminate_discrete_sum if use_sum else eliminate_discrete_max
+            conditional, tau = eliminate(product, keymap[vid])
+            disc_out.append(conditional)
             if tau.keys:
                 factors.append(tau)
-    return bn
+    return cont_out, disc_out
+
+
+def sum_product(g: HybridGaussianFactorGraph,
+                ordering: Optional[Sequence[Any]] = None) -> HybridBayesNet:
+    """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z)."""
+    cont, disc = _eliminate(g, ordering, use_sum=True)
+    return HybridBayesNet(cont + disc)
 
 
 def max_product(g: HybridGaussianFactorGraph,
                 ordering: Optional[Sequence[Any]] = None) -> HybridValues:
     """Hybrid MAP: max-phase elimination, then back-substitution through the
     mode-selected components."""
-    if ordering is None:
-        ordering = strong_ordering(g)
-    _validate_ordering(g, ordering)
-    cont = set(g.continuous_variables())
-    keymap = {k.id: k for k in g.discrete_keys()}
-    factors: List[Any] = g.all_factors()
-    cont_lookups: List[Any] = []
-    disc_lookups: List[DiscreteLookup] = []
-    for vid in ordering:
-        if vid in cont:
-            involved, rest = _split_for(factors, vid)
-            lookup, separator = eliminate_hybrid_max(involved, vid)
-            cont_lookups.append(lookup)
-            factors = rest
-            if separator is not None and not (
-                    isinstance(separator, DiscreteFactor) and not separator.keys):
-                factors.append(separator)
-        else:
-            product, rest = _discrete_product(factors, keymap[vid])
-            lookup, tau = eliminate_discrete_max(product, keymap[vid])
-            disc_lookups.append(lookup)
-            factors = rest
-            if tau.keys:
-                factors.append(tau)
+    cont_lookups, disc_lookups = _eliminate(g, ordering, use_sum=False)
     modes: Dict[Any, int] = {}
     for lk in reversed(disc_lookups):
         modes[lk.frontal.id] = lk.argmax(modes)
@@ -352,6 +341,15 @@ def restrict_to_support(g: HybridGaussianFactorGraph, support: DecisionTree
     out.discrete_factors = list(g.discrete_factors)
     out.discrete_factors.append(DiscreteFactor(support.keys, support))
     return out
+
+
+def fix_support(support: Optional[DecisionTree], fixed: Dict[Any, int]
+                ) -> Optional[DecisionTree]:
+    """The support left once dead mode removal fixes the modes in `fixed`:
+    the slice of live hypotheses consistent with them."""
+    if support is None or not fixed:
+        return support
+    return support.choose(fixed)
 
 
 def discrete_marginals(bn: HybridBayesNet) -> Dict[Any, np.ndarray]:

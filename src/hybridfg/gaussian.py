@@ -11,7 +11,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -164,30 +164,6 @@ class GaussianConditional:
 
     def __repr__(self):
         return f"GaussianConditional(p({self.frontal!r} | {list(self.parents)}))"
-
-
-class GaussianFactorGraph:
-    """A bag of Jacobian factors."""
-
-    def __init__(self, factors: Sequence[JacobianFactor] = ()):
-        self.factors: List[JacobianFactor] = list(factors)
-
-    def add(self, f: JacobianFactor):
-        self.factors.append(f)
-
-    def variable_dims(self) -> Dict[Any, int]:
-        dims: Dict[Any, int] = {}
-        for f in self.factors:
-            for vid in f.blocks:
-                d = f.dim(vid)
-                if dims.setdefault(vid, d) != d:
-                    raise ValueError(f"inconsistent dimension for {vid!r}")
-        return dims
-
-
-def graph_error(g: GaussianFactorGraph, x: VectorValues) -> float:
-    """Sum of per-factor half squared residuals."""
-    return float(sum(f.error(x) for f in g.factors))
 
 
 def sigma_cholesky(sigma, dim: int = None) -> np.ndarray:

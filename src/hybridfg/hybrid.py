@@ -78,9 +78,6 @@ class HybridGaussianFactor:
         tree = self.components.choose(fixed)
         return HybridGaussianFactor(tree.keys, tree)
 
-    def nonnil_count(self) -> int:
-        return int(sum(1 for x in self.components.leaves.reshape(-1) if x is not None))
-
     def __repr__(self):
         return (f"HybridGaussianFactor(cont={list(self.continuous_ids)}, "
                 f"keys={[k.id for k in self.keys]})")
@@ -136,13 +133,6 @@ class HybridGaussianConditional:
     def with_nil(self, dead_mask: DecisionTree) -> "HybridGaussianConditional":
         """Copy with leaves nil where dead_mask is truthy."""
         tree = self.components.apply(dead_mask, lambda leaf, dead: None if dead else leaf)
-        return HybridGaussianConditional(tree.keys, tree)
-
-    def restrict(self, partial: Assignment) -> "HybridGaussianConditional":
-        fixed = {k.id: partial[k.id] for k in self.keys if k.id in partial}
-        if not fixed:
-            return self
-        tree = self.components.choose(fixed)
         return HybridGaussianConditional(tree.keys, tree)
 
     def log_density(self, v: HybridValues) -> float:

@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import elimination
 from .discrete import (Assignment, DecisionTree, DiscreteFactor, DiscreteKey,
                        _sorted_keys)
 from .gaussian import (JacobianFactor, log_normalization_constant,
@@ -377,7 +378,8 @@ class HybridNonlinearFactorGraph:
 
 
 class OptimizationDiverged(RuntimeError):
-    """Raised after repeated error increases; carries the best values seen."""
+    """Raised when a step raises the error beyond rounding and nothing else
+    changes; carries the current iterate, which is the best one seen."""
 
     def __init__(self, message, best_values, best_assignment):
         super().__init__(message)
@@ -391,90 +393,74 @@ class OptimizeConfig:
     max_iters: int = 20
     prune: Optional[int] = None
     dmr_delta: Optional[float] = None
-    lm_lambda: float = 0.0
-    max_error_increases: int = 5
 
 
-def _damping_factors(lin: HybridGaussianFactorGraph, lam: float):
-    for vid in lin.continuous_variables():
-        dims = None
-        for f in lin.gaussian_factors:
-            if vid in f.blocks:
-                dims = f.dim(vid)
-                break
-        if dims is None:
-            for f in lin.hybrid_factors:
-                if vid in f.continuous_ids:
-                    for leaf in f.components.leaves.reshape(-1):
-                        if leaf is not None:
-                            dims = leaf[0].dim(vid)
-                            break
-                    break
-        lin.add(JacobianFactor({vid: math.sqrt(lam) * np.eye(dims)},
-                               np.zeros(dims)))
+def gauss_newton_step(graph: HybridNonlinearFactorGraph,
+                      values: Mapping[Any, Any],
+                      support: Optional[DecisionTree], prune: Optional[int]
+                      ) -> Tuple[HybridBayesNet, Optional[DecisionTree],
+                                 HybridValues]:
+    """One hybrid Gauss-Newton step at `values`; returns (net, support, step).
+
+    Linearizes once, restricts to the incoming support (live joint
+    hypotheses; None keeps every one), eliminates with Sum-Product and, when
+    `prune` is set, prunes to that many hypotheses and takes the survivors as
+    the new support.  Max-Product on the same linearization restricted to
+    that support gives the update in `step.continuous`.
+    """
+    lin = graph.linearize(values)
+    restricted = (lin if support is None
+                  else elimination.restrict_to_support(lin, support))
+    ordering = elimination.strong_ordering(restricted)
+    bn = elimination.sum_product(restricted, ordering)
+    if prune is not None:
+        bn = elimination.prune_bayes_net(bn, prune)
+        support = elimination.hypothesis_support(bn)
+        if support is not None:
+            restricted = elimination.restrict_to_support(lin, support)
+    return bn, support, elimination.max_product(restricted, ordering)
 
 
 def optimize(g: HybridNonlinearFactorGraph, init: Mapping[Any, Any],
-             config: Optional[OptimizeConfig] = None
+             config: Optional[OptimizeConfig] = None,
+             support: Optional[DecisionTree] = None
              ) -> Tuple[HybridValues, HybridBayesNet]:
-    """Gauss-Newton over the hybrid graph.
+    """Gauss-Newton over the hybrid graph, restricted to `support`.
 
-    Each iteration linearizes, eliminates (Sum-Product for the posterior,
-    Max-Product for the update), retracts, then optionally prunes hypotheses
-    and removes dead modes.  Steps that increase the error are rejected;
-    after max_error_increases consecutive rejections the loop raises
-    OptimizationDiverged carrying the best iterate.
+    Each iteration takes a gauss_newton_step, retracts, then optionally
+    removes dead modes, carrying the support across iterations.  A step that
+    raises the error is rejected; when dead mode removal then fixes nothing
+    the next iteration would repeat it, so the loop stops: an increase at
+    rounding level means convergence, a larger one raises
+    OptimizationDiverged carrying the current iterate.
     """
-    from .elimination import (dead_mode_removal, max_product, prune_bayes_net,
-                              restrict_to_support, strong_ordering,
-                              sum_product, hypothesis_support)
     cfg = config or OptimizeConfig()
     values = dict(init)
     graph = g
     fixed_total: Dict[Any, int] = {}
-    best_err = math.inf
-    best = (dict(values), {})
-    increases = 0
-    bn = None
     for _ in range(cfg.max_iters):
-        lin = graph.linearize(values)
-        if cfg.lm_lambda > 0:
-            _damping_factors(lin, cfg.lm_lambda)
-        ordering = strong_ordering(lin)
-        bn = sum_product(lin, ordering)
-        if cfg.prune is not None:
-            bn = prune_bayes_net(bn, cfg.prune)
-            support = hypothesis_support(bn)
-            if support is not None:
-                lin = restrict_to_support(lin, support)
-        step = max_product(lin, ordering)
-        assignment = {**step.discrete, **fixed_total}
+        bn, support, step = gauss_newton_step(graph, values, support, cfg.prune)
         candidate = retract_values(values, step.continuous)
         err_old = graph.error(values, step.discrete)
         err_new = graph.error(candidate, step.discrete)
-        if err_new <= err_old + 1e-12:
+        accepted = err_new <= err_old + 1e-12
+        if accepted:
             values = candidate
-            increases = 0
-            if err_new < best_err:
-                best_err = err_new
-                best = (dict(values), dict(assignment))
-        else:
-            increases += 1
-            if increases >= cfg.max_error_increases:
-                raise OptimizationDiverged("diverged: error increased "
-                                           f"{increases} consecutive iterations",
-                                           best[0], best[1])
+        newly: Dict[Any, int] = {}
         if cfg.dmr_delta is not None:
-            graph, newly = dead_mode_removal(bn, graph, cfg.dmr_delta)
+            graph, newly = elimination.dead_mode_removal(bn, graph, cfg.dmr_delta)
             fixed_total.update(newly)
+            support = elimination.fix_support(support, newly)
         step_norm = max((float(np.max(np.abs(d))) if np.asarray(d).size else 0.0)
                         for d in step.continuous.values())
         if step_norm < cfg.tol:
             break
-    lin = graph.linearize(values)
-    bn = sum_product(lin)
-    if cfg.prune is not None:
-        bn = prune_bayes_net(bn, cfg.prune)
-    final = max_product(lin)
+        if not accepted and not newly:
+            if err_new - err_old <= 1e-9 * max(1.0, abs(err_old)):
+                break
+            raise OptimizationDiverged(
+                f"diverged: step raised the error from {err_old:.6g} to "
+                f"{err_new:.6g}", values, {**step.discrete, **fixed_total})
+    bn, _, final = gauss_newton_step(graph, values, support, cfg.prune)
     return (HybridValues(continuous=values,
                          discrete={**final.discrete, **fixed_total}), bn)

@@ -23,15 +23,14 @@ import numpy as np
 
 from .dataset import (DatasetEntry, DatasetParseError, LoopClosure, Odometry,
                       parse_dataset)
-from .discrete import DecisionTree, DiscreteFactor, DiscreteKey
-from .elimination import (dead_mode_removal, discrete_marginals,
-                          hypothesis_support, max_product, prune_bayes_net,
-                          restrict_to_support, strong_ordering, sum_product)
+from .discrete import DecisionTree, DiscreteKey
+from .elimination import dead_mode_removal, discrete_marginals, fix_support
 from .hybrid import HybridBayesNet
 from .nonlinear import (BetweenResidual, HybridNonlinearFactor,
                         HybridNonlinearFactorGraph, NonlinearFactor,
                         OptimizationDiverged, OptimizeConfig, Pose2,
-                        PriorResidual, compose, retract_values)
+                        PriorResidual, compose, gauss_newton_step,
+                        retract_values)
 
 log = logging.getLogger("hybridfg")
 
@@ -48,8 +47,6 @@ class RunConfig:
     elim_every: int = 3
     relin_every: int = 10
     max_steps: int = 0          # 0 = whole dataset
-    seed: int = 0
-    output_dir: str = "."
 
     def __post_init__(self):
         if self.prune_p < 1:
@@ -141,21 +138,11 @@ class _Runner:
         return True
 
     def _eliminate_once(self):
-        lin = self.graph.linearize(self.values)
-        if self.support is not None and self.support.keys:
-            lin = restrict_to_support(lin, self.support)
-        ordering = strong_ordering(lin)
-        bn = sum_product(lin, ordering)
-        bn = prune_bayes_net(bn, self.cfg.prune_p)
-        self.support = hypothesis_support(bn)
-        if self.support is not None and self.support.keys:
-            lin = restrict_to_support(self.graph.linearize(self.values),
-                                      self.support)
-        step = max_product(lin, ordering)
+        self.bn, self.support, step = gauss_newton_step(
+            self.graph, self.values, self.support, self.cfg.prune_p)
         self.values = retract_values(self.values, step.continuous)
         self.assignment = dict(step.discrete)
-        self.bn = bn
-        return bn
+        return self.bn
 
     def elimination_pass(self):
         self.elim_count += 1
@@ -178,29 +165,18 @@ class _Runner:
         if newly:
             log.info("dead mode removal fixed %s", newly)
             self.fixed.update(newly)
-            if self.support is not None:
-                picked = {kid: v for kid, v in newly.items()
-                          if any(k.id == kid for k in self.support.keys)}
-                if picked:
-                    self.support = self.support.choose(picked)
+            self.support = fix_support(self.support, newly)
         # Re-linearize and run a full batch pass at the restricted graph.
         self._eliminate_once()
 
     def finalize(self):
-        """Final batch: optimize to convergence with pruning and DMR."""
-        graph = self.graph
-        if self.support is not None and self.support.keys:
-            graph = HybridNonlinearFactorGraph()
-            graph.nonlinear_factors = list(self.graph.nonlinear_factors)
-            graph.hybrid_factors = list(self.graph.hybrid_factors)
-            graph.discrete_factors = list(self.graph.discrete_factors)
-            graph.discrete_factors.append(
-                DiscreteFactor(self.support.keys, self.support))
+        """Final batch: optimize to convergence with pruning and DMR,
+        starting from the streaming support."""
         cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=self.cfg.prune_p,
                              dmr_delta=self.cfg.dmr_delta)
         try:
             from .nonlinear import optimize
-            estimate, bn = optimize(graph, self.values, cfg)
+            estimate, bn = optimize(self.graph, self.values, cfg, self.support)
             self.values = estimate.continuous
             self.assignment = {k: v for k, v in estimate.discrete.items()}
             self.bn = bn
@@ -285,7 +261,6 @@ def main(argv=None) -> int:
                    help="eliminations per relinearize+batch (default 10)")
     p.add_argument("--max-steps", type=int, default=0,
                    help="dataset entries to ingest (0 = all)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=sorted(PARSERS), default="custom")
     args = p.parse_args(argv)
 
@@ -299,8 +274,7 @@ def main(argv=None) -> int:
         return 2
     config = RunConfig(prune_p=args.prune, dmr_delta=args.dmr_delta,
                        elim_every=args.elim_every, relin_every=args.relin_every,
-                       max_steps=args.max_steps, seed=args.seed,
-                       output_dir=args.output)
+                       max_steps=args.max_steps)
     try:
         results = run(config, entries)
     except (OptimizationDiverged, ValueError, RuntimeError, np.linalg.LinAlgError) as e:

@@ -8,7 +8,7 @@ from hybridfg.discrete import (DecisionTree, DiscreteConditional,
                                DiscreteFactor, DiscreteKey,
                                eliminate_discrete_max, eliminate_discrete_sum,
                                enumerate_assignments, multiply_factors,
-                               prune_to_top, tree_apply, tree_choose)
+                               prune_to_top)
 
 M = DiscreteKey("m", 2)
 N = DiscreteKey("n", 2)
@@ -42,20 +42,20 @@ class TestEnumerateAssignments:
 
 class TestTreeApply:
     def test_constants_multiply(self):
-        t = tree_apply(DecisionTree.constant(2.0), DecisionTree.constant(3.0),
-                       operator.mul)
+        t = DecisionTree.constant(2.0).apply(DecisionTree.constant(3.0),
+                                             operator.mul)
         assert t.leaf({}) == 6.0
 
     def test_outer_product(self):
         t1 = DecisionTree([M], [1.0, 2.0])
         t2 = DecisionTree([N], [5.0, 7.0])
-        out = tree_apply(t1, t2, operator.mul)
+        out = t1.apply(t2, operator.mul)
         assert [k.id for k in out.keys] == ["m", "n"]
         assert out.leaves.reshape(-1).tolist() == [5.0, 7.0, 10.0, 14.0]
 
     def test_identity(self):
         t = DecisionTree([M, N], [1.0, 2.0, 3.0, 4.0])
-        out = tree_apply(t, DecisionTree.constant(1.0), operator.mul)
+        out = t.apply(DecisionTree.constant(1.0), operator.mul)
         np.testing.assert_array_equal(out.leaves, t.leaves)
 
     def test_leafwise_correct_on_random_assignments(self):
@@ -65,7 +65,7 @@ class TestTreeApply:
                 enumerate(rng.integers(2, 4, size=4))]
         t1 = DecisionTree(keys[:3], rng.uniform(size=int(np.prod([k.cardinality for k in keys[:3]]))))
         t2 = DecisionTree(keys[1:], rng.uniform(size=int(np.prod([k.cardinality for k in keys[1:]]))))
-        out = tree_apply(t1, t2, operator.add)
+        out = t1.apply(t2, operator.add)
         full = enumerate_assignments(keys)
         picks = rng.choice(len(full), size=1000)
         for i in picks:
@@ -74,7 +74,7 @@ class TestTreeApply:
 
     def test_infinities_propagate(self):
         t1 = DecisionTree([M], [math.inf, 1.0])
-        out = tree_apply(t1, DecisionTree.constant(2.0), operator.mul)
+        out = t1.apply(DecisionTree.constant(2.0), operator.mul)
         assert out.leaf({"m": 0}) == math.inf
 
 
@@ -82,26 +82,26 @@ class TestTreeChoose:
     def test_partial_choice(self):
         t = DecisionTree([DiscreteKey("m0", 2), DiscreteKey("m1", 2)],
                          [1.0, 2.0, 3.0, 4.0])
-        out = tree_choose(t, {"m0": 1})
+        out = t.choose({"m0": 1})
         assert [k.id for k in out.keys] == ["m1"]
         assert out.leaves.tolist() == [3.0, 4.0]
 
     def test_empty_choice_is_identity(self):
         t = DecisionTree([M, N], [1.0, 2.0, 3.0, 4.0])
-        out = tree_choose(t, {})
+        out = t.choose({})
         assert out.keys == t.keys
         np.testing.assert_array_equal(out.leaves, t.leaves)
 
     def test_full_assignment_leaves_scalar(self):
         t = DecisionTree([M, N], [1.0, 2.0, 3.0, 4.0])
-        out = tree_choose(t, {"m": 1, "n": 0})
+        out = t.choose({"m": 1, "n": 0})
         assert out.keys == ()
         assert out.leaf({}) == 3.0
 
     def test_out_of_range_value(self):
         t = DecisionTree([M], [1.0, 2.0])
         with pytest.raises(ValueError, match="invalid assignment"):
-            tree_choose(t, {"m": 2})
+            t.choose({"m": 2})
 
 
 class TestEliminateDiscreteSum:
@@ -263,6 +263,11 @@ class TestPruneToTop:
 
 
 class TestContainers:
+    def test_tree_size_cap(self):
+        keys = [DiscreteKey(f"k{i}", 2) for i in range(21)]
+        with pytest.raises(ValueError, match="enumeration too large"):
+            DecisionTree(keys, 0.0)
+
     def test_potentials_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DiscreteFactor([M], [-0.1, 1.0])
@@ -283,7 +288,7 @@ class TestContainers:
         t1 = DecisionTree([M], [1.0, 2.0])
         t2 = DecisionTree([DiscreteKey("m", 3)], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="cardinalities"):
-            tree_apply(t1, t2, operator.mul)
+            t1.apply(t2, operator.mul)
 
     def test_log_domain_product_matches_linear(self):
         """Above the 64-factor threshold the product switches to log-domain

@@ -12,6 +12,7 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       eliminate_hybrid_sum, eliminate_one, hgf_error,
                       log_normalization_constant, max_product, prune_bayes_net,
                       strong_ordering, sum_product, whiten)
+from hybridfg import elimination
 from hybridfg.discrete import DiscreteConditional
 from hybridfg.elimination import hypothesis_support, restrict_to_support
 from hybridfg.oracle import enumerate_map, enumerate_posterior
@@ -132,6 +133,20 @@ class TestEliminateHybridSum:
         ])
         with pytest.raises(ValueError, match="unconstrained in every mode"):
             eliminate_hybrid_sum([f], "x")
+
+    def test_too_many_modes_refused_before_any_qr(self, monkeypatch):
+        """21 binary modes on one variable exceed the enumeration cap: the
+        clique fails at once instead of running a QR per mode."""
+        factors = [HybridGaussianFactor.from_components(
+            [DiscreteKey(f"m{i:02d}", 2)],
+            [(whiten({"x": [[1.0]]}, [float(v)], 1.0), 0.0) for v in (0, 1)])
+            for i in range(21)]
+
+        def no_qr(*args):
+            raise AssertionError("per-mode QR started")
+        monkeypatch.setattr(elimination, "eliminate_one", no_qr)
+        with pytest.raises(ValueError, match="enumeration too large"):
+            eliminate_hybrid_sum(factors, "x")
 
 
 class TestEliminateHybridMax:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hybridfg.gaussian import (GaussianConditional, GaussianFactorGraph,
-                               JacobianFactor, UnderconstrainedVariable,
-                               back_substitute, eliminate_one, graph_error,
-                               log_normalization_constant, whiten)
+from hybridfg.gaussian import (GaussianConditional, JacobianFactor,
+                               UnderconstrainedVariable, back_substitute,
+                               eliminate_one, log_normalization_constant,
+                               whiten)
 
 
 def _random_spd(rng, n):
@@ -208,22 +208,19 @@ class TestBackSubstitute:
                 assert abs(grad) <= 1e-8
 
 
-class TestGraphError:
-    def test_empty_graph(self):
-        assert graph_error(GaussianFactorGraph(), {}) == 0.0
-
+class TestFactorError:
     def test_zero_residual(self):
-        g = GaussianFactorGraph([JacobianFactor({"x": [[1.0]]}, [1.0])])
-        assert graph_error(g, {"x": np.array([1.0])}) == 0.0
+        f = JacobianFactor({"x": [[1.0]]}, [1.0])
+        assert f.error({"x": np.array([1.0])}) == 0.0
 
     def test_half_squared(self):
-        g = GaussianFactorGraph([JacobianFactor({"x": [[1.0]]}, [0.0])])
-        assert graph_error(g, {"x": np.array([2.0])}) == 2.0
+        f = JacobianFactor({"x": [[1.0]]}, [0.0])
+        assert f.error({"x": np.array([2.0])}) == 2.0
 
     def test_missing_value(self):
-        g = GaussianFactorGraph([JacobianFactor({"x": [[1.0]]}, [0.0])])
+        f = JacobianFactor({"x": [[1.0]]}, [0.0])
         with pytest.raises(ValueError, match="incomplete values"):
-            graph_error(g, {})
+            f.error({})
 
 
 class TestConditionalValidation:

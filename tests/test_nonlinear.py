@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hybridfg import (DiscreteKey, HybridNonlinearFactor, NonlinearFactor,
+from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
+                      HybridNonlinearFactor, NonlinearFactor,
                       OptimizationDiverged, OptimizeConfig, Pose2, between,
-                      compose, linearize, local, max_product, optimize,
-                      restrict, retract)
+                      compose, elimination, linearize, local, max_product,
+                      optimize, restrict, retract)
 from hybridfg.nonlinear import (BetweenResidual, FuncResidual,
                                 HybridNonlinearFactorGraph, LinearResidual,
                                 PriorResidual, numerical_jacobians, wrap_angle)
@@ -242,6 +243,52 @@ class TestOptimize:
         est, bn = optimize(g, init, OptimizeConfig(dmr_delta=0.8))
         assert est.discrete["m"] == 1
         assert bn.discrete_joint() is None  # mode removed before the final pass
+
+    @staticmethod
+    def _three_mode_graph():
+        """Pose chain a-b-c-d with two ambiguous odometry edges and a
+        switchable loop a-d (three binary modes), an initial guess, and a
+        support keeping two of the eight joint hypotheses."""
+        g = HybridNonlinearFactorGraph()
+        sigma = np.array([0.01, 0.01, 0.001])
+        g.add(NonlinearFactor(PriorResidual("a", Pose2()), sigma))
+        keys = [DiscreteKey(f"m{i}", 2) for i in range(3)]
+        for k, (i, j) in zip(keys[:2], [("a", "b"), ("b", "c")]):
+            g.add(HybridNonlinearFactor.from_components([k], [
+                (BetweenResidual(i, j, Pose2(1, 0, 0)), sigma),
+                (BetweenResidual(i, j, Pose2(1.2, 0.1, 0.05)), sigma)]))
+        g.add(NonlinearFactor(BetweenResidual("c", "d", Pose2(1, 0, 0.1)), sigma))
+        loop = BetweenResidual("a", "d", Pose2(3.1, 0.05, 0.1))
+        g.add(HybridNonlinearFactor.from_components(
+            [keys[2]], [(loop, np.full(3, 10.0)), (loop, sigma)]))
+        support = DecisionTree(keys, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        init = {"a": Pose2(), "b": Pose2(1, 0, 0), "c": Pose2(2, 0, 0),
+                "d": Pose2(3, 0, 0)}
+        return g, support, init
+
+    def test_support_argument_matches_support_factor(self, monkeypatch):
+        """Carrying a support through optimize gives the estimate of the
+        graph with that support appended as a discrete factor, while running
+        fewer per-mode QR eliminations."""
+        g, support, init = self._three_mode_graph()
+        cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=4, dmr_delta=0.8)
+        calls = {"n": 0}
+        original = elimination.eliminate_one
+
+        def counting(*args):
+            calls["n"] += 1
+            return original(*args)
+        monkeypatch.setattr(elimination, "eliminate_one", counting)
+        carried, _ = optimize(g, init, cfg, support)
+        carried_calls, calls["n"] = calls["n"], 0
+        g.add(DiscreteFactor(support.keys, support))
+        factored, _ = optimize(g, init, cfg)
+        assert carried_calls < calls["n"]
+        assert carried.discrete == factored.discrete
+        for vid in init:
+            np.testing.assert_allclose(carried.continuous[vid].as_vector(),
+                                       factored.continuous[vid].as_vector(),
+                                       rtol=0, atol=1e-12)
 
     def test_divergence_reports_best(self):
         """A residual engineered to worsen under full Gauss-Newton steps

@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hybridfg.elimination import discrete_marginals
 from hybridfg.nonlinear import (HybridNonlinearFactor, HybridNonlinearFactorGraph,
                                 NonlinearFactor, OptimizeConfig, PriorResidual,
                                 optimize)
-from hybridfg.slam_cli import (RunConfig, build_loop_factor, build_motion_factor,
-                               emit_results, main, run)
+from hybridfg.slam_cli import (RunConfig, _Runner, build_loop_factor,
+                               build_motion_factor, emit_results, main, run)
 
 TIGHT = np.array([1e-4, 1e-4, 1e-4])
 
@@ -143,6 +144,36 @@ class TestRun:
         for _, _, hyps, _ in res.timings:
             assert hyps <= RunConfig().prune_p
         assert res.bn is not None
+
+    def test_streaming_pass_linearizes_once(self, monkeypatch):
+        entries, _, _ = square_loop_dataset(seed=0, num_poses=60,
+                                            n_ambiguous=4, n_loops=2)
+        runner = _Runner(RunConfig())
+        for index, entry in enumerate(entries):
+            runner.add_entry(entry, index)
+        runner._eliminate_once()
+        assert runner.support is not None and runner.support.keys
+        calls = {"n": 0}
+        original = HybridNonlinearFactorGraph.linearize
+
+        def counting(self, values):
+            calls["n"] += 1
+            return original(self, values)
+        monkeypatch.setattr(HybridNonlinearFactorGraph, "linearize", counting)
+        runner._eliminate_once()
+        assert calls["n"] == 1
+
+    def test_final_batch_converges(self, caplog):
+        """A seed whose final batch once stopped on a rounding-level error
+        increase: it now converges and its marginals come from the final
+        net."""
+        entries, _, _ = square_loop_dataset(seed=1729513616)
+        with caplog.at_level(logging.WARNING, logger="hybridfg"):
+            res = run(RunConfig(), entries)
+        assert "diverged" not in caplog.text
+        for kid, val in res.assignment.items():
+            if kid not in res.fixed:
+                assert res.marginals[kid][val] > 0.9, kid
 
     def test_max_steps_limits_ingestion(self):
         entries, _, _ = square_loop_dataset(seed=1)
