@@ -17,10 +17,10 @@ from .hybrid import (HybridBayesNet, HybridGaussianConditional,
                      HybridGaussianFactor, HybridGaussianFactorGraph,
                      HybridValues, conditional_to_factor,
                      discrete_factor_from_leaves, hgf_error)
-from .elimination import (bn_evaluate, bn_sample, dead_mode_removal,
-                          discrete_marginals, eliminate_hybrid_max,
-                          eliminate_hybrid_sum, max_product, prune_bayes_net,
-                          strong_ordering, sum_product)
+from .elimination import (bn_evaluate, bn_map, bn_sample, dead_mode_removal,
+                          discrete_marginals, eliminate_hybrid_sum,
+                          max_product, prune_bayes_net, strong_ordering,
+                          sum_product)
 from .nonlinear import (BetweenResidual, HybridNonlinearFactor,
                         HybridNonlinearFactorGraph, NonlinearFactor,
                         OptimizationDiverged, OptimizeConfig, Pose2,

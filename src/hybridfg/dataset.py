@@ -7,7 +7,9 @@ File format (whitespace separated, '#' starts a comment):
 
 ODOM lines carry n candidate relative poses for the same edge; n >= 2 makes
 the edge ambiguous (one discrete mode of cardinality n).  LOOP lines are
-switchable loop closures with a binary on/off mode.
+switchable loop closures with a binary on/off mode.  Every number must be
+finite, an ODOM line must lead from a pose to a later one, and poses other
+than 0 exist only once an earlier ODOM line has led to them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ class DatasetParseError(ValueError):
     pass
 
 
+def _check_finite(*values: float):
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("numbers must be finite")
+
+
 @dataclass(frozen=True)
 class Odometry:
     frm: int
@@ -38,10 +45,12 @@ class Odometry:
     def __post_init__(self):
         if not self.hypotheses:
             raise ValueError("odometry needs at least one hypothesis")
+        _check_finite(*(v for h in self.hypotheses for v in h),
+                      self.sigma_xy, self.sigma_theta)
         if self.sigma_xy <= 0 or self.sigma_theta <= 0:
             raise ValueError("sigmas must be positive")
-        if self.frm < 0 or self.to < 0:
-            raise ValueError("pose indices must be nonnegative")
+        if self.frm < 0 or self.frm >= self.to:
+            raise ValueError("odometry needs 0 <= from < to")
 
 
 @dataclass(frozen=True)
@@ -55,9 +64,10 @@ class LoopClosure:
     sigma_theta: float
 
     def __post_init__(self):
+        _check_finite(self.dx, self.dy, self.dtheta, self.sigma_xy, self.sigma_theta)
         if self.sigma_xy <= 0 or self.sigma_theta <= 0:
             raise ValueError("sigmas must be positive")
-        if self.frm < 0 or self.to < 0 or self.frm >= self.to:
+        if self.frm < 0 or self.frm >= self.to:
             raise ValueError("loop closure needs 0 <= from < to")
 
 
@@ -66,6 +76,7 @@ DatasetEntry = Union[Odometry, LoopClosure]
 
 def parse_dataset(path) -> List[DatasetEntry]:
     entries: List[DatasetEntry] = []
+    reached = {0}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -83,18 +94,24 @@ def parse_dataset(path) -> List[DatasetEntry]:
                                          f"the count, got {len(vals)}")
                     hyps = tuple((vals[3 * i], vals[3 * i + 1], vals[3 * i + 2])
                                  for i in range(n))
-                    entries.append(Odometry(frm, to, hyps, vals[-2], vals[-1]))
+                    entry = Odometry(frm, to, hyps, vals[-2], vals[-1])
+                    needs = {frm}
                 elif tok[0] == "LOOP":
                     frm, to = int(tok[1]), int(tok[2])
                     vals = [float(t) for t in tok[3:]]
                     if len(vals) != 5:
                         raise ValueError(f"expected 5 numbers, got {len(vals)}")
-                    entries.append(LoopClosure(frm, to, vals[0], vals[1],
-                                               vals[2], vals[3], vals[4]))
+                    entry = LoopClosure(frm, to, *vals)
+                    needs = {frm, to}
                 else:
                     raise ValueError(f"unknown record type {tok[0]!r}")
+                if not needs <= reached:
+                    raise ValueError(f"pose {min(needs - reached)} is not reached "
+                                     "by an earlier ODOM line")
             except (ValueError, IndexError) as e:
                 raise DatasetParseError(f"{path}:{lineno}: {e}") from None
+            reached.add(entry.to)
+            entries.append(entry)
     return entries
 
 

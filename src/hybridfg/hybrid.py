@@ -55,6 +55,8 @@ class HybridGaussianFactor:
                                  "and column dimensions")
         if cont is None:
             raise ValueError("hybrid factor needs at least one live component")
+        if not cont:
+            raise ValueError("hybrid factor needs a continuous variable")
         object.__setattr__(self, "continuous_ids", cont)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "components", components)
@@ -266,8 +268,9 @@ class HybridBayesNet:
             self.conditionals.append(c)
             return
         if isinstance(c, (GaussianConditional, HybridGaussianConditional)):
-            if any(isinstance(prev, DiscreteConditional)
-                   for prev in self.conditionals):
+            # Only discrete conditionals follow a discrete one.
+            if self.conditionals and isinstance(self.conditionals[-1],
+                                                DiscreteConditional):
                 raise ValueError("continuous conditionals must precede discrete ones")
             self.conditionals.append(c)
             return

@@ -379,12 +379,14 @@ class HybridNonlinearFactorGraph:
 
 class OptimizationDiverged(RuntimeError):
     """Raised when a step raises the error beyond rounding and nothing else
-    changes; carries the current iterate, which is the best one seen."""
+    changes; carries the current iterate, which is the best one seen, and
+    the net of the step taken at it."""
 
-    def __init__(self, message, best_values, best_assignment):
+    def __init__(self, message, best_values, best_assignment, bn):
         super().__init__(message)
         self.best_values = best_values
         self.best_assignment = best_assignment
+        self.bn = bn
 
 
 @dataclass
@@ -405,20 +407,17 @@ def gauss_newton_step(graph: HybridNonlinearFactorGraph,
     Linearizes once, restricts to the incoming support (live joint
     hypotheses; None keeps every one), eliminates with Sum-Product and, when
     `prune` is set, prunes to that many hypotheses and takes the survivors as
-    the new support.  Max-Product on the same linearization restricted to
-    that support gives the update in `step.continuous`.
+    the new support.  The update in `step.continuous` is the hybrid MAP read
+    off the (pruned) net.
     """
     lin = graph.linearize(values)
-    restricted = (lin if support is None
-                  else elimination.restrict_to_support(lin, support))
-    ordering = elimination.strong_ordering(restricted)
-    bn = elimination.sum_product(restricted, ordering)
+    if support is not None:
+        lin = elimination.restrict_to_support(lin, support)
+    bn = elimination.sum_product(lin)
     if prune is not None:
         bn = elimination.prune_bayes_net(bn, prune)
         support = elimination.hypothesis_support(bn)
-        if support is not None:
-            restricted = elimination.restrict_to_support(lin, support)
-    return bn, support, elimination.max_product(restricted, ordering)
+    return bn, support, elimination.bn_map(bn)
 
 
 def optimize(g: HybridNonlinearFactorGraph, init: Mapping[Any, Any],
@@ -432,7 +431,7 @@ def optimize(g: HybridNonlinearFactorGraph, init: Mapping[Any, Any],
     raises the error is rejected; when dead mode removal then fixes nothing
     the next iteration would repeat it, so the loop stops: an increase at
     rounding level means convergence, a larger one raises
-    OptimizationDiverged carrying the current iterate.
+    OptimizationDiverged carrying the current iterate and its net.
     """
     cfg = config or OptimizeConfig()
     values = dict(init)
@@ -460,7 +459,7 @@ def optimize(g: HybridNonlinearFactorGraph, init: Mapping[Any, Any],
                 break
             raise OptimizationDiverged(
                 f"diverged: step raised the error from {err_old:.6g} to "
-                f"{err_new:.6g}", values, {**step.discrete, **fixed_total})
+                f"{err_new:.6g}", values, {**step.discrete, **fixed_total}, bn)
     bn, _, final = gauss_newton_step(graph, values, support, cfg.prune)
     return (HybridValues(continuous=values,
                          discrete={**final.discrete, **fixed_total}), bn)

@@ -119,8 +119,8 @@ class _Runner:
                 + len(self.graph.discrete_factors))
 
     def add_entry(self, entry: DatasetEntry, index: int):
+        frm, to = ("x", entry.frm), ("x", entry.to)
         if isinstance(entry, Odometry):
-            frm, to = ("x", entry.frm), ("x", entry.to)
             if frm not in self.values:
                 raise ValueError(f"odometry from unknown pose {entry.frm}")
             if to not in self.values:
@@ -132,6 +132,8 @@ class _Runner:
                 self.hybrid_count += 1
                 return True
             return False
+        if frm not in self.values or to not in self.values:
+            raise ValueError(f"loop closure {entry.frm}-{entry.to} to an unknown pose")
         factor = build_loop_factor(entry, index)
         self.graph.add(factor)
         self.hybrid_count += 1
@@ -176,18 +178,15 @@ class _Runner:
                              dmr_delta=self.cfg.dmr_delta)
         try:
             from .nonlinear import optimize
-            estimate, bn = optimize(self.graph, self.values, cfg, self.support)
-            self.values = estimate.continuous
-            self.assignment = {k: v for k, v in estimate.discrete.items()}
-            self.bn = bn
-            # Modes absent from the final net were fixed by dead mode removal.
-            live = {k.id for k in bn.discrete_keys()}
-            self.fixed.update({k: v for k, v in estimate.discrete.items()
-                               if k not in live})
+            estimate, self.bn = optimize(self.graph, self.values, cfg, self.support)
+            self.values, assignment = estimate.continuous, estimate.discrete
         except OptimizationDiverged as e:
             log.warning("final optimization diverged; keeping best iterate")
-            self.values = e.best_values
-            self.assignment = dict(e.best_assignment)
+            self.values, assignment, self.bn = e.best_values, e.best_assignment, e.bn
+        self.assignment = dict(assignment)
+        # Modes absent from the final net were fixed by dead mode removal.
+        live = {k.id for k in self.bn.discrete_keys()}
+        self.fixed.update({k: v for k, v in assignment.items() if k not in live})
         self.assignment.update(self.fixed)
 
     def results(self) -> RunResults:

@@ -31,3 +31,6 @@ def test_traced_layers_are_nonzero(tmp_path, monkeypatch):
     for name in ("elimination.sum_product_calls", "gaussian.eliminate_one_calls",
                  "nonlinear.optimize_s", "slam_cli.finalize_s"):
         assert m[name] > 0, name
+    # One elimination per Gauss-Newton step: the MAP is read off its net.
+    assert m["elimination.max_product_calls"] == 0
+    assert m["elimination.sum_product_calls"] == m["nonlinear.linearize_calls"]

@@ -19,14 +19,15 @@ class TestParseDataset:
 
     def test_two_hypothesis_line(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("ODOM 3 4 2 1 0 0 0 1 0 0.01 0.005\n")
+        p.write_text("ODOM 0 1 2 1 0 0 0 1 0 0.01 0.005\n")
         (e,) = parse_dataset(p)
         assert e.hypotheses == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
     def test_loop_line(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("# comment\nLOOP 2 9 0.1 -0.2 0.05 0.01 0.005\n")
-        (e,) = parse_dataset(p)
+        chain = "".join(f"ODOM {k} {k + 1} 1 1 0 0 0.01 0.005\n" for k in range(9))
+        p.write_text(chain + "# comment\nLOOP 2 9 0.1 -0.2 0.05 0.01 0.005\n")
+        *_, e = parse_dataset(p)
         assert isinstance(e, LoopClosure)
         assert (e.frm, e.to) == (2, 9)
 
@@ -53,15 +54,18 @@ class TestParseDataset:
         rng = np.random.default_rng(0)
         for trial in range(100):
             entries = []
-            for k in range(int(rng.integers(1, 8))):
-                if rng.random() < 0.7:
+            last = 0
+            for _ in range(int(rng.integers(1, 8))):
+                if last == 0 or rng.random() < 0.7:
                     n = int(rng.integers(1, 4))
                     hyps = tuple(tuple(rng.normal(size=3).round(9)) for _ in range(n))
-                    entries.append(Odometry(k, k + 1, hyps,
+                    entries.append(Odometry(last, last + 1, hyps,
                                             float(rng.uniform(0.001, 0.1)),
                                             float(rng.uniform(0.001, 0.1))))
+                    last += 1
                 else:
-                    entries.append(LoopClosure(k, k + 3, *rng.normal(size=3).round(9),
+                    entries.append(LoopClosure(int(rng.integers(last)), last,
+                                               *rng.normal(size=3).round(9),
                                                float(rng.uniform(0.001, 0.1)),
                                                float(rng.uniform(0.001, 0.1))))
             p = tmp_path / f"d{trial}.txt"
@@ -77,6 +81,17 @@ class TestEntryValidation:
     def test_sigmas_positive(self):
         with pytest.raises(ValueError):
             Odometry(0, 1, ((0, 0, 0),), 0.0, 0.1)
+
+    @pytest.mark.parametrize("frm, to", [(1, 1), (2, 1)])
+    def test_odometry_requires_from_before_to(self, frm, to):
+        with pytest.raises(ValueError, match="from < to"):
+            Odometry(frm, to, ((0, 0, 0),), 0.1, 0.1)
+
+    def test_numbers_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            Odometry(0, 1, ((float("nan"), 0, 0),), 0.1, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            LoopClosure(0, 1, 0, 0, 0, 0.1, float("inf"))
 
 
 class TestGenerator:

@@ -7,11 +7,10 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       GaussianConditional, HybridBayesNet,
                       HybridGaussianConditional, HybridGaussianFactor,
                       HybridGaussianFactorGraph, HybridValues, JacobianFactor,
-                      bn_evaluate, bn_sample, dead_mode_removal,
-                      discrete_marginals, eliminate_hybrid_max,
-                      eliminate_hybrid_sum, eliminate_one, hgf_error,
-                      log_normalization_constant, max_product, prune_bayes_net,
-                      strong_ordering, sum_product, whiten)
+                      bn_evaluate, bn_map, bn_sample, dead_mode_removal,
+                      discrete_marginals, eliminate_hybrid_sum, eliminate_one,
+                      hgf_error, log_normalization_constant, max_product,
+                      prune_bayes_net, strong_ordering, sum_product, whiten)
 from hybridfg import elimination
 from hybridfg.discrete import DiscreteConditional
 from hybridfg.elimination import hypothesis_support, restrict_to_support
@@ -147,40 +146,6 @@ class TestEliminateHybridSum:
         monkeypatch.setattr(elimination, "eliminate_one", no_qr)
         with pytest.raises(ValueError, match="enumeration too large"):
             eliminate_hybrid_sum(factors, "x")
-
-
-class TestEliminateHybridMax:
-    def test_lookup_equals_back_substitution(self):
-        f = whiten({"x": [[1.0]], "y": [[0.5]]}, [2.0], 1.0)
-        prior = whiten({"x": [[1.0]]}, [0.0], 1.0)
-        lookup, _ = eliminate_hybrid_max([f, prior], "x")
-        cond, _ = eliminate_one([f, prior], "x")
-        y = {"y": np.array([0.3])}
-        np.testing.assert_allclose(lookup.solve(y), cond.solve(y), atol=1e-12)
-
-    def test_boundary_ranking_matches_sum(self):
-        """On the worked mixture both Max and Sum boundary factors rank mode
-        0 first, though the potentials differ by the sqrt|2 pi Sigma| terms."""
-        g, m = mixture_graph()
-        factors = g.gaussian_factors + g.hybrid_factors
-        _, sep_max = eliminate_hybrid_max(factors, "x")
-        _, sep_sum = eliminate_hybrid_sum(factors, "x")
-        pm = np.asarray(sep_max.potentials.leaves)
-        ps = np.asarray(sep_sum.potentials.leaves)
-        assert pm.argmax() == ps.argmax() == 0
-        # Peak values: exp(-E_min) ratios, not evidence ratios.
-        want_ratio = math.exp(-(9.0 / 4.0) + (1.0 / 4.0))
-        assert pm[1] / pm[0] == pytest.approx(want_ratio, rel=1e-10)
-
-    def test_identical_modes_equal_leaves(self):
-        m = DiscreteKey("m", 2)
-        comp = (whiten({"x": [[1.0]], "y": [[1.0]]}, [0.0], 1.0), 0.2)
-        f = HybridGaussianFactor.from_components([m], [comp, comp])
-        _, sep = eliminate_hybrid_max([f], "x")
-        l0 = sep.component({"m": 0})
-        l1 = sep.component({"m": 1})
-        np.testing.assert_allclose(l0[0].rhs, l1[0].rhs)
-        assert l0[1] == l1[1]
 
 
 class TestSumProduct:
@@ -353,6 +318,45 @@ class TestMaxProduct:
                 if val > best_val:
                     best_val, best = val, a
             assert got.discrete == best
+
+
+class TestBnMap:
+    @pytest.mark.parametrize("P", [1, 2, 4])
+    def test_pruned_net_matches_oracle_on_its_support(self, P):
+        """The MAP read off a pruned net, as a Gauss-Newton step takes it,
+        is the oracle MAP of the graph restricted to the net's hypotheses."""
+        for seed in range(60):
+            rng = np.random.default_rng(2000 + seed)
+            g = random_hybrid_graph(rng, int(rng.integers(1, 6)),
+                                    int(rng.integers(1, 5)),
+                                    two_var_hybrids=True)
+            pruned = prune_bayes_net(sum_product(g), P)
+            got = bn_map(pruned)
+            want = enumerate_map(restrict_to_support(g, hypothesis_support(pruned)))
+            assert got.discrete == want.discrete
+            for vid, vec in want.continuous.items():
+                np.testing.assert_allclose(got.continuous[vid], vec, atol=1e-9)
+
+    def test_exact_tie_keeps_first_mode(self):
+        m = DiscreteKey("m", 2)
+        g = HybridGaussianFactorGraph()
+        g.add(whiten({"x": [[1.0]]}, [0.0], 1.0))
+        comp = (whiten({"x": [[1.0]]}, [1.0], 2.0), 0.3)
+        g.add(HybridGaussianFactor.from_components([m], [comp, comp]))
+        got = bn_map(sum_product(g))
+        want = enumerate_map(g)
+        assert got.discrete == want.discrete == {"m": 0}
+        np.testing.assert_allclose(got.continuous["x"], want.continuous["x"],
+                                   atol=1e-12)
+
+    def test_nil_pick_raises(self):
+        m = DiscreteKey("m", 2)
+        leaf = GaussianConditional("x", [[1.0]], {}, [0.0])
+        bn = HybridBayesNet([
+            HybridGaussianConditional([m], DecisionTree([m], [leaf, None])),
+            DiscreteConditional(m, [], DecisionTree([m], [0.0, 1.0]))])
+        with pytest.raises(RuntimeError, match="pruned component"):
+            bn_map(bn)
 
 
 class TestPruneBayesNet:

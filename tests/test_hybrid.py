@@ -7,9 +7,8 @@ from hybridfg import (DecisionTree, DiscreteKey, GaussianConditional,
                       HybridBayesNet, HybridGaussianConditional,
                       HybridGaussianFactor, HybridGaussianFactorGraph,
                       HybridValues, JacobianFactor, conditional_to_factor,
-                      discrete_factor_from_leaves, eliminate_hybrid_max,
-                      eliminate_hybrid_sum, hgf_error,
-                      log_normalization_constant, whiten)
+                      discrete_factor_from_leaves, eliminate_hybrid_sum,
+                      hgf_error, log_normalization_constant, whiten)
 from hybridfg.discrete import DiscreteConditional
 
 M = DiscreteKey("m", 2)
@@ -91,8 +90,7 @@ class TestConditionalToFactor:
         assert all(c >= 0.0 for c in cs)
 
     def test_round_trip_through_elimination(self):
-        """Eliminating the emitted factor reproduces the conditional leafwise
-        and a max-phase boundary factor proportional to exp(-C^m)."""
+        """Eliminating the emitted factor reproduces the conditional leafwise."""
         hgc = _two_mode_conditional(1.0, 2.0)
         fac = conditional_to_factor(hgc)
         cond2, _ = eliminate_hybrid_sum([fac], "x")
@@ -102,16 +100,6 @@ class TestConditionalToFactor:
             np.testing.assert_allclose(l1.d, l2.d, atol=1e-10)
             np.testing.assert_allclose(l1.parent_blocks["y"],
                                        l2.parent_blocks["y"], atol=1e-10)
-        # Max elimination of the parentless version exposes exp(-C^m).
-        c0 = GaussianConditional("x", [[1.0]], {}, [0.0])
-        c1 = GaussianConditional("x", [[0.5]], {}, [0.0])
-        fac2 = conditional_to_factor(
-            HybridGaussianConditional([M], DecisionTree([M], [c0, c1])))
-        cs = [leaf[1] for leaf in fac2.components.leaves.reshape(-1)]
-        _, sep = eliminate_hybrid_max([fac2], "x")
-        pots = np.asarray(sep.potentials.leaves)
-        want = np.exp(-np.asarray(cs))
-        np.testing.assert_allclose(pots, want / want.max(), atol=1e-12)
 
     def test_density_ratios_preserved(self):
         """exp(-error_m + error_mtilde) matches the conditional density ratio
@@ -166,6 +154,13 @@ class TestStructuralInvariants:
         bad = (JacobianFactor({"x": [[1.0, 0.0]]}, [0.0]), 0.0)
         with pytest.raises(ValueError, match="column dimensions"):
             HybridGaussianFactor.from_components([M], [good, bad])
+
+    def test_continuous_variable_required(self):
+        """A factor over modes alone belongs in a DiscreteFactor; elimination
+        would otherwise never reach its per-mode constants."""
+        residual = (JacobianFactor({}, [1.0]), 0.0)
+        with pytest.raises(ValueError, match="continuous variable"):
+            HybridGaussianFactor.from_components([M], [residual, residual])
 
     def test_conditional_leaves_share_structure(self):
         c0 = GaussianConditional("x", [[1.0]], {}, [0.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
-                      HybridNonlinearFactor, NonlinearFactor,
+                      HybridBayesNet, HybridNonlinearFactor, NonlinearFactor,
                       OptimizationDiverged, OptimizeConfig, Pose2, between,
                       compose, elimination, linearize, local, max_product,
                       optimize, restrict, retract)
@@ -304,6 +304,7 @@ class TestOptimize:
         with pytest.raises(OptimizationDiverged) as exc:
             optimize(g, {"x": np.array([2.0])}, OptimizeConfig(max_iters=20))
         assert "x" in exc.value.best_values
+        assert isinstance(exc.value.bn, HybridBayesNet)
 
 
 class TestHybridNonlinearFactor:

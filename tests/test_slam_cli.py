@@ -4,12 +4,13 @@ import logging
 import numpy as np
 import pytest
 
-from hybridfg import DiscreteKey, Pose2, sum_product
+from hybridfg import DiscreteKey, Pose2, nonlinear, sum_product
 from hybridfg.dataset import LoopClosure, Odometry, square_loop_dataset, write_dataset
 from hybridfg.elimination import discrete_marginals
 from hybridfg.nonlinear import (HybridNonlinearFactor, HybridNonlinearFactorGraph,
-                                NonlinearFactor, OptimizeConfig, PriorResidual,
-                                optimize)
+                                NonlinearFactor, OptimizationDiverged,
+                                OptimizeConfig, PriorResidual,
+                                gauss_newton_step, optimize)
 from hybridfg.slam_cli import (RunConfig, _Runner, build_loop_factor,
                                build_motion_factor, emit_results, main, run)
 
@@ -175,6 +176,30 @@ class TestRun:
             if kid not in res.fixed:
                 assert res.marginals[kid][val] > 0.9, kid
 
+    def test_diverged_final_batch_keeps_its_net(self, monkeypatch):
+        """When the final batch diverges, the results carry the net that
+        came with the reported iterate, not the last streaming net."""
+        entries, _, _ = square_loop_dataset(seed=0, num_poses=60, n_ambiguous=4,
+                                            n_loops=2)
+        nets = []
+
+        def diverge(graph, values, config, support):
+            net, _, step = gauss_newton_step(graph, values, support, config.prune)
+            nets.append(net)
+            raise OptimizationDiverged("diverged", dict(values), step.discrete, net)
+        monkeypatch.setattr(nonlinear, "optimize", diverge)
+        res = run(RunConfig(), entries)
+        (net,) = nets
+        assert res.bn is net
+        marginals = discrete_marginals(net)
+        assert marginals and res.marginals.keys() == marginals.keys()
+        for kid, probs in marginals.items():
+            np.testing.assert_array_equal(res.marginals[kid], probs)
+
+    def test_loop_to_unknown_pose_refused(self):
+        with pytest.raises(ValueError, match="unknown pose"):
+            run(RunConfig(), [LoopClosure(0, 3, 0.0, 0.0, 0.0, 0.01, 0.005)])
+
     def test_max_steps_limits_ingestion(self):
         entries, _, _ = square_loop_dataset(seed=1)
         res = run(RunConfig(max_steps=10), entries)
@@ -234,3 +259,17 @@ class TestCli:
         data = tmp_path / "bad.txt"
         data.write_text("ODOM 0 1 nonsense\n")
         assert main(["--input", str(data), "--output", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "LOOP 0 5 0 0 0 0.01 0.005",        # loop to a pose not reached yet
+        "ODOM 3 4 1 1 0 0 0.01 0.005",      # odometry from a pose not reached
+        "ODOM 1 2 1 nan 0 0 0.01 0.005",    # non-finite hypothesis
+        "ODOM 1 2 1 1 0 0 0.01 inf",        # non-finite sigma
+        "ODOM 1 1 1 0 0 0 0.01 0.005",      # self-edge
+        "ODOM 1 0 1 -1 0 0 0.01 0.005",     # backwards edge
+    ])
+    def test_inconsistent_dataset_is_input_error(self, tmp_path, capsys, line):
+        data = tmp_path / "bad.txt"
+        data.write_text(f"ODOM 0 1 1 1 0 0 0.01 0.005\n{line}\n")
+        assert main(["--input", str(data), "--output", str(tmp_path / "out")]) == 2
+        assert "bad.txt:2:" in capsys.readouterr().err
