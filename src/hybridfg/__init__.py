@@ -13,19 +13,18 @@ from .discrete import (DecisionTree, DiscreteConditional, DiscreteFactor,
 from .gaussian import (GaussianConditional, JacobianFactor,
                        UnderconstrainedVariable, VectorValues, back_substitute,
                        eliminate_one, log_normalization_constant, whiten)
-from .hybrid import (HybridBayesNet, HybridGaussianConditional,
-                     HybridGaussianFactor, HybridGaussianFactorGraph,
-                     HybridValues, conditional_to_factor,
-                     discrete_factor_from_leaves, hgf_error)
+from .hybrid import (HybridBayesNet, HybridFactorGraph,
+                     HybridGaussianConditional, HybridGaussianFactor,
+                     HybridGaussianFactorGraph, HybridNonlinearFactor,
+                     HybridValues, NonlinearFactor, conditional_to_factor,
+                     discrete_factor_from_leaves)
 from .elimination import (bn_evaluate, bn_map, bn_sample, dead_mode_removal,
                           discrete_marginals, eliminate_hybrid_sum,
                           max_product, prune_bayes_net, strong_ordering,
                           sum_product)
-from .nonlinear import (BetweenResidual, HybridNonlinearFactor,
-                        HybridNonlinearFactorGraph, NonlinearFactor,
-                        OptimizationDiverged, OptimizeConfig, Pose2,
-                        PriorResidual, between, compose, linearize, local,
-                        optimize, restrict, retract)
+from .nonlinear import (BetweenResidual, OptimizationDiverged, OptimizeConfig,
+                        Pose2, PriorResidual, between, compose, local,
+                        optimize, retract)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -174,6 +174,10 @@ def square_loop_dataset(seed: int = 0, num_poses: int = 100,
     """
     if num_poses < _LAP + 2:
         raise ValueError(f"need at least {_LAP + 2} poses for a two-lap course")
+    if n_loops < 1:
+        raise ValueError("need at least one loop closure")
+    if n_ambiguous < 0:
+        raise ValueError("ambiguous edge count must be >= 0")
     rng = np.random.default_rng(seed)
     truth = square_loop_truth(num_poses)
     loop_targets = np.linspace(_LAP + 10, num_poses - 1, n_loops).round().astype(int)
@@ -224,6 +228,7 @@ def square_loop_dataset(seed: int = 0, num_poses: int = 100,
 
 def generate_main(argv=None) -> int:
     p = argparse.ArgumentParser(
+        prog="hybridfg-gen",
         description="Generate a synthetic square-loop dataset with ambiguous "
                     "odometry and switchable loop closures.")
     p.add_argument("--output", required=True, help="output dataset file")
@@ -235,14 +240,23 @@ def generate_main(argv=None) -> int:
     p.add_argument("--sigma-theta", type=float, default=2e-4)
     p.add_argument("--truth", help="optional file for the ground-truth poses")
     args = p.parse_args(argv)
-    entries, truth, _ = square_loop_dataset(
-        seed=args.seed, num_poses=args.poses, n_ambiguous=args.ambiguous,
-        n_loops=args.loops, sigma_xy=args.sigma_xy, sigma_theta=args.sigma_theta)
-    write_dataset(entries, args.output)
-    if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as fh:
-            for k, pose in enumerate(truth):
-                fh.write(f"POSE {k} {pose.x:.9f} {pose.y:.9f} {pose.theta:.9f}\n")
+    try:
+        entries, truth, _ = square_loop_dataset(
+            seed=args.seed, num_poses=args.poses, n_ambiguous=args.ambiguous,
+            n_loops=args.loops, sigma_xy=args.sigma_xy,
+            sigma_theta=args.sigma_theta)
+    except ValueError as e:
+        p.error(str(e))
+    try:
+        write_dataset(entries, args.output)
+        if args.truth:
+            with open(args.truth, "w", encoding="utf-8") as fh:
+                for k, pose in enumerate(truth):
+                    fh.write(f"POSE {k} {pose.x:.9f} {pose.y:.9f} "
+                             f"{pose.theta:.9f}\n")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

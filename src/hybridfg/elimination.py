@@ -26,14 +26,14 @@ from .discrete import (DecisionTree, DiscreteConditional,
 from .discrete import eliminate_discrete_max  # noqa: F401
 from .gaussian import (GaussianConditional, JacobianFactor,
                        UnderconstrainedVariable, eliminate_one)
-from .hybrid import (HybridBayesNet, HybridGaussianConditional,
-                     HybridGaussianFactor, HybridGaussianFactorGraph,
+from .hybrid import (HybridBayesNet, HybridFactorGraph,
+                     HybridGaussianConditional, HybridGaussianFactor,
                      HybridValues, discrete_factor_from_leaves)
 
 ContinuousFactor = Union[JacobianFactor, HybridGaussianFactor]
 
 
-def strong_ordering(g: HybridGaussianFactorGraph) -> List[Any]:
+def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     """Continuous variables first (minimum-degree, ties by id), then
     discrete variables in id order."""
     cont = g.continuous_variables()
@@ -41,7 +41,7 @@ def strong_ordering(g: HybridGaussianFactorGraph) -> List[Any]:
     if not cont and not disc:
         raise ValueError("graph is empty")
     adj: Dict[Any, set] = {v: set() for v in cont}
-    for f in g.gaussian_factors:
+    for f in g.continuous_factors:
         vs = f.variables
         for a in vs:
             adj[a].update(v for v in vs if v != a)
@@ -61,7 +61,7 @@ def strong_ordering(g: HybridGaussianFactorGraph) -> List[Any]:
     return order + sorted(disc)
 
 
-def _validate_ordering(g: HybridGaussianFactorGraph, ordering: Sequence[Any]):
+def _validate_ordering(g: HybridFactorGraph, ordering: Sequence[Any]):
     cont = set(g.continuous_variables())
     disc = {k.id for k in g.discrete_keys()}
     if set(ordering) != cont | disc:
@@ -176,7 +176,7 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     return conditional, separator
 
 
-def sum_product(g: HybridGaussianFactorGraph,
+def sum_product(g: HybridFactorGraph,
                 ordering: Optional[Sequence[Any]] = None) -> HybridBayesNet:
     """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z).
 
@@ -242,7 +242,7 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
     return HybridValues(continuous=values, discrete=modes)
 
 
-def max_product(g: HybridGaussianFactorGraph,
+def max_product(g: HybridFactorGraph,
                 ordering: Optional[Sequence[Any]] = None) -> HybridValues:
     """Hybrid MAP of a graph: the MAP of its Sum-Product net."""
     return bn_map(sum_product(g, ordering))
@@ -298,8 +298,8 @@ def hypothesis_support(bn: HybridBayesNet) -> Optional[DecisionTree]:
     return DecisionTree(joint.keys, (np.asarray(joint.leaves) > 0).astype(float))
 
 
-def restrict_to_support(g: HybridGaussianFactorGraph, support: DecisionTree
-                        ) -> HybridGaussianFactorGraph:
+def restrict_to_support(g: HybridFactorGraph, support: DecisionTree
+                        ) -> HybridFactorGraph:
     """Bake a pruning decision into a graph: components inconsistent with
     every surviving hypothesis become nil, and the 0/1 indicator joins the
     graph so dead joint hypotheses stay dead in later eliminations."""
@@ -308,8 +308,8 @@ def restrict_to_support(g: HybridGaussianFactorGraph, support: DecisionTree
     graph_keys = {k.id for k in g.discrete_keys()}
     if not {k.id for k in support.keys} <= graph_keys:
         raise ValueError("support mentions keys absent from the graph")
-    out = HybridGaussianFactorGraph()
-    out.gaussian_factors = list(g.gaussian_factors)
+    out = HybridFactorGraph()
+    out.continuous_factors = list(g.continuous_factors)
     support_ids = {k.id for k in support.keys}
     for hf in g.hybrid_factors:
         shared = tuple(k for k in hf.keys if k.id in support_ids)

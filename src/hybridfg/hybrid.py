@@ -1,10 +1,12 @@
-"""Hybrid Gaussian factors and conditionals: decision trees of whitened
-linear components with per-mode negative-log constants.
+"""Hybrid factors and conditionals, and the hybrid factor graph that holds
+them: decision trees of per-mode components over continuous variables.
 
-Each hybrid factor component is a pair (JacobianFactor, c) whose potential is
-exp(-(error + c)); c travels with the factor because mode-dependent noise
-covariances make the Gaussian normalizer mode-dependent.  A leaf may be None
-("nil"): a pruned, impossible mode with potential 0 / error +inf.
+Each hybrid Gaussian factor component is a pair (JacobianFactor, c) whose
+potential is exp(-(error + c)); c travels with the factor because
+mode-dependent noise covariances make the Gaussian normalizer
+mode-dependent.  A hybrid nonlinear factor's components are (residual,
+sigma) pairs that linearize into such pairs.  A leaf may be None ("nil"): a
+pruned, impossible mode with potential 0 / error +inf.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discrete import (Assignment, DecisionTree, DiscreteFactor, DiscreteKey,
-                       _merge_keys, _sorted_keys)
-from .gaussian import GaussianConditional, JacobianFactor, VectorValues
+from .discrete import (Assignment, DecisionTree, DiscreteConditional,
+                       DiscreteFactor, DiscreteKey, _merge_keys, _sorted_keys)
+from .gaussian import (GaussianConditional, JacobianFactor, VectorValues,
+                       log_normalization_constant, sigma_cholesky, whiten)
 
 
 @dataclass
@@ -80,22 +83,21 @@ class HybridGaussianFactor:
         tree = self.components.choose(fixed)
         return HybridGaussianFactor(tree.keys, tree)
 
+    def error(self, x: VectorValues, assignment: Assignment) -> float:
+        """0.5||A^m x - b^m||^2 + c^m at the mode m selected by `assignment`;
+        +inf on a pruned leaf."""
+        try:
+            leaf = self.component(assignment)
+        except ValueError as e:
+            raise ValueError(f"incomplete values: {e}") from None
+        if leaf is None:
+            return math.inf
+        jf, c = leaf
+        return jf.error(x) + c
+
     def __repr__(self):
         return (f"HybridGaussianFactor(cont={list(self.continuous_ids)}, "
                 f"keys={[k.id for k in self.keys]})")
-
-
-def hgf_error(f: HybridGaussianFactor, v: HybridValues) -> float:
-    """0.5||A^m x - b^m||^2 + c^m at the mode selected by v.discrete;
-    +inf on a pruned leaf."""
-    try:
-        leaf = f.component(v.discrete)
-    except ValueError as e:
-        raise ValueError(f"incomplete values: {e}") from None
-    if leaf is None:
-        return math.inf
-    jf, c = leaf
-    return jf.error(v.continuous) + c
 
 
 class HybridGaussianConditional:
@@ -178,36 +180,138 @@ def discrete_factor_from_leaves(tree: DecisionTree) -> DiscreteFactor:
     return DiscreteFactor(tree.keys, pots)
 
 
-class HybridGaussianFactorGraph:
-    """Linear hybrid factor graph: hybrid, plain Gaussian, and discrete factors.
+def _linearize_component(res, sigma, values) -> Tuple[JacobianFactor, float]:
+    r0 = res.evaluate(values)
+    jacs = res.jacobians(values)
+    for J in jacs.values():
+        if not np.all(np.isfinite(J)):
+            raise ValueError("linearization failure: non-finite Jacobian")
+    if not np.all(np.isfinite(r0)):
+        raise ValueError("linearization failure: non-finite residual")
+    factor = whiten(jacs, -r0, sigma)
+    return factor, log_normalization_constant(sigma, r0.shape[0])
 
-    The CLG restriction holds structurally: discrete factors never touch
-    continuous variables, and hybrid factors are likelihood-shaped.
+
+class NonlinearFactor:
+    """A single residual model with Gaussian noise."""
+
+    def __init__(self, residual, sigma):
+        self.residual = residual
+        self.sigma = sigma
+
+    @property
+    def variables(self):
+        return tuple(self.residual.variables)
+
+    def error(self, values) -> float:
+        r = self.residual.evaluate(values)
+        L = sigma_cholesky(self.sigma, r.shape[0])
+        w = np.linalg.solve(L, r)
+        return 0.5 * float(w @ w)
+
+    def linearize(self, values) -> JacobianFactor:
+        """Whitened linear factor on the update vector at `values`."""
+        return _linearize_component(self.residual, self.sigma, values)[0]
+
+
+class HybridNonlinearFactor:
+    """Mode-indexed residual models: leaves (residual, sigma) or None."""
+
+    def __init__(self, keys: Sequence[DiscreteKey], components: DecisionTree):
+        keys = _sorted_keys(keys)
+        if tuple(components.keys) != keys:
+            raise ValueError("component tree keys must match factor keys")
+        varset = None
+        dim = None
+        for leaf in components.leaves.reshape(-1):
+            if leaf is None:
+                continue
+            res, _ = leaf
+            if varset is None:
+                varset = tuple(res.variables)
+                dim = res.dim
+            elif tuple(res.variables) != varset or res.dim != dim:
+                raise ValueError("components must share variables and residual "
+                                 "dimension")
+        if varset is None:
+            raise ValueError("hybrid factor needs at least one live component")
+        self.keys = keys
+        self.components = components
+        self.continuous_ids = varset
+
+    @classmethod
+    def from_components(cls, keys, components) -> "HybridNonlinearFactor":
+        return cls(keys, DecisionTree(keys, list(components)))
+
+    def component(self, assignment: Assignment):
+        return self.components.leaf(assignment)
+
+    def error(self, values, assignment: Assignment) -> float:
+        leaf = self.component(assignment)
+        if leaf is None:
+            return math.inf
+        res, sigma = leaf
+        r = res.evaluate(values)
+        L = sigma_cholesky(sigma, r.shape[0])
+        w = np.linalg.solve(L, r)
+        return 0.5 * float(w @ w) + log_normalization_constant(sigma, r.shape[0])
+
+    def restrict(self, fixed: Assignment):
+        """Choose components for fixed modes; with no keys left the factor
+        becomes a plain nonlinear factor."""
+        sub = {k.id: fixed[k.id] for k in self.keys if k.id in fixed}
+        if not sub:
+            return self
+        tree = self.components.choose(sub)
+        if tree.keys:
+            return HybridNonlinearFactor(tree.keys, tree)
+        leaf = tree.leaves[()]
+        if leaf is None:
+            raise ValueError("restriction selects a pruned component")
+        return NonlinearFactor(leaf[0], leaf[1])
+
+    def linearize(self, values) -> HybridGaussianFactor:
+        """Hybrid Gaussian factor at `values` whose leaves carry the per-mode
+        constant log sqrt|2 pi Sigma^m|."""
+        leaves = [None if leaf is None
+                  else _linearize_component(leaf[0], leaf[1], values)
+                  for leaf in self.components.leaves.reshape(-1)]
+        return HybridGaussianFactor(self.keys, DecisionTree(self.keys, leaves))
+
+
+class HybridFactorGraph:
+    """Hybrid factor graph: continuous, hybrid, and discrete factors.
+
+    It holds a nonlinear model (NonlinearFactor, HybridNonlinearFactor) or
+    its linearization (JacobianFactor, HybridGaussianFactor); each factor
+    kind supplies its own error, restriction and linearization.  The CLG
+    restriction holds structurally: discrete factors never touch continuous
+    variables, and hybrid factors are likelihood-shaped.
     """
 
     def __init__(self):
-        self.hybrid_factors: List[HybridGaussianFactor] = []
-        self.gaussian_factors: List[JacobianFactor] = []
+        self.continuous_factors: List[Any] = []
+        self.hybrid_factors: List[Any] = []
         self.discrete_factors: List[DiscreteFactor] = []
 
     def add(self, f):
-        if isinstance(f, HybridGaussianFactor):
+        if isinstance(f, (HybridGaussianFactor, HybridNonlinearFactor)):
             self.hybrid_factors.append(f)
-        elif isinstance(f, JacobianFactor):
-            self.gaussian_factors.append(f)
+        elif isinstance(f, (JacobianFactor, NonlinearFactor)):
+            self.continuous_factors.append(f)
         elif isinstance(f, DiscreteFactor):
             self.discrete_factors.append(f)
         else:
-            raise TypeError(f"cannot add {type(f).__name__} to a hybrid Gaussian graph")
+            raise TypeError(f"cannot add {type(f).__name__} to a hybrid factor graph")
         return self
 
     def all_factors(self) -> List[Any]:
-        return list(self.gaussian_factors) + list(self.hybrid_factors) \
+        return list(self.continuous_factors) + list(self.hybrid_factors) \
             + list(self.discrete_factors)
 
     def continuous_variables(self) -> List[Any]:
         seen = set()
-        for f in self.gaussian_factors:
+        for f in self.continuous_factors:
             seen.update(f.variables)
         for f in self.hybrid_factors:
             seen.update(f.continuous_ids)
@@ -225,33 +329,49 @@ class HybridGaussianFactorGraph:
                 raise ValueError(f"id {k.id!r} used as both continuous and discrete")
         return keys
 
-    def restrict(self, fixed: Assignment) -> "HybridGaussianFactorGraph":
+    def linearize(self, values) -> "HybridFactorGraph":
+        """The linearization of a nonlinear model at `values`."""
+        lin = HybridFactorGraph()
+        for f in self.continuous_factors:
+            lin.add(f.linearize(values))
+        for f in self.hybrid_factors:
+            lin.add(f.linearize(values))
+        for f in self.discrete_factors:
+            lin.add(f)
+        return lin
+
+    def restrict(self, fixed: Assignment) -> "HybridFactorGraph":
         """Fix discrete modes: choose the matching component everywhere.
 
-        A fully fixed hybrid factor keeps its zero-key hybrid form so the
-        selected component's constant is not lost.
+        A fully fixed hybrid Gaussian factor keeps its zero-key hybrid form so
+        the selected component's constant is not lost.
         """
-        out = HybridGaussianFactorGraph()
-        out.gaussian_factors = list(self.gaussian_factors)
+        out = HybridFactorGraph()
+        out.continuous_factors = list(self.continuous_factors)
         for f in self.hybrid_factors:
-            out.hybrid_factors.append(f.restrict(fixed))
+            out.add(f.restrict(fixed))
         for f in self.discrete_factors:
             g = f.restrict(fixed)
             if g.keys:
                 out.discrete_factors.append(g)
         return out
 
-    def error(self, v: HybridValues) -> float:
-        """Total negative-log potential (up to discrete factor scale)."""
+    def error(self, values, assignment: Assignment) -> float:
+        """Negative-log unnormalized posterior at (values, assignment),
+        mode-dependent constants included."""
         total = 0.0
-        for f in self.gaussian_factors:
-            total += f.error(v.continuous)
+        for f in self.continuous_factors:
+            total += f.error(values)
         for f in self.hybrid_factors:
-            total += hgf_error(f, v)
+            total += f.error(values, assignment)
         for f in self.discrete_factors:
-            p = f.value(v.discrete)
+            p = f.value(assignment)
             total += -math.log(p) if p > 0 else math.inf
         return total
+
+
+# perfbench/workloads.py imports this name.
+HybridGaussianFactorGraph = HybridFactorGraph
 
 
 class HybridBayesNet:
@@ -263,7 +383,6 @@ class HybridBayesNet:
             self.append(c)
 
     def append(self, c):
-        from .discrete import DiscreteConditional
         if isinstance(c, DiscreteConditional):
             self.conditionals.append(c)
             return
@@ -283,11 +402,9 @@ class HybridBayesNet:
         return len(self.conditionals)
 
     def discrete_conditionals(self) -> List[Any]:
-        from .discrete import DiscreteConditional
         return [c for c in self.conditionals if isinstance(c, DiscreteConditional)]
 
     def continuous_conditionals(self) -> List[Any]:
-        from .discrete import DiscreteConditional
         return [c for c in self.conditionals if not isinstance(c, DiscreteConditional)]
 
     def discrete_keys(self) -> Tuple[DiscreteKey, ...]:

@@ -19,15 +19,15 @@ import numpy as np
 
 from .discrete import DecisionTree
 from .gaussian import VectorValues
-from .hybrid import HybridGaussianFactorGraph, HybridValues
+from .hybrid import HybridFactorGraph, HybridValues
 
 ENUM_CAP = 1 << 12
 CONT_DIM_CAP = 32
 
 
-def _layout(g: HybridGaussianFactorGraph) -> Tuple[List[Any], Dict[Any, int], int]:
+def _layout(g: HybridFactorGraph) -> Tuple[List[Any], Dict[Any, int], int]:
     dims: Dict[Any, int] = {}
-    for f in g.gaussian_factors:
+    for f in g.continuous_factors:
         for vid in f.blocks:
             dims[vid] = f.dim(vid)
     for hf in g.hybrid_factors:
@@ -55,7 +55,7 @@ def _mode_system(g, assignment, offsets, total):
     rows = []
     rhs = []
     const = 0.0
-    for f in g.gaussian_factors:
+    for f in g.continuous_factors:
         rows.append((f, 0.0))
     for hf in g.hybrid_factors:
         sub = {k.id: assignment[k.id] for k in hf.keys}
@@ -93,7 +93,7 @@ def _check_cap(keys):
                              "discrete assignments")
 
 
-def enumerate_posterior(g: HybridGaussianFactorGraph
+def enumerate_posterior(g: HybridFactorGraph
                         ) -> Tuple[DecisionTree, DecisionTree]:
     """Exact P(M | Z) and the per-mode continuous optima.
 
@@ -148,7 +148,7 @@ def enumerate_posterior(g: HybridGaussianFactorGraph
     return DecisionTree(keys, probs.reshape(tree.shape)), DecisionTree(keys, optima)
 
 
-def enumerate_map(g: HybridGaussianFactorGraph) -> HybridValues:
+def enumerate_map(g: HybridFactorGraph) -> HybridValues:
     """Exact hybrid MAP: argmax over modes of the peak unnormalized density
     exp(-(E_min + c)) times discrete potentials; ties keep the smallest
     assignment index."""
@@ -183,7 +183,7 @@ def enumerate_map(g: HybridGaussianFactorGraph) -> HybridValues:
     return best
 
 
-def evidence_by_quadrature(g: HybridGaussianFactorGraph, assignment,
+def evidence_by_quadrature(g: HybridFactorGraph, assignment,
                            num_points: int = 4096, half_width_sigmas: float = 8.0
                            ) -> float:
     """Evidence of a single-scalar-variable mode by grid quadrature; used to

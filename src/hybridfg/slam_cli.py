@@ -5,7 +5,8 @@ closures, runs a scheduled eliminate/prune/dead-mode-removal loop, and
 writes the trajectory, mode decisions, per-update timing, and the history of
 MAP estimates.
 
-Exit codes: 0 success, 1 solver error, 2 I/O or input format error.
+Exit codes: 0 success, 1 solver error, 2 I/O error, input format error or
+bad command-line argument.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .dataset import (DatasetEntry, DatasetParseError, LoopClosure, Odometry,
                       parse_dataset)
 from .discrete import DecisionTree, DiscreteKey
 from .elimination import dead_mode_removal, discrete_marginals, fix_support
-from .hybrid import HybridBayesNet
-from .nonlinear import (BetweenResidual, HybridNonlinearFactor,
-                        HybridNonlinearFactorGraph, NonlinearFactor,
-                        OptimizationDiverged, OptimizeConfig, Pose2,
-                        PriorResidual, compose, gauss_newton_step,
+from .hybrid import (HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
+                     NonlinearFactor)
+from .nonlinear import (BetweenResidual, OptimizationDiverged, OptimizeConfig,
+                        Pose2, PriorResidual, compose, gauss_newton_step,
                         retract_values)
 
 log = logging.getLogger("hybridfg")
@@ -49,6 +49,8 @@ class RunConfig:
     max_steps: int = 0          # 0 = whole dataset
 
     def __post_init__(self):
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         if self.prune_p < 1:
             raise ValueError("prune_p must be >= 1")
         if not (0.5 < self.dmr_delta <= 1.0):
@@ -95,13 +97,12 @@ class RunResults:
     marginals: Dict[Any, np.ndarray]
     timings: List[Tuple[int, int, int, float]]
     history: List[Tuple[int, int, float, float, float]]
-    num_factors: int
 
 
 class _Runner:
     def __init__(self, config: RunConfig):
         self.cfg = config
-        self.graph = HybridNonlinearFactorGraph()
+        self.graph = HybridFactorGraph()
         self.values: Dict[Any, Pose2] = {("x", 0): Pose2()}
         self.graph.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()),
                                        _sigma_diag(ANCHOR_SIGMA, ANCHOR_SIGMA)))
@@ -115,8 +116,7 @@ class _Runner:
         self.bn: Optional[HybridBayesNet] = None
 
     def _num_factors(self) -> int:
-        return (len(self.graph.nonlinear_factors) + len(self.graph.hybrid_factors)
-                + len(self.graph.discrete_factors))
+        return len(self.graph.all_factors())
 
     def add_entry(self, entry: DatasetEntry, index: int):
         frm, to = ("x", entry.frm), ("x", entry.to)
@@ -194,8 +194,7 @@ class _Runner:
         return RunResults(values=dict(self.values), bn=self.bn,
                           assignment=dict(self.assignment),
                           fixed=dict(self.fixed), marginals=marg,
-                          timings=list(self.timings), history=list(self.history),
-                          num_factors=self._num_factors())
+                          timings=list(self.timings), history=list(self.history))
 
 
 def run(config: RunConfig, entries: List[DatasetEntry]) -> RunResults:
@@ -262,6 +261,12 @@ def main(argv=None) -> int:
                    help="dataset entries to ingest (0 = all)")
     p.add_argument("--format", choices=sorted(PARSERS), default="custom")
     args = p.parse_args(argv)
+    try:
+        config = RunConfig(prune_p=args.prune, dmr_delta=args.dmr_delta,
+                           elim_every=args.elim_every,
+                           relin_every=args.relin_every, max_steps=args.max_steps)
+    except ValueError as e:
+        p.error(str(e))
 
     level = os.environ.get("HYBRIDFG_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -271,9 +276,6 @@ def main(argv=None) -> int:
     except (OSError, DatasetParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    config = RunConfig(prune_p=args.prune, dmr_delta=args.dmr_delta,
-                       elim_every=args.elim_every, relin_every=args.relin_every,
-                       max_steps=args.max_steps)
     try:
         results = run(config, entries)
     except (OptimizationDiverged, ValueError, RuntimeError, np.linalg.LinAlgError) as e:

@@ -1,7 +1,12 @@
-"""Shared builders for randomized test graphs."""
+"""Shared builders for randomized test graphs, and a command-line runner."""
 
-from hybridfg import (DiscreteFactor, DiscreteKey, HybridGaussianFactor,
-                      HybridGaussianFactorGraph, JacobianFactor,
+import os
+import subprocess
+import sys
+
+import hybridfg
+from hybridfg import (DiscreteFactor, DiscreteKey, HybridFactorGraph,
+                      HybridGaussianFactor, JacobianFactor,
                       log_normalization_constant, whiten)
 
 
@@ -13,7 +18,7 @@ def random_hybrid_graph(rng, n_cont=4, n_disc=3, with_discrete_factor=True,
     Every continuous variable is constrained in every mode, so all modes are
     full rank and the brute-force oracle applies.
     """
-    g = HybridGaussianFactorGraph()
+    g = HybridFactorGraph()
     xs = [f"x{i}" for i in range(n_cont)]
     g.add(whiten({xs[0]: [[1.0]]}, [rng.normal()], rng.uniform(0.5, 2.0)))
     for i in range(n_cont - 1):
@@ -42,7 +47,7 @@ def mixture_graph():
     """The worked single-variable mixture: prior N(0,1) on x, measurement
     z=1 explained by mode means 0 or 4 with unit measurement noise."""
     m = DiscreteKey("m", 2)
-    g = HybridGaussianFactorGraph()
+    g = HybridFactorGraph()
     g.add(JacobianFactor({"x": [[1.0]]}, [0.0]))
     c = log_normalization_constant(1.0)
     g.add(HybridGaussianFactor.from_components([m], [
@@ -59,7 +64,7 @@ def hypothesis_chain_graph(rng, n_keys=8):
     Mode evidences are drawn with widely varying ratios so the sorted joint
     probabilities are well separated and rank cuts are unambiguous.
     """
-    g = HybridGaussianFactorGraph()
+    g = HybridFactorGraph()
     xs = [f"x{i}" for i in range(n_keys + 1)]
     g.add(whiten({xs[0]: [[1.0]]}, [0.0], 0.1))
     g.add(whiten({xs[-1]: [[1.0]]}, [float(n_keys)], 0.5))
@@ -73,3 +78,12 @@ def hypothesis_chain_graph(rng, n_keys=8):
                           log_normalization_constant(var)))
         g.add(HybridGaussianFactor.from_components([k], comps))
     return g
+
+
+def run_module(module, *args):
+    """Run `python -m module args` on this checkout; returns the process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hybridfg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=120)

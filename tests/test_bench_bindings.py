@@ -1,11 +1,16 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps hybridfg functions
 where their callers look them up at call time.  A rename of a wrapped name,
 or a function bound at import time, would make its traced per-layer figures
-read 0; this runs one traced solve and checks that every layer shows up."""
+read 0; this runs one traced solve and checks that every layer shows up.
+The workloads (perfbench/workloads.py) import hybridfg names too, so one of
+their graphs is built and eliminated here as well."""
 
 import os
 
-from hybridfg import slam_cli
+import numpy as np
+import pytest
+
+from hybridfg import discrete_marginals, slam_cli, sum_product
 from hybridfg.dataset import square_loop_dataset, write_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -34,3 +39,14 @@ def test_traced_layers_are_nonzero(tmp_path, monkeypatch):
     # One elimination per Gauss-Newton step: the MAP is read off its net.
     assert m["elimination.max_product_calls"] == 0
     assert m["elimination.sum_product_calls"] == m["nonlinear.linearize_calls"]
+
+
+def test_workload_graph_eliminates(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    g = workloads.corpus_graph(np.random.default_rng(0), 2, 1)
+    marginals = discrete_marginals(sum_product(g))
+    assert marginals
+    for probs in marginals.values():
+        assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)

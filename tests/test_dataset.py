@@ -6,6 +6,8 @@ from hybridfg.dataset import (DatasetParseError, LoopClosure, Odometry,
                               square_loop_truth, write_dataset)
 from hybridfg.nonlinear import between
 
+from helpers import run_module
+
 
 class TestParseDataset:
     def test_single_hypothesis_line(self, tmp_path):
@@ -128,3 +130,25 @@ class TestGenerator:
         e1, t1, m1 = square_loop_dataset(seed=5)
         e2, t2, m2 = square_loop_dataset(seed=5)
         assert e1 == e2 and m1 == m2
+
+
+class TestGeneratorCli:
+    @pytest.mark.parametrize("output, option, message", [
+        ("d.txt", ["--loops", "0"], "loop closure"),
+        ("d.txt", ["--poses", "10"], "poses"),
+        ("d.txt", ["--ambiguous", "-1"], "ambiguous"),
+        ("missing/d.txt", [], "error:")])
+    def test_bad_argument_is_usage_error(self, tmp_path, output, option, message):
+        proc = run_module("hybridfg.dataset", "--output", str(tmp_path / output),
+                          *option)
+        assert proc.returncode == 2
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_writes_dataset_and_truth(self, tmp_path):
+        out, truth = tmp_path / "d.txt", tmp_path / "truth.txt"
+        proc = run_module("hybridfg.dataset", "--output", str(out),
+                          "--truth", str(truth), "--poses", "60")
+        assert proc.returncode == 0, proc.stderr
+        entries, _, _ = square_loop_dataset(num_poses=60)
+        assert parse_dataset(out) == entries
+        assert len(truth.read_text().splitlines()) == 60

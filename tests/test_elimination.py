@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
-                      GaussianConditional, HybridBayesNet,
+                      GaussianConditional, HybridBayesNet, HybridFactorGraph,
                       HybridGaussianConditional, HybridGaussianFactor,
-                      HybridGaussianFactorGraph, HybridValues, JacobianFactor,
+                      HybridValues, JacobianFactor,
                       bn_evaluate, bn_map, bn_sample, dead_mode_removal,
                       discrete_marginals, eliminate_hybrid_sum, eliminate_one,
-                      hgf_error, log_normalization_constant, max_product,
+                      log_normalization_constant, max_product,
                       prune_bayes_net, strong_ordering, sum_product, whiten)
 from hybridfg import elimination
 from hybridfg.discrete import DiscreteConditional
@@ -30,7 +30,7 @@ class TestStrongOrdering:
         """Two continuous states with one switching link: both continuous
         variables come before the mode."""
         m = DiscreteKey("m1", 2)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x0": [[1.0]]}, [0.0], 1.0))
         g.add(HybridGaussianFactor.from_components([m], [
             (whiten({"x0": [[-1.0]], "x1": [[1.0]]}, [1.0], 1.0), 0.0),
@@ -41,7 +41,7 @@ class TestStrongOrdering:
         assert order[2] == "m1"
 
     def test_all_discrete_in_id_order(self):
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(DiscreteFactor([DiscreteKey("b", 2)], [1.0, 2.0]))
         g.add(DiscreteFactor([DiscreteKey("a", 2)], [1.0, 2.0]))
         assert strong_ordering(g) == ["a", "b"]
@@ -81,7 +81,7 @@ class TestEliminateHybridSum:
         the closed-form mode posterior as a discrete factor."""
         g, m = mixture_graph()
         cond, sep = eliminate_hybrid_sum(
-            g.gaussian_factors + g.hybrid_factors, "x")
+            g.continuous_factors + g.hybrid_factors, "x")
         assert isinstance(sep, DiscreteFactor)
         pots = np.asarray(sep.potentials.leaves, dtype=float)
         pots = pots / pots.sum()
@@ -92,14 +92,14 @@ class TestEliminateHybridSum:
         per-mode integrals of psi^m over the eliminated variable, which pins
         the sign of the normalizer term without transcribing it."""
         g, m = mixture_graph()
-        factors = g.gaussian_factors + g.hybrid_factors
+        factors = g.continuous_factors + g.hybrid_factors
         _, sep = eliminate_hybrid_sum(factors, "x")
         pots = np.asarray(sep.potentials.leaves, dtype=float)
         integrals = []
         xs = np.linspace(-12.0, 12.0, 1 << 15)
         for mode in range(2):
             err = np.zeros_like(xs)
-            for f in g.gaussian_factors:
+            for f in g.continuous_factors:
                 err += 0.5 * (f.blocks["x"][0, 0] * xs - f.rhs[0]) ** 2
             jf, c = g.hybrid_factors[0].component({"m": mode})
             err += 0.5 * (jf.blocks["x"][0, 0] * xs - jf.rhs[0]) ** 2 + c
@@ -153,7 +153,7 @@ class TestSumProduct:
         """p(x0 | x1, m1) p(x1 | m1) P(m1): the switching-link graph
         eliminates into exactly this conditional structure."""
         m = DiscreteKey("m1", 2)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x0": [[1.0]]}, [0.0], 1.0))
         g.add(whiten({"x0": [[1.0]]}, [0.1], 1.0))
         g.add(HybridGaussianFactor.from_components([m], [
@@ -175,12 +175,12 @@ class TestSumProduct:
 
     def test_pure_continuous_matches_gaussian_pipeline(self):
         rng = np.random.default_rng(0)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x0": [[1.0]]}, [rng.normal()], 1.0))
         g.add(whiten({"x0": [[-1.0]], "x1": [[1.0]]}, [rng.normal()], 0.5))
         bn = sum_product(g)
         assert all(isinstance(c, GaussianConditional) for c in bn)
-        factors = list(g.gaussian_factors)
+        factors = list(g.continuous_factors)
         c0, marg = eliminate_one(factors, "x0")
         np.testing.assert_allclose(bn.conditionals[0].R, c0.R, atol=1e-12)
         c1, _ = eliminate_one([marg], "x1")
@@ -209,8 +209,8 @@ class TestSumProduct:
                 continuous={f"x{i}": rng.normal(size=1) for i in range(3)},
                 discrete={f"m{j}": int(rng.integers(2)) for j in range(2)})
             num = bn_evaluate(bn, v)
-            err = sum(f.error(v.continuous) for f in g.gaussian_factors)
-            err += sum(hgf_error(f, v) for f in g.hybrid_factors)
+            err = sum(f.error(v.continuous) for f in g.continuous_factors)
+            err += sum(f.error(v.continuous, v.discrete) for f in g.hybrid_factors)
             pot = math.exp(-err)
             for df in g.discrete_factors:
                 pot *= df.value(v.discrete)
@@ -273,7 +273,7 @@ class TestSumProduct:
 
 class TestMaxProduct:
     def test_single_mode_equals_gaussian_map(self):
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x": [[1.0]]}, [3.0], 1.0))
         g.add(whiten({"x": [[1.0]]}, [5.0], 1.0))
         out = max_product(g)
@@ -309,9 +309,8 @@ class TestMaxProduct:
                 opt = optima.leaf(a)
                 if opt is None:
                     continue
-                err = sum(f.error(opt) for f in g.gaussian_factors)
-                err += sum(hgf_error(f, HybridValues(opt, a))
-                           for f in g.hybrid_factors)
+                err = sum(f.error(opt) for f in g.continuous_factors)
+                err += sum(f.error(opt, a) for f in g.hybrid_factors)
                 val = -err
                 for df in g.discrete_factors:
                     val += math.log(df.value(a))
@@ -339,7 +338,7 @@ class TestBnMap:
 
     def test_exact_tie_keeps_first_mode(self):
         m = DiscreteKey("m", 2)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x": [[1.0]]}, [0.0], 1.0))
         comp = (whiten({"x": [[1.0]]}, [1.0], 2.0), 0.3)
         g.add(HybridGaussianFactor.from_components([m], [comp, comp]))
@@ -418,7 +417,7 @@ class TestPruneBayesNet:
 class TestDeadModeRemoval:
     def _dominant_graph(self):
         m, n = DiscreteKey("m", 2), DiscreteKey("n", 2)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x": [[1.0]]}, [0.0], 1.0))
         c = log_normalization_constant(1.0)
         g.add(HybridGaussianFactor.from_components([m], [
@@ -444,7 +443,7 @@ class TestDeadModeRemoval:
         rng = np.random.default_rng(7)
         a = DiscreteKey("a", 2)
         bn = HybridBayesNet([DiscreteConditional(a, (), DecisionTree([a], [0.6, 0.4]))])
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(DiscreteFactor([a], [0.6, 0.4]))
         red, fixed = dead_mode_removal(bn, g, 0.8)
         assert fixed == {}
@@ -500,7 +499,7 @@ class TestBnEvaluate:
 class TestBnSample:
     def test_delta_like_net_matches_map(self):
         m = DiscreteKey("m", 2)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x": [[1.0]]}, [2.0], 1e-10))
         g.add(HybridGaussianFactor.from_components([m], [
             (whiten({"x": [[1.0]]}, [2.0], 1e-10), 0.0),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from hybridfg import (DecisionTree, DiscreteKey, GaussianConditional,
-                      HybridBayesNet, HybridGaussianConditional,
-                      HybridGaussianFactor, HybridGaussianFactorGraph,
-                      HybridValues, JacobianFactor, conditional_to_factor,
+                      HybridBayesNet, HybridFactorGraph,
+                      HybridGaussianConditional, HybridGaussianFactor,
+                      JacobianFactor, conditional_to_factor,
                       discrete_factor_from_leaves, eliminate_hybrid_sum,
-                      hgf_error, log_normalization_constant, whiten)
+                      log_normalization_constant, whiten)
 from hybridfg.discrete import DiscreteConditional
 
 M = DiscreteKey("m", 2)
@@ -25,8 +25,8 @@ class TestHgfError:
     def test_identical_modes_same_error(self):
         f = _mode_factor(1.0, 1.0, z=0.5)
         x = {"x": np.array([0.2])}
-        e0 = hgf_error(f, HybridValues(x, {"m": 0}))
-        e1 = hgf_error(f, HybridValues(x, {"m": 1}))
+        e0 = f.error(x, {"m": 0})
+        e1 = f.error(x, {"m": 1})
         assert e0 == e1
 
     def test_constant_shifts_by_log_sigma_ratio(self):
@@ -34,8 +34,8 @@ class TestHgfError:
         normalizer gap log(2)."""
         f = _mode_factor(1.0, 2.0, z=0.0)
         x = {"x": np.array([0.0])}
-        e0 = hgf_error(f, HybridValues(x, {"m": 0}))
-        e1 = hgf_error(f, HybridValues(x, {"m": 1}))
+        e0 = f.error(x, {"m": 0})
+        e1 = f.error(x, {"m": 1})
         assert e1 - e0 == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_pruned_leaf_is_infinite(self):
@@ -43,12 +43,12 @@ class TestHgfError:
             (whiten({"x": [[1.0]]}, [0.0], 1.0), 0.0),
             None,
         ])
-        assert hgf_error(f, HybridValues({"x": np.array([0.0])}, {"m": 1})) == math.inf
+        assert f.error({"x": np.array([0.0])}, {"m": 1}) == math.inf
 
     def test_missing_assignment(self):
         f = _mode_factor(1.0, 2.0)
         with pytest.raises(ValueError, match="incomplete"):
-            hgf_error(f, HybridValues({"x": np.array([0.0])}, {}))
+            f.error({"x": np.array([0.0])}, {})
 
     def test_mode_selective(self):
         """Selecting a mode gives exactly that leaf's Gaussian error plus its
@@ -58,7 +58,7 @@ class TestHgfError:
         for mode in range(2):
             jf, c = f.component({"m": mode})
             want = jf.error(x) + c
-            assert hgf_error(f, HybridValues(x, {"m": mode})) == want
+            assert f.error(x, {"m": mode}) == want
 
 
 def _two_mode_conditional(sig0=1.0, sig1=2.0):
@@ -114,7 +114,7 @@ class TestConditionalToFactor:
             for mode in range(2):
                 leaf = hgc.component({"m": mode})
                 dens.append(leaf.density(v))
-                errs.append(hgf_error(fac, HybridValues(v, {"m": mode})))
+                errs.append(fac.error(v, {"m": mode}))
             got = math.exp(-errs[0] + errs[1])
             want = dens[0] / dens[1]
             # The factor drops the mode-independent min normalizer only, so
@@ -169,9 +169,12 @@ class TestStructuralInvariants:
             HybridGaussianConditional([M], DecisionTree([M], [c0, c1]))
 
     def test_graph_rejects_foreign_objects(self):
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         with pytest.raises(TypeError):
             g.add(GaussianConditional("x", [[1.0]], {}, [0.0]))
+        # Has .components like a hybrid factor, but is a conditional.
+        with pytest.raises(TypeError):
+            g.add(_two_mode_conditional())
 
     def test_bayes_net_orders_continuous_before_discrete(self):
         dc = DiscreteConditional(M, (), DecisionTree([M], [0.5, 0.5]))
@@ -182,7 +185,7 @@ class TestStructuralInvariants:
             HybridBayesNet([dc, gc])
 
     def test_id_shared_between_continuous_and_discrete_rejected(self):
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(JacobianFactor({"m": [[1.0]]}, [0.0]))
         g.add(HybridGaussianFactor.from_components([M], [
             (whiten({"m": [[1.0]]}, [0.0], 1.0), 0.0),

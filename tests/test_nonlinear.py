@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
-                      HybridBayesNet, HybridNonlinearFactor, NonlinearFactor,
-                      OptimizationDiverged, OptimizeConfig, Pose2, between,
-                      compose, elimination, linearize, local, max_product,
-                      optimize, restrict, retract)
-from hybridfg.nonlinear import (BetweenResidual, FuncResidual,
-                                HybridNonlinearFactorGraph, LinearResidual,
+                      HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
+                      NonlinearFactor, OptimizationDiverged, OptimizeConfig,
+                      Pose2, between, compose, elimination,
+                      log_normalization_constant, local, max_product, optimize,
+                      retract)
+from hybridfg.nonlinear import (BetweenResidual, FuncResidual, LinearResidual,
                                 PriorResidual, numerical_jacobians, wrap_angle)
 from hybridfg.oracle import enumerate_posterior
 
@@ -85,8 +85,8 @@ class TestLinearize:
     def test_linear_residual_exact_anywhere(self):
         res = LinearResidual({"x": [[2.0]]}, [3.0])
         f = NonlinearFactor(res, 1.0)
-        jf1 = linearize(f, {"x": np.array([0.0])})
-        jf2 = linearize(f, {"x": np.array([10.0])})
+        jf1 = f.linearize({"x": np.array([0.0])})
+        jf2 = f.linearize({"x": np.array([10.0])})
         np.testing.assert_allclose(jf1.blocks["x"], jf2.blocks["x"])
         # Same minimizer in absolute coordinates: x0 + delta*.
         d1 = np.linalg.lstsq(jf1.blocks["x"], jf1.rhs, rcond=None)[0]
@@ -102,7 +102,7 @@ class TestLinearize:
             [m], [(res, np.array([1.0, 1.0, 1.0])),
                   (res, np.array([4.0, 4.0, 4.0]))])
         values = {"a": Pose2(), "b": Pose2(1.2, 0.1, 0.05)}
-        lin = linearize(f, values)
+        lin = f.linearize(values)
         jf0, c0 = lin.component({"m": 0})
         jf1, c1 = lin.component({"m": 1})
         np.testing.assert_allclose(jf0.blocks["a"], 2.0 * jf1.blocks["a"], atol=1e-12)
@@ -117,7 +117,7 @@ class TestLinearize:
             r1 = BetweenResidual("a", "b", _random_pose(rng))
             f = HybridNonlinearFactor.from_components(
                 [m], [(r0, 0.5), (r1, 2.0)])
-            lin = linearize(f, values)
+            lin = f.linearize(values)
             for mode, res in ((0, r0), (1, r1)):
                 jf, _ = lin.component({"m": mode})
                 sd = math.sqrt(0.5) if mode == 0 else math.sqrt(2.0)
@@ -130,7 +130,7 @@ class TestLinearize:
         res = FuncResidual(("x",), 1, lambda v: np.array([math.sqrt(abs(float(v["x"][0])))]))
         f = NonlinearFactor(res, 1.0)
         with pytest.raises(ValueError, match="linearization failure"):
-            linearize(f, {"x": np.array([float("nan")])})
+            f.linearize({"x": np.array([float("nan")])})
 
 
 class TestRestrict:
@@ -143,11 +143,11 @@ class TestRestrict:
 
     def test_empty_fixed_unchanged(self):
         f, m = self._factor()
-        assert restrict(f, {}) is f
+        assert f.restrict({}) is f
 
     def test_full_fix_gives_plain_factor(self):
         f, m = self._factor()
-        out = restrict(f, {"m": 1})
+        out = f.restrict({"m": 1})
         assert isinstance(out, NonlinearFactor)
         assert out.residual.measurement.x == 2.0
 
@@ -156,15 +156,48 @@ class TestRestrict:
         at the fixed assignment only by the unit-noise normalizer constant."""
         f, m = self._factor()
         values = {"a": Pose2(), "b": Pose2(1.4, -0.2, 0.1)}
-        out = restrict(f, {"m": 1})
+        out = f.restrict({"m": 1})
         normalizer = 0.5 * 3 * math.log(2 * math.pi)
         assert out.error(values) == pytest.approx(
             f.error(values, {"m": 1}) - normalizer, abs=1e-12)
 
+    def test_graph_restrict_commutes_with_linearize(self):
+        """Restricting the nonlinear graph and restricting its linearization
+        give the same variables and keys, and errors that differ only by
+        the fixed component's log-normalizer, which the nonlinear restriction
+        drops."""
+        m, n = DiscreteKey("m", 2), DiscreteKey("n", 2)
+        tight, loose = np.array([0.1, 0.1, 0.01]), np.array([2.0, 2.0, 0.5])
+        g = HybridFactorGraph()
+        g.add(NonlinearFactor(PriorResidual("a", Pose2()), tight))
+        g.add(HybridNonlinearFactor.from_components([m], [
+            (BetweenResidual("a", "b", Pose2(1, 0, 0)), loose),
+            (BetweenResidual("a", "b", Pose2(2, 0, 0)), tight)]))
+        g.add(HybridNonlinearFactor.from_components([n], [
+            (BetweenResidual("b", "c", Pose2(1, 0, 0)), tight),
+            (BetweenResidual("b", "c", Pose2(1, 1, 0)), loose)]))
+        g.add(DiscreteFactor([m, n], [0.1, 0.2, 0.3, 0.4]))
+        values = {"a": Pose2(0.1, 0, 0), "b": Pose2(1.5, 0.2, 0.1),
+                  "c": Pose2(2.4, 0.3, -0.1)}
+        fixed = {"m": 1}
+        rest_lin = g.restrict(fixed).linearize(values)
+        lin_rest = g.linearize(values).restrict(fixed)
+        assert rest_lin.continuous_variables() \
+            == lin_rest.continuous_variables() == ["a", "b", "c"]
+        assert rest_lin.discrete_keys() == lin_rest.discrete_keys() == (n,)
+        normalizer = log_normalization_constant(tight, 3)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            x = {vid: rng.normal(size=3) for vid in ("a", "b", "c")}
+            for mode in range(2):
+                a = {"n": mode}
+                assert lin_rest.error(x, a) - rest_lin.error(x, a) \
+                    == pytest.approx(normalizer, abs=1e-9)
+
 
 class TestOptimize:
     def test_linear_graph_converges_immediately(self):
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         g.add(NonlinearFactor(LinearResidual({"x": [[1.0]]}, [3.0]), 1.0))
         g.add(NonlinearFactor(LinearResidual({"x": [[1.0]]}, [5.0]), 1.0))
         init = {"x": np.array([0.0])}
@@ -178,7 +211,7 @@ class TestOptimize:
     def _three_pose_graph(self):
         """Chain with one two-hypothesis odometry; a prior on both ends makes
         hypothesis 1 (the +2 step) the only consistent choice."""
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         sigma = np.array([1e-4, 1e-4, 1e-6])
         g.add(NonlinearFactor(PriorResidual("a", Pose2()), sigma))
         m = DiscreteKey("m", 2)
@@ -215,7 +248,7 @@ class TestOptimize:
 
     def test_error_non_increasing(self):
         rng = np.random.default_rng(5)
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         sigma = np.array([0.01, 0.01, 0.001])
         g.add(NonlinearFactor(PriorResidual("p0", Pose2()), sigma))
         truth = [Pose2()]
@@ -249,7 +282,7 @@ class TestOptimize:
         """Pose chain a-b-c-d with two ambiguous odometry edges and a
         switchable loop a-d (three binary modes), an initial guess, and a
         support keeping two of the eight joint hypotheses."""
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         sigma = np.array([0.01, 0.01, 0.001])
         g.add(NonlinearFactor(PriorResidual("a", Pose2()), sigma))
         keys = [DiscreteKey(f"m{i}", 2) for i in range(3)]
@@ -299,7 +332,7 @@ class TestOptimize:
             x = float(v["x"][0])
             return np.array([math.atan(5.0 * x) - 1.4])
 
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         g.add(NonlinearFactor(FuncResidual(("x",), 1, nasty), 1e-6))
         with pytest.raises(OptimizationDiverged) as exc:
             optimize(g, {"x": np.array([2.0])}, OptimizeConfig(max_iters=20))
@@ -330,7 +363,7 @@ class TestHybridNonlinearFactor:
 
     @staticmethod
     def _small_slam_graph(rng):
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         sigma = np.array([0.01, 0.01, 0.001])
         g.add(NonlinearFactor(PriorResidual("a", Pose2()), sigma))
         m = DiscreteKey("m", 2)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hybridfg import (DiscreteKey, HybridGaussianFactor,
-                      HybridGaussianFactorGraph, whiten)
+from hybridfg import (DiscreteKey, HybridFactorGraph, HybridGaussianFactor,
+                      whiten)
 from hybridfg.oracle import (enumerate_map, enumerate_posterior,
                              evidence_by_quadrature)
 
@@ -17,7 +17,7 @@ MIXTURE_P0 = 1.0 / (1.0 + math.exp(-2.0))
 
 class TestEnumeratePosterior:
     def test_single_mode_is_least_squares(self):
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x": [[1.0]]}, [3.0], 1.0))
         g.add(whiten({"x": [[1.0]]}, [5.0], 1.0))
         probs, optima = enumerate_posterior(g)
@@ -53,7 +53,7 @@ class TestEnumeratePosterior:
 
     def test_nil_mode_probability_zero(self):
         m = DiscreteKey("m", 2)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(HybridGaussianFactor.from_components([m], [
             (whiten({"x": [[1.0]]}, [0.0], 1.0), 0.0),
             None,
@@ -63,7 +63,7 @@ class TestEnumeratePosterior:
         assert optima.leaf({"m": 1}) is None
 
     def test_enumeration_cap(self):
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         keys = [DiscreteKey(f"m{i}", 2) for i in range(13)]
         for k in keys:
             g.add(HybridGaussianFactor.from_components([k], [
@@ -76,7 +76,7 @@ class TestEnumeratePosterior:
 
 class TestEnumerateMap:
     def test_single_mode_optimum(self):
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         g.add(whiten({"x": [[1.0]]}, [3.0], 1.0))
         g.add(whiten({"x": [[1.0]]}, [5.0], 1.0))
         out = enumerate_map(g)
@@ -85,7 +85,7 @@ class TestEnumerateMap:
 
     def test_symmetric_modes_tie_break_smallest(self):
         m = DiscreteKey("m", 2)
-        g = HybridGaussianFactorGraph()
+        g = HybridFactorGraph()
         comp = (whiten({"x": [[1.0]]}, [0.0], 1.0), 0.0)
         g.add(HybridGaussianFactor.from_components([m], [comp, comp]))
         out = enumerate_map(g)

@@ -7,12 +7,14 @@ import pytest
 from hybridfg import DiscreteKey, Pose2, nonlinear, sum_product
 from hybridfg.dataset import LoopClosure, Odometry, square_loop_dataset, write_dataset
 from hybridfg.elimination import discrete_marginals
-from hybridfg.nonlinear import (HybridNonlinearFactor, HybridNonlinearFactorGraph,
-                                NonlinearFactor, OptimizationDiverged,
-                                OptimizeConfig, PriorResidual,
-                                gauss_newton_step, optimize)
+from hybridfg.hybrid import (HybridFactorGraph, HybridNonlinearFactor,
+                             NonlinearFactor)
+from hybridfg.nonlinear import (OptimizationDiverged, OptimizeConfig,
+                                PriorResidual, gauss_newton_step, optimize)
 from hybridfg.slam_cli import (RunConfig, _Runner, build_loop_factor,
                                build_motion_factor, emit_results, main, run)
+
+from helpers import run_module
 
 TIGHT = np.array([1e-4, 1e-4, 1e-4])
 
@@ -31,7 +33,7 @@ class TestBuildMotionFactor:
 
     def test_identical_hypotheses_give_uniform_posterior(self):
         e = Odometry(0, 1, ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 0.01, 0.005)
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         g.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()), TIGHT))
         g.add(build_motion_factor(e, 0))
         values = {("x", 0): Pose2(), ("x", 1): Pose2(1, 0, 0)}
@@ -43,7 +45,7 @@ class TestBuildMotionFactor:
         """Tight priors on both poses pin the relative motion; the posterior
         must put essentially all mass on the matching hypothesis."""
         e = Odometry(0, 1, ((1.0, 0.0, 0.0), (1.5, 0.3, 0.0)), 0.01, 0.005)
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         g.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()), TIGHT))
         g.add(NonlinearFactor(PriorResidual(("x", 1), Pose2(1, 0, 0)), TIGHT))
         g.add(build_motion_factor(e, 0))
@@ -64,7 +66,7 @@ class TestBuildLoopFactor:
         np.testing.assert_allclose(tight, [1e-4, 1e-4, 0.005 ** 2])
 
     def _four_pose_graph(self, loop_offset):
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         g.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()), TIGHT))
         values = {("x", 0): Pose2()}
         for k in range(3):
@@ -118,7 +120,7 @@ class TestRun:
         plain pose-graph Gauss-Newton solve."""
         entries = self._unambiguous_entries()
         res = run(RunConfig(), entries)
-        g = HybridNonlinearFactorGraph()
+        g = HybridFactorGraph()
         from hybridfg.slam_cli import ANCHOR_SIGMA, _sigma_diag
         g.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()),
                               _sigma_diag(ANCHOR_SIGMA, ANCHOR_SIGMA)))
@@ -155,12 +157,12 @@ class TestRun:
         runner._eliminate_once()
         assert runner.support is not None and runner.support.keys
         calls = {"n": 0}
-        original = HybridNonlinearFactorGraph.linearize
+        original = HybridFactorGraph.linearize
 
         def counting(self, values):
             calls["n"] += 1
             return original(self, values)
-        monkeypatch.setattr(HybridNonlinearFactorGraph, "linearize", counting)
+        monkeypatch.setattr(HybridFactorGraph, "linearize", counting)
         runner._eliminate_once()
         assert calls["n"] == 1
 
@@ -273,3 +275,15 @@ class TestCli:
         data.write_text(f"ODOM 0 1 1 1 0 0 0.01 0.005\n{line}\n")
         assert main(["--input", str(data), "--output", str(tmp_path / "out")]) == 2
         assert "bad.txt:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [
+        ["--prune", "0"], ["--dmr-delta", "0.3"], ["--elim-every", "0"],
+        ["--relin-every", "0"], ["--max-steps", "-1"]])
+    def test_bad_argument_is_usage_error(self, tmp_path, option):
+        data = tmp_path / "data.txt"
+        data.write_text("ODOM 0 1 1 1 0 0 0.01 0.005\n")
+        proc = run_module("hybridfg.slam_cli", "--input", str(data),
+                          "--output", str(tmp_path / "out"), *option)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
