@@ -13,6 +13,7 @@ eliminated with table operations.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,15 +50,21 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
         vs = f.continuous_ids
         for a in vs:
             adj[a].update(v for v in vs if v != a)
+    # adj keeps only uneliminated neighbours, so len(adj[u]) is u's degree;
+    # heap entries of eliminated variables or outdated degrees are skipped.
+    heap = [(len(adj[v]), v) for v in cont]
+    heapq.heapify(heap)
     order = []
-    remaining = set(cont)
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v not in adj or degree != len(adj[v]):
+            continue
         order.append(v)
-        neighbors = adj[v] & remaining
+        neighbors = adj.pop(v)
         for a in neighbors:
-            adj[a].update(n for n in neighbors if n != a)
-        remaining.remove(v)
+            adj[a] |= neighbors
+            adj[a] -= {a, v}
+            heapq.heappush(heap, (len(adj[a]), a))
     return order + sorted(disc)
 
 

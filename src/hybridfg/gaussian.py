@@ -176,7 +176,7 @@ def sigma_cholesky(sigma, dim: int = None) -> np.ndarray:
         s = np.eye(dim) * float(s)
     elif s.ndim == 1:
         s = np.diag(s)
-    if s.shape[0] != s.shape[1]:
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("invalid noise model: covariance must be square")
     if not np.allclose(s, s.T, atol=1e-10):
         raise ValueError("invalid noise model: covariance must be symmetric")
@@ -188,20 +188,63 @@ def sigma_cholesky(sigma, dim: int = None) -> np.ndarray:
 
 def log_normalization_constant(sigma, dim: int = None) -> float:
     """log sqrt(|2 pi Sigma|), the per-mode constant carried beside factors."""
-    L = sigma_cholesky(sigma, dim)
-    n = L.shape[0]
-    return 0.5 * n * math.log(2.0 * math.pi) + float(np.sum(np.log(np.diag(L))))
+    return NoiseModel(sigma, dim).log_normalizer
+
+
+class NoiseModel:
+    """Gaussian noise on `dim`-vectors (None: sigma's size), checked and
+    factored once into Sigma = L L^T.  `sigma` is a read-only copy, so L
+    cannot go stale; whitening solves against L, as an inverse would change
+    the last bits."""
+
+    __slots__ = ("sigma", "L", "log_normalizer")
+
+    def __init__(self, sigma, dim: int = None):
+        s = np.array(sigma, dtype=float)
+        s.flags.writeable = False
+        L = sigma_cholesky(s, dim)
+        n = L.shape[0]
+        if dim is not None and n != dim:
+            raise ValueError(f"invalid noise model: {n}x{n} covariance for a "
+                             f"residual of dimension {dim}")
+        L.flags.writeable = False
+        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "log_normalizer", 0.5 * n * math.log(2.0 * math.pi)
+                           + float(np.sum(np.log(np.diag(L)))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NoiseModel is immutable")
+
+    def _solve(self, M: np.ndarray) -> np.ndarray:
+        if M.shape[0] != self.L.shape[0]:
+            raise ValueError("invalid noise model: size mismatch with measurement")
+        return np.linalg.solve(self.L, M)
+
+    def error(self, r) -> float:
+        """0.5 ||r||^2_Sigma."""
+        w = self._solve(_as_vector(r))
+        return 0.5 * float(w @ w)
+
+    def whiten(self, blocks: Mapping[Any, Any], z) -> JacobianFactor:
+        """A = L^{-1} H, b = L^{-1} z, so 0.5||Ax-b||^2 = 0.5||Hx-z||^2_Sigma.
+        One solve for all blocks; z gets its own, as LAPACK solves a lone
+        column by another kernel and stacking would change its last bits."""
+        mats = {vid: _as_matrix(H) for vid, H in blocks.items()}
+        wb = {}
+        if mats:
+            W = self._solve(np.hstack(list(mats.values())))
+            c = 0
+            for vid, H in mats.items():
+                wb[vid] = W[:, c:c + H.shape[1]]
+                c += H.shape[1]
+        return JacobianFactor(wb, self._solve(_as_vector(z)))
 
 
 def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
-    """Whiten H x = z with noise covariance Sigma: A = Sigma^{-1/2} H,
-    b = Sigma^{-1/2} z, so 0.5||Ax-b||^2 = 0.5||Hx-z||^2_Sigma."""
+    """Whiten H x = z with noise covariance Sigma (see NoiseModel.whiten)."""
     z = _as_vector(z)
-    L = sigma_cholesky(sigma, z.shape[0])
-    if L.shape[0] != z.shape[0]:
-        raise ValueError("invalid noise model: size mismatch with measurement")
-    wb = {vid: np.linalg.solve(L, _as_matrix(H)) for vid, H in blocks.items()}
-    return JacobianFactor(wb, np.linalg.solve(L, z))
+    return NoiseModel(sigma, z.shape[0]).whiten(blocks, z)
 
 
 def _stack(factors: Sequence[JacobianFactor], order: Sequence[Any],
@@ -270,13 +313,12 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
         c += dims[vid]
     conditional = GaussianConditional(var, R, parent_blocks, dvec)
     # Marginal rows (may include a pure residual row).
-    T = Rfull[d_var:, :]
-    # Canonical row signs: first significant entry nonnegative.
-    T = T.copy()
-    for i in range(T.shape[0]):
-        nz = np.flatnonzero(np.abs(T[i]) > RANK_TOL * scale)
-        if nz.size and T[i, nz[0]] < 0:
-            T[i] *= -1.0
+    T = Rfull[d_var:, :].copy()
+    # Canonical row signs: first significant entry nonnegative.  A row with
+    # no significant entry gets first = 0, whose entry is never < -tol.
+    tol = RANK_TOL * scale
+    first = np.argmax(np.abs(T) > tol, axis=1)
+    T[T[np.arange(T.shape[0]), first] < -tol] *= -1.0
     mb = {}
     c = d_var
     for vid in separator:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .discrete import (Assignment, DecisionTree, DiscreteConditional,
                        DiscreteFactor, DiscreteKey, _merge_keys, _sorted_keys)
-from .gaussian import (GaussianConditional, JacobianFactor, VectorValues,
-                       log_normalization_constant, sigma_cholesky, whiten)
+from .gaussian import (GaussianConditional, JacobianFactor, NoiseModel,
+                       VectorValues)
 
 
 @dataclass
@@ -180,7 +180,7 @@ def discrete_factor_from_leaves(tree: DecisionTree) -> DiscreteFactor:
     return DiscreteFactor(tree.keys, pots)
 
 
-def _linearize_component(res, sigma, values) -> Tuple[JacobianFactor, float]:
+def _linearize_component(res, noise, values) -> Tuple[JacobianFactor, float]:
     r0 = res.evaluate(values)
     jacs = res.jacobians(values)
     for J in jacs.values():
@@ -188,34 +188,35 @@ def _linearize_component(res, sigma, values) -> Tuple[JacobianFactor, float]:
             raise ValueError("linearization failure: non-finite Jacobian")
     if not np.all(np.isfinite(r0)):
         raise ValueError("linearization failure: non-finite residual")
-    factor = whiten(jacs, -r0, sigma)
-    return factor, log_normalization_constant(sigma, r0.shape[0])
+    return noise.whiten(jacs, -r0), noise.log_normalizer
 
 
 class NonlinearFactor:
-    """A single residual model with Gaussian noise."""
+    """A single residual model with Gaussian noise, factored on construction."""
 
     def __init__(self, residual, sigma):
         self.residual = residual
-        self.sigma = sigma
+        self.noise = NoiseModel(sigma, residual.dim)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.noise.sigma
 
     @property
     def variables(self):
         return tuple(self.residual.variables)
 
     def error(self, values) -> float:
-        r = self.residual.evaluate(values)
-        L = sigma_cholesky(self.sigma, r.shape[0])
-        w = np.linalg.solve(L, r)
-        return 0.5 * float(w @ w)
+        return self.noise.error(self.residual.evaluate(values))
 
     def linearize(self, values) -> JacobianFactor:
         """Whitened linear factor on the update vector at `values`."""
-        return _linearize_component(self.residual, self.sigma, values)[0]
+        return _linearize_component(self.residual, self.noise, values)[0]
 
 
 class HybridNonlinearFactor:
-    """Mode-indexed residual models: leaves (residual, sigma) or None."""
+    """Mode-indexed residual models: leaves (residual, sigma) or None, each
+    sigma factored on construction into the matching leaf of `noise`."""
 
     def __init__(self, keys: Sequence[DiscreteKey], components: DecisionTree):
         keys = _sorted_keys(keys)
@@ -235,8 +236,12 @@ class HybridNonlinearFactor:
                                  "dimension")
         if varset is None:
             raise ValueError("hybrid factor needs at least one live component")
+        noise = components.map_leaves(
+            lambda leaf: None if leaf is None else NoiseModel(leaf[1], dim))
         self.keys = keys
-        self.components = components
+        self.components = components.apply(     # leaves keep the read-only sigma
+            noise, lambda leaf, n: None if leaf is None else (leaf[0], n.sigma))
+        self.noise = noise
         self.continuous_ids = varset
 
     @classmethod
@@ -250,11 +255,8 @@ class HybridNonlinearFactor:
         leaf = self.component(assignment)
         if leaf is None:
             return math.inf
-        res, sigma = leaf
-        r = res.evaluate(values)
-        L = sigma_cholesky(sigma, r.shape[0])
-        w = np.linalg.solve(L, r)
-        return 0.5 * float(w @ w) + log_normalization_constant(sigma, r.shape[0])
+        noise = self.noise.leaf(assignment)
+        return noise.error(leaf[0].evaluate(values)) + noise.log_normalizer
 
     def restrict(self, fixed: Assignment):
         """Choose components for fixed modes; with no keys left the factor
@@ -274,8 +276,9 @@ class HybridNonlinearFactor:
         """Hybrid Gaussian factor at `values` whose leaves carry the per-mode
         constant log sqrt|2 pi Sigma^m|."""
         leaves = [None if leaf is None
-                  else _linearize_component(leaf[0], leaf[1], values)
-                  for leaf in self.components.leaves.reshape(-1)]
+                  else _linearize_component(leaf[0], noise, values)
+                  for leaf, noise in zip(self.components.leaves.reshape(-1),
+                                         self.noise.leaves.reshape(-1))]
         return HybridGaussianFactor(self.keys, DecisionTree(self.keys, leaves))
 
 

@@ -95,7 +95,7 @@ class RunResults:
     assignment: Dict[Any, int]
     fixed: Dict[Any, int]
     marginals: Dict[Any, np.ndarray]
-    timings: List[Tuple[int, int, int, float]]
+    timings: List[Tuple[Any, int, int, float]]   # step: pass number or "final"
     history: List[Tuple[int, int, float, float, float]]
 
 
@@ -111,7 +111,7 @@ class _Runner:
         self.assignment: Dict[Any, int] = {}
         self.hybrid_count = 0
         self.elim_count = 0
-        self.timings: List[Tuple[int, int, int, float]] = []
+        self.timings: List[Tuple[Any, int, int, float]] = []
         self.history: List[Tuple[int, int, float, float, float]] = []
         self.bn: Optional[HybridBayesNet] = None
 
@@ -152,15 +152,19 @@ class _Runner:
         bn = self._eliminate_once()
         if self.elim_count % self.cfg.relin_every == 0:
             self._dmr_and_relinearize(bn)
-        millis = (time.perf_counter() - t0) * 1000.0
-        joint = self.bn.discrete_joint() if self.bn is not None else None
-        hyps = int(np.count_nonzero(np.asarray(joint.leaves))) if joint is not None else 1
-        self.timings.append((self.elim_count, self._num_factors(), hyps, millis))
+        self._record_timing(self.elim_count, t0)
         for (kind, k) in sorted(self.values):
             p = self.values[(kind, k)]
             self.history.append((self.elim_count, k, p.x, p.y, p.theta))
-        log.info("elimination %d: %d factors, %d live hypotheses, %.1f ms",
-                 self.elim_count, self._num_factors(), hyps, millis)
+
+    def _record_timing(self, step, t0: float):
+        """timing.csv row: step, factors, live hypotheses, ms since t0."""
+        millis = (time.perf_counter() - t0) * 1000.0
+        joint = self.bn.discrete_joint() if self.bn is not None else None
+        hyps = int(np.count_nonzero(np.asarray(joint.leaves))) if joint is not None else 1
+        self.timings.append((step, self._num_factors(), hyps, millis))
+        log.info("elimination %s: %d factors, %d live hypotheses, %.1f ms",
+                 step, self._num_factors(), hyps, millis)
 
     def _dmr_and_relinearize(self, bn: HybridBayesNet):
         self.graph, newly = dead_mode_removal(bn, self.graph, self.cfg.dmr_delta)
@@ -173,7 +177,8 @@ class _Runner:
 
     def finalize(self):
         """Final batch: optimize to convergence with pruning and DMR,
-        starting from the streaming support."""
+        starting from the streaming support; timed as step "final"."""
+        t0 = time.perf_counter()
         cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=self.cfg.prune_p,
                              dmr_delta=self.cfg.dmr_delta)
         try:
@@ -188,6 +193,7 @@ class _Runner:
         live = {k.id for k in self.bn.discrete_keys()}
         self.fixed.update({k: v for k, v in assignment.items() if k not in live})
         self.assignment.update(self.fixed)
+        self._record_timing("final", t0)
 
     def results(self) -> RunResults:
         marg = discrete_marginals(self.bn) if self.bn is not None else {}

@@ -265,5 +265,6 @@ def test_c11_determinism(tmp_path):
         with open(out / "timing.csv") as fh:
             rows.append([r[:3] for r in csv.reader(fh)])
     assert rows[0] == rows[1]
+    assert rows[0][-1][0] == "final"
     _ok(11, "repeat runs byte-identical (timing.csv identical except wall "
             "millis)")

@@ -61,6 +61,67 @@ class TestStrongOrdering:
                     seen_disc = True
 
 
+def _quadratic_ordering(g):
+    """Reference: the minimum-degree rule as a min() over all remaining
+    variables per step, which strong_ordering used before its heap."""
+    cont = g.continuous_variables()
+    adj = {v: set() for v in cont}
+    for vs in [f.variables for f in g.continuous_factors] \
+            + [f.continuous_ids for f in g.hybrid_factors]:
+        for a in vs:
+            adj[a].update(v for v in vs if v != a)
+    order = []
+    remaining = set(cont)
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        order.append(v)
+        neighbors = adj[v] & remaining
+        for a in neighbors:
+            adj[a].update(n for n in neighbors if n != a)
+        remaining.remove(v)
+    return order + sorted(k.id for k in g.discrete_keys())
+
+
+def _random_structure_graph(rng, ids):
+    """Random factors over `ids`: plain and hybrid, few and many variables,
+    so degrees tie often and elimination fills in."""
+    g = HybridFactorGraph()
+    for _ in range(int(rng.integers(1, 2 * len(ids) + 2))):
+        vs = rng.choice(len(ids), size=int(rng.integers(1, min(4, len(ids)) + 1)),
+                        replace=False)
+        jf = JacobianFactor({ids[i]: [[1.0]] for i in vs}, [0.0])
+        if rng.random() < 0.3:
+            key = DiscreteKey(("m", int(rng.integers(0, 3))), 2)
+            g.add(HybridGaussianFactor.from_components([key], [(jf, 0.0), (jf, 0.5)]))
+        else:
+            g.add(jf)
+    if rng.random() < 0.3:
+        g.add(DiscreteFactor([DiscreteKey(("m", 9), 2)], [1.0, 2.0]))
+    for v in ids:      # every id is a variable of the graph
+        g.add(JacobianFactor({v: [[1.0]]}, [0.0]))
+    return g
+
+
+class TestHeapOrdering:
+    def test_matches_quadratic_min_degree(self):
+        """The heap returns exactly the min() rule's ordering on random
+        graphs with int ids and with tuple ids like the SLAM runner's."""
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            n = int(rng.integers(1, 16))
+            ids = list(range(n)) if trial % 2 else [("x", k) for k in range(n)]
+            g = _random_structure_graph(rng, ids)
+            assert strong_ordering(g) == _quadratic_ordering(g), trial
+
+    def test_ties_break_by_id(self):
+        """A star: every leaf has degree 1, so the smallest id goes first;
+        eliminating it leaves the rest tied again."""
+        g = HybridFactorGraph()
+        for leaf in (5, 3, 9, 1):
+            g.add(JacobianFactor({0: [[1.0]], leaf: [[1.0]]}, [0.0]))
+        assert strong_ordering(g) == [1, 3, 5, 0, 9]
+
+
 class TestEliminateHybridSum:
     def test_single_mode_equals_pure_gaussian(self):
         prior = whiten({"x": [[1.0]]}, [0.5], 1.0)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hybridfg.gaussian import (GaussianConditional, JacobianFactor,
-                               UnderconstrainedVariable, back_substitute,
-                               eliminate_one, log_normalization_constant,
+from hybridfg.gaussian import (RANK_TOL, GaussianConditional, JacobianFactor,
+                               UnderconstrainedVariable, _stack,
+                               back_substitute, eliminate_one,
+                               log_normalization_constant, sigma_cholesky,
                                whiten)
 
 
@@ -42,6 +43,36 @@ class TestWhiten:
     def test_non_pd_sigma_rejected(self):
         with pytest.raises(ValueError, match="invalid noise model"):
             whiten({"x": [[1.0], [1.0]]}, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+
+    @pytest.mark.parametrize("kind", ["scalar", "diagonal", "full"])
+    def test_one_solve_matches_per_block_solves(self, kind):
+        """Whitening all blocks in one solve gives the bits of one solve per
+        block, and the right-hand side the bits of its own solve.
+
+        Single-column blocks are the exception: LAPACK solves a lone column
+        by another kernel, so on its own such a block can differ from its
+        slice of the stacked solve in the last bit.
+        """
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            sigma = {"scalar": lambda: rng.uniform(1e-6, 10.0),
+                     "diagonal": lambda: rng.uniform(1e-6, 10.0, size=n),
+                     "full": lambda: _random_spd(rng, n)}[kind]()
+            L = sigma_cholesky(sigma, n)
+            blocks = {f"x{i}": rng.normal(size=(n, int(rng.integers(1, 5))))
+                      for i in range(int(rng.integers(0, 4)))}
+            z = rng.normal(size=n)
+            f = whiten(blocks, z, sigma)
+            assert np.array_equal(f.rhs, np.linalg.solve(L, z))
+            for vid, H in blocks.items():
+                want = np.linalg.solve(L, H)
+                if H.shape[1] > 1:
+                    assert np.array_equal(f.blocks[vid], want)
+                else:
+                    np.testing.assert_allclose(f.blocks[vid], want,
+                                               rtol=1e-13, atol=1e-13)
 
 
 class TestEliminateOne:
@@ -116,6 +147,58 @@ class TestEliminateOne:
                     r = r + S @ x[vid]
                 split = 0.5 * float(r @ r) + marginal.error(x)
                 assert split == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+def _loop_row_signs(T: np.ndarray, tol: float) -> np.ndarray:
+    """Reference: the per-row loop eliminate_one used to canonicalize signs."""
+    T = T.copy()
+    for i in range(T.shape[0]):
+        nz = np.flatnonzero(np.abs(T[i]) > tol)
+        if nz.size and T[i, nz[0]] < 0:
+            T[i] *= -1.0
+    return T
+
+
+class TestMarginalRowSigns:
+    def test_matches_per_row_loop(self):
+        """On random stacks with rank-deficient separators, duplicated and
+        all-zero rows, every marginal row starts with a nonnegative
+        significant entry and equals the per-row loop bit for bit."""
+        rng = np.random.default_rng(11)
+        seps = ["a", "b", "c"]
+        for trial in range(300):
+            dims = {"x": int(rng.integers(1, 3))}
+            dims.update({v: int(rng.integers(1, 4)) for v in seps})
+            factors = [JacobianFactor({"x": np.eye(dims["x"])},
+                                      rng.normal(size=dims["x"]))]
+            for _ in range(int(rng.integers(1, 6))):
+                rows = int(rng.integers(1, 5))
+                used = [v for v in ["x"] + seps if rng.random() < 0.5] or ["a"]
+                blocks = {v: rng.normal(size=(rows, dims[v])) for v in used}
+                if rng.random() < 0.3:      # a column of the separator dies
+                    v = used[-1]
+                    blocks[v][:, 0] = 0.0
+                if rng.random() < 0.3:      # a row repeats another
+                    for B in blocks.values():
+                        B[-1] = B[0]
+                rhs = rng.normal(size=rows)
+                if rng.random() < 0.2:      # an all-zero row
+                    for B in blocks.values():
+                        B[-1] = 0.0
+                    rhs[-1] = 0.0
+                factors.append(JacobianFactor(blocks, rhs))
+            _, marginal = eliminate_one(factors, "x")
+            present = sorted({v for f in factors for v in f.blocks} - {"x"})
+            Rfull = np.linalg.qr(_stack(factors, ["x"] + present, dims), mode="r")
+            tol = RANK_TOL * max(float(np.max(np.abs(Rfull))), 1.0)
+            want = _loop_row_signs(Rfull[dims["x"]:], tol)[:, dims["x"]:]
+            got = np.hstack([marginal.blocks[v] for v in present]
+                            + [marginal.rhs[:, None]]) if present \
+                else marginal.rhs[:, None]
+            assert np.array_equal(got, want), trial
+            for row in got:
+                significant = np.flatnonzero(np.abs(row) > tol)
+                assert not significant.size or row[significant[0]] >= 0
 
 
 class TestLogNormalizer:

@@ -133,6 +133,58 @@ class TestLinearize:
             f.linearize({"x": np.array([float("nan")])})
 
 
+def _plain(residual, sigma):
+    return NonlinearFactor(residual, sigma)
+
+
+def _hybrid(residual, sigma):
+    return HybridNonlinearFactor.from_components(
+        [DiscreteKey("m", 2)], [(residual, 1.0), (residual, sigma)])
+
+
+class TestNoiseChecks:
+    @pytest.mark.parametrize("build", [_plain, _hybrid])
+    @pytest.mark.parametrize("sigma", [
+        np.ones((2, 3)),                                # not square
+        np.ones((2, 2, 2)),                             # not a matrix
+        [[1.0, 0.5], [0.0, 1.0]],                       # asymmetric
+        [[1.0, 2.0], [2.0, 1.0]],                       # not positive definite
+        [1.0, -1.0],                                    # negative variance
+        [1.0, 1.0, 1.0],                                # 3x3 for a 2-vector
+        np.eye(1),                                      # 1x1 for a 2-vector
+    ])
+    def test_bad_noise_refused_on_construction(self, build, sigma):
+        res = LinearResidual({"x": np.eye(2)}, [0.0, 0.0])
+        with pytest.raises(ValueError, match="invalid noise model"):
+            build(res, sigma)
+
+    @pytest.mark.parametrize("build", [_plain, _hybrid])
+    def test_residual_longer_than_declared_refused(self, build):
+        """A scalar sigma no longer adapts to whatever length evaluate gives."""
+        res = FuncResidual(("x",), 1, lambda v: np.array([1.0, 2.0]) * v["x"][0])
+        f = build(res, 1.0)
+        with pytest.raises(ValueError, match="size mismatch"):
+            f.linearize({"x": np.array([1.0])})
+
+    def test_stored_noise_is_read_only(self):
+        sigma = np.array([1.0, 4.0])
+        res = LinearResidual({"x": np.eye(2)}, [1.0, 1.0])
+        f = NonlinearFactor(res, sigma)
+        h = _hybrid(res, sigma)
+        before = f.linearize({"x": np.zeros(2)})
+        sigma[:] = 100.0          # the caller's array is copied, not kept
+        after = f.linearize({"x": np.zeros(2)})
+        np.testing.assert_array_equal(before.rhs, after.rhs)
+        np.testing.assert_array_equal(h.component({"m": 1})[1], [1.0, 4.0])
+        for stored in (f.sigma, f.noise.L, h.component({"m": 1})[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 2.0
+        with pytest.raises(AttributeError):
+            f.sigma = 2.0
+        with pytest.raises(AttributeError):
+            f.noise.L = np.eye(2)
+
+
 class TestRestrict:
     def _factor(self):
         m = DiscreteKey("m", 2)

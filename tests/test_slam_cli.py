@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from hybridfg import DiscreteKey, Pose2, nonlinear, sum_product
+from hybridfg import DiscreteKey, Pose2, gaussian, nonlinear, sum_product
 from hybridfg.dataset import LoopClosure, Odometry, square_loop_dataset, write_dataset
 from hybridfg.elimination import discrete_marginals
 from hybridfg.hybrid import (HybridFactorGraph, HybridNonlinearFactor,
@@ -135,11 +135,18 @@ class TestRun:
                                        pose.as_vector(), atol=1e-8)
 
     def test_timing_rows_monotone(self, seed1_run):
-        res, *_ = seed1_run
-        steps = [row[0] for row in res.timings]
+        """Pass rows in increasing step order, then one "final" row for
+        finalize() with the final graph's factors and net's hypotheses."""
+        res, entries, *_ = seed1_run
+        steps = [row[0] for row in res.timings[:-1]]
         assert steps == sorted(steps)
         assert len(set(steps)) == len(steps)
         assert all(row[3] >= 0 for row in res.timings)
+        step, factors, hyps, _ = res.timings[-1]
+        assert step == "final"
+        assert factors == len(entries) + 1      # the anchor prior and one per entry
+        joint = res.bn.discrete_joint()
+        assert hyps == (np.count_nonzero(joint.leaves) if joint is not None else 1)
 
     def test_hypothesis_bound(self, seed1_run):
         """Live hypotheses after each pruning pass never exceed prune_P."""
@@ -165,6 +172,30 @@ class TestRun:
         monkeypatch.setattr(HybridFactorGraph, "linearize", counting)
         runner._eliminate_once()
         assert calls["n"] == 1
+
+    def test_linearize_reuses_factored_noise(self, monkeypatch):
+        """Noise models are checked and factored when the factors are built:
+        linearizing the C11 graph twice calls neither sigma_cholesky nor
+        log_normalization_constant."""
+        entries, _, _ = square_loop_dataset(seed=0, num_poses=60,
+                                            n_ambiguous=4, n_loops=2)
+        runner = _Runner(RunConfig())
+        for index, entry in enumerate(entries):
+            runner.add_entry(entry, index)
+        calls = {"sigma_cholesky": 0, "log_normalization_constant": 0}
+        for name in calls:
+            original = getattr(gaussian, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(gaussian, name, counting)
+        runner.graph.linearize(runner.values)
+        runner.graph.linearize(runner.values)
+        assert calls == {"sigma_cholesky": 0, "log_normalization_constant": 0}
+        # The counters see the calls a factor makes when it is built.
+        build_loop_factor(LoopClosure(0, 3, 0.0, 0.0, 0.0, 0.01, 0.005), 0)
+        assert calls["sigma_cholesky"] == 2
 
     def test_final_batch_converges(self, caplog):
         """A seed whose final batch once stopped on a rounding-level error
@@ -238,8 +269,9 @@ class TestEmitResults:
         with open(outdir / "timing.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "num_factors", "num_hypotheses", "millis"]
-        steps = [int(r[0]) for r in rows[1:]]
+        steps = [int(r[0]) for r in rows[1:-1]]
         assert steps == sorted(steps)
+        assert rows[-1][0] == "final"
 
 
 class TestCli:
