@@ -223,6 +223,11 @@ def square_loop_dataset(seed: int = 0, num_poses: int = 100,
             lrel = noisy(between(truth[frm], truth[k + 1]))
             entries.append(LoopClosure(frm, k + 1, lrel[0], lrel[1], lrel[2],
                                        sigma_xy, sigma_theta))
+    placed = sum(isinstance(e, LoopClosure) for e in entries)
+    if (amb_index, placed) != (n_ambiguous, n_loops):
+        raise ValueError(f"{num_poses} poses can place only {amb_index} ambiguous "
+                         f"edges and {placed} loop closures, not {n_ambiguous} "
+                         f"and {n_loops}")
     return entries, truth, true_modes
 
 

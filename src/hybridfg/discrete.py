@@ -70,11 +70,12 @@ def _leaf_array(shape: Tuple[int, ...], leaves) -> np.ndarray:
     """Build the shaped leaf array; numeric payloads become float64,
     everything else an object array."""
     n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if isinstance(leaves, np.ndarray) and leaves.shape == shape:
-        if leaves.dtype == object:
+    if isinstance(leaves, np.ndarray):
+        if leaves.dtype != object and leaves.size == n:
+            return np.array(leaves, dtype=float).reshape(shape)
+        if leaves.shape == shape:
             return leaves.copy()
-        return np.asarray(leaves, dtype=float).copy()
-    if np.isscalar(leaves) or (isinstance(leaves, np.ndarray) and leaves.ndim == 0):
+    if np.isscalar(leaves):
         flat = [leaves]
     elif isinstance(leaves, np.ndarray):
         flat = list(leaves.reshape(-1))
@@ -88,6 +89,14 @@ def _leaf_array(shape: Tuple[int, ...], leaves) -> np.ndarray:
     for i, x in enumerate(flat):
         arr[i] = x
     return arr.reshape(shape)
+
+
+def _expand(arr: np.ndarray, keys: Sequence[DiscreteKey],
+            union: Sequence[DiscreteKey]) -> np.ndarray:
+    """View of an array over `keys` with a unit axis for each key of `union`
+    it lacks, so it broadcasts over `union` (both in id order)."""
+    own = {k.id for k in keys}
+    return arr.reshape(tuple(k.cardinality if k.id in own else 1 for k in union))
 
 
 class DecisionTree:
@@ -157,13 +166,13 @@ class DecisionTree:
 
     def _aligned(self, union: Tuple[DiscreteKey, ...]) -> np.ndarray:
         """View of the leaf array broadcastable over the union key set."""
-        arr = self.leaves
-        own = {k.id for k in self.keys}
-        for ax, k in enumerate(union):
-            if k.id not in own:
-                arr = np.expand_dims(arr, ax)
         shape = tuple(k.cardinality for k in union)
-        return np.broadcast_to(arr, shape)
+        return np.broadcast_to(_expand(self.leaves, self.keys, union), shape)
+
+    def where(self, mask: np.ndarray) -> "DecisionTree":
+        """Copy with leaves nil (None) wherever the bool mask, broadcast over
+        this tree's keys, is False."""
+        return DecisionTree(self.keys, np.where(mask, self.leaves, None))
 
     def apply(self, other: "DecisionTree", op: Callable[[Any, Any], Any]) -> "DecisionTree":
         """Leafwise combination over the union of both key sets."""

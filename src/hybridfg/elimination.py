@@ -22,11 +22,10 @@ import numpy as np
 from .discrete import (DecisionTree, DiscreteConditional,
                        DiscreteFactor, DiscreteKey, check_enumeration,
                        eliminate_discrete_sum, multiply_factors, prune_to_top,
-                       _merge_keys)
+                       _expand, _merge_keys)
 # Unused here; the benchmark's tracer patches this module's binding of it.
 from .discrete import eliminate_discrete_max  # noqa: F401
-from .gaussian import (GaussianConditional, JacobianFactor,
-                       UnderconstrainedVariable, eliminate_one)
+from .gaussian import JacobianFactor, UnderconstrainedVariable, eliminate_one
 from .hybrid import (HybridBayesNet, HybridFactorGraph,
                      HybridGaussianConditional, HybridGaussianFactor,
                      HybridValues, discrete_factor_from_leaves)
@@ -137,41 +136,34 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
 
     shape = tuple(k.cardinality for k in keys)
     check_enumeration(shape)
-    key_pos = {k.id: i for i, k in enumerate(keys)}
-    projections = [tuple(key_pos[k.id] for k in f.keys) for f in hybrids]
-    cond_leaves: List[Optional[GaussianConditional]] = []
-    sep_leaves: List[Optional[Tuple[JacobianFactor, float]]] = []
-    bound_leaves: List[Optional[float]] = []
+    # Live cells: those where every hybrid has a component, in flat order.
+    live = np.ones(shape, dtype=bool)
+    for f in hybrids:
+        live &= _expand(np.not_equal(f.components.leaves, None), f.keys, keys)
+    cells = np.nonzero(live)
+    pos = {k.id: i for i, k in enumerate(keys)}
+    picked = [f.components.leaves[tuple(cells[pos[k.id]] for k in f.keys)]
+              for f in hybrids]
+    cond_leaves = np.full(shape, None)
+    sep_leaves = np.full(shape, None)
+    bound_leaves = np.full(shape, math.inf)
     alive = 0
-    for idx in np.ndindex(shape):
+    for cell, *leaves in zip(zip(*cells), *picked):
         stack: List[JacobianFactor] = list(plains)
         c_in = base_const
-        dead = False
-        for f, proj in zip(hybrids, projections):
-            leaf = f.components.leaves[tuple(idx[p] for p in proj)]
-            if leaf is None:
-                dead = True
-                break
-            stack.append(leaf[0])
-            c_in += leaf[1]
-        if dead:
-            cond_leaves.append(None)
-            sep_leaves.append(None)
-            bound_leaves.append(None)
-            continue
+        for jf, c in leaves:
+            stack.append(jf)
+            c_in += c
         try:
             conditional, marginal = eliminate_one(stack, var)
         except UnderconstrainedVariable:
-            cond_leaves.append(None)
-            sep_leaves.append(None)
-            bound_leaves.append(None)
             continue
         alive += 1
         c_out = c_in - conditional.log_normalizer
-        cond_leaves.append(conditional)
-        sep_leaves.append((marginal, c_out))
+        cond_leaves[cell] = conditional
+        sep_leaves[cell] = (marginal, c_out)
         if not separator_cont:
-            bound_leaves.append(marginal.error({}) + c_out)
+            bound_leaves[cell] = marginal.error({}) + c_out
     if alive == 0:
         raise UnderconstrainedVariable(
             f"variable unconstrained in every mode: {var!r}")
@@ -255,15 +247,16 @@ def max_product(g: HybridFactorGraph,
     return bn_map(sum_product(g, ordering))
 
 
-def _max_marginal(tree: DecisionTree, keys: Sequence[DiscreteKey]) -> DecisionTree:
-    """Max-project a float tree onto a subset of its keys."""
-    keep = {k.id for k in keys}
-    axes = tuple(i for i, k in enumerate(tree.keys) if k.id not in keep)
-    vals = np.asarray(tree.leaves, dtype=float)
-    if axes:
-        vals = vals.max(axis=axes)
-    sub = tuple(k for k in tree.keys if k.id in keep)
-    return DecisionTree(sub, vals)
+def _live_mask(support: DecisionTree, keys: Sequence[DiscreteKey]) -> np.ndarray:
+    """Project a 0/1 support onto `keys` as a bool mask that broadcasts over
+    them: a cell is live when some live hypothesis agrees with it on the
+    keys both share.  Keys the support lacks stay free."""
+    ids = {k.id for k in keys}
+    live = support.leaves > 0
+    lacked = tuple(i for i, k in enumerate(support.keys) if k.id not in ids)
+    if lacked:
+        live = live.any(axis=lacked)
+    return _expand(live, [k for k in support.keys if k.id in ids], keys)
 
 
 def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
@@ -281,12 +274,11 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     pruned = prune_to_top(joint, P)
     if np.array_equal(pruned.leaves, joint.leaves):
         return HybridBayesNet(list(bn.conditionals))
-    alive = DecisionTree(joint.keys, (pruned.leaves > 0).astype(float))
     out = HybridBayesNet()
     for c in bn.continuous_conditionals():
         if isinstance(c, HybridGaussianConditional):
-            dead = _max_marginal(alive, c.keys).map_leaves(lambda v: v <= 0)
-            out.append(c.with_nil(dead))
+            tree = c.components.where(_live_mask(pruned, c.keys))
+            out.append(HybridGaussianConditional(c.keys, tree))
         else:
             out.append(c)
     prod = DiscreteFactor(pruned.keys, pruned)
@@ -319,25 +311,14 @@ def restrict_to_support(g: HybridFactorGraph, support: DecisionTree
     out.continuous_factors = list(g.continuous_factors)
     support_ids = {k.id for k in support.keys}
     for hf in g.hybrid_factors:
-        shared = tuple(k for k in hf.keys if k.id in support_ids)
-        if not shared:
+        if support_ids.isdisjoint(k.id for k in hf.keys):
             out.hybrid_factors.append(hf)
             continue
-        alive = _max_marginal(support, shared)
-        tree = hf.components.apply(alive, lambda leaf, a: leaf if a > 0 else None)
-        out.hybrid_factors.append(HybridGaussianFactor(tree.keys, tree))
+        tree = hf.components.where(_live_mask(support, hf.keys))
+        out.hybrid_factors.append(HybridGaussianFactor(hf.keys, tree))
     out.discrete_factors = list(g.discrete_factors)
     out.discrete_factors.append(DiscreteFactor(support.keys, support))
     return out
-
-
-def fix_support(support: Optional[DecisionTree], fixed: Dict[Any, int]
-                ) -> Optional[DecisionTree]:
-    """The support left once dead mode removal fixes the modes in `fixed`:
-    the slice of live hypotheses consistent with them."""
-    if support is None or not fixed:
-        return support
-    return support.choose(fixed)
 
 
 def discrete_marginals(bn: HybridBayesNet) -> Dict[Any, np.ndarray]:

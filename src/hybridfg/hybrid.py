@@ -134,11 +134,6 @@ class HybridGaussianConditional:
     def component(self, assignment: Assignment) -> Optional[GaussianConditional]:
         return self.components.leaf(assignment)
 
-    def with_nil(self, dead_mask: DecisionTree) -> "HybridGaussianConditional":
-        """Copy with leaves nil where dead_mask is truthy."""
-        tree = self.components.apply(dead_mask, lambda leaf, dead: None if dead else leaf)
-        return HybridGaussianConditional(tree.keys, tree)
-
     def log_density(self, v: HybridValues) -> float:
         leaf = self.component(v.discrete)
         if leaf is None:

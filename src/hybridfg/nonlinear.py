@@ -277,7 +277,8 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
         if cfg.dmr_delta is not None:
             graph, newly = elimination.dead_mode_removal(bn, graph, cfg.dmr_delta)
             fixed_total.update(newly)
-            support = elimination.fix_support(support, newly)
+            if support is not None and newly:
+                support = support.choose(newly)
         step_norm = max((float(np.max(np.abs(d))) if np.asarray(d).size else 0.0)
                         for d in step.continuous.values())
         if step_norm < cfg.tol:

@@ -25,7 +25,7 @@ import numpy as np
 from .dataset import (DatasetEntry, DatasetParseError, LoopClosure, Odometry,
                       parse_dataset)
 from .discrete import DecisionTree, DiscreteKey
-from .elimination import dead_mode_removal, discrete_marginals, fix_support
+from .elimination import dead_mode_removal, discrete_marginals
 from .hybrid import (HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
                      NonlinearFactor)
 from .nonlinear import (BetweenResidual, OptimizationDiverged, OptimizeConfig,
@@ -171,7 +171,8 @@ class _Runner:
         if newly:
             log.info("dead mode removal fixed %s", newly)
             self.fixed.update(newly)
-            self.support = fix_support(self.support, newly)
+            if self.support is not None:
+                self.support = self.support.choose(newly)
         # Re-linearize and run a full batch pass at the restricted graph.
         self._eliminate_once()
 

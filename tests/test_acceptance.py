@@ -247,7 +247,7 @@ def test_c10_jacobian_checks():
 
 
 def test_c11_determinism(tmp_path):
-    entries, _, _ = square_loop_dataset(seed=0, num_poses=60, n_ambiguous=4,
+    entries, _, _ = square_loop_dataset(seed=0, num_poses=65, n_ambiguous=4,
                                         n_loops=2)
     data = tmp_path / "data.txt"
     write_dataset(entries, data)

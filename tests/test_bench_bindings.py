@@ -21,7 +21,7 @@ def test_traced_layers_are_nonzero(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracer
 
-    entries, _, _ = square_loop_dataset(seed=0, num_poses=60, n_ambiguous=4,
+    entries, _, _ = square_loop_dataset(seed=0, num_poses=65, n_ambiguous=4,
                                         n_loops=2)
     data = tmp_path / "data.txt"
     write_dataset(entries, data)

@@ -131,13 +131,33 @@ class TestGenerator:
         e2, t2, m2 = square_loop_dataset(seed=5)
         assert e1 == e2 and m1 == m2
 
+    @pytest.mark.parametrize("shape", [(60, 4, 2), (52, 1, 1), (61, 4, 2),
+                                       (74, 10, 4)])
+    def test_refuses_shapes_it_cannot_place(self, shape):
+        with pytest.raises(ValueError, match="can place only"):
+            square_loop_dataset(0, *shape)
+
+    @pytest.mark.parametrize("shape", [(65, 4, 2), (75, 10, 4), (100, 10, 4),
+                                       (200, 10, 10)])
+    def test_places_exactly_what_it_is_asked(self, shape):
+        num_poses, n_ambiguous, n_loops = shape
+        entries, truth, true_modes = square_loop_dataset(0, *shape)
+        amb = [e for e in entries
+               if isinstance(e, Odometry) and len(e.hypotheses) > 1]
+        loops = [e for e in entries if isinstance(e, LoopClosure)]
+        assert len(truth) == num_poses
+        assert len(amb) == len(true_modes) == n_ambiguous
+        assert len(loops) == n_loops
+
 
 class TestGeneratorCli:
     @pytest.mark.parametrize("output, option, message", [
         ("d.txt", ["--loops", "0"], "loop closure"),
         ("d.txt", ["--poses", "10"], "poses"),
         ("d.txt", ["--ambiguous", "-1"], "ambiguous"),
-        ("missing/d.txt", [], "error:")])
+        ("missing/d.txt", [], "error:"),
+        ("d.txt", ["--poses", "60", "--ambiguous", "4", "--loops", "2"],
+         "can place only")])
     def test_bad_argument_is_usage_error(self, tmp_path, output, option, message):
         proc = run_module("hybridfg.dataset", "--output", str(tmp_path / output),
                           *option)
@@ -147,8 +167,8 @@ class TestGeneratorCli:
     def test_writes_dataset_and_truth(self, tmp_path):
         out, truth = tmp_path / "d.txt", tmp_path / "truth.txt"
         proc = run_module("hybridfg.dataset", "--output", str(out),
-                          "--truth", str(truth), "--poses", "60")
+                          "--truth", str(truth), "--poses", "75")
         assert proc.returncode == 0, proc.stderr
-        entries, _, _ = square_loop_dataset(num_poses=60)
+        entries, _, _ = square_loop_dataset(num_poses=75)
         assert parse_dataset(out) == entries
-        assert len(truth.read_text().splitlines()) == 60
+        assert len(truth.read_text().splitlines()) == 75

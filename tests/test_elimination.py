@@ -12,7 +12,9 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       log_normalization_constant, max_product,
                       prune_bayes_net, strong_ordering, sum_product, whiten)
 from hybridfg import elimination
-from hybridfg.discrete import DiscreteConditional
+from hybridfg.discrete import DiscreteConditional, _merge_keys, prune_to_top
+from hybridfg.gaussian import UnderconstrainedVariable
+from hybridfg.hybrid import discrete_factor_from_leaves
 from hybridfg.elimination import hypothesis_support, restrict_to_support
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
@@ -120,6 +122,212 @@ class TestHeapOrdering:
         for leaf in (5, 3, 9, 1):
             g.add(JacobianFactor({0: [[1.0]], leaf: [[1.0]]}, [0.0]))
         assert strong_ordering(g) == [1, 3, 5, 0, 9]
+
+
+def _walk_reference(factors, var):
+    """Reference: eliminate_hybrid_sum's former walk over every cell of the
+    clique's mode grid with np.ndindex, one leaf lookup per hybrid per cell.
+    Returns the clique keys and, per cell in flat order, "nil" (a hybrid
+    has no component), "rank" (x underconstrained) or (conditional,
+    marginal, separator constant)."""
+    plains = [f for f in factors if isinstance(f, JacobianFactor)]
+    hybrids = [f for f in factors if isinstance(f, HybridGaussianFactor)]
+    keys = ()
+    for f in hybrids:
+        keys = _merge_keys(keys, f.keys)
+    key_pos = {k.id: i for i, k in enumerate(keys)}
+    cells = []
+    for idx in np.ndindex(tuple(k.cardinality for k in keys)):
+        stack, c_in, dead = list(plains), 0.0, False
+        for f in hybrids:
+            leaf = f.components.leaves[tuple(idx[key_pos[k.id]] for k in f.keys)]
+            if leaf is None:
+                dead = True
+                break
+            stack.append(leaf[0])
+            c_in += leaf[1]
+        if dead:
+            cells.append("nil")
+            continue
+        try:
+            conditional, marginal = eliminate_one(stack, var)
+        except UnderconstrainedVariable:
+            cells.append("rank")
+            continue
+        cells.append((conditional, marginal, c_in - conditional.log_normalizer))
+    return keys, cells
+
+
+def _random_clique(rng):
+    """Factors on "x" from a random clique: 1-3 hybrids over shared keys of
+    cardinality 2-3, nil leaves, and rank-deficient modes whose x block is
+    zero; with no plain prior on x such a mode leaves x underconstrained."""
+    pool = [DiscreteKey(f"m{j}", int(rng.integers(2, 4))) for j in range(3)]
+    dx = int(rng.integers(1, 3))
+    with_y = rng.random() < 0.6
+    factors = []
+    if rng.random() < 0.3:
+        factors.append(JacobianFactor({"x": rng.normal(size=(dx, dx))},
+                                      rng.normal(size=dx)))
+    for _ in range(int(rng.integers(1, 4))):
+        picks = rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+        keys = [pool[i] for i in sorted(picks)]
+        variables = ["x", "y"] if with_y and rng.random() < 0.7 else ["x"]
+        n = math.prod(k.cardinality for k in keys)
+        leaves = []
+        for _ in range(n):
+            if rng.random() < 0.25:
+                leaves.append(None)
+                continue
+            blocks = {v: rng.normal(size=(dx + 1, dx if v == "x" else 1))
+                      for v in variables}
+            if rng.random() < 0.2:
+                blocks["x"] = np.zeros((dx + 1, dx))
+            leaves.append((JacobianFactor(blocks, rng.normal(size=dx + 1)),
+                           float(rng.normal())))
+        if all(leaf is None for leaf in leaves):
+            leaves[int(rng.integers(n))] = (
+                JacobianFactor({v: np.eye(dx + 1, dx if v == "x" else 1)
+                                for v in variables}, np.ones(dx + 1)), 0.0)
+        factors.append(HybridGaussianFactor.from_components(keys, leaves))
+    return factors
+
+
+def _same_conditional(a, b):
+    return (np.array_equal(a.R, b.R) and np.array_equal(a.d, b.d)
+            and a.parent_blocks.keys() == b.parent_blocks.keys()
+            and all(np.array_equal(a.parent_blocks[v], b.parent_blocks[v])
+                    for v in a.parent_blocks)
+            and a.log_normalizer == b.log_normalizer)
+
+
+def _same_jacobian(a, b):
+    return (a.blocks.keys() == b.blocks.keys() and np.array_equal(a.rhs, b.rhs)
+            and all(np.array_equal(a.blocks[v], b.blocks[v]) for v in a.blocks))
+
+
+def _nil_by_support_reference(tree, support):
+    """Reference: the former nil rule of prune_bayes_net and
+    restrict_to_support, a max-marginal of the 0/1 support onto the keys it
+    shares with the tree, then an object-tree apply."""
+    keep = {k.id for k in tree.keys}
+    axes = tuple(i for i, k in enumerate(support.keys) if k.id not in keep)
+    vals = np.asarray(support.leaves, dtype=float)
+    if axes:
+        vals = vals.max(axis=axes)
+    alive = DecisionTree(tuple(k for k in support.keys if k.id in keep), vals)
+    return tree.apply(alive, lambda leaf, a: leaf if a > 0 else None)
+
+
+def _same_leaves(a, b):
+    return a.keys == b.keys and all(
+        x is y for x, y in zip(a.leaves.reshape(-1), b.leaves.reshape(-1)))
+
+
+class TestLiveCells:
+    def test_elimination_matches_grid_walk(self):
+        """Bitwise the same conditionals, separators, constants and nil
+        positions as the dense walk, on 300 random cliques."""
+        rng = np.random.default_rng(21)
+        seen = {"nil": 0, "rank": 0, "boundary": 0, "all dead": 0}
+        for trial in range(300):
+            factors = _random_clique(rng)
+            keys, ref = _walk_reference(factors, "x")
+            for cell in ref:
+                if isinstance(cell, str):
+                    seen[cell] += 1
+            ref = [cell if isinstance(cell, tuple) else None for cell in ref]
+            if all(cell is None for cell in ref):
+                seen["all dead"] += 1
+                with pytest.raises(UnderconstrainedVariable):
+                    eliminate_hybrid_sum(factors, "x")
+                continue
+            cond, sep = eliminate_hybrid_sum(factors, "x")
+            assert cond.keys == keys, trial
+            conds = cond.components.leaves.reshape(-1)
+            for leaf, cell in zip(conds, ref):
+                assert (leaf is None) == (cell is None), trial
+                if cell is not None:
+                    assert _same_conditional(leaf, cell[0]), trial
+            if isinstance(sep, DiscreteFactor):
+                seen["boundary"] += 1
+                bound = [None if cell is None else cell[1].error({}) + cell[2]
+                         for cell in ref]
+                want = discrete_factor_from_leaves(DecisionTree(keys, bound))
+                assert sep.keys == keys, trial
+                assert np.array_equal(sep.potentials.leaves,
+                                      want.potentials.leaves), trial
+            else:
+                assert sep.keys == keys, trial
+                for leaf, cell in zip(sep.components.leaves.reshape(-1), ref):
+                    assert (leaf is None) == (cell is None), trial
+                    if cell is not None:
+                        assert _same_jacobian(leaf[0], cell[1]), trial
+                        assert leaf[1] == cell[2], trial
+        assert all(seen.values()), seen
+
+    def test_restrict_to_support_matches_reference_rule(self):
+        """Supports over random subsets of the graph's keys: some miss keys
+        of a factor, some hold keys a factor lacks."""
+        rng = np.random.default_rng(22)
+        pool = [DiscreteKey(f"m{j}", int(rng.integers(2, 4))) for j in range(4)]
+        jf = JacobianFactor({"x": [[1.0]]}, [0.0])
+        lacking = missing = 0
+        for trial in range(200):
+            g = HybridFactorGraph()
+            for _ in range(int(rng.integers(1, 4))):
+                picks = sorted(rng.choice(4, size=int(rng.integers(1, 4)),
+                                          replace=False))
+                keys = [pool[i] for i in picks]
+                n = math.prod(k.cardinality for k in keys)
+                g.add(HybridGaussianFactor.from_components(
+                    keys, [(jf, float(i)) for i in range(n)]))
+            gkeys = g.discrete_keys()
+            skeys = [gkeys[i] for i in sorted(rng.choice(
+                len(gkeys), size=int(rng.integers(1, len(gkeys) + 1)),
+                replace=False))]
+            vals = (rng.random(math.prod(k.cardinality for k in skeys)) < 0.4)
+            vals[int(rng.integers(vals.size))] = True
+            support = DecisionTree(skeys, vals.astype(float))
+            sids = {k.id for k in skeys}
+            want = []
+            for hf in g.hybrid_factors:
+                fids = {k.id for k in hf.keys}
+                lacking += bool(sids - fids)
+                missing += bool(fids - sids)
+                want.append(hf.components if sids.isdisjoint(fids)
+                            else _nil_by_support_reference(hf.components, support))
+            if any(all(leaf is None for leaf in w.leaves.reshape(-1))
+                   for w in want):
+                with pytest.raises(ValueError, match="live component"):
+                    restrict_to_support(g, support)
+                continue
+            out = restrict_to_support(g, support)
+            for hf, w in zip(out.hybrid_factors, want):
+                assert _same_leaves(hf.components, w), trial
+        assert lacking and missing
+
+    def test_prune_matches_reference_rule(self):
+        rng = np.random.default_rng(23)
+        nils = 0
+        for trial in range(60):
+            g = random_hybrid_graph(rng, int(rng.integers(2, 5)),
+                                    int(rng.integers(1, 5)),
+                                    two_var_hybrids=True)
+            bn = sum_product(g)
+            P = int(rng.integers(1, 6))
+            pruned = prune_to_top(bn.discrete_joint(), P)
+            support = DecisionTree(pruned.keys, (pruned.leaves > 0).astype(float))
+            out = prune_bayes_net(bn, P)
+            for c, c2 in zip(bn.continuous_conditionals(),
+                             out.continuous_conditionals()):
+                if isinstance(c, HybridGaussianConditional):
+                    w = _nil_by_support_reference(c.components, support)
+                    assert _same_leaves(c2.components, w), trial
+                    nils += sum(leaf is None for leaf in w.leaves.reshape(-1))
+                else:
+                    assert c2 is c
+        assert nils > 0
 
 
 class TestEliminateHybridSum:
@@ -458,21 +666,23 @@ class TestPruneBayesNet:
         np.testing.assert_array_equal(order_before, order_after)
 
     def test_hybrid_conditionals_get_nil_leaves(self):
+        """A component is nil exactly when no surviving hypothesis agrees
+        with it on the conditional's keys."""
         rng = np.random.default_rng(6)
         g = random_hybrid_graph(rng, 2, 2, with_discrete_factor=False)
         bn = prune_bayes_net(sum_product(g), 1)
-        joint = _joint(bn)
-        alive_assignment = None
-        tree = bn.discrete_joint()
-        for a, v in tree.items():
-            if v > 0:
-                alive_assignment = a
-        for c in bn.continuous_conditionals():
-            if isinstance(c, HybridGaussianConditional):
-                sub = {k.id: alive_assignment[k.id] for k in c.keys}
-                assert c.component(sub) is not None
-                dead = sum(1 for _, leaf in c.components.items() if leaf is None)
-                assert dead >= 0
+        alive = [a for a, v in bn.discrete_joint().items() if v > 0]
+        hybrids = [c for c in bn.continuous_conditionals()
+                   if isinstance(c, HybridGaussianConditional)]
+        assert hybrids
+        nils = 0
+        for c in hybrids:
+            for a, leaf in c.components.items():
+                agrees = any(all(h[kid] == v for kid, v in a.items())
+                             for h in alive)
+                assert (leaf is None) == (not agrees), (c, a)
+                nils += leaf is None
+        assert nils > 0
 
 
 class TestDeadModeRemoval:

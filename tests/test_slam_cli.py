@@ -156,7 +156,7 @@ class TestRun:
         assert res.bn is not None
 
     def test_streaming_pass_linearizes_once(self, monkeypatch):
-        entries, _, _ = square_loop_dataset(seed=0, num_poses=60,
+        entries, _, _ = square_loop_dataset(seed=0, num_poses=65,
                                             n_ambiguous=4, n_loops=2)
         runner = _Runner(RunConfig())
         for index, entry in enumerate(entries):
@@ -177,7 +177,7 @@ class TestRun:
         """Noise models are checked and factored when the factors are built:
         linearizing the C11 graph twice calls neither sigma_cholesky nor
         log_normalization_constant."""
-        entries, _, _ = square_loop_dataset(seed=0, num_poses=60,
+        entries, _, _ = square_loop_dataset(seed=0, num_poses=65,
                                             n_ambiguous=4, n_loops=2)
         runner = _Runner(RunConfig())
         for index, entry in enumerate(entries):
@@ -212,7 +212,7 @@ class TestRun:
     def test_diverged_final_batch_keeps_its_net(self, monkeypatch):
         """When the final batch diverges, the results carry the net that
         came with the reported iterate, not the last streaming net."""
-        entries, _, _ = square_loop_dataset(seed=0, num_poses=60, n_ambiguous=4,
+        entries, _, _ = square_loop_dataset(seed=0, num_poses=65, n_ambiguous=4,
                                             n_loops=2)
         nets = []
 
@@ -277,7 +277,7 @@ class TestEmitResults:
 class TestCli:
     def test_exit_code_zero_and_outputs(self, tmp_path):
         data = tmp_path / "data.txt"
-        entries, _, _ = square_loop_dataset(seed=0, num_poses=60, n_ambiguous=4,
+        entries, _, _ = square_loop_dataset(seed=0, num_poses=65, n_ambiguous=4,
                                             n_loops=2)
         write_dataset(entries, data)
         out = tmp_path / "out"
