@@ -25,7 +25,8 @@ from .discrete import (DecisionTree, DiscreteConditional,
                        _expand, _merge_keys)
 # Unused here; the benchmark's tracer patches this module's binding of it.
 from .discrete import eliminate_discrete_max  # noqa: F401
-from .gaussian import JacobianFactor, UnderconstrainedVariable, eliminate_one
+from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims, _stack,
+                       eliminate_one, eliminate_stacked)
 from .hybrid import (HybridBayesNet, HybridFactorGraph,
                      HybridGaussianConditional, HybridGaussianFactor,
                      HybridValues, discrete_factor_from_leaves)
@@ -144,34 +145,52 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     pos = {k.id: i for i, k in enumerate(keys)}
     picked = [f.components.leaves[tuple(cells[pos[k.id]] for k in f.keys)]
               for f in hybrids]
-    cond_leaves = np.full(shape, None)
-    sep_leaves = np.full(shape, None)
-    bound_leaves = np.full(shape, math.inf)
+    components = [[jf for jf, _ in leaves] for leaves in picked]
+    c_in = np.full(len(cells[0]), base_const)
+    for leaves in picked:
+        c_in += [c for _, c in leaves]
+    # Cells whose components have the same row counts share a layout and
+    # are eliminated together, with one QR.
+    layouts: Dict[Tuple[int, ...], List[int]] = {}
+    for i, rows in enumerate(zip(*[[jf.rows for jf in col] for col in components])):
+        layouts.setdefault(rows, []).append(i)
+    dims = _dims(plains + [col[0] for col in components if col])
+    order = [var] + separator_cont
+    flat = np.ravel_multi_index(cells, shape).tolist()
+    c_in = c_in.tolist()
+    cond_leaves = np.full(live.size, None)
+    sep_leaves = np.full(live.size, None)
+    bound_leaves = np.full(live.size, math.inf)
     alive = 0
-    for cell, *leaves in zip(zip(*cells), *picked):
-        stack: List[JacobianFactor] = list(plains)
-        c_in = base_const
-        for jf, c in leaves:
-            stack.append(jf)
-            c_in += c
+    for members in layouts.values():
+        M = _stack(plains, order, dims,
+                   [[col[i] for i in members] for col in components])
         try:
-            conditional, marginal = eliminate_one(stack, var)
-        except UnderconstrainedVariable:
+            results = eliminate_stacked(M, var, separator_cont, dims)
+        except UnderconstrainedVariable:    # fewer rows than var's dimension
             continue
-        alive += 1
-        c_out = c_in - conditional.log_normalizer
-        cond_leaves[cell] = conditional
-        sep_leaves[cell] = (marginal, c_out)
-        if not separator_cont:
-            bound_leaves[cell] = marginal.error({}) + c_out
+        for i, result in zip(members, results):
+            if result is None:
+                continue
+            conditional, marginal = result
+            alive += 1
+            cell = flat[i]
+            c_out = c_in[i] - conditional.log_normalizer
+            cond_leaves[cell] = conditional
+            sep_leaves[cell] = (marginal, c_out)
+            if not separator_cont:
+                bound_leaves[cell] = marginal.error({}) + c_out
     if alive == 0:
         raise UnderconstrainedVariable(
             f"variable unconstrained in every mode: {var!r}")
-    conditional = HybridGaussianConditional(keys, DecisionTree(keys, cond_leaves))
+    conditional = HybridGaussianConditional(
+        keys, DecisionTree(keys, cond_leaves.reshape(shape)))
     if separator_cont:
-        separator = HybridGaussianFactor(keys, DecisionTree(keys, sep_leaves))
+        separator = HybridGaussianFactor(
+            keys, DecisionTree(keys, sep_leaves.reshape(shape)))
     else:
-        separator = discrete_factor_from_leaves(DecisionTree(keys, bound_leaves))
+        separator = discrete_factor_from_leaves(
+            DecisionTree(keys, bound_leaves.reshape(shape)))
     return conditional, separator
 
 

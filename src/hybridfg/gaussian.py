@@ -1,5 +1,6 @@
 """Dense whitened linear algebra: Jacobian factors, Gaussian conditionals,
-partial elimination via Householder QR, and back-substitution.
+partial elimination via Householder QR (one batched QR for all the stacked
+systems of one layout), and back-substitution.
 
 Conventions used throughout:
   * factors are pre-whitened, error(x) = 0.5 * ||sum_i A_i x_i - b||^2
@@ -11,7 +12,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class JacobianFactor:
     which elimination produces at the continuous-discrete boundary.
     """
 
-    __slots__ = ("blocks", "rhs")
+    __slots__ = ("blocks", "rhs", "variables")
 
     def __init__(self, blocks: Mapping[Any, Any], rhs):
         rhs = _as_vector(rhs)
@@ -53,15 +54,24 @@ class JacobianFactor:
             mats[vid] = A
         if not np.all(np.isfinite(rhs)):
             raise ValueError("rhs has non-finite entries")
-        object.__setattr__(self, "blocks", mats)
+        self._init(mats, rhs, tuple(sorted(mats)))
+
+    @classmethod
+    def _own(cls, blocks: Dict[Any, np.ndarray], rhs: np.ndarray,
+             variables: Tuple[Any, ...]) -> "JacobianFactor":
+        """A factor over float arrays the caller has just computed and
+        checked (see eliminate_stacked): no copy, no re-check."""
+        f = object.__new__(cls)
+        f._init(blocks, rhs, variables)
+        return f
+
+    def _init(self, blocks, rhs, variables):
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "variables", variables)
 
     def __setattr__(self, name, value):
         raise AttributeError("JacobianFactor is immutable")
-
-    @property
-    def variables(self) -> Tuple[Any, ...]:
-        return tuple(sorted(self.blocks.keys()))
 
     @property
     def rows(self) -> int:
@@ -89,7 +99,8 @@ class JacobianFactor:
 class GaussianConditional:
     """p(x | parents) = exp(-0.5 ||R x + sum_i S_i p_i - d||^2 - log_normalizer)."""
 
-    __slots__ = ("frontal", "R", "parent_blocks", "d", "log_normalizer")
+    __slots__ = ("frontal", "R", "parent_blocks", "d", "log_normalizer",
+                 "parents")
 
     def __init__(self, frontal, R, parent_blocks: Mapping[Any, Any], d):
         R = _as_matrix(R).copy()
@@ -109,18 +120,28 @@ class GaussianConditional:
                 raise ValueError("parent block row count must match R")
             S *= flip[:, None]
         log_norm = 0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(R))))
+        self._init(frontal, R, parents, d, log_norm, tuple(sorted(parents)))
+
+    @classmethod
+    def _own(cls, frontal, R: np.ndarray, parent_blocks: Dict[Any, np.ndarray],
+             d: np.ndarray, log_normalizer: float,
+             parents: Tuple[Any, ...]) -> "GaussianConditional":
+        """A conditional over arrays the caller has just computed in
+        canonical form (see eliminate_stacked): no copy, no re-check."""
+        c = object.__new__(cls)
+        c._init(frontal, R, parent_blocks, d, log_normalizer, parents)
+        return c
+
+    def _init(self, frontal, R, parent_blocks, d, log_normalizer, parents):
         object.__setattr__(self, "frontal", frontal)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "parent_blocks", parents)
+        object.__setattr__(self, "parent_blocks", parent_blocks)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "log_normalizer", log_norm)
+        object.__setattr__(self, "log_normalizer", log_normalizer)
+        object.__setattr__(self, "parents", parents)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianConditional is immutable")
-
-    @property
-    def parents(self) -> Tuple[Any, ...]:
-        return tuple(sorted(self.parent_blocks.keys()))
 
     @property
     def dim(self) -> int:
@@ -247,85 +268,135 @@ def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
     return NoiseModel(sigma, z.shape[0]).whiten(blocks, z)
 
 
-def _stack(factors: Sequence[JacobianFactor], order: Sequence[Any],
-           dims: Mapping[Any, int]) -> np.ndarray:
-    """Stack factors into [A | b] with columns laid out per `order`."""
+def _stack(shared: Sequence[JacobianFactor], order: Sequence[Any],
+           dims: Mapping[Any, int],
+           per_cell: Sequence[Sequence[JacobianFactor]] = ()) -> np.ndarray:
+    """Stack k systems [A | b] of one layout into a (k, m, n+1) array with
+    columns laid out per `order`: first the rows of the `shared` factors,
+    the same in every system, then for each position of `per_cell` the rows
+    of its k factors, one per system (all with the same variables and rows).
+    Without `per_cell`, k is 1."""
     offsets = {}
     ncols = 0
     for vid in order:
         offsets[vid] = ncols
         ncols += dims[vid]
-    rows = sum(f.rows for f in factors)
-    M = np.zeros((rows, ncols + 1))
+    k = len(per_cell[0]) if per_cell else 1
+    rows = sum(f.rows for f in shared) + sum(col[0].rows for col in per_cell)
+    M = np.zeros((k, rows, ncols + 1))
     r = 0
-    for f in factors:
+    for f in shared:
         for vid, A in f.blocks.items():
             c = offsets[vid]
-            M[r:r + f.rows, c:c + A.shape[1]] = A
-        M[r:r + f.rows, -1] = f.rhs
+            M[:, r:r + f.rows, c:c + A.shape[1]] = A
+        M[:, r:r + f.rows, -1] = f.rhs
         r += f.rows
+    for col in per_cell:
+        f0 = col[0]
+        for vid, A in f0.blocks.items():
+            c = offsets[vid]
+            M[:, r:r + f0.rows, c:c + A.shape[1]] = [f.blocks[vid] for f in col]
+        M[:, r:r + f0.rows, -1] = [f.rhs for f in col]
+        r += f0.rows
     return M
+
+
+def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:
+    """Column dimension of every variable, which all factors must agree on."""
+    dims: Dict[Any, int] = {}
+    for f in factors:
+        for vid, A in f.blocks.items():
+            if dims.setdefault(vid, A.shape[1]) != A.shape[1]:
+                raise ValueError(f"inconsistent dimension for {vid!r}")
+    return dims
 
 
 class UnderconstrainedVariable(ValueError):
     pass
 
 
+def eliminate_stacked(M: np.ndarray, var, separator: Sequence[Any],
+                      dims: Mapping[Any, int]
+                      ) -> List[Optional[Tuple[GaussianConditional, JacobianFactor]]]:
+    """Eliminate `var` from k stacked systems at once, with one QR.
+
+    M is (k, m, n+1): k matrices [A | b] with columns laid out per
+    [var] + separator (see _stack).  Returns, per system, the conditional
+    p(var | separator) and the marginal factor on the separator, or None
+    where `var` is rank deficient.  The marginal keeps any pure-residual
+    row, so 0.5||A x - b||^2 = 0.5||R x_var + S p - d||^2 + marginal error
+    holds exactly.  Raises UnderconstrainedVariable when m is below the
+    dimension of `var`, and ValueError on non-finite entries.
+
+    The outputs take slices of arrays computed here, without copies or
+    re-checks: R is square and matches d by construction, the rank check
+    gives |R_ii| > RANK_TOL * max(scale, 1) >= 1e-12, and the finite
+    per-system scale (a max, which NaN propagates through) covers every
+    block.
+    """
+    dv = dims[var]
+    k, m, _ = M.shape
+    if m < dv:
+        raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
+                                       f"has {m} rows, needs {dv}")
+    Rfull = np.linalg.qr(M, mode="r")
+    A = np.abs(Rfull)
+    scale = A.max(axis=(1, 2))
+    if not math.isfinite(scale.max()):
+        raise ValueError(f"eliminating {var!r}: non-finite entries")
+    tol = RANK_TOL * np.maximum(scale, 1.0)
+    live = (A.diagonal(0, 1, 2)[:, :dv] > tol[:, None]).all(axis=1).nonzero()[0]
+    if live.size < k:
+        Rfull, A, tol = Rfull[live], A[live], tol[live]
+    # Conditional rows, signed so that the diagonal of R is positive.
+    flip = np.sign(Rfull.diagonal(0, 1, 2)[:, :dv])
+    rows_flip = flip[:, :, None]
+    R = Rfull[:, :dv, :dv] * rows_flip
+    d = Rfull[:, :dv, -1] * flip
+    log_norms = (0.5 * dv * math.log(2.0 * math.pi)
+                 - np.log(A.diagonal(0, 1, 2)[:, :dv]).sum(axis=1)).tolist()
+    sep = tuple(separator)
+    cols = []
+    c = dv
+    for vid in sep:
+        cols.append((vid, c, c + dims[vid]))
+        c += dims[vid]
+    S = [(vid, Rfull[:, :dv, a:b] * rows_flip) for vid, a, b in cols]
+    # Marginal rows, signed so that each row's first significant entry is
+    # nonnegative; a row with none gets first = 0, never < -tol.  Rows are
+    # multiplied by -1 or 1, which leaves every bit of a kept row as is.
+    T = Rfull[:, dv:, :]
+    first = (A[:, dv:, :] > tol[:, None, None]).argmax(axis=2)
+    lead = T[np.arange(len(T))[:, None], np.arange(T.shape[1]), first]
+    T *= np.where(lead < -tol[:, None], -1.0, 1.0)[:, :, None]
+    out: List[Optional[Tuple[GaussianConditional, JacobianFactor]]] = [None] * k
+    for j, cell in enumerate(live.tolist()):
+        conditional = GaussianConditional._own(
+            var, R[j], {vid: Sv[j] for vid, Sv in S}, d[j], log_norms[j], sep)
+        Tj = T[j]
+        marginal = JacobianFactor._own({vid: Tj[:, a:b] for vid, a, b in cols},
+                                       Tj[:, -1], sep)
+        out[cell] = (conditional, marginal)
+    return out
+
+
 def eliminate_one(factors: Sequence[JacobianFactor], var
                   ) -> Tuple[GaussianConditional, JacobianFactor]:
-    """Eliminate `var` from the stacked factors.
-
-    Returns the conditional p(var | separator) and the marginal factor on the
-    separator.  The marginal keeps any pure-residual row, so the identity
-    0.5||stacked||^2 = 0.5||R x + S p - d||^2 + marginal error holds exactly.
-    """
+    """Eliminate `var` from the stacked factors: eliminate_stacked on one
+    system.  Returns the conditional p(var | separator) and the marginal
+    factor on the separator."""
     factors = list(factors)
-    dims: Dict[Any, int] = {}
-    for f in factors:
-        for vid in f.blocks:
-            d = f.dim(vid)
-            if dims.setdefault(vid, d) != d:
-                raise ValueError(f"inconsistent dimension for {vid!r}")
+    dims = _dims(factors)
     if var not in dims:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "appears in no factor")
-    d_var = dims[var]
     separator = sorted(v for v in dims if v != var)
-    order = [var] + separator
-    M = _stack(factors, order, dims)
-    m, ncols1 = M.shape
-    if m < d_var:
-        raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
-                                       f"has {m} rows, needs {d_var}")
-    Rfull = np.linalg.qr(M, mode="r")
-    scale = max(float(np.max(np.abs(Rfull))), 1.0)
-    diag = np.abs(np.diag(Rfull)[:d_var])
-    if np.any(diag <= RANK_TOL * scale):
+    (result,) = eliminate_stacked(_stack(factors, [var] + separator, dims),
+                                  var, separator, dims)
+    if result is None:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "is rank deficient")
-    # Conditional rows.
-    R = Rfull[:d_var, :d_var]
-    dvec = Rfull[:d_var, -1]
-    parent_blocks = {}
-    c = d_var
-    for vid in separator:
-        parent_blocks[vid] = Rfull[:d_var, c:c + dims[vid]]
-        c += dims[vid]
-    conditional = GaussianConditional(var, R, parent_blocks, dvec)
-    # Marginal rows (may include a pure residual row).
-    T = Rfull[d_var:, :].copy()
-    # Canonical row signs: first significant entry nonnegative.  A row with
-    # no significant entry gets first = 0, whose entry is never < -tol.
-    tol = RANK_TOL * scale
-    first = np.argmax(np.abs(T) > tol, axis=1)
-    T[T[np.arange(T.shape[0]), first] < -tol] *= -1.0
-    mb = {}
-    c = d_var
-    for vid in separator:
-        mb[vid] = T[:, c:c + dims[vid]]
-        c += dims[vid]
-    marginal = JacobianFactor(mb, T[:, -1])
-    return conditional, marginal
+    return result
 
 
 def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues:

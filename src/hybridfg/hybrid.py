@@ -164,8 +164,11 @@ def conditional_to_factor(c: HybridGaussianConditional) -> HybridGaussianFactor:
 def discrete_factor_from_leaves(tree: DecisionTree) -> DiscreteFactor:
     """Turn negative-log leaves into a max-shift-normalized discrete factor:
     potentials exp(-(leaf - min leaf)), nil leaves -> 0."""
-    vals = np.array([math.inf if x is None else float(x)
-                     for x in tree.leaves.reshape(-1)])
+    if tree.leaves.dtype == object:
+        vals = np.array([math.inf if x is None else float(x)
+                         for x in tree.leaves.reshape(-1)])
+    else:
+        vals = tree.leaves.reshape(-1)
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         return DiscreteFactor(tree.keys, np.zeros_like(vals))
@@ -175,14 +178,20 @@ def discrete_factor_from_leaves(tree: DecisionTree) -> DiscreteFactor:
     return DiscreteFactor(tree.keys, pots)
 
 
-def _linearize_component(res, noise, values) -> Tuple[JacobianFactor, float]:
-    r0 = res.evaluate(values)
-    jacs = res.jacobians(values)
-    for J in jacs.values():
-        if not np.all(np.isfinite(J)):
-            raise ValueError("linearization failure: non-finite Jacobian")
-    if not np.all(np.isfinite(r0)):
-        raise ValueError("linearization failure: non-finite residual")
+def _linearize_component(res, noise, values, evaluated: Dict[int, Any]
+                         ) -> Tuple[JacobianFactor, float]:
+    """Whitened linearization of one residual at `values`.  `evaluated`
+    keeps each residual object's (r, Jacobians), so leaves that share a
+    residual evaluate it once."""
+    if id(res) not in evaluated:
+        r0, jacs = res.evaluate_with_jacobians(values)
+        for J in jacs.values():
+            if not np.all(np.isfinite(J)):
+                raise ValueError("linearization failure: non-finite Jacobian")
+        if not np.all(np.isfinite(r0)):
+            raise ValueError("linearization failure: non-finite residual")
+        evaluated[id(res)] = (r0, jacs)
+    r0, jacs = evaluated[id(res)]
     return noise.whiten(jacs, -r0), noise.log_normalizer
 
 
@@ -206,7 +215,7 @@ class NonlinearFactor:
 
     def linearize(self, values) -> JacobianFactor:
         """Whitened linear factor on the update vector at `values`."""
-        return _linearize_component(self.residual, self.noise, values)[0]
+        return _linearize_component(self.residual, self.noise, values, {})[0]
 
 
 class HybridNonlinearFactor:
@@ -269,9 +278,11 @@ class HybridNonlinearFactor:
 
     def linearize(self, values) -> HybridGaussianFactor:
         """Hybrid Gaussian factor at `values` whose leaves carry the per-mode
-        constant log sqrt|2 pi Sigma^m|."""
+        constant log sqrt|2 pi Sigma^m|.  A residual that several leaves
+        share (a switchable loop closure's) is evaluated once."""
+        evaluated: Dict[int, Any] = {}
         leaves = [None if leaf is None
-                  else _linearize_component(leaf[0], noise, values)
+                  else _linearize_component(leaf[0], noise, values, evaluated)
                   for leaf, noise in zip(self.components.leaves.reshape(-1),
                                          self.noise.leaves.reshape(-1))]
         return HybridGaussianFactor(self.keys, DecisionTree(self.keys, leaves))

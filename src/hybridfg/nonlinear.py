@@ -128,6 +128,10 @@ class BetweenResidual:
         return local(rel, self.measurement)
 
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
+        return self.evaluate_with_jacobians(values)[1]
+
+    def evaluate_with_jacobians(self, values
+                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
         i, j = self.variables
         rel = between(values[i], values[j])
         Rt = rel.rotation().T
@@ -141,7 +145,7 @@ class BetweenResidual:
         J2[:2, :2] = -np.eye(2)
         J2[:2, 2] = -(_J @ r[:2])
         J2[2, 2] = -1.0
-        return {i: J1, j: J2}
+        return r, {i: J1, j: J2}
 
 
 class PriorResidual:
@@ -156,13 +160,16 @@ class PriorResidual:
         return local(values[self.variables[0]], self.mean)
 
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
-        i = self.variables[0]
+        return self.evaluate_with_jacobians(values)[1]
+
+    def evaluate_with_jacobians(self, values
+                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
         r = self.evaluate(values)
         J = np.zeros((3, 3))
         J[:2, :2] = -np.eye(2)
         J[:2, 2] = -(_J @ r[:2])
         J[2, 2] = -1.0
-        return {i: J}
+        return r, {self.variables[0]: J}
 
 
 class LinearResidual:
@@ -184,6 +191,10 @@ class LinearResidual:
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
         return dict(self.blocks)
 
+    def evaluate_with_jacobians(self, values
+                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
+        return self.evaluate(values), self.jacobians(values)
+
 
 class FuncResidual:
     """Arbitrary residual function; Jacobians by finite differences."""
@@ -199,6 +210,10 @@ class FuncResidual:
 
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
         return numerical_jacobians(self.evaluate, values, self.variables)
+
+    def evaluate_with_jacobians(self, values
+                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
+        return self.evaluate(values), self.jacobians(values)
 
 
 # perfbench/tracer.py patches linearize in this name's class __dict__.

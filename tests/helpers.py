@@ -4,10 +4,86 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import hybridfg
-from hybridfg import (DiscreteFactor, DiscreteKey, HybridFactorGraph,
-                      HybridGaussianFactor, JacobianFactor,
+from hybridfg import (DiscreteFactor, DiscreteKey, GaussianConditional,
+                      HybridFactorGraph, HybridGaussianFactor, JacobianFactor,
                       log_normalization_constant, whiten)
+from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable
+
+
+def reference_eliminate_one(factors, var):
+    """Reference: eliminate_one as it ran before elimination was batched,
+    one QR per stack, with the conditional and the marginal built by their
+    public, checking constructors and the marginal rows signed row by row."""
+    dims = {}
+    for f in factors:
+        for vid in f.blocks:
+            if dims.setdefault(vid, f.dim(vid)) != f.dim(vid):
+                raise ValueError(f"inconsistent dimension for {vid!r}")
+    if var not in dims:
+        raise UnderconstrainedVariable(f"{var!r} appears in no factor")
+    separator = sorted(v for v in dims if v != var)
+    offsets, c = {}, 0
+    for vid in [var] + separator:
+        offsets[vid] = c
+        c += dims[vid]
+    M = np.zeros((sum(f.rows for f in factors), c + 1))
+    r = 0
+    for f in factors:
+        for vid, A in f.blocks.items():
+            M[r:r + f.rows, offsets[vid]:offsets[vid] + A.shape[1]] = A
+        M[r:r + f.rows, -1] = f.rhs
+        r += f.rows
+    dv = dims[var]
+    if M.shape[0] < dv:
+        raise UnderconstrainedVariable(f"{var!r} has too few rows")
+    Rfull = np.linalg.qr(M, mode="r")
+    tol = RANK_TOL * max(float(np.max(np.abs(Rfull))), 1.0)
+    if np.any(np.abs(np.diag(Rfull)[:dv]) <= tol):
+        raise UnderconstrainedVariable(f"{var!r} is rank deficient")
+    conditional = GaussianConditional(
+        var, Rfull[:dv, :dv],
+        {vid: Rfull[:dv, offsets[vid]:offsets[vid] + dims[vid]]
+         for vid in separator}, Rfull[:dv, -1])
+    T = Rfull[dv:].copy()
+    for i in range(T.shape[0]):
+        nz = np.flatnonzero(np.abs(T[i]) > tol)
+        if nz.size and T[i, nz[0]] < 0:
+            T[i] *= -1.0
+    marginal = JacobianFactor({vid: T[:, offsets[vid]:offsets[vid] + dims[vid]]
+                               for vid in separator}, T[:, -1])
+    return conditional, marginal
+
+
+def same_bits(a, b) -> bool:
+    """Arrays equal bit for bit, signs of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_conditional(c1, c2) -> bool:
+    """Bitwise equal conditionals: R, d, every parent block and the
+    log-normalizer."""
+    return (c1.frontal == c2.frontal and c1.parents == c2.parents
+            and list(c1.parent_blocks) == list(c2.parent_blocks)
+            and same_bits(c1.R, c2.R) and same_bits(c1.d, c2.d)
+            and all(same_bits(c1.parent_blocks[v], c2.parent_blocks[v])
+                    for v in c1.parent_blocks)
+            and same_bits(c1.log_normalizer, c2.log_normalizer))
+
+
+def same_marginal(m1, m2) -> bool:
+    """Bitwise equal factors: every block and the rhs."""
+    return (m1.variables == m2.variables and list(m1.blocks) == list(m2.blocks)
+            and all(same_bits(m1.blocks[v], m2.blocks[v]) for v in m1.blocks)
+            and same_bits(m1.rhs, m2.rhs))
+
+
+def same_elimination(got, want) -> bool:
+    """Bitwise equal (conditional, marginal) pairs."""
+    return same_conditional(got[0], want[0]) and same_marginal(got[1], want[1])
 
 
 def random_hybrid_graph(rng, n_cont=4, n_disc=3, with_discrete_factor=True,

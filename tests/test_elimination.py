@@ -11,14 +11,15 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       discrete_marginals, eliminate_hybrid_sum, eliminate_one,
                       log_normalization_constant, max_product,
                       prune_bayes_net, strong_ordering, sum_product, whiten)
-from hybridfg import elimination
 from hybridfg.discrete import DiscreteConditional, _merge_keys, prune_to_top
 from hybridfg.gaussian import UnderconstrainedVariable
 from hybridfg.hybrid import discrete_factor_from_leaves
 from hybridfg.elimination import hypothesis_support, restrict_to_support
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
-from helpers import hypothesis_chain_graph, mixture_graph, random_hybrid_graph
+from helpers import (hypothesis_chain_graph, mixture_graph, random_hybrid_graph,
+                     reference_eliminate_one, same_bits, same_conditional,
+                     same_marginal)
 
 MIXTURE_P0 = 1.0 / (1.0 + math.exp(-2.0))
 
@@ -124,12 +125,12 @@ class TestHeapOrdering:
         assert strong_ordering(g) == [1, 3, 5, 0, 9]
 
 
-def _walk_reference(factors, var):
+def _walk_reference(factors, var, eliminate=eliminate_one):
     """Reference: eliminate_hybrid_sum's former walk over every cell of the
-    clique's mode grid with np.ndindex, one leaf lookup per hybrid per cell.
-    Returns the clique keys and, per cell in flat order, "nil" (a hybrid
-    has no component), "rank" (x underconstrained) or (conditional,
-    marginal, separator constant)."""
+    clique's mode grid with np.ndindex, one leaf lookup per hybrid per cell
+    and one `eliminate` per live cell.  Returns the clique keys and, per
+    cell in flat order, "nil" (a hybrid has no component), "rank" (x
+    underconstrained) or (conditional, marginal, separator constant)."""
     plains = [f for f in factors if isinstance(f, JacobianFactor)]
     hybrids = [f for f in factors if isinstance(f, HybridGaussianFactor)]
     keys = ()
@@ -150,7 +151,7 @@ def _walk_reference(factors, var):
             cells.append("nil")
             continue
         try:
-            conditional, marginal = eliminate_one(stack, var)
+            conditional, marginal = eliminate(stack, var)
         except UnderconstrainedVariable:
             cells.append("rank")
             continue
@@ -191,6 +192,65 @@ def _random_clique(rng):
                                 for v in variables}, np.ones(dx + 1)), 0.0)
         factors.append(HybridGaussianFactor.from_components(keys, leaves))
     return factors
+
+
+def _mixed_layout_clique(rng):
+    """Factors on "x" whose hybrid components differ in row count, so one
+    clique holds several layouts: 1-3 hybrids over shared binary or ternary
+    keys, nil leaves, zero x blocks (rank-deficient cells), and components
+    with fewer rows than x's dimension."""
+    pool = [DiscreteKey(f"m{j}", int(rng.integers(2, 4))) for j in range(3)]
+    dx = int(rng.integers(1, 3))
+    factors = []
+    if rng.random() < 0.3:
+        factors.append(JacobianFactor({"x": rng.normal(size=(1, dx)),
+                                       "z": rng.normal(size=(1, 1))},
+                                      rng.normal(size=1)))
+    for _ in range(int(rng.integers(1, 4))):
+        picks = rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+        keys = [pool[i] for i in sorted(picks)]
+        variables = [v for v in ("x", "y", "z") if v == "x" or rng.random() < 0.5]
+        n = math.prod(k.cardinality for k in keys)
+        leaves = []
+        for _ in range(n):
+            if rng.random() < 0.2:
+                leaves.append(None)
+                continue
+            rows = int(rng.integers(1, dx + 3))
+            blocks = {v: rng.normal(size=(rows, dx if v == "x" else 1))
+                      for v in variables}
+            if rng.random() < 0.15:
+                blocks["x"] = np.zeros((rows, dx))
+            leaves.append((JacobianFactor(blocks, rng.normal(size=rows)),
+                           float(rng.normal())))
+        if all(leaf is None for leaf in leaves):
+            leaves[0] = (JacobianFactor({v: np.eye(dx + 1, dx if v == "x" else 1)
+                                         for v in variables}, np.ones(dx + 1)), 0.0)
+        factors.append(HybridGaussianFactor.from_components(keys, leaves))
+    return factors
+
+
+def _layouts(factors, var):
+    """Row counts of the hybrids' components over the clique's live cells,
+    counting only layouts with at least as many rows as `var` has columns:
+    the QRs a batched elimination has to run.  Every hybrid holds `var`."""
+    plains = [f for f in factors if isinstance(f, JacobianFactor)]
+    hybrids = [f for f in factors if isinstance(f, HybridGaussianFactor)]
+    keys = ()
+    for f in hybrids:
+        keys = _merge_keys(keys, f.keys)
+    pos = {k.id: i for i, k in enumerate(keys)}
+    dv = next(leaf[0].dim(var) for leaf in hybrids[0].components.leaves.flat
+              if leaf is not None)
+    out = set()
+    for idx in np.ndindex(tuple(k.cardinality for k in keys)):
+        leaves = [f.components.leaves[tuple(idx[pos[k.id]] for k in f.keys)]
+                  for f in hybrids]
+        if all(leaf is not None for leaf in leaves):
+            rows = tuple(leaf[0].rows for leaf in leaves)
+            if sum(rows) + sum(f.rows for f in plains) >= dv:
+                out.add(rows)
+    return out
 
 
 def _same_conditional(a, b):
@@ -264,6 +324,60 @@ class TestLiveCells:
                     if cell is not None:
                         assert _same_jacobian(leaf[0], cell[1]), trial
                         assert leaf[1] == cell[2], trial
+        assert all(seen.values()), seen
+
+    def test_layout_groups_match_per_cell_reference(self, monkeypatch):
+        """Cliques whose components differ in row count are eliminated in
+        one QR per layout, and every cell keeps the bits of the reference's
+        per-cell elimination: conditional, marginal, constant, nil
+        positions and boundary potentials."""
+        calls = []
+        real_qr = np.linalg.qr
+
+        def counting_qr(M, mode):
+            calls.append(M.shape)
+            return real_qr(M, mode=mode)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        rng = np.random.default_rng(24)
+        seen = {"nil": 0, "rank": 0, "boundary": 0, "all dead": 0,
+                "several layouts": 0}
+        for trial in range(300):
+            factors = _mixed_layout_clique(rng)
+            keys, ref = _walk_reference(factors, "x", reference_eliminate_one)
+            for cell in ref:
+                if isinstance(cell, str):
+                    seen[cell] += 1
+            layouts = _layouts(factors, "x")
+            seen["several layouts"] += len(layouts) > 1
+            calls.clear()
+            if all(isinstance(cell, str) for cell in ref):
+                seen["all dead"] += 1
+                with pytest.raises(UnderconstrainedVariable,
+                                   match="unconstrained in every mode"):
+                    eliminate_hybrid_sum(factors, "x")
+                assert len(calls) == len(layouts), trial
+                continue
+            cond, sep = eliminate_hybrid_sum(factors, "x")
+            assert len(calls) == len(layouts), trial
+            ref = [cell if isinstance(cell, tuple) else None for cell in ref]
+            assert cond.keys == sep.keys == keys, trial
+            for leaf, cell in zip(cond.components.leaves.reshape(-1), ref):
+                assert (leaf is None) == (cell is None), trial
+                if cell is not None:
+                    assert same_conditional(leaf, cell[0]), trial
+            if isinstance(sep, DiscreteFactor):
+                seen["boundary"] += 1
+                bound = [None if cell is None else cell[1].error({}) + cell[2]
+                         for cell in ref]
+                want = discrete_factor_from_leaves(DecisionTree(keys, bound))
+                assert same_bits(sep.potentials.leaves,
+                                 want.potentials.leaves), trial
+                continue
+            for leaf, cell in zip(sep.components.leaves.reshape(-1), ref):
+                assert (leaf is None) == (cell is None), trial
+                if cell is not None:
+                    assert same_marginal(leaf[0], cell[1]), trial
+                    assert same_bits(leaf[1], cell[2]), trial
         assert all(seen.values()), seen
 
     def test_restrict_to_support_matches_reference_rule(self):
@@ -402,6 +516,27 @@ class TestEliminateHybridSum:
         with pytest.raises(ValueError, match="unconstrained in every mode"):
             eliminate_hybrid_sum([f], "x")
 
+    def test_all_modes_dead_across_layouts_raises(self, monkeypatch):
+        """Rank deficient in every cell of two layouts: one QR per layout,
+        then the clique is refused."""
+        m = DiscreteKey("m", 3)
+        f = HybridGaussianFactor.from_components([m], [
+            (JacobianFactor({"x": [[0.0]], "y": [[1.0]]}, [0.0]), 0.0),
+            (JacobianFactor({"x": [[0.0], [0.0]], "y": [[1.0], [2.0]]},
+                            [0.0, 1.0]), 0.0),
+            (JacobianFactor({"x": [[0.0]], "y": [[3.0]]}, [1.0]), 0.0),
+        ])
+        shapes = []
+        real_qr = np.linalg.qr
+
+        def counting_qr(M, mode):
+            shapes.append(M.shape)
+            return real_qr(M, mode=mode)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        with pytest.raises(ValueError, match="unconstrained in every mode"):
+            eliminate_hybrid_sum([f], "x")
+        assert sorted(shapes) == [(1, 2, 3), (2, 1, 3)]
+
     def test_too_many_modes_refused_before_any_qr(self, monkeypatch):
         """21 binary modes on one variable exceed the enumeration cap: the
         clique fails at once instead of running a QR per mode."""
@@ -410,9 +545,9 @@ class TestEliminateHybridSum:
             [(whiten({"x": [[1.0]]}, [float(v)], 1.0), 0.0) for v in (0, 1)])
             for i in range(21)]
 
-        def no_qr(*args):
+        def no_qr(*args, **kwargs):
             raise AssertionError("per-mode QR started")
-        monkeypatch.setattr(elimination, "eliminate_one", no_qr)
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
         with pytest.raises(ValueError, match="enumeration too large"):
             eliminate_hybrid_sum(factors, "x")
 

@@ -6,8 +6,10 @@ import pytest
 from hybridfg.gaussian import (RANK_TOL, GaussianConditional, JacobianFactor,
                                UnderconstrainedVariable, _stack,
                                back_substitute, eliminate_one,
-                               log_normalization_constant, sigma_cholesky,
-                               whiten)
+                               eliminate_stacked, log_normalization_constant,
+                               sigma_cholesky, whiten)
+
+from helpers import reference_eliminate_one, same_elimination
 
 
 def _random_spd(rng, n):
@@ -189,7 +191,8 @@ class TestMarginalRowSigns:
                 factors.append(JacobianFactor(blocks, rhs))
             _, marginal = eliminate_one(factors, "x")
             present = sorted({v for f in factors for v in f.blocks} - {"x"})
-            Rfull = np.linalg.qr(_stack(factors, ["x"] + present, dims), mode="r")
+            Rfull = np.linalg.qr(_stack(factors, ["x"] + present, dims)[0],
+                                 mode="r")
             tol = RANK_TOL * max(float(np.max(np.abs(Rfull))), 1.0)
             want = _loop_row_signs(Rfull[dims["x"]:], tol)[:, dims["x"]:]
             got = np.hstack([marginal.blocks[v] for v in present]
@@ -199,6 +202,111 @@ class TestMarginalRowSigns:
             for row in got:
                 significant = np.flatnonzero(np.abs(row) > tol)
                 assert not significant.size or row[significant[0]] >= 0
+
+
+def _random_batch(rng):
+    """k systems of one random layout on "x" and up to three separator
+    variables of dimension 1-3: shared factors (the same in every system)
+    and per-system factors, with zero x blocks (rank-deficient systems),
+    zero rows, and layouts with fewer rows than columns or than x needs."""
+    dims = {"x": int(rng.integers(1, 4))}
+    dims.update({f"s{i}": int(rng.integers(1, 4))
+                 for i in range(int(rng.integers(0, 4)))})
+    layout = []
+    for _ in range(int(rng.integers(1, 5))):
+        used = [v for v in dims if rng.random() < 0.6] or ["x"]
+        layout.append((used, int(rng.integers(1, 5)), rng.random() < 0.3))
+    if not any("x" in used for used, _, _ in layout):
+        layout[0][0].append("x")
+    k = int(rng.integers(1, 7))
+
+    def factor(used, rows):
+        blocks = {v: rng.normal(size=(rows, dims[v])) for v in used}
+        rhs = rng.normal(size=rows)
+        if "x" in blocks and rng.random() < 0.15:
+            blocks["x"][:] = 0.0
+        if rng.random() < 0.1:
+            for B in blocks.values():
+                B[-1] = 0.0
+            rhs[-1] = 0.0
+        return JacobianFactor(blocks, rhs)
+
+    shared = [factor(used, rows) for used, rows, is_shared in layout if is_shared]
+    per_cell = [[factor(used, rows) for _ in range(k)]
+                for used, rows, is_shared in layout if not is_shared]
+    if not per_cell:
+        k = 1
+    systems = [shared + [col[i] for col in per_cell] for i in range(k)]
+    present = sorted({v for used, _, _ in layout for v in used} - {"x"})
+    return _stack(shared, ["x"] + present, dims, per_cell), present, dims, systems
+
+
+class TestEliminateStacked:
+    def test_batch_matches_per_cell_reference(self):
+        """One batched QR gives, system by system, the bits of the
+        reference's per-stack elimination: R, d, parent blocks,
+        log-normalizer, marginal blocks and rhs, and None exactly where the
+        reference finds x rank deficient."""
+        rng = np.random.default_rng(31)
+        seen = {"rank": 0, "1-D x": 0, "wide": 0, "no separator": 0,
+                "too few rows": 0, "batch": 0}
+        for trial in range(400):
+            M, present, dims, systems = _random_batch(rng)
+            want = []
+            for factors in systems:
+                try:
+                    want.append(reference_eliminate_one(factors, "x"))
+                except UnderconstrainedVariable:
+                    want.append(None)
+            if M.shape[1] < dims["x"]:
+                seen["too few rows"] += 1
+                with pytest.raises(UnderconstrainedVariable, match="rows"):
+                    eliminate_stacked(M, "x", present, dims)
+                continue
+            got = eliminate_stacked(M, "x", present, dims)
+            assert len(got) == len(systems), trial
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None), trial
+                if g is not None:
+                    assert same_elimination(g, w), trial
+            seen["rank"] += want.count(None)
+            seen["1-D x"] += dims["x"] == 1
+            seen["wide"] += M.shape[1] < M.shape[2]
+            seen["no separator"] += not present
+            seen["batch"] += len(systems) > 1
+        assert all(seen.values()), seen
+
+    def test_eliminate_one_is_the_batch_of_one(self):
+        rng = np.random.default_rng(32)
+        for trial in range(200):
+            M, present, dims, systems = _random_batch(rng)
+            for factors in systems:
+                try:
+                    want = reference_eliminate_one(factors, "x")
+                except UnderconstrainedVariable:
+                    with pytest.raises(UnderconstrainedVariable):
+                        eliminate_one(factors, "x")
+                    continue
+                assert same_elimination(eliminate_one(factors, "x"), want), trial
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        M = np.random.default_rng(33).normal(size=(3, 4, 3))
+        M[1, 2, 1] = bad
+        with pytest.raises(ValueError):
+            eliminate_stacked(M, "x", ["y"], {"x": 1, "y": 1})
+
+
+class TestSortedIds:
+    def test_computed_once_at_construction(self):
+        f = JacobianFactor({"b": [[1.0]], "a": [[2.0]]}, [0.0])
+        assert f.variables == ("a", "b") and f.variables is f.variables
+        c = GaussianConditional("x", [[1.0]], {"z": [[1.0]], "y": [[1.0]]}, [0.0])
+        assert c.parents == ("y", "z") and c.parents is c.parents
+        cond, marginal = eliminate_one([f, JacobianFactor({"a": [[1.0]],
+                                                           "c": [[1.0]]}, [1.0])],
+                                       "a")
+        assert cond.parents == marginal.variables == ("b", "c")
 
 
 class TestLogNormalizer:

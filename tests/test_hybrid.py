@@ -141,6 +141,21 @@ class TestDiscreteFactorFromLeaves:
         f = discrete_factor_from_leaves(t)
         np.testing.assert_allclose(f.potentials.leaves, [1.0, 0.0])
 
+    def test_float_leaves_match_object_leaves(self):
+        """A float tree, with +inf for nil, gives the bits of the same
+        leaves held as objects with None, all-nil trees included."""
+        rng = np.random.default_rng(12)
+        keys = [M, DiscreteKey("n", 3)]
+        for _ in range(200):
+            vals = rng.normal(scale=10.0 ** rng.uniform(-2, 3), size=6)
+            nil = rng.random(6) < rng.choice([0.0, 0.3, 1.0])
+            objects = [None if n else float(v) for v, n in zip(vals, nil)]
+            floats = np.where(nil, math.inf, vals)
+            want = discrete_factor_from_leaves(DecisionTree(keys, objects))
+            got = discrete_factor_from_leaves(DecisionTree(keys, floats))
+            assert got.potentials.leaves.tobytes() == want.potentials.leaves.tobytes()
+            assert np.all(got.potentials.leaves.reshape(-1)[nil] == 0.0)
+
 
 class TestStructuralInvariants:
     def test_leaves_must_share_variables(self):
