@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .nonlinear import Pose2, between, compose
+from .nonlinear import Pose2, between_stacked, compose, local, pose_rows
 
 
 class DatasetParseError(ValueError):
@@ -196,18 +196,19 @@ def square_loop_dataset(seed: int = 0, num_poses: int = 100,
         picks = np.linspace(lo + 1, hi - 2, q).round().astype(int)
         ambiguous.update(int(p) for p in picks)
 
-    def noisy(rel: Pose2) -> Tuple[float, float, float]:
-        return (rel.x + rng.normal(scale=sigma_xy),
-                rel.y + rng.normal(scale=sigma_xy),
-                rel.theta + rng.normal(scale=sigma_theta))
+    def noisy(rel: List[float]) -> Tuple[float, float, float]:
+        return (rel[0] + rng.normal(scale=sigma_xy),
+                rel[1] + rng.normal(scale=sigma_xy),
+                rel[2] + rng.normal(scale=sigma_theta))
 
     entries: List[DatasetEntry] = []
     true_modes = {}
     loops_by_target = {t: t - _LAP for t in loop_targets}
     amb_index = 0
+    rows = pose_rows(truth)
+    steps = between_stacked(rows[:-1], rows[1:]).tolist()
     for k in range(num_poses - 1):
-        rel = between(truth[k], truth[k + 1])
-        meas = noisy(rel)
+        meas = noisy(steps[k])
         if k in ambiguous:
             decoy = (meas[0] + decoy_offset[0], meas[1] + decoy_offset[1],
                      meas[2] + decoy_offset[2])
@@ -220,7 +221,7 @@ def square_loop_dataset(seed: int = 0, num_poses: int = 100,
             entries.append(Odometry(k, k + 1, (meas,), sigma_xy, sigma_theta))
         if k + 1 in loops_by_target:
             frm = loops_by_target[k + 1]
-            lrel = noisy(between(truth[frm], truth[k + 1]))
+            lrel = noisy(local(truth[frm], truth[k + 1]).tolist())
             entries.append(LoopClosure(frm, k + 1, lrel[0], lrel[1], lrel[2],
                                        sigma_xy, sigma_theta))
     placed = sum(isinstance(e, LoopClosure) for e in entries)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -266,16 +267,23 @@ def max_product(g: HybridFactorGraph,
     return bn_map(sum_product(g, ordering))
 
 
-def _live_mask(support: DecisionTree, keys: Sequence[DiscreteKey]) -> np.ndarray:
-    """Project a 0/1 support onto `keys` as a bool mask that broadcasts over
-    them: a cell is live when some live hypothesis agrees with it on the
-    keys both share.  Keys the support lacks stay free."""
-    ids = {k.id for k in keys}
-    live = support.leaves > 0
-    lacked = tuple(i for i, k in enumerate(support.keys) if k.id not in ids)
-    if lacked:
-        live = live.any(axis=lacked)
-    return _expand(live, [k for k in support.keys if k.id in ids], keys)
+def _live_masks(support: DecisionTree
+                ) -> Callable[[Sequence[DiscreteKey]], np.ndarray]:
+    """Projector of a 0/1 support onto a factor's keys.  The returned
+    function gives a bool mask that broadcasts over `keys`: a cell is live
+    when some live hypothesis agrees with it on the keys both share; keys
+    the support lacks stay free (unit axes).  The live hypotheses are
+    found once, so each mask costs their number, not the support's size."""
+    hits = np.nonzero(np.atleast_1d(support.leaves > 0))
+    rows = dict(zip((k.id for k in support.keys), hits))
+
+    def mask(keys: Sequence[DiscreteKey]) -> np.ndarray:
+        live = np.zeros(tuple(k.cardinality if k.id in rows else 1
+                              for k in keys), dtype=bool)
+        if hits[0].size:
+            live[tuple(rows.get(k.id, 0) for k in keys)] = True
+        return live
+    return mask
 
 
 def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
@@ -294,9 +302,10 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     if np.array_equal(pruned.leaves, joint.leaves):
         return HybridBayesNet(list(bn.conditionals))
     out = HybridBayesNet()
+    live_mask = _live_masks(pruned)
     for c in bn.continuous_conditionals():
         if isinstance(c, HybridGaussianConditional):
-            tree = c.components.where(_live_mask(pruned, c.keys))
+            tree = c.components.where(live_mask(c.keys))
             out.append(HybridGaussianConditional(c.keys, tree))
         else:
             out.append(c)
@@ -329,11 +338,12 @@ def restrict_to_support(g: HybridFactorGraph, support: DecisionTree
     out = HybridFactorGraph()
     out.continuous_factors = list(g.continuous_factors)
     support_ids = {k.id for k in support.keys}
+    live_mask = _live_masks(support)
     for hf in g.hybrid_factors:
         if support_ids.isdisjoint(k.id for k in hf.keys):
             out.hybrid_factors.append(hf)
             continue
-        tree = hf.components.where(_live_mask(support, hf.keys))
+        tree = hf.components.where(live_mask(hf.keys))
         out.hybrid_factors.append(HybridGaussianFactor(hf.keys, tree))
     out.discrete_factors = list(g.discrete_factors)
     out.discrete_factors.append(DiscreteFactor(support.keys, support))

@@ -215,8 +215,7 @@ def log_normalization_constant(sigma, dim: int = None) -> float:
 class NoiseModel:
     """Gaussian noise on `dim`-vectors (None: sigma's size), checked and
     factored once into Sigma = L L^T.  `sigma` is a read-only copy, so L
-    cannot go stale; whitening solves against L, as an inverse would change
-    the last bits."""
+    cannot go stale."""
 
     __slots__ = ("sigma", "L", "log_normalizer")
 
@@ -237,29 +236,37 @@ class NoiseModel:
     def __setattr__(self, name, value):
         raise AttributeError("NoiseModel is immutable")
 
-    def _solve(self, M: np.ndarray) -> np.ndarray:
-        if M.shape[0] != self.L.shape[0]:
+    def check_rows(self, rows: int):
+        if rows != self.L.shape[0]:
             raise ValueError("invalid noise model: size mismatch with measurement")
-        return np.linalg.solve(self.L, M)
-
-    def error(self, r) -> float:
-        """0.5 ||r||^2_Sigma."""
-        w = self._solve(_as_vector(r))
-        return 0.5 * float(w @ w)
 
     def whiten(self, blocks: Mapping[Any, Any], z) -> JacobianFactor:
-        """A = L^{-1} H, b = L^{-1} z, so 0.5||Ax-b||^2 = 0.5||Hx-z||^2_Sigma.
-        One solve for all blocks; z gets its own, as LAPACK solves a lone
-        column by another kernel and stacking would change its last bits."""
+        """A = L^{-1} H, b = L^{-1} z, so 0.5||Ax-b||^2 = 0.5||Hx-z||^2_Sigma:
+        whiten_stacked on one system."""
         mats = {vid: _as_matrix(H) for vid, H in blocks.items()}
+        z = _as_vector(z)
+        for rows in [z.shape[0]] + [M.shape[0] for M in mats.values()]:
+            self.check_rows(rows)
+        H = np.hstack(list(mats.values()))[None] if mats else None
+        W, w = whiten_stacked(self.L[None], H, z[None])
         wb = {}
-        if mats:
-            W = self._solve(np.hstack(list(mats.values())))
-            c = 0
-            for vid, H in mats.items():
-                wb[vid] = W[:, c:c + H.shape[1]]
-                c += H.shape[1]
-        return JacobianFactor(wb, self._solve(_as_vector(z)))
+        c = 0
+        for vid, M in mats.items():
+            wb[vid] = W[0, :, c:c + M.shape[1]]
+            c += M.shape[1]
+        return JacobianFactor(wb, w[0])
+
+
+def whiten_stacked(L: np.ndarray, H: Optional[np.ndarray], z: np.ndarray
+                   ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Whiten k systems H_n x = z_n against their noise factors L_n
+    (k, d, d): returns L^{-1} H (k, d, c), or None without H, and L^{-1} z
+    (k, d).  One batched solve for the blocks and one for the right-hand
+    sides, as LAPACK solves a lone column by another kernel: system n gets
+    the bits of solving it alone.  Sigma = L L^T is solved against, not
+    inverted, as an inverse would change the last bits."""
+    W = None if H is None else np.linalg.solve(L, H)
+    return W, np.linalg.solve(L, z[:, :, None])[:, :, 0]
 
 
 def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:

@@ -20,7 +20,7 @@ import numpy as np
 from .discrete import (Assignment, DecisionTree, DiscreteConditional,
                        DiscreteFactor, DiscreteKey, _merge_keys, _sorted_keys)
 from .gaussian import (GaussianConditional, JacobianFactor, NoiseModel,
-                       VectorValues)
+                       VectorValues, whiten_stacked)
 
 
 @dataclass
@@ -178,21 +178,97 @@ def discrete_factor_from_leaves(tree: DecisionTree) -> DiscreteFactor:
     return DiscreteFactor(tree.keys, pots)
 
 
-def _linearize_component(res, noise, values, evaluated: Dict[int, Any]
-                         ) -> Tuple[JacobianFactor, float]:
-    """Whitened linearization of one residual at `values`.  `evaluated`
-    keeps each residual object's (r, Jacobians), so leaves that share a
-    residual evaluate it once."""
-    if id(res) not in evaluated:
-        r0, jacs = res.evaluate_with_jacobians(values)
-        for J in jacs.values():
-            if not np.all(np.isfinite(J)):
-                raise ValueError("linearization failure: non-finite Jacobian")
-        if not np.all(np.isfinite(r0)):
-            raise ValueError("linearization failure: non-finite residual")
-        evaluated[id(res)] = (r0, jacs)
-    r0, jacs = evaluated[id(res)]
-    return noise.whiten(jacs, -r0), noise.log_normalizer
+def _evaluate(uses: Sequence[Tuple[Any, NoiseModel]], values):
+    """Evaluate each distinct residual object of the (residual, noise) pairs
+    `uses` once, with one evaluate_stacked call per residual class.  Returns
+    {class: (residuals, Jacobians, column ranges)} and, per use, its
+    (class, position) in them."""
+    batches: Dict[type, List[Any]] = {}
+    seen: Dict[int, Tuple[type, int]] = {}
+    where = []
+    for res, _ in uses:
+        at = seen.get(id(res))
+        if at is None:
+            batch = batches.setdefault(type(res), [])
+            at = seen[id(res)] = (type(res), len(batch))
+            batch.append(res)
+        where.append(at)
+    stacks = {cls: cls.evaluate_stacked(batch, values)
+              for cls, batch in batches.items()}
+    return stacks, where
+
+
+def _take(stack, positions: List[int]) -> np.ndarray:
+    """The items at `positions` of a stacked array or a list of arrays."""
+    if isinstance(stack, np.ndarray):
+        return stack[positions]
+    return np.stack([stack[p] for p in positions])
+
+
+def _all_finite(stack) -> bool:
+    if isinstance(stack, np.ndarray):
+        return bool(np.isfinite(stack).all())
+    return all(np.isfinite(a).all() for a in stack)
+
+
+def _groups(uses, stacks, where, jacobians: bool) -> Dict[Any, List[int]]:
+    """Uses grouped by residual class and the shape of their Jacobian (or,
+    without `jacobians`, their residual), each checked against its noise
+    model's size."""
+    groups: Dict[Any, List[int]] = {}
+    for n, (cls, pos) in enumerate(where):
+        stack = stacks[cls][1 if jacobians else 0]
+        shape = stack.shape[1:] if isinstance(stack, np.ndarray) \
+            else stack[pos].shape
+        uses[n][1].check_rows(shape[0])
+        groups.setdefault((cls, shape), []).append(n)
+    return groups
+
+
+def linearize_components(uses: Sequence[Tuple[Any, NoiseModel]], values
+                         ) -> List[Tuple[JacobianFactor, float]]:
+    """Whitened linearizations (factor, log sqrt|2 pi Sigma|) of the
+    (residual, noise) pairs `uses` at `values`, in order, in one stacked
+    pass: every distinct residual evaluated and differentiated once (see
+    _evaluate), then each group of one class and Jacobian shape whitened
+    by whiten_stacked."""
+    stacks, where = _evaluate(uses, values)
+    if not all(_all_finite(H) for _, H, _ in stacks.values()):
+        raise ValueError("linearization failure: non-finite Jacobian")
+    if not all(_all_finite(r) for r, _, _ in stacks.values()):
+        raise ValueError("linearization failure: non-finite residual")
+    out: List[Any] = [None] * len(uses)
+    for (cls, _), members in _groups(uses, stacks, where, True).items():
+        r, H, columns = stacks[cls]
+        positions = [where[n][1] for n in members]
+        noises = [uses[n][1] for n in members]
+        W, w = whiten_stacked(np.stack([noise.L for noise in noises]),
+                              _take(H, positions), -_take(r, positions))
+        # Whitening can overflow; the checking constructor then says where.
+        checked = not (np.isfinite(W).all() and np.isfinite(w).all())
+        for n, Wn, wn, pos, noise in zip(members, W, w, positions, noises):
+            blocks = {vid: Wn[:, a:b] for vid, a, b in columns[pos]}
+            jf = JacobianFactor(blocks, wn) if checked else \
+                JacobianFactor._own(blocks, wn, tuple(sorted(blocks)))
+            out[n] = (jf, noise.log_normalizer)
+    return out
+
+
+def component_errors(uses: Sequence[Tuple[Any, NoiseModel]], values
+                     ) -> List[float]:
+    """0.5 ||r||^2_Sigma of the (residual, noise) pairs `uses` at `values`,
+    in order: the residuals of linearize_components, whitened by one
+    batched solve per group, and each squared norm one dot product."""
+    stacks, where = _evaluate(uses, values)
+    out: List[Any] = [None] * len(uses)
+    for (cls, _), members in _groups(uses, stacks, where, False).items():
+        r = stacks[cls][0]
+        _, w = whiten_stacked(np.stack([uses[n][1].L for n in members]), None,
+                              _take(r, [where[n][1] for n in members]))
+        errors = 0.5 * (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+        for n, e in zip(members, errors.tolist()):
+            out[n] = e
+    return out
 
 
 class NonlinearFactor:
@@ -211,11 +287,17 @@ class NonlinearFactor:
         return tuple(self.residual.variables)
 
     def error(self, values) -> float:
-        return self.noise.error(self.residual.evaluate(values))
+        return component_errors(self._uses(), values)[0]
+
+    def _uses(self) -> List[Tuple[Any, NoiseModel]]:
+        return [(self.residual, self.noise)]
+
+    def _assemble(self, linearized) -> JacobianFactor:
+        return next(linearized)[0]
 
     def linearize(self, values) -> JacobianFactor:
         """Whitened linear factor on the update vector at `values`."""
-        return _linearize_component(self.residual, self.noise, values, {})[0]
+        return self._assemble(iter(linearize_components(self._uses(), values)))
 
 
 class HybridNonlinearFactor:
@@ -260,7 +342,8 @@ class HybridNonlinearFactor:
         if leaf is None:
             return math.inf
         noise = self.noise.leaf(assignment)
-        return noise.error(leaf[0].evaluate(values)) + noise.log_normalizer
+        return component_errors([(leaf[0], noise)], values)[0] \
+            + noise.log_normalizer
 
     def restrict(self, fixed: Assignment):
         """Choose components for fixed modes; with no keys left the factor
@@ -276,16 +359,21 @@ class HybridNonlinearFactor:
             raise ValueError("restriction selects a pruned component")
         return NonlinearFactor(leaf[0], leaf[1])
 
+    def _uses(self) -> List[Tuple[Any, NoiseModel]]:
+        return [(leaf[0], noise) for leaf, noise
+                in zip(self.components.leaves.flat, self.noise.leaves.flat)
+                if leaf is not None]
+
+    def _assemble(self, linearized) -> HybridGaussianFactor:
+        leaves = [None if leaf is None else next(linearized)
+                  for leaf in self.components.leaves.flat]
+        return HybridGaussianFactor(self.keys, DecisionTree(self.keys, leaves))
+
     def linearize(self, values) -> HybridGaussianFactor:
         """Hybrid Gaussian factor at `values` whose leaves carry the per-mode
         constant log sqrt|2 pi Sigma^m|.  A residual that several leaves
         share (a switchable loop closure's) is evaluated once."""
-        evaluated: Dict[int, Any] = {}
-        leaves = [None if leaf is None
-                  else _linearize_component(leaf[0], noise, values, evaluated)
-                  for leaf, noise in zip(self.components.leaves.reshape(-1),
-                                         self.noise.leaves.reshape(-1))]
-        return HybridGaussianFactor(self.keys, DecisionTree(self.keys, leaves))
+        return self._assemble(iter(linearize_components(self._uses(), values)))
 
 
 class HybridFactorGraph:
@@ -339,12 +427,14 @@ class HybridFactorGraph:
         return keys
 
     def linearize(self, values) -> "HybridFactorGraph":
-        """The linearization of a nonlinear model at `values`."""
+        """The linearization of a nonlinear model at `values`, every factor
+        in one linearize_components pass."""
+        factors = self.continuous_factors + self.hybrid_factors
+        linearized = iter(linearize_components(
+            [use for f in factors for use in f._uses()], values))
         lin = HybridFactorGraph()
-        for f in self.continuous_factors:
-            lin.add(f.linearize(values))
-        for f in self.hybrid_factors:
-            lin.add(f.linearize(values))
+        for f in factors:
+            lin.add(f._assemble(linearized))
         for f in self.discrete_factors:
             lin.add(f)
         return lin
@@ -367,12 +457,31 @@ class HybridFactorGraph:
 
     def error(self, values, assignment: Assignment) -> float:
         """Negative-log unnormalized posterior at (values, assignment),
-        mode-dependent constants included."""
+        mode-dependent constants included.  The nonlinear factors' residuals
+        are evaluated and whitened in one component_errors pass."""
+        nonlinear = [f for f in self.continuous_factors
+                     if isinstance(f, NonlinearFactor)]
+        chosen = []     # per hybrid nonlinear factor: its (residual, noise)
+        for f in self.hybrid_factors:
+            if isinstance(f, HybridNonlinearFactor):
+                leaf = f.component(assignment)
+                chosen.append(None if leaf is None
+                              else (leaf[0], f.noise.leaf(assignment)))
+        errors = iter(component_errors(
+            [(f.residual, f.noise) for f in nonlinear]
+            + [use for use in chosen if use is not None], values))
+        chosen_iter = iter(chosen)
         total = 0.0
         for f in self.continuous_factors:
-            total += f.error(values)
+            total += next(errors) if isinstance(f, NonlinearFactor) \
+                else f.error(values)
         for f in self.hybrid_factors:
-            total += f.error(values, assignment)
+            if not isinstance(f, HybridNonlinearFactor):
+                total += f.error(values, assignment)
+                continue
+            use = next(chosen_iter)
+            total += math.inf if use is None \
+                else next(errors) + use[1].log_normalizer
         for f in self.discrete_factors:
             p = f.value(assignment)
             total += -math.log(p) if p > 0 else math.inf

@@ -6,6 +6,11 @@ pose whose coordinates are d, and local(p, q) inverts it exactly, so
 retract(p, local(p, q)) == q to machine precision.  Between/prior residuals
 carry analytic Jacobians in this chart; arbitrary user residuals fall back
 to central finite differences.
+
+The SE(2) operations work on stacked (N, 3) pose rows, and each residual
+class has an evaluate_stacked that evaluates and differentiates N residuals
+at once; the one-pose functions and evaluate_with_jacobians are their
+batches of one, so there is one arithmetic and it is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % (2.0 * math.pi)
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle elementwise: np.remainder is Python's float %, bit for
+    bit."""
+    return math.pi - np.remainder(math.pi - theta, 2.0 * math.pi)
+
+
 @dataclass(frozen=True)
 class Pose2:
     """SE(2) pose; theta is normalized into (-pi, pi] on construction."""
@@ -44,9 +55,18 @@ class Pose2:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
+    @classmethod
+    def _of(cls, row) -> "Pose2":
+        """The pose of a stacked row (x, y, theta) whose angle is already
+        wrapped: wrapping twice could move its last bit."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "x", float(row[0]))
+        object.__setattr__(p, "y", float(row[1]))
+        object.__setattr__(p, "theta", float(row[2]))
+        return p
+
     def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([[c, -s], [s, c]])
+        return _rotations(np.array([self.theta]))[0]
 
     def translation(self) -> np.ndarray:
         return np.array([self.x, self.y])
@@ -55,29 +75,85 @@ class Pose2:
         return np.array([self.x, self.y, self.theta])
 
 
+# Stacked SE(2): N poses as an (N, 3) array of rows (x, y, theta).  Each
+# operation does the scalar arithmetic op for op, so row n of a result has
+# the bits of the same operation on pose n alone: np.cos/np.sin are
+# math.cos/math.sin elementwise, and a stacked (N,2,2) @ (N,2,1) np.matmul
+# makes one BLAS matrix-vector call per pose, as (2,2) @ (2,) does.
+
+
+def _rotations(theta: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) rotation matrices of N angles."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.empty(theta.shape + (2, 2))
+    R[:, 0, 0] = c
+    R[:, 0, 1] = -s
+    R[:, 1, 0] = s
+    R[:, 1, 1] = c
+    return R
+
+
+def _rotate(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row n is R[n] @ t[n], for (N, 2, 2) R and (N, 2) t."""
+    return (R @ t[:, :, None])[:, :, 0]
+
+
+def compose_stacked(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row n is compose(P[n], Q[n])."""
+    out = np.empty(P.shape)
+    out[:, :2] = P[:, :2] + _rotate(_rotations(P[:, 2]), Q[:, :2])
+    out[:, 2] = wrap_angles(P[:, 2] + Q[:, 2])
+    return out
+
+
+def inverse_stacked(P: np.ndarray) -> np.ndarray:
+    """Row n is inverse(P[n])."""
+    out = np.empty(P.shape)
+    out[:, :2] = -_rotate(_rotations(P[:, 2]).swapaxes(1, 2), P[:, :2])
+    out[:, 2] = wrap_angles(-P[:, 2])
+    return out
+
+
+def between_stacked(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row n is between(P[n], Q[n]), which is also local(P[n], Q[n])."""
+    return compose_stacked(inverse_stacked(P), Q)
+
+
+def retract_stacked(P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Row n is retract(P[n], D[n]): the step's angle is wrapped first, as
+    the Pose2 it makes would be."""
+    D = np.array(D, dtype=float)
+    D[:, 2] = wrap_angles(D[:, 2])
+    return compose_stacked(P, D)
+
+
+def pose_rows(poses) -> np.ndarray:
+    """(N, 3) rows of an iterable of Pose2."""
+    return np.array([(p.x, p.y, p.theta) for p in poses], dtype=float
+                    ).reshape(-1, 3)
+
+
 def compose(p1: Pose2, p2: Pose2) -> Pose2:
-    t = p1.translation() + p1.rotation() @ p2.translation()
-    return Pose2(t[0], t[1], p1.theta + p2.theta)
+    return Pose2._of(compose_stacked(pose_rows((p1,)), pose_rows((p2,)))[0])
 
 
 def inverse(p: Pose2) -> Pose2:
-    t = -(p.rotation().T @ p.translation())
-    return Pose2(t[0], t[1], -p.theta)
+    return Pose2._of(inverse_stacked(pose_rows((p,)))[0])
 
 
 def between(p1: Pose2, p2: Pose2) -> Pose2:
     """Relative pose: p1^{-1} o p2."""
-    return compose(inverse(p1), p2)
+    return Pose2._of(local(p1, p2))
 
 
 def retract(p: Pose2, delta: np.ndarray) -> Pose2:
-    d = np.asarray(delta, dtype=float).reshape(-1)
-    return compose(p, Pose2(d[0], d[1], d[2]))
+    d = np.asarray(delta, dtype=float).reshape(1, -1)[:, :3]
+    return Pose2._of(retract_stacked(pose_rows((p,)), d)[0])
 
 
 def local(p1: Pose2, p2: Pose2) -> np.ndarray:
     """Chart coordinates of p2 around p1; inverse of retract."""
-    return between(p1, p2).as_vector()
+    return between_stacked(pose_rows((p1,)), pose_rows((p2,)))[0]
 
 
 def _tangent_dim(value) -> int:
@@ -91,8 +167,20 @@ def _retract_value(value, delta):
 
 
 def retract_values(values: Mapping[Any, Any], delta: Mapping[Any, np.ndarray]):
-    return {vid: _retract_value(v, delta[vid]) if vid in delta else v
-            for vid, v in values.items()}
+    """`values` with each one that has a step in `delta` retracted by it:
+    all Pose2 values in one retract_stacked call."""
+    out = dict(values)
+    poses = [vid for vid, v in values.items()
+             if vid in delta and isinstance(v, Pose2)]
+    if poses:
+        steps = np.array([np.asarray(delta[vid], dtype=float).reshape(-1)[:3]
+                          for vid in poses])
+        rows = retract_stacked(pose_rows(values[vid] for vid in poses), steps)
+        out.update(zip(poses, map(Pose2._of, rows.tolist())))
+    for vid, v in values.items():
+        if vid in delta and not isinstance(v, Pose2):
+            out[vid] = _retract_value(v, delta[vid])
+    return out
 
 
 def numerical_jacobians(residual: Callable[[Mapping[Any, Any]], np.ndarray],
@@ -115,6 +203,36 @@ def numerical_jacobians(residual: Callable[[Mapping[Any, Any]], np.ndarray],
     return out
 
 
+def _columns(widths) -> Tuple[Tuple[Any, int, int], ...]:
+    """Column ranges (vid, start, stop) of a Jacobian [J_1 | J_2 | ...] from
+    (vid, width) pairs in column order."""
+    out, c = [], 0
+    for vid, w in widths:
+        out.append((vid, c, c + w))
+        c += w
+    return tuple(out)
+
+
+def _one(res, values) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
+    """evaluate_with_jacobians as the batch of one of evaluate_stacked."""
+    (r,), (H,), (cols,) = res.evaluate_stacked([res], values)
+    return r, {vid: H[:, a:b] for vid, a, b in cols}
+
+
+def _evaluate_each(residuals, values):
+    """evaluate_stacked for residual classes whose residuals can differ in
+    shape: a loop over evaluate_with_jacobians that returns lists of
+    per-residual residuals, Jacobians [J_1 | J_2 | ...] and column ranges."""
+    rs, Hs, cols = [], [], []
+    for res in residuals:
+        r, jacs = res.evaluate_with_jacobians(values)
+        mats = [np.atleast_2d(np.asarray(J, dtype=float)) for J in jacs.values()]
+        rs.append(r)
+        Hs.append(np.hstack(mats) if mats else np.zeros((r.shape[0], 0)))
+        cols.append(_columns((vid, m.shape[1]) for vid, m in zip(jacs, mats)))
+    return rs, Hs, cols
+
+
 class BetweenResidual:
     """Relative-pose constraint: r = local(between(x_i, x_j), measured)."""
 
@@ -122,30 +240,36 @@ class BetweenResidual:
         self.variables = (i, j)
         self.dim = 3
         self.measurement = measurement
+        self._columns = ((i, 0, 3), (j, 3, 6))
 
     def evaluate(self, values) -> np.ndarray:
-        rel = between(values[self.variables[0]], values[self.variables[1]])
-        return local(rel, self.measurement)
+        return _one(self, values)[0]
 
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
-        return self.evaluate_with_jacobians(values)[1]
+        return _one(self, values)[1]
 
     def evaluate_with_jacobians(self, values
                                 ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
-        i, j = self.variables
-        rel = between(values[i], values[j])
-        Rt = rel.rotation().T
-        r = local(rel, self.measurement)
-        tm = self.measurement.translation()
-        J1 = np.zeros((3, 3))
-        J1[:2, :2] = Rt
-        J1[:2, 2] = Rt @ (_J @ tm)
-        J1[2, 2] = 1.0
-        J2 = np.zeros((3, 3))
-        J2[:2, :2] = -np.eye(2)
-        J2[:2, 2] = -(_J @ r[:2])
-        J2[2, 2] = -1.0
-        return r, {i: J1, j: J2}
+        return _one(self, values)
+
+    @staticmethod
+    def evaluate_stacked(residuals: Sequence["BetweenResidual"], values):
+        """Residuals (N, 3), Jacobians [J_i | J_j] (N, 3, 6) and column
+        ranges of N between residuals at `values`."""
+        i, j = zip(*(res.variables for res in residuals))
+        rel = between_stacked(pose_rows(map(values.__getitem__, i)),
+                              pose_rows(map(values.__getitem__, j)))
+        Z = pose_rows(res.measurement for res in residuals)
+        r = between_stacked(rel, Z)
+        Rt = _rotations(rel[:, 2]).swapaxes(1, 2)
+        H = np.zeros((len(residuals), 3, 6))
+        H[:, :2, :2] = Rt
+        H[:, :2, 2] = _rotate(Rt, _rotate(_J, Z[:, :2]))
+        H[:, 2, 2] = 1.0
+        H[:, :2, 3:5] = -np.eye(2)
+        H[:, :2, 5] = -_rotate(_J, r[:, :2])
+        H[:, 2, 5] = -1.0
+        return r, H, [res._columns for res in residuals]
 
 
 class PriorResidual:
@@ -155,21 +279,30 @@ class PriorResidual:
         self.variables = (i,)
         self.dim = 3
         self.mean = mean
+        self._columns = ((i, 0, 3),)
 
     def evaluate(self, values) -> np.ndarray:
-        return local(values[self.variables[0]], self.mean)
+        return _one(self, values)[0]
 
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
-        return self.evaluate_with_jacobians(values)[1]
+        return _one(self, values)[1]
 
     def evaluate_with_jacobians(self, values
                                 ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
-        r = self.evaluate(values)
-        J = np.zeros((3, 3))
-        J[:2, :2] = -np.eye(2)
-        J[:2, 2] = -(_J @ r[:2])
-        J[2, 2] = -1.0
-        return r, {self.variables[0]: J}
+        return _one(self, values)
+
+    @staticmethod
+    def evaluate_stacked(residuals: Sequence["PriorResidual"], values):
+        """Residuals (N, 3), Jacobians (N, 3, 3) and column ranges of N prior
+        residuals at `values`."""
+        r = between_stacked(pose_rows(values[res.variables[0]]
+                                      for res in residuals),
+                            pose_rows(res.mean for res in residuals))
+        H = np.zeros((len(residuals), 3, 3))
+        H[:, :2, :2] = -np.eye(2)
+        H[:, :2, 2] = -_rotate(_J, r[:, :2])
+        H[:, 2, 2] = -1.0
+        return r, H, [res._columns for res in residuals]
 
 
 class LinearResidual:
@@ -195,6 +328,8 @@ class LinearResidual:
                                 ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
         return self.evaluate(values), self.jacobians(values)
 
+    evaluate_stacked = staticmethod(_evaluate_each)
+
 
 class FuncResidual:
     """Arbitrary residual function; Jacobians by finite differences."""
@@ -214,6 +349,8 @@ class FuncResidual:
     def evaluate_with_jacobians(self, values
                                 ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
         return self.evaluate(values), self.jacobians(values)
+
+    evaluate_stacked = staticmethod(_evaluate_each)
 
 
 # perfbench/tracer.py patches linearize in this name's class __dict__.

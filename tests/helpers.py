@@ -1,5 +1,6 @@
 """Shared builders for randomized test graphs, and a command-line runner."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +9,12 @@ import numpy as np
 
 import hybridfg
 from hybridfg import (DiscreteFactor, DiscreteKey, GaussianConditional,
-                      HybridFactorGraph, HybridGaussianFactor, JacobianFactor,
-                      log_normalization_constant, whiten)
+                      HybridFactorGraph, HybridGaussianFactor,
+                      HybridNonlinearFactor, JacobianFactor, NonlinearFactor,
+                      Pose2, log_normalization_constant, whiten)
 from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable
+from hybridfg.nonlinear import (FD_STEP, BetweenResidual, FuncResidual,
+                                LinearResidual, PriorResidual)
 
 
 def reference_eliminate_one(factors, var):
@@ -84,6 +88,232 @@ def same_marginal(m1, m2) -> bool:
 def same_elimination(got, want) -> bool:
     """Bitwise equal (conditional, marginal) pairs."""
     return same_conditional(got[0], want[0]) and same_marginal(got[1], want[1])
+
+
+# Reference: SE(2), residuals and whitening as they ran before linearization
+# was stacked, one pose and one residual at a time.
+
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _reference_rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def reference_compose(p1, p2):
+    t = np.array([p1.x, p1.y]) + _reference_rotation(p1.theta) @ np.array(
+        [p2.x, p2.y])
+    return Pose2(t[0], t[1], p1.theta + p2.theta)
+
+
+def reference_inverse(p):
+    t = -(_reference_rotation(p.theta).T @ np.array([p.x, p.y]))
+    return Pose2(t[0], t[1], -p.theta)
+
+
+def reference_between(p1, p2):
+    return reference_compose(reference_inverse(p1), p2)
+
+
+def reference_local(p1, p2):
+    return reference_between(p1, p2).as_vector()
+
+
+def _reference_retract_value(value, delta):
+    if isinstance(value, Pose2):
+        d = np.asarray(delta, dtype=float).reshape(-1)
+        return reference_compose(value, Pose2(d[0], d[1], d[2]))
+    return np.asarray(value, dtype=float) + np.asarray(delta, dtype=float)
+
+
+def reference_retract_values(values, delta):
+    return {vid: _reference_retract_value(v, delta[vid]) if vid in delta else v
+            for vid, v in values.items()}
+
+
+def _reference_numerical_jacobians(residual, values, variables):
+    out = {}
+    for vid in variables:
+        value = values[vid]
+        dim = 3 if isinstance(value, Pose2) else int(np.asarray(value).size)
+        cols = []
+        for k in range(dim):
+            e = np.zeros(dim)
+            e[k] = FD_STEP
+            plus = dict(values)
+            plus[vid] = _reference_retract_value(value, e)
+            minus = dict(values)
+            minus[vid] = _reference_retract_value(value, -e)
+            cols.append((residual(plus) - residual(minus)) / (2.0 * FD_STEP))
+        out[vid] = np.column_stack(cols)
+    return out
+
+
+def reference_evaluate(res, values):
+    """(residual, Jacobians) of one residual, computed on its own."""
+    if isinstance(res, BetweenResidual):
+        i, j = res.variables
+        rel = reference_between(values[i], values[j])
+        Rt = _reference_rotation(rel.theta).T
+        r = reference_local(rel, res.measurement)
+        tm = res.measurement.translation()
+        J1 = np.zeros((3, 3))
+        J1[:2, :2] = Rt
+        J1[:2, 2] = Rt @ (_J @ tm)
+        J1[2, 2] = 1.0
+        J2 = np.zeros((3, 3))
+        J2[:2, :2] = -np.eye(2)
+        J2[:2, 2] = -(_J @ r[:2])
+        J2[2, 2] = -1.0
+        return r, {i: J1, j: J2}
+    if isinstance(res, PriorResidual):
+        r = reference_local(values[res.variables[0]], res.mean)
+        J = np.zeros((3, 3))
+        J[:2, :2] = -np.eye(2)
+        J[:2, 2] = -(_J @ r[:2])
+        J[2, 2] = -1.0
+        return r, {res.variables[0]: J}
+    if isinstance(res, FuncResidual):
+        return res.evaluate(values), _reference_numerical_jacobians(
+            res.evaluate, values, res.variables)
+    return res.evaluate_with_jacobians(values)
+
+
+def reference_linearize_component(res, noise, values):
+    """(whitened factor, constant) of one residual: one solve against the
+    noise factor for all Jacobian blocks, one for the right-hand side."""
+    r, jacs = reference_evaluate(res, values)
+    L = noise.L
+    wb = {}
+    if jacs:
+        W = np.linalg.solve(L, np.hstack(list(jacs.values())))
+        c = 0
+        for vid, J in jacs.items():
+            wb[vid] = W[:, c:c + J.shape[1]]
+            c += J.shape[1]
+    return JacobianFactor(wb, np.linalg.solve(L, -r)), noise.log_normalizer
+
+
+def reference_noise_error(noise, r):
+    w = np.linalg.solve(noise.L, r)
+    return 0.5 * float(w @ w)
+
+
+def reference_linearize(graph, values):
+    """The linearized factors of a nonlinear graph, one residual at a time:
+    a JacobianFactor per plain factor, a list of leaves per hybrid one."""
+    out = []
+    for f in graph.continuous_factors:
+        out.append(reference_linearize_component(f.residual, f.noise, values)[0])
+    for f in graph.hybrid_factors:
+        out.append([None if leaf is None
+                    else reference_linearize_component(leaf[0], noise, values)
+                    for leaf, noise in zip(f.components.leaves.flat,
+                                           f.noise.leaves.flat)])
+    return out
+
+
+def reference_graph_error(graph, values, assignment):
+    total = 0.0
+    for f in graph.continuous_factors:
+        total += reference_noise_error(f.noise,
+                                       reference_evaluate(f.residual, values)[0])
+    for f in graph.hybrid_factors:
+        leaf = f.component(assignment)
+        if leaf is None:
+            total += math.inf
+            continue
+        noise = f.noise.leaf(assignment)
+        total += reference_noise_error(
+            noise, reference_evaluate(leaf[0], values)[0]) + noise.log_normalizer
+    for f in graph.discrete_factors:
+        p = f.value(assignment)
+        total += -math.log(p) if p > 0 else math.inf
+    return total
+
+
+def near_pi_angle(rng):
+    """An angle within 1e-12 of +pi or -pi, or a plain one."""
+    if rng.random() < 0.4:
+        return float(rng.choice([-1.0, 1.0])) * (math.pi - rng.uniform(0, 1e-12))
+    return rng.uniform(-math.pi, math.pi)
+
+
+def random_pose(rng):
+    return Pose2(rng.uniform(-5, 5), rng.uniform(-5, 5), near_pi_angle(rng))
+
+
+def _random_sigma(rng, dim):
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.uniform(0.01, 4.0)
+    if kind == 1:
+        return rng.uniform(0.01, 4.0, size=dim)
+    A = rng.normal(size=(dim, dim))
+    return A @ A.T + dim * np.eye(dim)
+
+
+def _random_residual(rng, poses, vectors):
+    """A residual of a random class over random variables."""
+    kind = rng.integers(4)
+    if kind == 0:
+        i, j = rng.choice(len(poses), size=2, replace=False)
+        return BetweenResidual(poses[i], poses[j], random_pose(rng))
+    if kind == 1:
+        return PriorResidual(poses[int(rng.integers(len(poses)))],
+                             random_pose(rng))
+    dim = int(rng.integers(1, 4))
+    if kind == 2:
+        picks = rng.choice(len(vectors), size=int(rng.integers(
+            1, len(vectors) + 1)), replace=False)[::-1]   # blocks out of id order
+        return LinearResidual({vectors[v][0]: rng.normal(size=(dim, vectors[v][1]))
+                               for v in picks}, rng.normal(size=dim))
+    pose = poses[int(rng.integers(len(poses)))]
+    vec = vectors[int(rng.integers(len(vectors)))][0]
+    w = rng.normal(size=(dim, 3))
+
+    def fn(values, pose=pose, vec=vec, w=w):
+        p, x = values[pose], np.asarray(values[vec], dtype=float)
+        feats = np.array([p.x * math.cos(p.theta), p.y + math.sin(p.theta),
+                          float(np.sum(x * x))])
+        return w @ feats
+    return FuncResidual((pose, vec), dim, fn)
+
+
+def random_nonlinear_graph(rng):
+    """A nonlinear hybrid graph over Pose2 and vector variables with
+    between, prior, linear and finite-difference residuals; hybrid factors
+    over 1-3 keys whose leaves share residuals, differ in noise and are
+    sometimes nil.  Returns (graph, values)."""
+    poses = [("x", k) for k in range(int(rng.integers(2, 5)))]
+    vectors = [(("v", k), int(rng.integers(1, 4)))
+               for k in range(int(rng.integers(1, 3)))]
+    values = {p: random_pose(rng) for p in poses}
+    values.update({v: rng.normal(size=d) for v, d in vectors})
+    g = HybridFactorGraph()
+    for _ in range(int(rng.integers(1, 5))):
+        res = _random_residual(rng, poses, vectors)
+        g.add(NonlinearFactor(res, _random_sigma(rng, res.dim)))
+    pool = [DiscreteKey(("m", j), int(rng.integers(2, 4))) for j in range(4)]
+    for _ in range(int(rng.integers(1, 4))):
+        keys = [pool[j] for j in sorted(rng.choice(
+            4, size=int(rng.integers(1, 4)), replace=False))]
+        first = _random_residual(rng, poses, vectors)
+        shared = [first] + [
+            r for r in (_random_residual(rng, poses, vectors) for _ in range(2))
+            if type(r) is type(first) and r.variables == first.variables
+            and r.dim == first.dim]
+        n = math.prod(k.cardinality for k in keys)
+        leaves = [None if rng.random() < 0.25 else
+                  (shared[int(rng.integers(len(shared)))],
+                   _random_sigma(rng, first.dim)) for _ in range(n)]
+        if all(leaf is None for leaf in leaves):
+            leaves[0] = (first, _random_sigma(rng, first.dim))
+        g.add(HybridNonlinearFactor.from_components(keys, leaves))
+        if rng.random() < 0.3:      # a residual shared across factors too
+            g.add(NonlinearFactor(first, _random_sigma(rng, first.dim)))
+    return g, values
 
 
 def random_hybrid_graph(rng, n_cont=4, n_disc=3, with_discrete_factor=True,

@@ -246,7 +246,9 @@ def test_c10_jacobian_checks():
     _ok(10, f"100 random points: max |analytic - finite difference| = {worst:.2e}")
 
 
-def test_c11_determinism(tmp_path):
+def _repeat_runs_identical(tmp_path, extra):
+    """Two runs of hybridfg-slam with `extra` arguments on the C11 dataset
+    write byte-identical outputs; timing.csv differs only in wall millis."""
     entries, _, _ = square_loop_dataset(seed=0, num_poses=65, n_ambiguous=4,
                                         n_loops=2)
     data = tmp_path / "data.txt"
@@ -254,7 +256,7 @@ def test_c11_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["--input", str(data), "--output", str(out)]) == 0
+        assert main(["--input", str(data), "--output", str(out), *extra]) == 0
         outs.append(out)
     for fname in ("trajectory.txt", "modes.txt", "history.txt"):
         assert filecmp.cmp(outs[0] / fname, outs[1] / fname, shallow=False), fname
@@ -266,5 +268,15 @@ def test_c11_determinism(tmp_path):
             rows.append([r[:3] for r in csv.reader(fh)])
     assert rows[0] == rows[1]
     assert rows[0][-1][0] == "final"
+
+
+def test_c11_determinism(tmp_path):
+    _repeat_runs_identical(tmp_path, [])
     _ok(11, "repeat runs byte-identical (timing.csv identical except wall "
             "millis)")
+
+
+def test_c11_determinism_streaming_schedule(tmp_path):
+    """The benchmark's streaming schedule, relinearizing the whole graph at
+    every second elimination pass, repeats byte for byte too."""
+    _repeat_runs_identical(tmp_path, ["--elim-every", "1", "--relin-every", "2"])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,22 @@ class TestGenerator:
         assert len(truth) == num_poses
         assert len(amb) == len(true_modes) == n_ambiguous
         assert len(loops) == n_loops
+
+
+    # SHA-256 of the dataset files of the benchmark's SLAM workloads, seed 0,
+    # as written when generation composed poses one at a time: a change to
+    # the SE(2) arithmetic must not move a bit of the workload inputs.
+    @pytest.mark.parametrize("shape,digest", [
+        ((100, 10, 4),
+         "75c4bbeb7480ef9bd02aeb727dedae038ddc23b42d192419e42fe9d4cd679af4"),
+        ((200, 10, 10),
+         "24772b99637590884a14fe027d6e15e28406f2f1757245dc3c3182b723a23997"),
+    ])
+    def test_benchmark_inputs_are_pinned(self, tmp_path, shape, digest):
+        entries, _, _ = square_loop_dataset(0, *shape)
+        path = tmp_path / "data.txt"
+        write_dataset(entries, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestGeneratorCli:

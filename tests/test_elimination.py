@@ -11,10 +11,12 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       discrete_marginals, eliminate_hybrid_sum, eliminate_one,
                       log_normalization_constant, max_product,
                       prune_bayes_net, strong_ordering, sum_product, whiten)
-from hybridfg.discrete import DiscreteConditional, _merge_keys, prune_to_top
+from hybridfg.discrete import (DiscreteConditional, _expand, _merge_keys,
+                               prune_to_top)
 from hybridfg.gaussian import UnderconstrainedVariable
 from hybridfg.hybrid import discrete_factor_from_leaves
-from hybridfg.elimination import hypothesis_support, restrict_to_support
+from hybridfg.elimination import (_live_masks, hypothesis_support,
+                                  restrict_to_support)
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
 from helpers import (hypothesis_chain_graph, mixture_graph, random_hybrid_graph,
@@ -420,6 +422,48 @@ class TestLiveCells:
             for hf, w in zip(out.hybrid_factors, want):
                 assert _same_leaves(hf.components, w), trial
         assert lacking and missing
+
+    def test_live_masks_match_dense_projection(self):
+        """The masks projected from the live rows equal, in shape, dtype
+        and every cell, the dense projection they replace (an `any` over
+        the support keys a factor lacks), on 200 random supports: some miss
+        keys of a factor, some hold keys it lacks, some have no live
+        hypothesis, and some factors share no key with the support."""
+
+        def reference(support, keys):
+            ids = {k.id for k in keys}
+            live = support.leaves > 0
+            lacked = tuple(i for i, k in enumerate(support.keys)
+                           if k.id not in ids)
+            if lacked:
+                live = live.any(axis=lacked)
+            return _expand(live, [k for k in support.keys if k.id in ids], keys)
+
+        rng = np.random.default_rng(25)
+        pool = [DiscreteKey(f"m{j}", int(rng.integers(2, 4))) for j in range(5)]
+        seen = {"lacking": 0, "missing": 0, "no live": 0, "disjoint": 0}
+        for trial in range(200):
+            skeys = [pool[i] for i in sorted(rng.choice(
+                5, size=int(rng.integers(1, 5)), replace=False))]
+            vals = rng.random(math.prod(k.cardinality for k in skeys)) < 0.3
+            if trial % 10 == 0:
+                vals[:] = False
+            support = DecisionTree(skeys, vals.astype(float))
+            live_mask = _live_masks(support)
+            sids = {k.id for k in skeys}
+            for _ in range(3):
+                keys = [pool[i] for i in sorted(rng.choice(
+                    5, size=int(rng.integers(0, 4)), replace=False))]
+                fids = {k.id for k in keys}
+                seen["lacking"] += bool(sids - fids)
+                seen["missing"] += bool(fids - sids)
+                seen["no live"] += not vals.any()
+                seen["disjoint"] += sids.isdisjoint(fids)
+                got, want = live_mask(keys), reference(support, keys)
+                assert got.dtype == want.dtype == bool, trial
+                assert got.shape == want.shape, trial
+                assert np.array_equal(got, want), trial
+        assert all(seen.values()), seen
 
     def test_prune_matches_reference_rule(self):
         rng = np.random.default_rng(23)

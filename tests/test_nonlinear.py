@@ -5,13 +5,22 @@ import pytest
 
 from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
+                      JacobianFactor,
                       NonlinearFactor, OptimizationDiverged, OptimizeConfig,
                       Pose2, between, compose,
                       log_normalization_constant, local, max_product, optimize,
                       retract)
 from hybridfg.nonlinear import (BetweenResidual, FuncResidual, LinearResidual,
-                                PriorResidual, numerical_jacobians, wrap_angle)
+                                PriorResidual, between_stacked, compose_stacked,
+                                inverse_stacked, numerical_jacobians, pose_rows,
+                                retract_stacked, retract_values, wrap_angle,
+                                wrap_angles)
 from hybridfg.oracle import enumerate_posterior
+
+from helpers import (random_nonlinear_graph, random_pose, reference_between,
+                     reference_compose, reference_graph_error,
+                     reference_inverse, reference_linearize,
+                     reference_retract_values, same_bits, same_marginal)
 
 
 def _random_pose(rng):
@@ -102,21 +111,23 @@ class TestEvaluateWithJacobians:
                 for vid in want:
                     assert jacs[vid].tobytes() == want[vid].tobytes()
 
-    def test_shared_residual_evaluated_once_per_linearize(self):
+    def test_shared_residual_evaluated_once_per_linearize(self, monkeypatch):
         """A switchable loop's loose and tight leaves share one residual:
-        one linearization evaluates it once."""
-        class Counting(BetweenResidual):
-            calls = 0
+        one linearization evaluates it once.  Linearization goes through
+        the class's stacked evaluator, so count what that receives."""
+        received = []
+        original = BetweenResidual.evaluate_stacked
 
-            def evaluate_with_jacobians(self, values):
-                Counting.calls += 1
-                return super().evaluate_with_jacobians(values)
-
-        loop = Counting("a", "b", Pose2(1, 0, 0.1))
+        def counting(residuals, values):
+            received.extend(residuals)
+            return original(residuals, values)
+        monkeypatch.setattr(BetweenResidual, "evaluate_stacked",
+                            staticmethod(counting))
+        loop = BetweenResidual("a", "b", Pose2(1, 0, 0.1))
         f = HybridNonlinearFactor.from_components(
             [DiscreteKey("l", 2)], [(loop, np.full(3, 10.0)), (loop, 0.01)])
         lin = f.linearize({"a": Pose2(), "b": Pose2(1.1, 0.1, 0.0)})
-        assert Counting.calls == 1
+        assert received == [loop]
         loose, tight = lin.component({"l": 0}), lin.component({"l": 1})
         np.testing.assert_allclose(loose[0].blocks["a"] * math.sqrt(10.0),
                                    tight[0].blocks["a"] * 0.1, atol=1e-12)
@@ -172,6 +183,113 @@ class TestLinearize:
         f = NonlinearFactor(res, 1.0)
         with pytest.raises(ValueError, match="linearization failure"):
             f.linearize({"x": np.array([float("nan")])})
+
+
+def _same_pose(p, q) -> bool:
+    return same_bits([p.x, p.y, p.theta], [q.x, q.y, q.theta])
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, Pose2):
+        return isinstance(b, Pose2) and _same_pose(a, b)
+    return same_bits(a, b)
+
+
+class TestStackedLinearize:
+    """The stacked pass against the per-residual path it replaced, kept in
+    tests/helpers.py as the reference: bit for bit."""
+
+    def test_se2_rows_match_scalar_reference(self):
+        rng = np.random.default_rng(30)
+        P = [random_pose(rng) for _ in range(300)]
+        Q = [random_pose(rng) for _ in range(300)]
+        A, B = pose_rows(P), pose_rows(Q)
+        for got, want in ((compose_stacked(A, B), map(reference_compose, P, Q)),
+                          (inverse_stacked(A), map(reference_inverse, P)),
+                          (between_stacked(A, B), map(reference_between, P, Q))):
+            assert same_bits(got, pose_rows(want))
+        steps = rng.normal(size=(300, 3)) * [1.0, 1.0, 4.0]
+        want = [reference_compose(p, Pose2(*d)) for p, d in zip(P, steps)]
+        assert same_bits(retract_stacked(A, steps), pose_rows(want))
+        theta = np.concatenate([A[:, 2], steps[:, 2] * 3.0, [math.pi, -math.pi]])
+        assert same_bits(wrap_angles(theta), [wrap_angle(t) for t in theta])
+        # The one-pose functions are batches of one of the same code.
+        for p, q, d in zip(P, Q, steps):
+            assert _same_pose(compose(p, q), reference_compose(p, q))
+            assert _same_pose(between(p, q), reference_between(p, q))
+            assert same_bits(local(p, q), reference_between(p, q).as_vector())
+            assert _same_pose(retract(p, d), reference_compose(p, Pose2(*d)))
+
+    def test_random_graphs_match_per_residual_reference(self):
+        rng = np.random.default_rng(31)
+        seen = {"shared": 0, "nil": 0, "inf": 0, "func": 0, "linear": 0}
+        for trial in range(150):
+            g, values = random_nonlinear_graph(rng)
+            lin = g.linearize(values)
+            want = reference_linearize(g, values)
+            got = lin.continuous_factors + lin.hybrid_factors
+            assert len(got) == len(want), trial
+            for f, w in zip(got, want):
+                if isinstance(w, JacobianFactor):
+                    assert same_marginal(f, w), trial
+                    continue
+                for leaf, wleaf in zip(f.components.leaves.flat, w):
+                    assert (leaf is None) == (wleaf is None), trial
+                    seen["nil"] += leaf is None
+                    if leaf is not None:
+                        assert same_marginal(leaf[0], wleaf[0]), trial
+                        assert same_bits(leaf[1], wleaf[1]), trial
+            for f in g.hybrid_factors:
+                live = [leaf[0] for leaf in f.components.leaves.flat if leaf]
+                seen["shared"] += len({id(r) for r in live}) < len(live)
+            kinds = [type(u[0]) for f in g.continuous_factors + g.hybrid_factors
+                     for u in f._uses()]
+            seen["func"] += FuncResidual in kinds
+            seen["linear"] += LinearResidual in kinds
+            for _ in range(3):
+                assignment = {k.id: int(rng.integers(k.cardinality))
+                              for k in g.discrete_keys()}
+                err = g.error(values, assignment)
+                seen["inf"] += math.isinf(err)
+                assert same_bits(err, reference_graph_error(g, values,
+                                                            assignment)), trial
+            delta = {vid: rng.normal(size=3 if isinstance(v, Pose2) else v.size)
+                     * 2.0 for vid, v in values.items() if rng.random() < 0.8}
+            got_values = retract_values(values, delta)
+            want_values = reference_retract_values(values, delta)
+            assert list(got_values) == list(want_values), trial
+            for vid in want_values:
+                assert _same_value(got_values[vid], want_values[vid]), trial
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pose_raises(self, bad):
+        rng = np.random.default_rng(32)
+        for field in ("x", "y", "theta"):
+            g, values = random_nonlinear_graph(rng)
+            pose = ("x", 0)
+            p = values[pose]
+            values[pose] = Pose2(**{"x": p.x, "y": p.y, "theta": p.theta,
+                                    field: bad})
+            g.add(NonlinearFactor(PriorResidual(pose, Pose2()), 1.0))
+            with pytest.raises(ValueError, match="linearization failure"):
+                g.linearize(values)
+
+    def test_whitening_overflow_names_the_block(self):
+        f = NonlinearFactor(LinearResidual({"x": [[1e300]]}, [1.0]), 1e-300)
+        with pytest.raises(ValueError, match="block 'x' has non-finite"):
+            f.linearize({"x": np.zeros(1)})
+
+    def test_func_residual_of_wrong_length_raises(self):
+        rng = np.random.default_rng(33)
+        g, values = random_nonlinear_graph(rng)
+        values[("z", 0)] = np.zeros(1)
+        g.add(NonlinearFactor(FuncResidual((("z", 0),), 2, lambda v: np.ones(3)),
+                              1.0))
+        with pytest.raises(ValueError, match="size mismatch"):
+            g.linearize(values)
+        with pytest.raises(ValueError, match="size mismatch"):
+            g.error(values, {k.id: 0 for k in g.discrete_keys()})
 
 
 def _plain(residual, sigma):
