@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -67,27 +67,23 @@ def check_enumeration(shape: Sequence[int]) -> None:
 
 
 def _leaf_array(shape: Tuple[int, ...], leaves) -> np.ndarray:
-    """Build the shaped leaf array; numeric payloads become float64,
-    everything else an object array."""
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if isinstance(leaves, np.ndarray):
-        if leaves.dtype != object and leaves.size == n:
-            return np.array(leaves, dtype=float).reshape(shape)
-        if leaves.shape == shape:
-            return leaves.copy()
-    if np.isscalar(leaves):
-        flat = [leaves]
-    elif isinstance(leaves, np.ndarray):
-        flat = list(leaves.reshape(-1))
+    """A fresh leaf array of this shape: a number, a numeric array or a list
+    of numbers becomes float64, an object array or any other list an
+    object array."""
+    if isinstance(leaves, np.ndarray) and leaves.dtype == object:
+        arr = leaves.copy()
+    elif isinstance(leaves, (np.ndarray, numbers.Real)):
+        arr = np.array(leaves, dtype=float)
     else:
         flat = list(leaves)
-    if len(flat) != n:
-        raise ValueError(f"expected {n} leaves, got {len(flat)}")
-    if all(isinstance(x, numbers.Real) for x in flat):
-        return np.asarray(flat, dtype=float).reshape(shape)
-    arr = np.empty(n, dtype=object)
-    for i, x in enumerate(flat):
-        arr[i] = x
+        if all(isinstance(x, numbers.Real) for x in flat):
+            arr = np.asarray(flat, dtype=float)
+        else:
+            arr = np.empty(len(flat), dtype=object)
+            for i, x in enumerate(flat):
+                arr[i] = x
+    if arr.size != math.prod(shape):
+        raise ValueError(f"expected {math.prod(shape)} leaves, got {arr.size}")
     return arr.reshape(shape)
 
 
@@ -126,10 +122,6 @@ class DecisionTree:
         return cls((), [value])
 
     @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.leaves.shape
-
-    @property
     def num_leaves(self) -> int:
         return int(self.leaves.size)
 
@@ -150,19 +142,10 @@ class DecisionTree:
         """Payload at a full assignment of this tree's keys."""
         return self.leaves[self._index(assignment)]
 
-    def assignments(self) -> Iterator[Dict[Any, int]]:
-        """All assignments in flat (lexicographic) order."""
-        for idx in np.ndindex(self.shape):
-            yield {k.id: int(v) for k, v in zip(self.keys, idx)}
-
-    def items(self) -> Iterator[Tuple[Dict[Any, int], Any]]:
-        flat = self.leaves.reshape(-1)
-        for i, a in enumerate(self.assignments()):
-            yield a, flat[i]
-
-    def map_leaves(self, fn: Callable[[Any], Any]) -> "DecisionTree":
-        flat = [fn(x) for x in self.leaves.reshape(-1)]
-        return DecisionTree(self.keys, flat)
+    def live_leaves(self) -> List[Any]:
+        """The non-nil leaves in flat (lexicographic) order.  The nil test
+        is one array comparison, so nil cells cost no Python step."""
+        return self.leaves[np.not_equal(self.leaves, None)].tolist()
 
     def _aligned(self, union: Tuple[DiscreteKey, ...]) -> np.ndarray:
         """View of the leaf array broadcastable over the union key set."""
@@ -175,22 +158,11 @@ class DecisionTree:
         return DecisionTree(self.keys, np.where(mask, self.leaves, None))
 
     def apply(self, other: "DecisionTree", op: Callable[[Any, Any], Any]) -> "DecisionTree":
-        """Leafwise combination over the union of both key sets."""
+        """Leafwise combination over the union of both key sets.  `op` gets
+        both leaf arrays broadcast over the union, so it must act
+        elementwise on whole arrays, as numpy ufuncs and arithmetic do."""
         union = _merge_keys(self.keys, other.keys)
-        shape = tuple(k.cardinality for k in union)
-        a = self._aligned(union)
-        b = other._aligned(union)
-        if a.dtype != object and b.dtype != object:
-            try:
-                out = np.asarray(op(a, b), dtype=float)
-                if out.shape == shape:
-                    return DecisionTree(union, out)
-            except (TypeError, ValueError):
-                pass
-            fa, fb = a.reshape(-1), b.reshape(-1)
-            return DecisionTree(union, [op(float(x), float(y)) for x, y in zip(fa, fb)])
-        fa, fb = a.reshape(-1), b.reshape(-1)
-        return DecisionTree(union, [op(x, y) for x, y in zip(fa, fb)])
+        return DecisionTree(union, op(self._aligned(union), other._aligned(union)))
 
     def choose(self, partial: Assignment) -> "DecisionTree":
         """Restrict to the sub-tree consistent with a partial assignment."""
@@ -206,10 +178,8 @@ class DecisionTree:
             else:
                 index.append(slice(None))
                 remaining.append(k)
-        sub = self.leaves[tuple(index)]
-        if isinstance(sub, np.ndarray):
-            return DecisionTree(tuple(remaining), sub.copy())
-        return DecisionTree(tuple(remaining), [sub])
+        # The Ellipsis keeps a full assignment a 0-d array, not a scalar.
+        return DecisionTree(tuple(remaining), self.leaves[tuple(index) + (...,)])
 
     def __repr__(self):
         ids = [k.id for k in self.keys]
@@ -276,13 +246,13 @@ def multiply_factors(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
     if len(factors) <= LOG_PRODUCT_SWITCH:
         tree = factors[0].potentials
         for f in factors[1:]:
-            tree = tree.apply(f.potentials, lambda a, b: a * b)
+            tree = tree.apply(f.potentials, np.multiply)
         return DiscreteFactor(tree.keys, tree)
     with np.errstate(divide="ignore"):
-        tree = factors[0].potentials.map_leaves(lambda v: math.log(v) if v > 0 else -math.inf)
-        for f in factors[1:]:
-            logt = f.potentials.map_leaves(lambda v: math.log(v) if v > 0 else -math.inf)
-            tree = tree.apply(logt, lambda a, b: a + b)
+        logs = [DecisionTree(f.keys, np.log(f.potentials.leaves)) for f in factors]
+    tree = logs[0]
+    for t in logs[1:]:
+        tree = tree.apply(t, np.add)
     vals = tree.leaves
     shift = float(np.max(vals))
     if not math.isfinite(shift):

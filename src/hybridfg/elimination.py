@@ -27,7 +27,7 @@ from .discrete import (DecisionTree, DiscreteConditional,
 # Unused here; the benchmark's tracer patches this module's binding of it.
 from .discrete import eliminate_discrete_max  # noqa: F401
 from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims, _stack,
-                       eliminate_one, eliminate_stacked)
+                       back_substitute, eliminate_one, eliminate_stacked)
 from .hybrid import (HybridBayesNet, HybridFactorGraph,
                      HybridGaussianConditional, HybridGaussianFactor,
                      HybridValues, discrete_factor_from_leaves)
@@ -251,14 +251,14 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
             score -= math.inf if leaf is None else leaf.log_normalizer
         if best is None or score > best:
             best, modes = score, a
-    values = {}
-    for c in reversed(conditionals):
+    chosen = []
+    for c in conditionals:
         if isinstance(c, HybridGaussianConditional):
             c = c.component(modes)
             if c is None:
                 raise RuntimeError("MAP assignment selects a pruned component")
-        values[c.frontal] = c.solve(values)
-    return HybridValues(continuous=values, discrete=modes)
+        chosen.append(c)
+    return HybridValues(continuous=back_substitute(chosen), discrete=modes)
 
 
 def max_product(g: HybridFactorGraph,

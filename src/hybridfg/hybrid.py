@@ -5,8 +5,8 @@ Each hybrid Gaussian factor component is a pair (JacobianFactor, c) whose
 potential is exp(-(error + c)); c travels with the factor because
 mode-dependent noise covariances make the Gaussian normalizer
 mode-dependent.  A hybrid nonlinear factor's components are (residual,
-sigma) pairs that linearize into such pairs.  A leaf may be None ("nil"): a
-pruned, impossible mode with potential 0 / error +inf.
+NoiseModel) pairs that linearize into such pairs.  A leaf may be None
+("nil"): a pruned, impossible mode with potential 0 / error +inf.
 """
 
 from __future__ import annotations
@@ -42,10 +42,7 @@ class HybridGaussianFactor:
             raise ValueError("component tree keys must match factor keys")
         cont: Optional[Tuple[Any, ...]] = None
         cols: Optional[Dict[Any, int]] = None
-        for leaf in components.leaves.reshape(-1):
-            if leaf is None:
-                continue
-            jf, c = leaf
+        for jf, c in components.live_leaves():
             if not isinstance(jf, JacobianFactor):
                 raise ValueError("component must be (JacobianFactor, constant)")
             if not math.isfinite(float(c)):
@@ -111,9 +108,7 @@ class HybridGaussianConditional:
             raise ValueError("component tree keys must match conditional keys")
         frontals: Optional[Tuple[Any, ...]] = None
         parents: Optional[Tuple[Any, ...]] = None
-        for leaf in components.leaves.reshape(-1):
-            if leaf is None:
-                continue
+        for leaf in components.live_leaves():
             if not isinstance(leaf, GaussianConditional):
                 raise ValueError("components must be GaussianConditional")
             if frontals is None:
@@ -153,22 +148,18 @@ def conditional_to_factor(c: HybridGaussianConditional) -> HybridGaussianFactor:
     the tightest mode and the potential stays proportional to the density
     with a mode-independent constant.
     """
-    leaves = list(c.components.leaves.reshape(-1))
-    norms = [leaf.log_normalizer for leaf in leaves if leaf is not None]
-    base = min(norms)
+    base = min(leaf.log_normalizer for leaf in c.components.live_leaves())
     out = [None if leaf is None else (leaf.as_factor(), leaf.log_normalizer - base)
-           for leaf in leaves]
+           for leaf in c.components.leaves.flat]
     return HybridGaussianFactor(c.keys, DecisionTree(c.keys, out))
 
 
 def discrete_factor_from_leaves(tree: DecisionTree) -> DiscreteFactor:
     """Turn negative-log leaves into a max-shift-normalized discrete factor:
     potentials exp(-(leaf - min leaf)), nil leaves -> 0."""
-    if tree.leaves.dtype == object:
-        vals = np.array([math.inf if x is None else float(x)
-                         for x in tree.leaves.reshape(-1)])
-    else:
-        vals = tree.leaves.reshape(-1)
+    vals = tree.leaves.reshape(-1)
+    if vals.dtype == object:
+        vals = np.where(np.equal(vals, None), math.inf, vals).astype(float)
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         return DiscreteFactor(tree.keys, np.zeros_like(vals))
@@ -301,38 +292,33 @@ class NonlinearFactor:
 
 
 class HybridNonlinearFactor:
-    """Mode-indexed residual models: leaves (residual, sigma) or None, each
-    sigma factored on construction into the matching leaf of `noise`."""
+    """Mode-indexed residual models: leaves (residual, NoiseModel) or None."""
 
     def __init__(self, keys: Sequence[DiscreteKey], components: DecisionTree):
         keys = _sorted_keys(keys)
         if tuple(components.keys) != keys:
             raise ValueError("component tree keys must match factor keys")
-        varset = None
-        dim = None
-        for leaf in components.leaves.reshape(-1):
-            if leaf is None:
-                continue
-            res, _ = leaf
-            if varset is None:
-                varset = tuple(res.variables)
-                dim = res.dim
-            elif tuple(res.variables) != varset or res.dim != dim:
+        live = components.live_leaves()
+        if not live:
+            raise ValueError("hybrid factor needs at least one live component")
+        varset, dim = tuple(live[0][0].variables), live[0][0].dim
+        for res, noise in live:
+            if not isinstance(noise, NoiseModel):
+                raise ValueError("component must be (residual, NoiseModel)")
+            if tuple(res.variables) != varset or res.dim != dim:
                 raise ValueError("components must share variables and residual "
                                  "dimension")
-        if varset is None:
-            raise ValueError("hybrid factor needs at least one live component")
-        noise = components.map_leaves(
-            lambda leaf: None if leaf is None else NoiseModel(leaf[1], dim))
         self.keys = keys
-        self.components = components.apply(     # leaves keep the read-only sigma
-            noise, lambda leaf, n: None if leaf is None else (leaf[0], n.sigma))
-        self.noise = noise
+        self.components = components
         self.continuous_ids = varset
 
     @classmethod
     def from_components(cls, keys, components) -> "HybridNonlinearFactor":
-        return cls(keys, DecisionTree(keys, list(components)))
+        """From (residual, sigma) pairs or None, each sigma checked and
+        factored into a NoiseModel of its residual's dimension."""
+        return cls(keys, DecisionTree(keys, [
+            None if leaf is None else (leaf[0], NoiseModel(leaf[1], leaf[0].dim))
+            for leaf in components]))
 
     def component(self, assignment: Assignment):
         return self.components.leaf(assignment)
@@ -341,9 +327,7 @@ class HybridNonlinearFactor:
         leaf = self.component(assignment)
         if leaf is None:
             return math.inf
-        noise = self.noise.leaf(assignment)
-        return component_errors([(leaf[0], noise)], values)[0] \
-            + noise.log_normalizer
+        return component_errors([leaf], values)[0] + leaf[1].log_normalizer
 
     def restrict(self, fixed: Assignment):
         """Choose components for fixed modes; with no keys left the factor
@@ -357,12 +341,10 @@ class HybridNonlinearFactor:
         leaf = tree.leaves[()]
         if leaf is None:
             raise ValueError("restriction selects a pruned component")
-        return NonlinearFactor(leaf[0], leaf[1])
+        return NonlinearFactor(leaf[0], leaf[1].sigma)
 
     def _uses(self) -> List[Tuple[Any, NoiseModel]]:
-        return [(leaf[0], noise) for leaf, noise
-                in zip(self.components.leaves.flat, self.noise.leaves.flat)
-                if leaf is not None]
+        return self.components.live_leaves()
 
     def _assemble(self, linearized) -> HybridGaussianFactor:
         leaves = [None if leaf is None else next(linearized)
@@ -461,12 +443,9 @@ class HybridFactorGraph:
         are evaluated and whitened in one component_errors pass."""
         nonlinear = [f for f in self.continuous_factors
                      if isinstance(f, NonlinearFactor)]
-        chosen = []     # per hybrid nonlinear factor: its (residual, noise)
-        for f in self.hybrid_factors:
-            if isinstance(f, HybridNonlinearFactor):
-                leaf = f.component(assignment)
-                chosen.append(None if leaf is None
-                              else (leaf[0], f.noise.leaf(assignment)))
+        # Per hybrid nonlinear factor: its (residual, noise) leaf or None.
+        chosen = [f.component(assignment) for f in self.hybrid_factors
+                  if isinstance(f, HybridNonlinearFactor)]
         errors = iter(component_errors(
             [(f.residual, f.noise) for f in nonlinear]
             + [use for use in chosen if use is not None], values))
@@ -541,5 +520,5 @@ class HybridBayesNet:
             return None
         tree = conds[0].potentials
         for c in conds[1:]:
-            tree = tree.apply(c.potentials, lambda a, b: a * b)
+            tree = tree.apply(c.potentials, np.multiply)
         return tree

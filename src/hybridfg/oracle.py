@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .discrete import DecisionTree
+from .discrete import DecisionTree, enumerate_assignments
 from .gaussian import VectorValues
 from .hybrid import HybridFactorGraph, HybridValues
 
@@ -104,11 +104,9 @@ def enumerate_posterior(g: HybridFactorGraph
     keys = g.discrete_keys()
     _check_cap(keys)
     order, offsets, total = _layout(g)
-    n_assign = int(np.prod([k.cardinality for k in keys], dtype=np.int64)) if keys else 1
-    tree = DecisionTree(keys, [0.0] * n_assign)
     optima: List[Optional[VectorValues]] = []
     vals = []
-    for assignment in tree.assignments():
+    for assignment in enumerate_assignments(keys) if keys else [{}]:
         sys = _mode_system(g, assignment, offsets, total)
         if sys is None:
             vals.append(-math.inf)
@@ -145,7 +143,7 @@ def enumerate_posterior(g: HybridFactorGraph
     with np.errstate(over="ignore"):
         w = np.where(np.isfinite(arr), np.exp(arr - shift), 0.0)
     probs = w / w.sum()
-    return DecisionTree(keys, probs.reshape(tree.shape)), DecisionTree(keys, optima)
+    return DecisionTree(keys, probs), DecisionTree(keys, optima)
 
 
 def enumerate_map(g: HybridFactorGraph) -> HybridValues:
@@ -155,10 +153,9 @@ def enumerate_map(g: HybridFactorGraph) -> HybridValues:
     keys = g.discrete_keys()
     _check_cap(keys)
     order, offsets, total = _layout(g)
-    probe = DecisionTree(keys, [0.0] * (int(np.prod([k.cardinality for k in keys], dtype=np.int64)) if keys else 1))
     best_val = -math.inf
     best: Optional[HybridValues] = None
-    for assignment in probe.assignments():
+    for assignment in enumerate_assignments(keys) if keys else [{}]:
         sys = _mode_system(g, assignment, offsets, total)
         if sys is None:
             continue

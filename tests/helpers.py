@@ -208,9 +208,8 @@ def reference_linearize(graph, values):
         out.append(reference_linearize_component(f.residual, f.noise, values)[0])
     for f in graph.hybrid_factors:
         out.append([None if leaf is None
-                    else reference_linearize_component(leaf[0], noise, values)
-                    for leaf, noise in zip(f.components.leaves.flat,
-                                           f.noise.leaves.flat)])
+                    else reference_linearize_component(*leaf, values)
+                    for leaf in f.components.leaves.flat])
     return out
 
 
@@ -224,7 +223,7 @@ def reference_graph_error(graph, values, assignment):
         if leaf is None:
             total += math.inf
             continue
-        noise = f.noise.leaf(assignment)
+        noise = leaf[1]
         total += reference_noise_error(
             noise, reference_evaluate(leaf[0], values)[0]) + noise.log_normalizer
     for f in graph.discrete_factors:

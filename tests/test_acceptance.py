@@ -14,8 +14,8 @@ import pytest
 
 from hybridfg import (HybridGaussianConditional, Pose2,
                       conditional_to_factor, eliminate_hybrid_sum,
-                      max_product, prune_bayes_net, sum_product,
-                      dead_mode_removal)
+                      enumerate_assignments, max_product, prune_bayes_net,
+                      sum_product, dead_mode_removal)
 from hybridfg.dataset import Odometry, square_loop_dataset, write_dataset
 from hybridfg.nonlinear import BetweenResidual, PriorResidual, numerical_jacobians
 from hybridfg.oracle import enumerate_map, enumerate_posterior
@@ -121,7 +121,7 @@ def test_c05_conditional_as_factor_round_trip():
               if leaf is not None]
         assert min(cs) == 0.0 and all(c >= 0.0 for c in cs)
         cond2, _ = eliminate_hybrid_sum([fac], hgc.frontals[0])
-        for a in hgc.components.assignments():
+        for a in enumerate_assignments(hgc.keys):
             l1, l2 = hgc.component(a), cond2.component(a)
             np.testing.assert_allclose(l1.R, l2.R, atol=1e-10)
             np.testing.assert_allclose(l1.d, l2.d, atol=1e-10)

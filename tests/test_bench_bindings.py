@@ -10,7 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from hybridfg import discrete_marginals, slam_cli, sum_product
+from hybridfg import (HybridGaussianConditional, discrete_marginals,
+                      prune_bayes_net, slam_cli, sum_product)
 from hybridfg.dataset import square_loop_dataset, write_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -50,3 +51,24 @@ def test_workload_graph_eliminates(monkeypatch):
     assert marginals
     for probs in marginals.values():
         assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tracer_leaf_counts_match_live_leaf_walk(monkeypatch):
+    """The tracer counts a net's live hybrid leaves off the dense leaf array
+    (its `.flat` and `.size`); on a pruned net the count must equal the
+    live-leaf walk's and the largest tree size the largest `leaves.size`."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    entries, _, _ = square_loop_dataset(0, 65, 4, 2)
+    runner = slam_cli._Runner(slam_cli.RunConfig())
+    for index, entry in enumerate(entries):
+        runner.add_entry(entry, index)
+    bn = prune_bayes_net(sum_product(runner.graph.linearize(runner.values)), 2)
+    hybrids = [c.components for c in bn.conditionals
+               if isinstance(c, HybridGaussianConditional)]
+    live, largest = tracer._hybrid_leaf_counts(bn)
+    assert live == sum(len(tree.live_leaves()) for tree in hybrids)
+    assert largest == max(tree.leaves.size for tree in hybrids)
+    # Pruning left nil leaves, so the two counts differ.
+    assert live < sum(tree.leaves.size for tree in hybrids)

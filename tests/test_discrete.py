@@ -78,6 +78,45 @@ class TestTreeApply:
         assert out.leaf({"m": 0}) == math.inf
 
 
+class TestLiveLeaves:
+    """live_leaves() gives exactly the non-nil cells in flat C order."""
+
+    @staticmethod
+    def _random_tree(rng, nil_frac):
+        keys = [DiscreteKey(f"k{i}", int(c))
+                for i, c in enumerate(rng.integers(1, 4, size=rng.integers(0, 4)))]
+        n = int(np.prod([k.cardinality for k in keys]))
+        payloads = [lambda i: ("leaf", i), lambda i: (object(), float(i)),
+                    lambda i: f"s{i}", lambda i: object()]
+        make = payloads[rng.integers(len(payloads))]
+        leaves = [None if rng.random() < nil_frac else make(i) for i in range(n)]
+        # Declared in shuffled order: the tree stores them permuted to id order.
+        return DecisionTree([keys[i] for i in rng.permutation(len(keys))], leaves)
+
+    def test_random_object_trees(self):
+        rng = np.random.default_rng(21)
+        seen = {"keyless": 0, "all_nil": 0, "tuple": 0}
+        for _ in range(300):
+            t = self._random_tree(rng, rng.choice([0.0, 0.4, 1.0]))
+            want = [x for x in t.leaves.flat if x is not None]
+            got = t.live_leaves()
+            assert len(got) == len(want)
+            assert all(g is w for g, w in zip(got, want))
+            seen["keyless"] += not t.keys
+            seen["all_nil"] += not want
+            seen["tuple"] += any(isinstance(x, tuple) for x in want)
+        assert all(seen.values()), seen
+
+    def test_keyless_trees(self):
+        assert DecisionTree((), [None]).live_leaves() == []
+        leaf = ("jf", 0.5)
+        assert DecisionTree.constant(leaf).live_leaves()[0] is leaf
+
+    def test_float_tree_is_all_live(self):
+        t = DecisionTree([M, N], [0.1, 0.0, math.inf, 2.0])
+        assert t.live_leaves() == [0.1, 0.0, math.inf, 2.0]
+
+
 class TestTreeChoose:
     def test_partial_choice(self):
         t = DecisionTree([DiscreteKey("m0", 2), DiscreteKey("m1", 2)],

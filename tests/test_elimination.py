@@ -9,6 +9,7 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       HybridValues, JacobianFactor,
                       bn_evaluate, bn_map, bn_sample, dead_mode_removal,
                       discrete_marginals, eliminate_hybrid_sum, eliminate_one,
+                      enumerate_assignments,
                       log_normalization_constant, max_product,
                       prune_bayes_net, strong_ordering, sum_product, whiten)
 from hybridfg.discrete import (DiscreteConditional, _expand, _merge_keys,
@@ -271,14 +272,16 @@ def _same_jacobian(a, b):
 def _nil_by_support_reference(tree, support):
     """Reference: the former nil rule of prune_bayes_net and
     restrict_to_support, a max-marginal of the 0/1 support onto the keys it
-    shares with the tree, then an object-tree apply."""
+    shares with the tree, then a leaf kept where that max is positive."""
     keep = {k.id for k in tree.keys}
     axes = tuple(i for i, k in enumerate(support.keys) if k.id not in keep)
     vals = np.asarray(support.leaves, dtype=float)
     if axes:
         vals = vals.max(axis=axes)
     alive = DecisionTree(tuple(k for k in support.keys if k.id in keep), vals)
-    return tree.apply(alive, lambda leaf, a: leaf if a > 0 else None)
+    return DecisionTree(tree.keys, [
+        leaf if alive.leaf(a) > 0 else None
+        for a, leaf in zip(enumerate_assignments(tree.keys), tree.leaves.flat)])
 
 
 def _same_leaves(a, b):
@@ -753,7 +756,7 @@ class TestMaxProduct:
             got = max_product(g)
             probs, optima = enumerate_posterior(g)
             best, best_val = None, -math.inf
-            for a in probs.assignments():
+            for a in enumerate_assignments(probs.keys):
                 opt = optima.leaf(a)
                 if opt is None:
                     continue
@@ -850,13 +853,16 @@ class TestPruneBayesNet:
         rng = np.random.default_rng(6)
         g = random_hybrid_graph(rng, 2, 2, with_discrete_factor=False)
         bn = prune_bayes_net(sum_product(g), 1)
-        alive = [a for a, v in bn.discrete_joint().items() if v > 0]
+        joint = bn.discrete_joint()
+        alive = [a for a, v in zip(enumerate_assignments(joint.keys),
+                                   joint.leaves.flat) if v > 0]
         hybrids = [c for c in bn.continuous_conditionals()
                    if isinstance(c, HybridGaussianConditional)]
         assert hybrids
         nils = 0
         for c in hybrids:
-            for a, leaf in c.components.items():
+            for a, leaf in zip(enumerate_assignments(c.keys),
+                               c.components.leaves.flat):
                 agrees = any(all(h[kid] == v for kid, v in a.items())
                              for h in alive)
                 assert (leaf is None) == (not agrees), (c, a)

@@ -8,7 +8,8 @@ from hybridfg import (DecisionTree, DiscreteKey, GaussianConditional,
                       HybridGaussianConditional, HybridGaussianFactor,
                       JacobianFactor, conditional_to_factor,
                       discrete_factor_from_leaves, eliminate_hybrid_sum,
-                      log_normalization_constant, whiten)
+                      enumerate_assignments, log_normalization_constant,
+                      whiten)
 from hybridfg.discrete import DiscreteConditional
 
 M = DiscreteKey("m", 2)
@@ -94,7 +95,7 @@ class TestConditionalToFactor:
         hgc = _two_mode_conditional(1.0, 2.0)
         fac = conditional_to_factor(hgc)
         cond2, _ = eliminate_hybrid_sum([fac], "x")
-        for a in hgc.components.assignments():
+        for a in enumerate_assignments(hgc.keys):
             l1, l2 = hgc.component(a), cond2.component(a)
             np.testing.assert_allclose(l1.R, l2.R, atol=1e-10)
             np.testing.assert_allclose(l1.d, l2.d, atol=1e-10)

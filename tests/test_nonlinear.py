@@ -334,8 +334,8 @@ class TestNoiseChecks:
         sigma[:] = 100.0          # the caller's array is copied, not kept
         after = f.linearize({"x": np.zeros(2)})
         np.testing.assert_array_equal(before.rhs, after.rhs)
-        np.testing.assert_array_equal(h.component({"m": 1})[1], [1.0, 4.0])
-        for stored in (f.sigma, f.noise.L, h.component({"m": 1})[1]):
+        np.testing.assert_array_equal(h.component({"m": 1})[1].sigma, [1.0, 4.0])
+        for stored in (f.sigma, f.noise.L, h.component({"m": 1})[1].sigma):
             with pytest.raises(ValueError, match="read-only"):
                 stored[0] = 2.0
         with pytest.raises(AttributeError):
@@ -558,6 +558,14 @@ class TestHybridNonlinearFactor:
         r1 = BetweenResidual("a", "c", Pose2())
         with pytest.raises(ValueError, match="share variables"):
             HybridNonlinearFactor.from_components([m], [(r0, 1.0), (r1, 1.0)])
+
+    def test_tree_leaves_must_hold_noise_models(self):
+        """The constructor takes the stored tree; bare sigmas go through
+        from_components."""
+        m = DiscreteKey("m", 2)
+        r = BetweenResidual("a", "b", Pose2())
+        with pytest.raises(ValueError, match="NoiseModel"):
+            HybridNonlinearFactor([m], DecisionTree([m], [(r, 1.0), None]))
 
     def test_linearized_graph_matches_oracle(self):
         """Linearizing a hybrid nonlinear chain and eliminating matches the

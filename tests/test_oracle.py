@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridfg import (DiscreteKey, HybridFactorGraph, HybridGaussianFactor,
-                      whiten)
+                      enumerate_assignments, whiten)
 from hybridfg.oracle import (enumerate_map, enumerate_posterior,
                              evidence_by_quadrature)
 
@@ -44,7 +44,7 @@ class TestEnumeratePosterior:
             g = random_hybrid_graph(rng, 1, 2, with_discrete_factor=True)
             probs, _ = enumerate_posterior(g)
             evs = []
-            for a in probs.assignments():
+            for a in enumerate_assignments(probs.keys):
                 evs.append(evidence_by_quadrature(g, a))
             evs = np.asarray(evs)
             np.testing.assert_allclose(evs / evs.sum(),

@@ -61,9 +61,9 @@ class TestBuildLoopFactor:
         f = build_loop_factor(e, 4)
         assert f.keys[0] == DiscreteKey(("l", 4), 2)
         _, loose = f.component({("l", 4): 0})
-        np.testing.assert_allclose(loose, [10.0, 10.0, 10.0])
+        np.testing.assert_allclose(loose.sigma, [10.0, 10.0, 10.0])
         _, tight = f.component({("l", 4): 1})
-        np.testing.assert_allclose(tight, [1e-4, 1e-4, 0.005 ** 2])
+        np.testing.assert_allclose(tight.sigma, [1e-4, 1e-4, 0.005 ** 2])
 
     def _four_pose_graph(self, loop_offset):
         g = HybridFactorGraph()
