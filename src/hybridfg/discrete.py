@@ -186,6 +186,19 @@ class DecisionTree:
         return f"DecisionTree(keys={ids}, leaves={self.leaves!r})"
 
 
+# Log-scores within MAP_TIE_RTOL * max(1, |best|) of the best tie: rounding
+# alone, e.g. a different elimination order, must not pick among hypotheses
+# that are tied in exact arithmetic.
+MAP_TIE_RTOL = 1e-9
+
+
+def first_best(scores: Sequence[float]) -> int:
+    """Index of the first score that ties the largest (see MAP_TIE_RTOL)."""
+    best = max(scores)
+    floor = best - MAP_TIE_RTOL * max(1.0, abs(best))
+    return next(i for i, s in enumerate(scores) if s >= floor)
+
+
 def enumerate_assignments(keys: Sequence[DiscreteKey]) -> List[Dict[Any, int]]:
     """All joint assignments, lexicographic by key id then value."""
     if not keys:

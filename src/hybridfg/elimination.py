@@ -22,8 +22,8 @@ import numpy as np
 
 from .discrete import (DecisionTree, DiscreteConditional,
                        DiscreteFactor, DiscreteKey, check_enumeration,
-                       eliminate_discrete_sum, multiply_factors, prune_to_top,
-                       _expand, _merge_keys)
+                       eliminate_discrete_sum, first_best, multiply_factors,
+                       prune_to_top, _expand, _merge_keys)
 # Unused here; the benchmark's tracer patches this module's binding of it.
 from .discrete import eliminate_discrete_max  # noqa: F401
 from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims, _stack,
@@ -235,22 +235,24 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
 
     With the modes m fixed, the net peaks at the conditional means with value
     P(m | Z) * prod_i exp(-log_normalizer_i(m)).  The MAP modes maximize that
-    over the live hypotheses (exact ties keep the first in flat order, as the
-    oracle does) and select the components to back-substitute through.
+    over the live hypotheses and select the components to back-substitute
+    through.  Ties, scores within rounding of the best (see first_best),
+    keep the first in flat order, as the oracle does.
     """
     conditionals = bn.continuous_conditionals()
     hybrids = [c for c in conditionals if isinstance(c, HybridGaussianConditional)]
     joint = bn.discrete_joint()
-    modes: Dict[Any, int] = {}
-    best = None
+    candidates: List[Dict[Any, int]] = []
+    scores: List[float] = []
     for idx in zip(*np.nonzero(joint.leaves)) if joint is not None else ():
         a = {k.id: int(v) for k, v in zip(joint.keys, idx)}
         score = math.log(joint.leaves[idx])
         for c in hybrids:
             leaf = c.component(a)
             score -= math.inf if leaf is None else leaf.log_normalizer
-        if best is None or score > best:
-            best, modes = score, a
+        candidates.append(a)
+        scores.append(score)
+    modes = candidates[first_best(scores)] if candidates else {}
     chosen = []
     for c in conditionals:
         if isinstance(c, HybridGaussianConditional):

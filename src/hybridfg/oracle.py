@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .discrete import DecisionTree, enumerate_assignments
+from .discrete import DecisionTree, enumerate_assignments, first_best
 from .gaussian import VectorValues
 from .hybrid import HybridFactorGraph, HybridValues
 
@@ -148,13 +148,14 @@ def enumerate_posterior(g: HybridFactorGraph
 
 def enumerate_map(g: HybridFactorGraph) -> HybridValues:
     """Exact hybrid MAP: argmax over modes of the peak unnormalized density
-    exp(-(E_min + c)) times discrete potentials; ties keep the smallest
-    assignment index."""
+    exp(-(E_min + c)) times discrete potentials; ties (log-peaks within
+    rounding of the best, see first_best) keep the smallest assignment
+    index."""
     keys = g.discrete_keys()
     _check_cap(keys)
     order, offsets, total = _layout(g)
-    best_val = -math.inf
-    best: Optional[HybridValues] = None
+    peaks: List[float] = []
+    candidates: List[HybridValues] = []
     for assignment in enumerate_assignments(keys) if keys else [{}]:
         sys = _mode_system(g, assignment, offsets, total)
         if sys is None:
@@ -166,18 +167,16 @@ def enumerate_map(g: HybridFactorGraph) -> HybridValues:
             continue
         mu = np.linalg.solve(lam, A.T @ b)
         resid = A @ mu - b
-        peak = -0.5 * float(resid @ resid) - const + log_disc
-        if peak > best_val:
-            opt: VectorValues = {}
-            for i, vid in enumerate(order):
-                lo = offsets[vid]
-                hi = offsets[order[i + 1]] if i + 1 < len(order) else total
-                opt[vid] = mu[lo:hi].copy()
-            best_val = peak
-            best = HybridValues(continuous=opt, discrete=dict(assignment))
-    if best is None:
+        opt: VectorValues = {}
+        for i, vid in enumerate(order):
+            lo = offsets[vid]
+            hi = offsets[order[i + 1]] if i + 1 < len(order) else total
+            opt[vid] = mu[lo:hi].copy()
+        peaks.append(-0.5 * float(resid @ resid) - const + log_disc)
+        candidates.append(HybridValues(continuous=opt, discrete=dict(assignment)))
+    if not candidates:
         raise ValueError("all discrete assignments are impossible")
-    return best
+    return candidates[first_best(peaks)]
 
 
 def evidence_by_quadrature(g: HybridFactorGraph, assignment,

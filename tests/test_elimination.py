@@ -799,6 +799,29 @@ class TestBnMap:
         np.testing.assert_allclose(got.continuous["x"], want.continuous["x"],
                                    atol=1e-12)
 
+    def test_rounding_tie_same_map_under_orderings(self):
+        """Two hypotheses mirrored about the prior's mean tie in exact
+        arithmetic, but their rounded scores depend on the elimination
+        order (mode 1 scores higher in the last bits under the reversed
+        order); every order keeps the first, as the oracle does."""
+        m = DiscreteKey("m", 2)
+        xs = [f"x{i}" for i in range(5)]
+        g = HybridFactorGraph()
+        g.add(whiten({"x0": [[1.0]]}, [-1.38], 0.37))
+        for i, var in enumerate([0.33, 1.68, 1.85, 1.33]):
+            g.add(whiten({xs[i]: [[-1.0]], xs[i + 1]: [[1.0]]}, [0.0], var))
+        c = log_normalization_constant(1.89)
+        g.add(HybridGaussianFactor.from_components([m], [
+            (whiten({"x2": [[-1.0]], "x4": [[1.0]]}, [z], 1.89), c)
+            for z in (1.68, -1.68)]))
+        want = enumerate_map(g)
+        assert want.discrete == {"m": 0}
+        for order in (xs, xs[::-1]):
+            got = bn_map(sum_product(g, order + ["m"]))
+            assert got.discrete == want.discrete, order
+            for vid, vec in want.continuous.items():
+                np.testing.assert_allclose(got.continuous[vid], vec, atol=1e-9)
+
     def test_nil_pick_raises(self):
         m = DiscreteKey("m", 2)
         leaf = GaussianConditional("x", [[1.0]], {}, [0.0])
