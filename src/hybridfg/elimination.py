@@ -26,8 +26,11 @@ from .discrete import (DecisionTree, DiscreteConditional,
                        prune_to_top, _expand, _merge_keys)
 # Unused here; the benchmark's tracer patches this module's binding of it.
 from .discrete import eliminate_discrete_max  # noqa: F401
-from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims, _stack,
-                       back_substitute, eliminate_one, eliminate_stacked)
+from .gaussian import (JacobianFactor, UnderconstrainedVariable, _columns,
+                       _dims, _stack, back_substitute, eliminate_stacked)
+# Unused here since elimination runs by wavefront; the benchmark's tracer
+# patches this module's binding of it.
+from .gaussian import eliminate_one  # noqa: F401
 from .hybrid import (HybridBayesNet, HybridFactorGraph,
                      HybridGaussianConditional, HybridGaussianFactor,
                      HybridValues, discrete_factor_from_leaves)
@@ -36,8 +39,12 @@ ContinuousFactor = Union[JacobianFactor, HybridGaussianFactor]
 
 
 def strong_ordering(g: HybridFactorGraph) -> List[Any]:
-    """Continuous variables first (minimum-degree, ties by id), then
-    discrete variables in id order."""
+    """Continuous variables first, by multiple minimum degree (Liu, ACM
+    TOMS 1985), then discrete variables in id order.  Each round takes the
+    variables of the current minimum degree in id order and eliminates
+    every one that no variable eliminated earlier in the round is adjacent
+    to, so one round adds an independent set to the ordering and the
+    elimination tree stays short."""
     cont = g.continuous_variables()
     disc = [k.id for k in g.discrete_keys()]
     if not cont and not disc:
@@ -57,14 +64,22 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     heapq.heapify(heap)
     order = []
     while heap:
-        degree, v = heapq.heappop(heap)
-        if v not in adj or degree != len(adj[v]):
-            continue
-        order.append(v)
-        neighbors = adj.pop(v)
-        for a in neighbors:
-            adj[a] |= neighbors
-            adj[a] -= {a, v}
+        round_: List[Any] = []
+        while heap and (not round_ or heap[0][0] == len(adj[round_[0]])):
+            degree, v = heapq.heappop(heap)
+            if v in adj and degree == len(adj[v]) and v not in round_[-1:]:
+                round_.append(v)
+        touched = set()
+        for v in round_:
+            if v in touched:
+                continue
+            order.append(v)
+            neighbors = adj.pop(v)
+            for a in neighbors:
+                adj[a] |= neighbors
+                adj[a] -= {a, v}
+            touched |= neighbors
+        for a in touched:
             heapq.heappush(heap, (len(adj[a]), a))
     return order + sorted(disc)
 
@@ -94,6 +109,168 @@ def _variables(f) -> Sequence[Any]:
     return f.variables
 
 
+class _Clique:
+    """The elimination of one continuous variable from its bucket: the
+    [A | b] systems of the bucket's factors, one, or one per live mode
+    cell, stacked per layout; then, once their QRs have run (see
+    _eliminate_independent), the conditional and separator assembled from
+    the per-system results."""
+
+    def __init__(self, factors: Sequence[ContinuousFactor], var):
+        plains: List[JacobianFactor] = []
+        hybrids: List[HybridGaussianFactor] = []
+        base_const = 0.0
+        for f in factors:
+            if isinstance(f, JacobianFactor):
+                plains.append(f)
+            elif isinstance(f, HybridGaussianFactor):
+                if f.keys:
+                    hybrids.append(f)
+                else:
+                    # Fully restricted factor: one live component plus constant.
+                    jf, c = f.components.leaves[()]
+                    plains.append(jf)
+                    base_const += c
+            else:
+                raise TypeError("continuous elimination takes Jacobian/hybrid factors")
+        keys: Tuple[DiscreteKey, ...] = ()
+        cont_vars = set()
+        for f in plains:
+            cont_vars.update(f.variables)
+        for f in hybrids:
+            keys = _merge_keys(keys, f.keys)
+            cont_vars.update(f.continuous_ids)
+        if var not in cont_vars:
+            raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
+        separator = sorted(v for v in cont_vars if v != var)
+        order = [var] + separator
+        self.var, self.keys, self.separator = var, keys, separator
+        self.error: Optional[ValueError] = None
+        # Per layout: the (k, m, n+1) stack of its systems and their indices
+        # into self.results (live cells in flat order; 0 without keys).
+        self.stacks: List[Tuple[np.ndarray, List[int]]] = []
+        if not keys:
+            # base_const is mode-independent here and cancels in any posterior.
+            dims = _dims(plains)
+            self.stacks.append((_stack(plains, order, dims), [0]))
+            self.results: List[Any] = [None]
+        else:
+            self.shape = tuple(k.cardinality for k in keys)
+            check_enumeration(self.shape)
+            # Live cells: those where every hybrid has a component.
+            live = np.ones(self.shape, dtype=bool)
+            for f in hybrids:
+                live &= _expand(np.not_equal(f.components.leaves, None),
+                                f.keys, keys)
+            cells = np.nonzero(live)
+            pos = {k.id: i for i, k in enumerate(keys)}
+            picked = [f.components.leaves[tuple(cells[pos[k.id]] for k in f.keys)]
+                      for f in hybrids]
+            components = [[jf for jf, _ in leaves] for leaves in picked]
+            c_in = np.full(len(cells[0]), base_const)
+            for leaves in picked:
+                c_in += [c for _, c in leaves]
+            self.c_in = c_in.tolist()
+            self.flat = np.ravel_multi_index(cells, self.shape).tolist()
+            self.results = [None] * len(self.flat)
+            # Cells whose components have the same row counts share a layout.
+            layouts: Dict[Tuple[int, ...], List[int]] = {}
+            for i, rows in enumerate(zip(*[[jf.rows for jf in col]
+                                           for col in components])):
+                layouts.setdefault(rows, []).append(i)
+            dims = _dims(plains + [col[0] for col in components if col])
+            for members in layouts.values():
+                self.stacks.append((_stack(plains, order, dims, [
+                    [col[i] for i in members] for col in components]), members))
+        if self.stacks:
+            self.dv = dims[var]
+            self.head = (var, _columns(separator, dims, self.dv))
+
+    def finish(self):
+        """(conditional, separator) where the separator is a JacobianFactor,
+        HybridGaussianFactor, DiscreteFactor (boundary), or None when it
+        carries no content beyond a mode-independent constant."""
+        var = self.var
+        if self.error is not None:
+            raise self.error
+        if not self.keys:
+            result = self.results[0]
+            if result is None:
+                m = self.stacks[0][0].shape[1]
+                raise UnderconstrainedVariable(
+                    f"underconstrained variable: {var!r} has {m} rows, "
+                    f"needs {self.dv}" if m < self.dv else
+                    f"underconstrained variable: {var!r} is rank deficient")
+            conditional, marginal = result
+            # Without a separator the marginal is a pure residual: a
+            # mode-independent constant, nothing downstream.
+            return conditional, marginal if self.separator else None
+        size = math.prod(self.shape)
+        cond_leaves = np.full(size, None)
+        sep_leaves = np.full(size, None)
+        bound_leaves = np.full(size, math.inf)
+        alive = 0
+        for cell, c_in, result in zip(self.flat, self.c_in, self.results):
+            if result is None:    # rank deficient, or fewer rows than var needs
+                continue
+            conditional, marginal = result
+            alive += 1
+            c_out = c_in - conditional.log_normalizer
+            cond_leaves[cell] = conditional
+            sep_leaves[cell] = (marginal, c_out)
+            if not self.separator:
+                bound_leaves[cell] = marginal.error({}) + c_out
+        if alive == 0:
+            raise UnderconstrainedVariable(
+                f"variable unconstrained in every mode: {var!r}")
+        keys = self.keys
+        conditional = HybridGaussianConditional(
+            keys, DecisionTree(keys, cond_leaves.reshape(self.shape)))
+        if self.separator:
+            return conditional, HybridGaussianFactor(
+                keys, DecisionTree(keys, sep_leaves.reshape(self.shape)))
+        return conditional, discrete_factor_from_leaves(
+            DecisionTree(keys, bound_leaves.reshape(self.shape)))
+
+
+def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
+    """Run the QRs of cliques none of which feeds another: their systems,
+    grouped by shape (rows, columns and the eliminated variable's
+    dimension), take one eliminate_stacked call per group.  A group with
+    fewer rows than the variable needs runs none; its results stay None."""
+    groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, np.ndarray, List[int]]]] = {}
+    for c in cliques:
+        for M, members in c.stacks:
+            groups.setdefault(M.shape[1:] + (c.dv,), []).append((c, M, members))
+    for (m, _, dv), parts in groups.items():
+        if m < dv:
+            continue
+        try:
+            _eliminate_group(parts, dv)
+        except ValueError:
+            # Non-finite entries: one QR per part finds whose.
+            for part in parts:
+                try:
+                    _eliminate_group([part], dv)
+                except ValueError as e:
+                    part[0].error = e
+
+
+def _eliminate_group(parts: Sequence[Tuple[_Clique, np.ndarray, List[int]]],
+                     dv: int) -> None:
+    """One eliminate_stacked call for the stacks of one shape; each result
+    goes back to its clique."""
+    stack = parts[0][1] if len(parts) == 1 \
+        else np.concatenate([M for _, M, _ in parts])
+    results = eliminate_stacked(stack, dv, [c.head for c, M, _ in parts
+                                            for _ in range(len(M))])
+    at = 0
+    for c, M, members in parts:
+        for i, result in zip(members, results[at:at + len(M)]):
+            c.results[i] = result
+        at += len(M)
+
+
 def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     """Sum-Product elimination of a continuous variable; see module docs.
 
@@ -101,98 +278,35 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     JacobianFactor, HybridGaussianFactor, DiscreteFactor (boundary), or None
     when it carries no content beyond a mode-independent constant.
     """
-    plains: List[JacobianFactor] = []
-    hybrids: List[HybridGaussianFactor] = []
-    base_const = 0.0
-    for f in factors:
-        if isinstance(f, JacobianFactor):
-            plains.append(f)
-        elif isinstance(f, HybridGaussianFactor):
-            if f.keys:
-                hybrids.append(f)
-            else:
-                # Fully restricted factor: one live component plus constant.
-                jf, c = f.components.leaves[()]
-                plains.append(jf)
-                base_const += c
-        else:
-            raise TypeError("continuous elimination takes Jacobian/hybrid factors")
-    keys: Tuple[DiscreteKey, ...] = ()
-    cont_vars = set()
-    for f in plains:
-        cont_vars.update(f.variables)
-    for f in hybrids:
-        keys = _merge_keys(keys, f.keys)
-        cont_vars.update(f.continuous_ids)
-    if var not in cont_vars:
-        raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
-    separator_cont = sorted(v for v in cont_vars if v != var)
+    clique = _Clique(factors, var)
+    _eliminate_independent([clique])
+    return clique.finish()
 
-    if not keys:
-        # base_const is mode-independent here and cancels in any posterior.
-        conditional, marginal = eliminate_one(list(plains), var)
-        if not marginal.blocks:
-            # Pure residual: a mode-independent constant, nothing downstream.
-            return conditional, None
-        return conditional, marginal
 
-    shape = tuple(k.cardinality for k in keys)
-    check_enumeration(shape)
-    # Live cells: those where every hybrid has a component, in flat order.
-    live = np.ones(shape, dtype=bool)
-    for f in hybrids:
-        live &= _expand(np.not_equal(f.components.leaves, None), f.keys, keys)
-    cells = np.nonzero(live)
-    pos = {k.id: i for i, k in enumerate(keys)}
-    picked = [f.components.leaves[tuple(cells[pos[k.id]] for k in f.keys)]
-              for f in hybrids]
-    components = [[jf for jf, _ in leaves] for leaves in picked]
-    c_in = np.full(len(cells[0]), base_const)
-    for leaves in picked:
-        c_in += [c for _, c in leaves]
-    # Cells whose components have the same row counts share a layout and
-    # are eliminated together, with one QR.
-    layouts: Dict[Tuple[int, ...], List[int]] = {}
-    for i, rows in enumerate(zip(*[[jf.rows for jf in col] for col in components])):
-        layouts.setdefault(rows, []).append(i)
-    dims = _dims(plains + [col[0] for col in components if col])
-    order = [var] + separator_cont
-    flat = np.ravel_multi_index(cells, shape).tolist()
-    c_in = c_in.tolist()
-    cond_leaves = np.full(live.size, None)
-    sep_leaves = np.full(live.size, None)
-    bound_leaves = np.full(live.size, math.inf)
-    alive = 0
-    for members in layouts.values():
-        M = _stack(plains, order, dims,
-                   [[col[i] for i in members] for col in components])
-        try:
-            results = eliminate_stacked(M, var, separator_cont, dims)
-        except UnderconstrainedVariable:    # fewer rows than var's dimension
-            continue
-        for i, result in zip(members, results):
-            if result is None:
-                continue
-            conditional, marginal = result
-            alive += 1
-            cell = flat[i]
-            c_out = c_in[i] - conditional.log_normalizer
-            cond_leaves[cell] = conditional
-            sep_leaves[cell] = (marginal, c_out)
-            if not separator_cont:
-                bound_leaves[cell] = marginal.error({}) + c_out
-    if alive == 0:
-        raise UnderconstrainedVariable(
-            f"variable unconstrained in every mode: {var!r}")
-    conditional = HybridGaussianConditional(
-        keys, DecisionTree(keys, cond_leaves.reshape(shape)))
-    if separator_cont:
-        separator = HybridGaussianFactor(
-            keys, DecisionTree(keys, sep_leaves.reshape(shape)))
-    else:
-        separator = discrete_factor_from_leaves(
-            DecisionTree(keys, bound_leaves.reshape(shape)))
-    return conditional, separator
+def _levels(ordering: Sequence[Any], position: Dict[Any, int],
+            buckets: Sequence[Sequence[Tuple[int, Any]]], n_cont: int
+            ) -> List[List[int]]:
+    """Positions of the first n_cont variables of the ordering, the
+    continuous ones, by level of the elimination tree: a variable's level
+    is 1 + the largest level of the variables whose separators land in its
+    bucket, 0 without any, so no variable feeds another of its level.
+    Symbolic: a separator's variables are those of its bucket but the
+    eliminated one, and it lands in the bucket of the first of them."""
+    scope = [set() for _ in range(n_cont)]
+    for i in range(n_cont):
+        for _, f in buckets[i]:
+            scope[i].update(_variables(f))
+    level = [0] * n_cont
+    for i in range(n_cont):
+        scope[i].discard(ordering[i])
+        if scope[i]:
+            t = min(position[v] for v in scope[i])
+            scope[t] |= scope[i]
+            level[t] = max(level[t], level[i] + 1)
+    out: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for i, lv in enumerate(level):
+        out[lv].append(i)
+    return out
 
 
 def sum_product(g: HybridFactorGraph,
@@ -200,33 +314,65 @@ def sum_product(g: HybridFactorGraph,
     """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z).
 
     Each factor, and each separator once produced, waits in the bucket of
-    its first variable in the ordering, so no factor is scanned twice.
+    its first variable in the ordering, so no factor is scanned twice.  The
+    continuous variables are eliminated by wavefront: one level of the
+    elimination tree at a time, the QRs of all its buckets batched by
+    shape (see _eliminate_independent).  A bucket stacks the graph's
+    factors in graph order, then separators in the order of the variables
+    that produced them, as a one-at-a-time loop would: for a given
+    ordering the net is the same bit for bit, and an error is that of the
+    first failing variable in the ordering.
     """
     if ordering is None:
         ordering = strong_ordering(g)
     _validate_ordering(g, ordering)
-    cont = set(g.continuous_variables())
+    n_cont = len(g.continuous_variables())
     keymap = {k.id: k for k in g.discrete_keys()}
     position = {vid: i for i, vid in enumerate(ordering)}
-    buckets: List[List[Any]] = [[] for _ in ordering]
+    # Bucket entries (position of the variable that produced the factor,
+    # factor), the graph's own factors at -1.
+    buckets: List[List[Tuple[int, Any]]] = [[] for _ in ordering]
 
-    def place(f):
+    def place(f, source=-1):
         ids = _variables(f)
         if ids:  # a factor without variables is a constant
-            buckets[min(position[v] for v in ids)].append(f)
+            buckets[min(position[v] for v in ids)].append((source, f))
+
+    def bucket(i):
+        return [f for _, f in sorted(buckets[i], key=lambda entry: entry[0])]
 
     for f in g.all_factors():
         place(f)
-    bn = HybridBayesNet()
-    for vid, bucket in zip(ordering, buckets):
-        if vid in cont:
-            conditional, separator = eliminate_hybrid_sum(bucket, vid)
-        else:
-            conditional, separator = eliminate_discrete_sum(
-                multiply_factors(bucket), keymap[vid])
+    conditionals: List[Any] = [None] * n_cont
+    # Errors by position: past the first, the loop would not have gone.
+    failures: Dict[int, Exception] = {}
+    for level in _levels(ordering, position, buckets, n_cont):
+        cliques = []
+        for i in level:
+            if failures and i > min(failures):
+                continue
+            try:
+                cliques.append((i, _Clique(bucket(i), ordering[i])))
+            except (TypeError, ValueError) as e:
+                failures[i] = e
+        _eliminate_independent([c for _, c in cliques])
+        for i, c in cliques:
+            try:
+                conditionals[i], separator = c.finish()
+            except ValueError as e:
+                failures[i] = e
+                continue
+            if separator is not None:
+                place(separator, i)
+    if failures:
+        raise failures[min(failures)]
+    bn = HybridBayesNet(conditionals)
+    for i in range(n_cont, len(ordering)):
+        conditional, separator = eliminate_discrete_sum(
+            multiply_factors(bucket(i)), keymap[ordering[i]])
         bn.append(conditional)
         if separator is not None:
-            place(separator)
+            place(separator, i)
     return bn
 
 

@@ -147,14 +147,18 @@ class GaussianConditional:
     def dim(self) -> int:
         return int(self.R.shape[0])
 
-    def solve(self, values: VectorValues) -> np.ndarray:
-        """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
+    def _rhs(self, values: VectorValues) -> np.ndarray:
+        """d - sum_i S_i p_i."""
         rhs = self.d.copy()
         for vid, S in self.parent_blocks.items():
             if vid not in values:
                 raise ValueError(f"incomplete values: missing {vid!r}")
             rhs = rhs - S @ _as_vector(values[vid])
-        return np.linalg.solve(self.R, rhs)
+        return rhs
+
+    def solve(self, values: VectorValues) -> np.ndarray:
+        """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
+        return np.linalg.solve(self.R, self._rhs(values))
 
     def log_density(self, values: VectorValues) -> float:
         if self.frontal not in values:
@@ -322,18 +326,33 @@ class UnderconstrainedVariable(ValueError):
     pass
 
 
-def eliminate_stacked(M: np.ndarray, var, separator: Sequence[Any],
-                      dims: Mapping[Any, int]
-                      ) -> List[Optional[Tuple[GaussianConditional, JacobianFactor]]]:
-    """Eliminate `var` from k stacked systems at once, with one QR.
+def _columns(separator: Sequence[Any], dims: Mapping[Any, int], start: int
+             ) -> Tuple[Tuple[Any, int, int], ...]:
+    """Column ranges (vid, a, b) of the separator's variables, laid out in
+    order from column `start` (after the eliminated variable's)."""
+    cols = []
+    for vid in separator:
+        cols.append((vid, start, start + dims[vid]))
+        start += dims[vid]
+    return tuple(cols)
 
-    M is (k, m, n+1): k matrices [A | b] with columns laid out per
-    [var] + separator (see _stack).  Returns, per system, the conditional
-    p(var | separator) and the marginal factor on the separator, or None
-    where `var` is rank deficient.  The marginal keeps any pure-residual
-    row, so 0.5||A x - b||^2 = 0.5||R x_var + S p - d||^2 + marginal error
-    holds exactly.  Raises UnderconstrainedVariable when m is below the
-    dimension of `var`, and ValueError on non-finite entries.
+
+def eliminate_stacked(M: np.ndarray, dv: int,
+                      heads: Sequence[Tuple[Any, Tuple[Tuple[Any, int, int], ...]]]
+                      ) -> List[Optional[Tuple[GaussianConditional, JacobianFactor]]]:
+    """Eliminate k stacked systems at once, with one QR.
+
+    M is (k, m, n+1): k matrices [A | b] (see _stack).  System j
+    eliminates the variable heads[j][0], whose dv columns come first, onto
+    the separator whose column ranges heads[j][1] gives as (vid, a, b), in
+    separator order (see _columns); systems may eliminate different
+    variables onto different separators.  Returns, per system, the
+    conditional p(var | separator) and the marginal factor on the
+    separator, or None where its variable is rank deficient.  The marginal
+    keeps any pure-residual row, so 0.5||A x - b||^2 = 0.5||R x_var + S p -
+    d||^2 + marginal error holds exactly.  Raises UnderconstrainedVariable
+    when m is below dv, and ValueError naming the first system with
+    non-finite entries.
 
     The outputs take slices of arrays computed here, without copies or
     re-checks: R is square and matches d by construction, the rank check
@@ -341,16 +360,17 @@ def eliminate_stacked(M: np.ndarray, var, separator: Sequence[Any],
     per-system scale (a max, which NaN propagates through) covers every
     block.
     """
-    dv = dims[var]
     k, m, _ = M.shape
     if m < dv:
-        raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
-                                       f"has {m} rows, needs {dv}")
+        raise UnderconstrainedVariable(f"underconstrained variable: "
+                                       f"{heads[0][0]!r} has {m} rows, needs {dv}")
     Rfull = np.linalg.qr(M, mode="r")
     A = np.abs(Rfull)
     scale = A.max(axis=(1, 2))
-    if not math.isfinite(scale.max()):
-        raise ValueError(f"eliminating {var!r}: non-finite entries")
+    bad = ~np.isfinite(scale)
+    if bad.any():
+        raise ValueError(f"eliminating {heads[int(bad.argmax())][0]!r}: "
+                         "non-finite entries")
     tol = RANK_TOL * np.maximum(scale, 1.0)
     live = (A.diagonal(0, 1, 2)[:, :dv] > tol[:, None]).all(axis=1).nonzero()[0]
     if live.size < k:
@@ -362,13 +382,12 @@ def eliminate_stacked(M: np.ndarray, var, separator: Sequence[Any],
     d = Rfull[:, :dv, -1] * flip
     log_norms = (0.5 * dv * math.log(2.0 * math.pi)
                  - np.log(A.diagonal(0, 1, 2)[:, :dv]).sum(axis=1)).tolist()
-    sep = tuple(separator)
-    cols = []
-    c = dv
-    for vid in sep:
-        cols.append((vid, c, c + dims[vid]))
-        c += dims[vid]
-    S = [(vid, Rfull[:, :dv, a:b] * rows_flip) for vid, a, b in cols]
+    # Parent blocks: one signed array over the batch per column range in use.
+    layouts = {id(cols): cols for _, cols in heads}
+    S = {ab: Rfull[:, :dv, ab[0]:ab[1]] * rows_flip for ab in
+         {(a, b) for cols in layouts.values() for _, a, b in cols}}
+    separators = {key: tuple(vid for vid, _, _ in cols)
+                  for key, cols in layouts.items()}
     # Marginal rows, signed so that each row's first significant entry is
     # nonnegative; a row with none gets first = 0, never < -tol.  Rows are
     # multiplied by -1 or 1, which leaves every bit of a kept row as is.
@@ -377,13 +396,16 @@ def eliminate_stacked(M: np.ndarray, var, separator: Sequence[Any],
     lead = T[np.arange(len(T))[:, None], np.arange(T.shape[1]), first]
     T *= np.where(lead < -tol[:, None], -1.0, 1.0)[:, :, None]
     out: List[Optional[Tuple[GaussianConditional, JacobianFactor]]] = [None] * k
-    for j, cell in enumerate(live.tolist()):
+    for j, system in enumerate(live.tolist()):
+        var, cols = heads[system]
+        sep = separators[id(cols)]
         conditional = GaussianConditional._own(
-            var, R[j], {vid: Sv[j] for vid, Sv in S}, d[j], log_norms[j], sep)
+            var, R[j], {vid: S[a, b][j] for vid, a, b in cols}, d[j],
+            log_norms[j], sep)
         Tj = T[j]
         marginal = JacobianFactor._own({vid: Tj[:, a:b] for vid, a, b in cols},
                                        Tj[:, -1], sep)
-        out[cell] = (conditional, marginal)
+        out[system] = (conditional, marginal)
     return out
 
 
@@ -398,8 +420,9 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "appears in no factor")
     separator = sorted(v for v in dims if v != var)
-    (result,) = eliminate_stacked(_stack(factors, [var] + separator, dims),
-                                  var, separator, dims)
+    dv = dims[var]
+    (result,) = eliminate_stacked(_stack(factors, [var] + separator, dims), dv,
+                                  [(var, _columns(separator, dims, dv))])
     if result is None:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "is rank deficient")
@@ -408,8 +431,26 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
 
 def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues:
     """Solve the triangular system defined by conditionals in elimination
-    order (parents always eliminated later)."""
-    values: VectorValues = {}
+    order (parents always eliminated later).  Conditionals at one depth
+    below the roots (1 + their deepest parent's) need only shallower
+    values, so each depth's conditionals of one dimension are solved
+    together, with one stacked LU solve: each gets the bits of its own
+    `solve`."""
+    depth: Dict[Any, int] = {}
+    levels: Dict[Tuple[int, int], List[GaussianConditional]] = {}
     for cond in reversed(list(conditionals)):
-        values[cond.frontal] = cond.solve(values)
+        level = 0
+        for vid in cond.parent_blocks:
+            if vid not in depth:
+                raise ValueError(f"incomplete values: missing {vid!r}")
+            level = max(level, depth[vid] + 1)
+        depth[cond.frontal] = level
+        levels.setdefault((level, cond.dim), []).append(cond)
+    values: VectorValues = {}
+    for key in sorted(levels):
+        group = levels[key]
+        rhs = np.stack([cond._rhs(values) for cond in group])[:, :, None]
+        x = np.linalg.solve(np.stack([cond.R for cond in group]), rhs)[:, :, 0]
+        for cond, xj in zip(group, x):
+            values[cond.frontal] = xj
     return values

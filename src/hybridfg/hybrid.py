@@ -269,6 +269,15 @@ class NonlinearFactor:
         self.residual = residual
         self.noise = NoiseModel(sigma, residual.dim)
 
+    @classmethod
+    def _own(cls, residual, noise: NoiseModel) -> "NonlinearFactor":
+        """A factor over a NoiseModel already checked against the
+        residual's dimension (a hybrid leaf's): no second factorization."""
+        f = object.__new__(cls)
+        f.residual = residual
+        f.noise = noise
+        return f
+
     @property
     def sigma(self) -> np.ndarray:
         return self.noise.sigma
@@ -341,7 +350,7 @@ class HybridNonlinearFactor:
         leaf = tree.leaves[()]
         if leaf is None:
             raise ValueError("restriction selects a pruned component")
-        return NonlinearFactor(leaf[0], leaf[1].sigma)
+        return NonlinearFactor._own(*leaf)
 
     def _uses(self) -> List[Tuple[Any, NoiseModel]]:
         return self.components.live_leaves()

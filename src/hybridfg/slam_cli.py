@@ -221,12 +221,18 @@ def _format_key(kid) -> str:
     return str(kid)
 
 
+def _fixed(*values: float) -> str:
+    """Values with 9 decimals, a value that rounds to zero as 0.000000000:
+    its sign would only show which way rounding went."""
+    return " ".join(f"{round(v, 9) + 0.0:.9f}" for v in values)
+
+
 def emit_results(results: RunResults, outdir: str):
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "trajectory.txt"), "w", encoding="utf-8") as fh:
         for (_, k) in sorted(results.values):
             p = results.values[("x", k)]
-            fh.write(f"POSE {k} {p.x:.9f} {p.y:.9f} {p.theta:.9f}\n")
+            fh.write(f"POSE {k} {_fixed(p.x, p.y, p.theta)}\n")
     with open(os.path.join(outdir, "modes.txt"), "w", encoding="utf-8") as fh:
         keys = sorted(set(results.assignment) | set(results.fixed)
                       | set(results.marginals))
@@ -237,7 +243,7 @@ def emit_results(results: RunResults, outdir: str):
                 val = results.assignment.get(kid, 0)
                 m = results.marginals.get(kid)
                 prob = float(m[val]) if m is not None else 1.0
-            fh.write(f"MODE {_format_key(kid)} {val} {prob:.9f}\n")
+            fh.write(f"MODE {_format_key(kid)} {val} {_fixed(prob)}\n")
     with open(os.path.join(outdir, "timing.csv"), "w", encoding="utf-8",
               newline="") as fh:
         w = csv.writer(fh)
@@ -246,7 +252,7 @@ def emit_results(results: RunResults, outdir: str):
             w.writerow([step, nf, nh, f"{ms:.3f}"])
     with open(os.path.join(outdir, "history.txt"), "w", encoding="utf-8") as fh:
         for step, k, x, y, theta in results.history:
-            fh.write(f"HIST {step} {k} {x:.9f} {y:.9f} {theta:.9f}\n")
+            fh.write(f"HIST {step} {k} {_fixed(x, y, theta)}\n")
 
 
 def main(argv=None) -> int:

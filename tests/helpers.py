@@ -9,9 +9,12 @@ import numpy as np
 
 import hybridfg
 from hybridfg import (DiscreteFactor, DiscreteKey, GaussianConditional,
-                      HybridFactorGraph, HybridGaussianFactor,
+                      HybridBayesNet, HybridFactorGraph,
+                      HybridGaussianConditional, HybridGaussianFactor,
                       HybridNonlinearFactor, JacobianFactor, NonlinearFactor,
                       Pose2, log_normalization_constant, whiten)
+from hybridfg.discrete import eliminate_discrete_sum, multiply_factors
+from hybridfg.elimination import eliminate_hybrid_sum
 from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable
 from hybridfg.nonlinear import (FD_STEP, BetweenResidual, FuncResidual,
                                 LinearResidual, PriorResidual)
@@ -88,6 +91,70 @@ def same_marginal(m1, m2) -> bool:
 def same_elimination(got, want) -> bool:
     """Bitwise equal (conditional, marginal) pairs."""
     return same_conditional(got[0], want[0]) and same_marginal(got[1], want[1])
+
+
+def reference_sum_product(g, ordering):
+    """Reference: sum_product as it ran before wavefront elimination, a
+    one-at-a-time bucket loop over the ordering; each factor and each
+    separator waits in the bucket of its first variable."""
+    cont = set(g.continuous_variables())
+    keymap = {k.id: k for k in g.discrete_keys()}
+    position = {vid: i for i, vid in enumerate(ordering)}
+    buckets = [[] for _ in ordering]
+
+    def place(f):
+        ids = ([k.id for k in f.keys] if isinstance(f, DiscreteFactor) else
+               f.continuous_ids if isinstance(f, HybridGaussianFactor) else
+               f.variables)
+        if ids:
+            buckets[min(position[v] for v in ids)].append(f)
+
+    for f in g.all_factors():
+        place(f)
+    bn = HybridBayesNet()
+    for vid, bucket in zip(ordering, buckets):
+        if vid in cont:
+            conditional, separator = eliminate_hybrid_sum(bucket, vid)
+        else:
+            conditional, separator = eliminate_discrete_sum(
+                multiply_factors(bucket), keymap[vid])
+        bn.append(conditional)
+        if separator is not None:
+            place(separator)
+    return bn
+
+
+def reference_back_substitute(conditionals):
+    """Reference: back-substitution one conditional at a time."""
+    values = {}
+    for cond in reversed(list(conditionals)):
+        values[cond.frontal] = cond.solve(values)
+    return values
+
+
+def same_net(a, b) -> bool:
+    """Bitwise equal nets: conditionals in the same order, Gaussian ones
+    (every live component of a hybrid one, nil at the same cells) as in
+    same_conditional, discrete ones with the same keys and potentials."""
+    if len(a.conditionals) != len(b.conditionals):
+        return False
+    for c1, c2 in zip(a.conditionals, b.conditionals):
+        if type(c1) is not type(c2):
+            return False
+        if isinstance(c1, GaussianConditional):
+            if not same_conditional(c1, c2):
+                return False
+        elif isinstance(c1, HybridGaussianConditional):
+            l1, l2 = c1.components.leaves.flat, c2.components.leaves.flat
+            if c1.keys != c2.keys or not all(
+                    (x is None and y is None) or (
+                        x is not None and y is not None and same_conditional(x, y))
+                    for x, y in zip(l1, l2)):
+                return False
+        elif (c1.frontal != c2.frontal or c1.parents != c2.parents
+              or not same_bits(c1.potentials.leaves, c2.potentials.leaves)):
+            return False
+    return True
 
 
 # Reference: SE(2), residuals and whitening as they ran before linearization

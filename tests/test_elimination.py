@@ -20,9 +20,13 @@ from hybridfg.elimination import (_live_masks, hypothesis_support,
                                   restrict_to_support)
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
+from hybridfg import slam_cli
+from hybridfg.dataset import square_loop_dataset
+
 from helpers import (hypothesis_chain_graph, mixture_graph, random_hybrid_graph,
-                     reference_eliminate_one, same_bits, same_conditional,
-                     same_marginal)
+                     reference_back_substitute, reference_eliminate_one,
+                     reference_sum_product, same_bits, same_conditional,
+                     same_marginal, same_net)
 
 MIXTURE_P0 = 1.0 / (1.0 + math.exp(-2.0))
 
@@ -67,9 +71,10 @@ class TestStrongOrdering:
                     seen_disc = True
 
 
-def _quadratic_ordering(g):
-    """Reference: the minimum-degree rule as a min() over all remaining
-    variables per step, which strong_ordering used before its heap."""
+def _mmd_reference(g):
+    """Reference: multiple minimum degree as a plain loop.  Each round takes
+    the remaining variables of minimum degree in id order and eliminates
+    each one that no variable eliminated earlier in the round touches."""
     cont = g.continuous_variables()
     adj = {v: set() for v in cont}
     for vs in [f.variables for f in g.continuous_factors] \
@@ -77,14 +82,17 @@ def _quadratic_ordering(g):
         for a in vs:
             adj[a].update(v for v in vs if v != a)
     order = []
-    remaining = set(cont)
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
-        order.append(v)
-        neighbors = adj[v] & remaining
-        for a in neighbors:
-            adj[a].update(n for n in neighbors if n != a)
-        remaining.remove(v)
+    while adj:
+        degree = min(len(n) for n in adj.values())
+        touched = set()
+        for v in sorted(u for u in adj if len(adj[u]) == degree):
+            if v in touched:
+                continue
+            order.append(v)
+            neighbors = adj.pop(v)
+            for a in neighbors:
+                adj[a] = (adj[a] | neighbors) - {a, v}
+            touched |= neighbors
     return order + sorted(k.id for k in g.discrete_keys())
 
 
@@ -109,23 +117,24 @@ def _random_structure_graph(rng, ids):
 
 
 class TestHeapOrdering:
-    def test_matches_quadratic_min_degree(self):
-        """The heap returns exactly the min() rule's ordering on random
-        graphs with int ids and with tuple ids like the SLAM runner's."""
+    def test_matches_plain_loop_mmd(self):
+        """The heap returns exactly the plain loop's multiple-minimum-degree
+        ordering on random graphs with int ids and with tuple ids like the
+        SLAM runner's."""
         rng = np.random.default_rng(12)
         for trial in range(200):
             n = int(rng.integers(1, 16))
             ids = list(range(n)) if trial % 2 else [("x", k) for k in range(n)]
             g = _random_structure_graph(rng, ids)
-            assert strong_ordering(g) == _quadratic_ordering(g), trial
+            assert strong_ordering(g) == _mmd_reference(g), trial
 
     def test_ties_break_by_id(self):
-        """A star: every leaf has degree 1, so the smallest id goes first;
-        eliminating it leaves the rest tied again."""
+        """A star: every leaf has degree 1 and no leaf touches another, so
+        one round takes all the leaves in id order, then the centre."""
         g = HybridFactorGraph()
         for leaf in (5, 3, 9, 1):
             g.add(JacobianFactor({0: [[1.0]], leaf: [[1.0]]}, [0.0]))
-        assert strong_ordering(g) == [1, 3, 5, 0, 9]
+        assert strong_ordering(g) == [1, 3, 5, 9, 0]
 
 
 def _walk_reference(factors, var, eliminate=eliminate_one):
@@ -235,8 +244,9 @@ def _mixed_layout_clique(rng):
 
 def _layouts(factors, var):
     """Row counts of the hybrids' components over the clique's live cells,
-    counting only layouts with at least as many rows as `var` has columns:
-    the QRs a batched elimination has to run.  Every hybrid holds `var`."""
+    each with the row count m of its stacked systems, counting only layouts
+    with at least as many rows as `var` has columns: a batched elimination
+    runs one QR per distinct m.  Every hybrid holds `var`."""
     plains = [f for f in factors if isinstance(f, JacobianFactor)]
     hybrids = [f for f in factors if isinstance(f, HybridGaussianFactor)]
     keys = ()
@@ -251,8 +261,9 @@ def _layouts(factors, var):
                   for f in hybrids]
         if all(leaf is not None for leaf in leaves):
             rows = tuple(leaf[0].rows for leaf in leaves)
-            if sum(rows) + sum(f.rows for f in plains) >= dv:
-                out.add(rows)
+            m = sum(rows) + sum(f.rows for f in plains)
+            if m >= dv:
+                out.add((rows, m))
     return out
 
 
@@ -333,9 +344,10 @@ class TestLiveCells:
 
     def test_layout_groups_match_per_cell_reference(self, monkeypatch):
         """Cliques whose components differ in row count are eliminated in
-        one QR per layout, and every cell keeps the bits of the reference's
-        per-cell elimination: conditional, marginal, constant, nil
-        positions and boundary potentials."""
+        one QR per shape of their stacked systems (layouts with the same
+        total row count share one), and every cell keeps the bits of the
+        reference's per-cell elimination: conditional, marginal, constant,
+        nil positions and boundary potentials."""
         calls = []
         real_qr = np.linalg.qr
 
@@ -345,7 +357,7 @@ class TestLiveCells:
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         rng = np.random.default_rng(24)
         seen = {"nil": 0, "rank": 0, "boundary": 0, "all dead": 0,
-                "several layouts": 0}
+                "several layouts": 0, "layouts sharing a shape": 0}
         for trial in range(300):
             factors = _mixed_layout_clique(rng)
             keys, ref = _walk_reference(factors, "x", reference_eliminate_one)
@@ -353,17 +365,19 @@ class TestLiveCells:
                 if isinstance(cell, str):
                     seen[cell] += 1
             layouts = _layouts(factors, "x")
+            shapes = {m for _, m in layouts}
             seen["several layouts"] += len(layouts) > 1
+            seen["layouts sharing a shape"] += len(layouts) > len(shapes)
             calls.clear()
             if all(isinstance(cell, str) for cell in ref):
                 seen["all dead"] += 1
                 with pytest.raises(UnderconstrainedVariable,
                                    match="unconstrained in every mode"):
                     eliminate_hybrid_sum(factors, "x")
-                assert len(calls) == len(layouts), trial
+                assert len(calls) == len(shapes), trial
                 continue
             cond, sep = eliminate_hybrid_sum(factors, "x")
-            assert len(calls) == len(layouts), trial
+            assert len(calls) == len(shapes), trial
             ref = [cell if isinstance(cell, tuple) else None for cell in ref]
             assert cond.keys == sep.keys == keys, trial
             for leaf, cell in zip(cond.components.leaves.reshape(-1), ref):
@@ -720,6 +734,202 @@ class TestSumProduct:
         ]))
         bn2 = sum_product(g2)
         assert int(np.count_nonzero(_joint(bn2))) <= 4 * new_key.cardinality
+
+
+def _random_strong_ordering(rng, g):
+    cont = list(g.continuous_variables())
+    disc = [k.id for k in g.discrete_keys()]
+    rng.shuffle(cont)
+    rng.shuffle(disc)
+    return cont + disc
+
+
+def _outcome(fn, *args):
+    """A net, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+def _slam_graph(num_poses, n_ambiguous, n_loops):
+    entries, _, _ = square_loop_dataset(0, num_poses, n_ambiguous, n_loops)
+    runner = slam_cli._Runner(slam_cli.RunConfig())
+    for index, entry in enumerate(entries):
+        runner.add_entry(entry, index)
+    return runner.graph.linearize(runner.values)
+
+
+def _fragile_graph(rng):
+    """Plain and hybrid factors over 1-8 variables of dimension 1-2 with
+    random coefficients; blocks are zero, factors have fewer rows than a
+    variable's dimension and priors are missing often enough that
+    elimination fails for some variables and orderings."""
+    n = int(rng.integers(1, 9))
+    dims = [int(rng.integers(1, 3)) for _ in range(n)]
+    key = DiscreteKey("m", 2)
+
+    def factor(vs):
+        rows = int(rng.integers(1, 3))
+        return JacobianFactor({v: rng.normal(size=(rows, dims[v]))
+                               if rng.random() < 0.8 else np.zeros((rows, dims[v]))
+                               for v in vs}, rng.normal(size=rows))
+    g = HybridFactorGraph()
+    for _ in range(int(rng.integers(1, 2 * n + 1))):
+        vs = sorted(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                               replace=False).tolist())
+        if rng.random() < 0.25:
+            g.add(HybridGaussianFactor.from_components(
+                [key], [(factor(vs), 0.0), (factor(vs), 0.5)]))
+        else:
+            g.add(factor(vs))
+    for v in range(n):      # every id is a variable of the graph
+        if rng.random() < 0.5 or not any(
+                v in vs for vs in [f.variables for f in g.continuous_factors]
+                + [f.continuous_ids for f in g.hybrid_factors]):
+            g.add(factor([v]))
+    return g
+
+
+class TestWavefront:
+    """sum_product eliminates one elimination-tree level at a time; for a
+    given ordering its net must keep every bit of the one-at-a-time
+    bucket loop's (helpers.reference_sum_product), and its errors must be
+    those of the first failing variable in the ordering."""
+
+    def test_random_graphs_match_sequential_reference(self):
+        rng = np.random.default_rng(41)
+        seen = {"hybrid": 0, "boundary": 0, "several levels": 0,
+                "explicit ordering": 0}
+        for trial in range(150):
+            g = random_hybrid_graph(rng, int(rng.integers(1, 7)),
+                                    int(rng.integers(0, 5)),
+                                    two_var_hybrids=bool(trial % 2))
+            for ordering in (strong_ordering(g), _random_strong_ordering(rng, g)):
+                seen["explicit ordering"] += ordering != strong_ordering(g)
+                bn = sum_product(g, ordering)
+                assert same_net(bn, reference_sum_product(g, ordering)), trial
+                hybrids = [c for c in bn.conditionals
+                           if isinstance(c, HybridGaussianConditional)]
+                seen["hybrid"] += bool(hybrids)
+                # A hybrid conditional without parents sent a discrete
+                # factor across the continuous-discrete boundary.
+                seen["boundary"] += any(not c.parents for c in hybrids)
+                seen["several levels"] += any(
+                    c.parents for c in bn.continuous_conditionals())
+        assert all(seen.values()), seen
+
+    def test_slam_linearizations_match_sequential_reference(self):
+        """Pose graphs (3-D variables, tuple ids) under the MMD ordering and
+        under id order, also restricted to a pruned net's support so that
+        hybrid factors hold nil leaves."""
+        g = _slam_graph(65, 4, 2)
+        pruned = prune_bayes_net(sum_product(g), 2)
+        restricted = restrict_to_support(g, hypothesis_support(pruned))
+        for graph in (g, restricted):
+            cont = sorted(graph.continuous_variables())
+            disc = sorted(k.id for k in graph.discrete_keys())
+            for ordering in (strong_ordering(graph), cont + disc):
+                assert same_net(sum_product(graph, ordering),
+                                reference_sum_product(graph, ordering))
+
+    def test_failures_match_sequential_reference(self):
+        """Random graphs whose zero blocks, missing priors and short factors
+        leave variables underconstrained: the same net, or the same error
+        type and message."""
+        rng = np.random.default_rng(42)
+        failed = 0
+        for trial in range(200):
+            g = _fragile_graph(rng)
+            ordering = _random_strong_ordering(rng, g) if trial % 2 \
+                else strong_ordering(g)
+            got = _outcome(sum_product, g, ordering)
+            want = _outcome(reference_sum_product, g, ordering)
+            if isinstance(want, tuple):
+                failed += 1
+                assert got == want, trial
+            else:
+                assert same_net(got, want), trial
+        assert 20 < failed < 180, failed
+
+    def test_first_underconstrained_variable_in_ordering_raises(self):
+        """q (second in the ordering, level 1: p's separator lands in its
+        bucket) and r (third, level 0) are both underconstrained; the
+        wavefront meets r first, but q's error is raised, as the
+        one-at-a-time loop raises it."""
+        g = HybridFactorGraph()
+        g.add(JacobianFactor({"p": [[1.0]], "q": [[0.0]]}, [1.0]))
+        g.add(JacobianFactor({"r": [[0.0]], "s": [[1.0]]}, [1.0]))
+        g.add(JacobianFactor({"s": [[1.0]]}, [0.0]))
+        ordering = ["p", "q", "r", "s"]
+        with pytest.raises(UnderconstrainedVariable) as err:
+            sum_product(g, ordering)
+        assert str(err.value) == "underconstrained variable: 'q' has 0 rows, needs 1"
+        assert _outcome(reference_sum_product, g, ordering) == \
+            (UnderconstrainedVariable, str(err.value))
+        with pytest.raises(UnderconstrainedVariable,
+                           match="'r' is rank deficient"):
+            sum_product(g, ["r", "s", "p", "q"])
+
+    def test_non_finite_bucket_named_in_a_shared_group(self):
+        """a and b share a level and a shape, so one QR runs for both; b's
+        column norm overflows.  c, rank deficient, is on that level too.
+        The error is that of b or c, whichever comes first in the
+        ordering."""
+        g = HybridFactorGraph()
+        g.add(JacobianFactor({"a": [[1.0]] * 3, "z": [[1.0]] * 3}, [1.0] * 3))
+        g.add(JacobianFactor({"b": [[1.5e308]] * 3, "z": [[1.0]] * 3}, [1.0] * 3))
+        g.add(JacobianFactor({"c": [[0.0]], "z": [[1.0]]}, [1.0]))
+        g.add(JacobianFactor({"z": [[1.0]]}, [0.0]))
+        for ordering, want in [
+                (["a", "b", "c", "z"], "eliminating 'b': non-finite entries"),
+                (["a", "c", "b", "z"],
+                 "underconstrained variable: 'c' is rank deficient")]:
+            with pytest.raises(ValueError) as err:
+                sum_product(g, ordering)
+            assert str(err.value) == want
+            assert _outcome(reference_sum_product, g, ordering) == \
+                (type(err.value), want)
+
+    def test_one_qr_per_level_and_shape(self, monkeypatch):
+        """A star's leaves form one level of one shape: one QR for all of
+        them, then one for the centre."""
+        calls = []
+        real_qr = np.linalg.qr
+
+        def counting_qr(M, mode):
+            calls.append(M.shape[0])
+            return real_qr(M, mode=mode)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        g = HybridFactorGraph()
+        for leaf in (5, 3, 9, 1):
+            g.add(JacobianFactor({0: [[1.0]], leaf: [[float(leaf)]]}, [1.0]))
+        g.add(JacobianFactor({0: [[1.0]]}, [0.0]))
+        sum_product(g)
+        assert calls == [4, 1]
+
+    def test_back_substitution_matches_per_conditional_solve(self):
+        """The MAP of random nets and of a pose graph's net, solved a depth
+        and a dimension at a time, keeps the bits of solving one conditional
+        at a time."""
+        rng = np.random.default_rng(43)
+        nets = [sum_product(random_hybrid_graph(
+            rng, int(rng.integers(1, 7)), int(rng.integers(0, 4)),
+            two_var_hybrids=True)) for _ in range(60)]
+        nets.append(sum_product(_slam_graph(65, 4, 2)))
+        for _ in range(60):     # variables of dimension 1 and 2 mixed
+            net = _outcome(sum_product, _fragile_graph(rng))
+            if not isinstance(net, tuple):
+                nets.append(net)
+        for trial, bn in enumerate(nets):
+            got = bn_map(bn)
+            chosen = [c.component(got.discrete)
+                      if isinstance(c, HybridGaussianConditional) else c
+                      for c in bn.continuous_conditionals()]
+            want = reference_back_substitute(chosen)
+            assert got.continuous.keys() == want.keys(), trial
+            for vid in want:
+                assert same_bits(got.continuous[vid], want[vid]), trial
 
 
 class TestMaxProduct:

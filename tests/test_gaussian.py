@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridfg.gaussian import (RANK_TOL, GaussianConditional, JacobianFactor,
-                               UnderconstrainedVariable, _stack,
+                               UnderconstrainedVariable, _columns, _stack,
                                back_substitute, eliminate_one,
                                eliminate_stacked, log_normalization_constant,
                                sigma_cholesky, whiten)
@@ -241,6 +241,12 @@ def _random_batch(rng):
     return _stack(shared, ["x"] + present, dims, per_cell), present, dims, systems
 
 
+def _one_head(M, present, dims):
+    """eliminate_stacked's (dv, heads) for k systems that all eliminate "x"
+    onto `present`."""
+    return dims["x"], [("x", _columns(present, dims, dims["x"]))] * len(M)
+
+
 class TestEliminateStacked:
     def test_batch_matches_per_cell_reference(self):
         """One batched QR gives, system by system, the bits of the
@@ -261,9 +267,9 @@ class TestEliminateStacked:
             if M.shape[1] < dims["x"]:
                 seen["too few rows"] += 1
                 with pytest.raises(UnderconstrainedVariable, match="rows"):
-                    eliminate_stacked(M, "x", present, dims)
+                    eliminate_stacked(M, *_one_head(M, present, dims))
                 continue
-            got = eliminate_stacked(M, "x", present, dims)
+            got = eliminate_stacked(M, *_one_head(M, present, dims))
             assert len(got) == len(systems), trial
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), trial
@@ -289,12 +295,56 @@ class TestEliminateStacked:
                     continue
                 assert same_elimination(eliminate_one(factors, "x"), want), trial
 
+    def test_systems_with_their_own_heads_match_reference(self):
+        """Systems of one shape that eliminate different variables onto
+        separators of different variables and column splits: each keeps
+        the bits of the reference's elimination of its own factors."""
+        rng = np.random.default_rng(34)
+        seen = {"rank": 0, "split differs": 0}
+        for trial in range(200):
+            dv = int(rng.integers(1, 4))
+            width = int(rng.integers(0, 5))
+            m = int(rng.integers(dv, 7))
+            stacks, heads, want, splits = [], [], [], set()
+            for j in range(int(rng.integers(1, 6))):
+                var, dims, left = ("x", j), {("x", j): dv}, width
+                while left:
+                    dims[("s", j, len(dims))] = d = int(rng.integers(1, left + 1))
+                    left -= d
+                separator = sorted(v for v in dims if v != var)
+                splits.add(tuple(dims[v] for v in separator))
+                blocks = {v: rng.normal(size=(m, dims[v])) for v in dims}
+                if rng.random() < 0.15:
+                    blocks[var][:] = 0.0
+                factors = [JacobianFactor(blocks, rng.normal(size=m))]
+                stacks.append(_stack(factors, [var] + separator, dims))
+                heads.append((var, _columns(separator, dims, dv)))
+                try:
+                    want.append(reference_eliminate_one(factors, var))
+                except UnderconstrainedVariable:
+                    want.append(None)
+            got = eliminate_stacked(np.concatenate(stacks), dv, heads)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None), trial
+                if g is not None:
+                    assert same_elimination(g, w), trial
+            seen["rank"] += want.count(None)
+            seen["split differs"] += len(splits) > 1
+        assert all(seen.values()), seen
+
+    def test_non_finite_error_names_the_system(self):
+        M = np.random.default_rng(35).normal(size=(3, 4, 3))
+        M[1, 2, 1] = np.nan
+        heads = [(v, (("y", 1, 2),)) for v in ("a", "b", "c")]
+        with pytest.raises(ValueError, match="eliminating 'b': non-finite"):
+            eliminate_stacked(M, 1, heads)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):
         M = np.random.default_rng(33).normal(size=(3, 4, 3))
         M[1, 2, 1] = bad
         with pytest.raises(ValueError):
-            eliminate_stacked(M, "x", ["y"], {"x": 1, "y": 1})
+            eliminate_stacked(M, *_one_head(M, ["y"], {"x": 1, "y": 1}))
 
 
 class TestSortedIds:
@@ -354,6 +404,11 @@ class TestBackSubstitute:
         out = back_substitute([child, parent])
         np.testing.assert_allclose(out["y"], [2.0])
         np.testing.assert_allclose(out["x"], [3.0])
+
+    def test_parent_missing_from_the_list_raises(self):
+        child = GaussianConditional("x", [[1.0]], {"y": [[-1.0]]}, [1.0])
+        with pytest.raises(ValueError, match="incomplete values: missing 'y'"):
+            back_substitute([child])
 
     def test_chain_matches_dense_least_squares(self):
         rng = np.random.default_rng(6)

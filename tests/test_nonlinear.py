@@ -362,6 +362,11 @@ class TestRestrict:
         assert isinstance(out, NonlinearFactor)
         assert out.residual.measurement.x == 2.0
 
+    def test_full_fix_reuses_the_leaf_noise_model(self):
+        f, m = self._factor()
+        out = f.restrict({"m": 1})
+        assert out.noise is f.component({"m": 1})[1]
+
     def test_restricted_error_matches_hybrid_error(self):
         """Plain error of the restricted factor differs from the hybrid error
         at the fixed assignment only by the unit-noise normalizer constant."""

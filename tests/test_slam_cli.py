@@ -11,8 +11,9 @@ from hybridfg.hybrid import (HybridFactorGraph, HybridNonlinearFactor,
                              NonlinearFactor)
 from hybridfg.nonlinear import (OptimizationDiverged, OptimizeConfig,
                                 PriorResidual, gauss_newton_step, optimize)
-from hybridfg.slam_cli import (RunConfig, _Runner, build_loop_factor,
-                               build_motion_factor, emit_results, main, run)
+from hybridfg.slam_cli import (RunConfig, RunResults, _Runner,
+                               build_loop_factor, build_motion_factor,
+                               emit_results, main, run)
 
 from helpers import run_module
 
@@ -246,6 +247,16 @@ class TestEmitResults:
         emit_results(res, str(tmp_path))
         lines = (tmp_path / "trajectory.txt").read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("POSE 0 ")
+
+    def test_values_rounding_to_zero_print_unsigned(self, tmp_path):
+        res = RunResults(values={("x", 0): Pose2(-1e-17, -0.0, -4e-10)},
+                         bn=None, assignment={}, fixed={}, marginals={},
+                         timings=[], history=[(1, 0, -1e-17, 1e-17, -0.0)])
+        emit_results(res, str(tmp_path))
+        assert (tmp_path / "trajectory.txt").read_text() == \
+            "POSE 0 0.000000000 0.000000000 0.000000000\n"
+        assert (tmp_path / "history.txt").read_text() == \
+            "HIST 1 0 0.000000000 0.000000000 0.000000000\n"
 
     def test_pose_lines_parse_back(self, seed2_outputs):
         res, outdir = seed2_outputs
