@@ -447,10 +447,12 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
         depth[cond.frontal] = level
         levels.setdefault((level, cond.dim), []).append(cond)
     values: VectorValues = {}
-    for key in sorted(levels):
-        group = levels[key]
-        rhs = np.stack([cond._rhs(values) for cond in group])[:, :, None]
-        x = np.linalg.solve(np.stack([cond.R for cond in group]), rhs)[:, :, 0]
-        for cond, xj in zip(group, x):
-            values[cond.frontal] = xj
+    for (_, n), group in sorted(levels.items()):
+        R = np.empty((len(group), n, n))
+        rhs = np.empty((len(group), n, 1))
+        for j, cond in enumerate(group):
+            R[j] = cond.R
+            rhs[j, :, 0] = cond._rhs(values)
+        for cond, x in zip(group, np.linalg.solve(R, rhs)[:, :, 0]):
+            values[cond.frontal] = x
     return values
