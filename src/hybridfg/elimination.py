@@ -64,6 +64,8 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     heapq.heapify(heap)
     order = []
     while heap:
+        # The round's candidates: every variable of the smallest current
+        # degree (one pushed twice with that degree pops twice in a row).
         round_: List[Any] = []
         while heap and (not round_ or heap[0][0] == len(adj[round_[0]])):
             degree, v = heapq.heappop(heap)
@@ -79,6 +81,8 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
                 adj[a] |= neighbors
                 adj[a] -= {a, v}
             touched |= neighbors
+        # Neighbours of the round's variables wait for the next round, at
+        # their new degrees.
         for a in touched:
             heapq.heappush(heap, (len(adj[a]), a))
     return order + sorted(disc)
