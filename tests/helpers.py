@@ -1,5 +1,6 @@
 """Shared builders for randomized test graphs, and a command-line runner."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,6 @@ from hybridfg import (DiscreteFactor, DiscreteKey, GaussianConditional,
                       HybridNonlinearFactor, JacobianFactor, NonlinearFactor,
                       Pose2, log_normalization_constant, whiten)
 from hybridfg.discrete import eliminate_discrete_sum, multiply_factors
-from hybridfg.elimination import eliminate_hybrid_sum
 from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable
 from hybridfg.nonlinear import (FD_STEP, BetweenResidual, FuncResidual,
                                 LinearResidual, PriorResidual)
@@ -47,6 +47,8 @@ def reference_eliminate_one(factors, var):
     if M.shape[0] < dv:
         raise UnderconstrainedVariable(f"{var!r} has too few rows")
     Rfull = np.linalg.qr(M, mode="r")
+    if not np.all(np.isfinite(Rfull)):
+        raise ValueError("non-finite entries")
     tol = RANK_TOL * max(float(np.max(np.abs(Rfull))), 1.0)
     if np.any(np.abs(np.diag(Rfull)[:dv]) <= tol):
         raise UnderconstrainedVariable(f"{var!r} is rank deficient")
@@ -93,10 +95,103 @@ def same_elimination(got, want) -> bool:
     return same_conditional(got[0], want[0]) and same_marginal(got[1], want[1])
 
 
+def _reference_eliminate_cell(factors, var):
+    """reference_eliminate_one on one stack, with sum_product's errors:
+    too few rows, rank deficiency and non-finite entries."""
+    m = sum(f.rows for f in factors)
+    dv = next(f.dim(var) for f in factors if var in f.blocks)
+    if m < dv:
+        raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
+                                       f"has {m} rows, needs {dv}")
+    try:
+        return reference_eliminate_one(factors, var)
+    except UnderconstrainedVariable:
+        raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
+                                       "is rank deficient") from None
+    except ValueError:
+        raise ValueError(f"eliminating {var!r}: non-finite entries") from None
+
+
+def reference_eliminate_continuous(factors, var):
+    """Reference: Sum-Product elimination of a continuous variable, one
+    reference_eliminate_one per live cell of the clique's mode grid, in
+    flat order.  A cell stacks the plain factors, then each hybrid's
+    component, in bucket order; it is nil where a hybrid has no component
+    or `var` is underconstrained.  Returns (conditional, separator) as
+    sum_product places them: the separator is a JacobianFactor, a
+    HybridGaussianFactor with constants c_in - log_normalizer, a
+    DiscreteFactor of the per-cell residuals (no continuous separator
+    left), or None."""
+    plains, hybrids, base = [], [], 0.0
+    for f in factors:
+        if isinstance(f, JacobianFactor):
+            plains.append(f)
+        elif isinstance(f, HybridGaussianFactor) and not f.keys:
+            jf, c = f.components.leaves[()]
+            plains.append(jf)
+            base += c
+        elif isinstance(f, HybridGaussianFactor):
+            hybrids.append(f)
+        else:
+            raise TypeError("continuous elimination takes Jacobian/hybrid factors")
+    keys = {}
+    for f in hybrids:
+        keys.update((k.id, k) for k in f.keys)
+    keys = tuple(keys[kid] for kid in sorted(keys))
+    variables = {v for f in plains for v in f.variables}
+    variables.update(v for f in hybrids for v in f.continuous_ids)
+    if var not in variables:
+        raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
+    has_separator = len(variables) > 1
+    if not keys:
+        conditional, marginal = _reference_eliminate_cell(plains, var)
+        return conditional, marginal if has_separator else None
+    conditionals, separators, residuals = [], [], []
+    for cell in itertools.product(*[range(k.cardinality) for k in keys]):
+        assignment = {k.id: v for k, v in zip(keys, cell)}
+        leaves = [f.component(assignment) for f in hybrids]
+        result = None
+        if all(leaf is not None for leaf in leaves):
+            c_in = base
+            for _, c in leaves:
+                c_in += c
+            try:
+                result = _reference_eliminate_cell(
+                    plains + [jf for jf, _ in leaves], var)
+            except UnderconstrainedVariable:
+                pass
+        if result is None:
+            conditionals.append(None)
+            separators.append(None)
+            residuals.append(math.inf)
+            continue
+        conditional, marginal = result
+        c_out = c_in - conditional.log_normalizer
+        conditionals.append(conditional)
+        separators.append((marginal, c_out))
+        if not has_separator:
+            residuals.append(marginal.error({}) + c_out)
+    if all(c is None for c in conditionals):
+        raise UnderconstrainedVariable(
+            f"variable unconstrained in every mode: {var!r}")
+    conditional = HybridGaussianConditional(
+        keys, hybridfg.DecisionTree(keys, conditionals))
+    if has_separator:
+        return conditional, HybridGaussianFactor.from_components(keys, separators)
+    # Potentials exp(-(residual - min residual)), nil cells 0.
+    residuals = np.array(residuals)
+    finite = np.isfinite(residuals)
+    potentials = np.zeros(len(residuals))
+    potentials[finite] = np.exp(-(residuals[finite] - residuals[finite].min()))
+    return conditional, DiscreteFactor(keys, potentials)
+
+
 def reference_sum_product(g, ordering):
     """Reference: sum_product as it ran before wavefront elimination, a
     one-at-a-time bucket loop over the ordering; each factor and each
-    separator waits in the bucket of its first variable."""
+    separator waits in the bucket of its first variable.  Continuous
+    variables go through reference_eliminate_continuous, so nothing of the
+    batched elimination is used."""
     cont = set(g.continuous_variables())
     keymap = {k.id: k for k in g.discrete_keys()}
     position = {vid: i for i, vid in enumerate(ordering)}
@@ -114,7 +209,7 @@ def reference_sum_product(g, ordering):
     bn = HybridBayesNet()
     for vid, bucket in zip(ordering, buckets):
         if vid in cont:
-            conditional, separator = eliminate_hybrid_sum(bucket, vid)
+            conditional, separator = reference_eliminate_continuous(bucket, vid)
         else:
             conditional, separator = eliminate_discrete_sum(
                 multiply_factors(bucket), keymap[vid])
