@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -26,8 +27,9 @@ from .discrete import (DecisionTree, DiscreteConditional,
                        prune_to_top, _expand, _merge_keys)
 # Unused here; the benchmark's tracer patches this module's binding of it.
 from .discrete import eliminate_discrete_max  # noqa: F401
-from .gaussian import (JacobianFactor, UnderconstrainedVariable, _columns,
-                       _dims, _stack, back_substitute, eliminate_stacked)
+from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims,
+                       _layout, _Marginal, _put, back_substitute,
+                       eliminate_stacked)
 # Unused here since elimination runs by wavefront; the benchmark's tracer
 # patches this module's binding of it.
 from .gaussian import eliminate_one  # noqa: F401
@@ -104,72 +106,98 @@ def _validate_ordering(g: HybridFactorGraph, ordering: Sequence[Any]):
                              f"{vid!r} after a discrete one")
 
 
+class _HybridMarginal:
+    """A hybrid clique's separator while it waits in sum_product: per mode
+    cell of `keys`, in the object array `leaves`, None or (_Marginal,
+    constant)."""
+
+    __slots__ = ("keys", "continuous_ids", "leaves")
+
+    def __init__(self, keys, continuous_ids, leaves):
+        self.keys, self.continuous_ids, self.leaves = keys, continuous_ids, leaves
+
+    def as_factor(self) -> HybridGaussianFactor:
+        return HybridGaussianFactor(self.keys, DecisionTree(self.keys, [
+            None if leaf is None else (leaf[0].as_factor(), leaf[1])
+            for leaf in self.leaves.flat]))
+
+
 def _variables(f) -> Sequence[Any]:
     """Variables whose elimination consumes f (for hybrids, the continuous)."""
     if isinstance(f, DiscreteFactor):
         return [k.id for k in f.keys]
-    if isinstance(f, HybridGaussianFactor):
+    if isinstance(f, (HybridGaussianFactor, _HybridMarginal)):
         return f.continuous_ids
     return f.variables
 
 
 class _Clique:
-    """The elimination of one continuous variable from its bucket: the
-    [A | b] systems of the bucket's factors, one, or one per live mode
-    cell, stacked per layout; then, once their QRs have run (see
-    _eliminate_independent), the conditional and separator assembled from
-    the per-system results."""
+    """The elimination of one continuous variable from its bucket.  Built
+    symbolically: the bucket's factors, one system or one per live mode
+    cell, and the row layouts of those systems.  _eliminate_independent
+    then has the clique write its systems into the arrays of their shape
+    groups (fill), and runs their QRs; finish assembles the conditional
+    and the separator from the group arrays.
 
-    def __init__(self, factors: Sequence[ContinuousFactor], var):
-        plains: List[JacobianFactor] = []
-        hybrids: List[HybridGaussianFactor] = []
+    A bucket holds JacobianFactors and HybridGaussianFactors of the graph
+    and the separators of earlier cliques as _Marginal and _HybridMarginal
+    references into their groups' arrays."""
+
+    def __init__(self, factors: Sequence[Any], var):
+        plains: List[Any] = []
+        hybrids: List[Tuple[Tuple[DiscreteKey, ...], np.ndarray]] = []
         base_const = 0.0
-        for f in factors:
-            if isinstance(f, JacobianFactor):
-                plains.append(f)
-            elif isinstance(f, HybridGaussianFactor):
-                if f.keys:
-                    hybrids.append(f)
-                else:
-                    # Fully restricted factor: one live component plus constant.
-                    jf, c = f.components.leaves[()]
-                    plains.append(jf)
-                    base_const += c
-            else:
-                raise TypeError("continuous elimination takes Jacobian/hybrid factors")
-        keys: Tuple[DiscreteKey, ...] = ()
+        rows = 0
         cont_vars = set()
-        for f in plains:
-            cont_vars.update(f.variables)
-        for f in hybrids:
-            keys = _merge_keys(keys, f.keys)
+        for f in factors:
+            if isinstance(f, (JacobianFactor, _Marginal)):
+                plains.append(f)
+                rows += f.rows
+                cont_vars.update(f.variables)
+                continue
+            if isinstance(f, _HybridMarginal):
+                hybrids.append((f.keys, f.leaves))
+            elif not isinstance(f, HybridGaussianFactor):
+                raise TypeError("continuous elimination takes Jacobian/hybrid factors")
+            elif f.keys:
+                hybrids.append((f.keys, f.components.leaves))
+            else:
+                # Fully restricted factor: one live component plus constant.
+                jf, c = f.components.leaves[()]
+                plains.append(jf)
+                rows += jf.rows
+                base_const += c
             cont_vars.update(f.continuous_ids)
+        keys: Tuple[DiscreteKey, ...] = ()
+        for f_keys, _ in hybrids:
+            keys = _merge_keys(keys, f_keys)
         if var not in cont_vars:
             raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
-        separator = sorted(v for v in cont_vars if v != var)
-        order = [var] + separator
+        cont_vars.discard(var)
+        separator = tuple(sorted(cont_vars))
         self.var, self.keys, self.separator = var, keys, separator
+        self.plains = plains
         self.error: Optional[ValueError] = None
-        # Per layout: the (k, m, n+1) stack of its systems and their indices
-        # into self.results (live cells in flat order; 0 without keys).
-        self.stacks: List[Tuple[np.ndarray, List[int]]] = []
+        # Per layout: (rows m of its systems, per hybrid the components of
+        # its cells, the cells' indices into self.results: live cells in
+        # flat order, 0 without keys).
+        self.layouts: List[Tuple[int, List[List[Any]], List[int]]] = []
         if not keys:
             # base_const is mode-independent here and cancels in any posterior.
             dims = _dims(plains)
-            self.stacks.append((_stack(plains, order, dims), [0]))
+            self.layouts.append((rows, [], [0]))
             self.results: List[Any] = [None]
         else:
             self.shape = tuple(k.cardinality for k in keys)
             check_enumeration(self.shape)
             # Live cells: those where every hybrid has a component.
             live = np.ones(self.shape, dtype=bool)
-            for f in hybrids:
-                live &= _expand(np.not_equal(f.components.leaves, None),
-                                f.keys, keys)
+            for f_keys, leaves in hybrids:
+                live &= _expand(np.not_equal(leaves, None), f_keys, keys)
             cells = np.nonzero(live)
             pos = {k.id: i for i, k in enumerate(keys)}
-            picked = [f.components.leaves[tuple(cells[pos[k.id]] for k in f.keys)]
-                      for f in hybrids]
+            picked = [leaves[tuple(cells[pos[k.id]] for k in f_keys)]
+                      for f_keys, leaves in hybrids]
             components = [[jf for jf, _ in leaves] for leaves in picked]
             c_in = np.full(len(cells[0]), base_const)
             for leaves in picked:
@@ -179,36 +207,49 @@ class _Clique:
             self.results = [None] * len(self.flat)
             # Cells whose components have the same row counts share a layout.
             layouts: Dict[Tuple[int, ...], List[int]] = {}
-            for i, rows in enumerate(zip(*[[jf.rows for jf in col]
-                                           for col in components])):
-                layouts.setdefault(rows, []).append(i)
+            for i, cell_rows in enumerate(zip(*[[jf.rows for jf in col]
+                                                for col in components])):
+                layouts.setdefault(cell_rows, []).append(i)
             dims = _dims(plains + [col[0] for col in components if col])
-            for members in layouts.values():
-                self.stacks.append((_stack(plains, order, dims, [
-                    [col[i] for i in members] for col in components]), members))
-        if self.stacks:
+            for cell_rows, members in layouts.items():
+                self.layouts.append((rows + sum(cell_rows), [
+                    [col[i] for i in members] for col in components], members))
+        self.cols = ()
+        if self.layouts:
             self.dv = dims[var]
-            self.head = (var, _columns(separator, dims, self.dv))
+            self.cols, self.offsets, self.width = _layout(var, separator, dims)
+
+    def fill(self, M: np.ndarray, per_cell: Sequence[Sequence[Any]]):
+        """Write the systems of one layout into M, zeros elsewhere: (m, n+1)
+        for one system, (k, m, n+1) for k.  Rows: the plain factors, the
+        same in every system, then per hybrid its components, one per
+        cell, in bucket order."""
+        r = 0
+        for f in self.plains:
+            r = _put(M, r, f, self.offsets)
+        for col in per_cell:
+            r = _put(M, r, col[0], self.offsets, col)
 
     def finish(self):
-        """(conditional, separator) where the separator is a JacobianFactor,
-        HybridGaussianFactor, DiscreteFactor (boundary), or None when it
-        carries no content beyond a mode-independent constant."""
-        var = self.var
+        """(conditional, separator) where the separator is a _Marginal,
+        _HybridMarginal, DiscreteFactor (boundary), or None when it carries
+        no content beyond a mode-independent constant."""
+        var, cols, separator = self.var, self.cols, self.separator
         if self.error is not None:
             raise self.error
         if not self.keys:
             result = self.results[0]
             if result is None:
-                m = self.stacks[0][0].shape[1]
+                m = self.layouts[0][0]
                 raise UnderconstrainedVariable(
                     f"underconstrained variable: {var!r} has {m} rows, "
                     f"needs {self.dv}" if m < self.dv else
                     f"underconstrained variable: {var!r} is rank deficient")
-            conditional, marginal = result
+            out, p = result
             # Without a separator the marginal is a pure residual: a
             # mode-independent constant, nothing downstream.
-            return conditional, marginal if self.separator else None
+            return (out.conditional(p, var, cols, separator),
+                    out.marginal(p, cols, separator) if separator else None)
         size = math.prod(self.shape)
         cond_leaves = np.full(size, None)
         sep_leaves = np.full(size, None)
@@ -217,62 +258,80 @@ class _Clique:
         for cell, c_in, result in zip(self.flat, self.c_in, self.results):
             if result is None:    # rank deficient, or fewer rows than var needs
                 continue
-            conditional, marginal = result
+            out, p = result
             alive += 1
+            conditional = out.conditional(p, var, cols, separator)
             c_out = c_in - conditional.log_normalizer
             cond_leaves[cell] = conditional
-            sep_leaves[cell] = (marginal, c_out)
-            if not self.separator:
-                bound_leaves[cell] = marginal.error({}) + c_out
+            if separator:
+                sep_leaves[cell] = (out.marginal(p, cols, separator), c_out)
+            else:
+                r = -out.T[p, :, -1]
+                bound_leaves[cell] = 0.5 * float(r @ r) + c_out
         if alive == 0:
             raise UnderconstrainedVariable(
                 f"variable unconstrained in every mode: {var!r}")
         keys = self.keys
         conditional = HybridGaussianConditional(
             keys, DecisionTree(keys, cond_leaves.reshape(self.shape)))
-        if self.separator:
-            return conditional, HybridGaussianFactor(
-                keys, DecisionTree(keys, sep_leaves.reshape(self.shape)))
+        if separator:
+            return conditional, _HybridMarginal(keys, separator,
+                                                sep_leaves.reshape(self.shape))
         return conditional, discrete_factor_from_leaves(
             DecisionTree(keys, bound_leaves.reshape(self.shape)))
 
 
 def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
-    """Run the QRs of cliques none of which feeds another: their systems,
+    """Run the QRs of cliques none of which feeds another.  Their systems,
     grouped by shape (rows, columns and the eliminated variable's
-    dimension), take one eliminate_stacked call per group.  A group with
-    fewer rows than the variable needs runs none; its results stay None."""
-    groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, np.ndarray, List[int]]]] = {}
+    dimension), are written by their cliques into one (K, m, n+1) array
+    per group, which takes one eliminate_stacked call.  A group with fewer
+    rows than the variable needs runs none; its results stay None."""
+    groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, Any, List[int]]]] = {}
     for c in cliques:
-        for M, members in c.stacks:
-            groups.setdefault(M.shape[1:] + (c.dv,), []).append((c, M, members))
-    for (m, _, dv), parts in groups.items():
+        for m, per_cell, members in c.layouts:
+            groups.setdefault((m, c.width, c.dv), []).append((c, per_cell, members))
+    for (m, width, dv), parts in groups.items():
         if m < dv:
             continue
+        M = np.zeros((sum(len(members) for _, _, members in parts), m, width))
+        heads = []
+        at = 0
+        for c, per_cell, members in parts:
+            k = len(members)
+            c.fill(M[at] if k == 1 else M[at:at + k], per_cell)
+            heads += [(c.var, c.cols)] * k
+            at += k
         try:
-            _eliminate_group(parts, dv)
+            _record(parts, M, dv, heads)
         except ValueError:
             # Non-finite entries: one QR per part finds whose.
+            at = 0
             for part in parts:
+                k = len(part[2])
                 try:
-                    _eliminate_group([part], dv)
+                    _record([part], M[at:at + k], dv, heads[at:at + k])
                 except ValueError as e:
                     part[0].error = e
+                at += k
 
 
-def _eliminate_group(parts: Sequence[Tuple[_Clique, np.ndarray, List[int]]],
-                     dv: int) -> None:
-    """One eliminate_stacked call for the stacks of one shape; each result
-    goes back to its clique."""
-    stack = parts[0][1] if len(parts) == 1 \
-        else np.concatenate([M for _, M, _ in parts])
-    results = eliminate_stacked(stack, dv, [c.head for c, M, _ in parts
-                                            for _ in range(len(M))])
+def _record(parts, M: np.ndarray, dv: int, heads) -> None:
+    """One eliminate_stacked call for the filled systems of `parts`; each
+    clique gets, per system, the group's arrays and the system's position
+    in them, or None where its variable is rank deficient."""
+    out = eliminate_stacked(M, dv, heads)
+    if len(out.live) == len(M):
+        where: Sequence[int] = range(len(M))
+    else:
+        index = np.full(len(M), -1)
+        index[out.live] = np.arange(len(out.live))
+        where = index.tolist()
     at = 0
-    for c, M, members in parts:
-        for i, result in zip(members, results[at:at + len(M)]):
-            c.results[i] = result
-        at += len(M)
+    for c, _, members in parts:
+        for i, p in zip(members, where[at:at + len(members)]):
+            c.results[i] = (out, p) if p >= 0 else None
+        at += len(members)
 
 
 def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
@@ -284,7 +343,10 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     """
     clique = _Clique(factors, var)
     _eliminate_independent([clique])
-    return clique.finish()
+    conditional, separator = clique.finish()
+    if isinstance(separator, (_Marginal, _HybridMarginal)):
+        separator = separator.as_factor()
+    return conditional, separator
 
 
 def _levels(ordering: Sequence[Any], position: Dict[Any, int],
@@ -340,10 +402,10 @@ def sum_product(g: HybridFactorGraph,
     def place(f, source=-1):
         ids = _variables(f)
         if ids:  # a factor without variables is a constant
-            buckets[min(position[v] for v in ids)].append((source, f))
+            buckets[min(map(position.__getitem__, ids))].append((source, f))
 
     def bucket(i):
-        return [f for _, f in sorted(buckets[i], key=lambda entry: entry[0])]
+        return [f for _, f in sorted(buckets[i], key=itemgetter(0))]
 
     for f in g.all_factors():
         place(f)

@@ -279,86 +279,138 @@ def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
     return NoiseModel(sigma, z.shape[0]).whiten(blocks, z)
 
 
-def _stack(shared: Sequence[JacobianFactor], order: Sequence[Any],
-           dims: Mapping[Any, int],
-           per_cell: Sequence[Sequence[JacobianFactor]] = ()) -> np.ndarray:
-    """Stack k systems [A | b] of one layout into a (k, m, n+1) array with
-    columns laid out per `order`: first the rows of the `shared` factors,
-    the same in every system, then for each position of `per_cell` the rows
-    of its k factors, one per system (all with the same variables and rows).
-    Without `per_cell`, k is 1."""
-    offsets = {}
-    ncols = 0
-    for vid in order:
-        offsets[vid] = ncols
-        ncols += dims[vid]
-    k = len(per_cell[0]) if per_cell else 1
-    rows = sum(f.rows for f in shared) + sum(col[0].rows for col in per_cell)
-    M = np.zeros((k, rows, ncols + 1))
-    r = 0
-    for f in shared:
-        for vid, A in f.blocks.items():
-            c = offsets[vid]
-            M[:, r:r + f.rows, c:c + A.shape[1]] = A
-        M[:, r:r + f.rows, -1] = f.rhs
-        r += f.rows
-    for col in per_cell:
-        f0 = col[0]
-        for vid, A in f0.blocks.items():
-            c = offsets[vid]
-            M[:, r:r + f0.rows, c:c + A.shape[1]] = [f.blocks[vid] for f in col]
-        M[:, r:r + f0.rows, -1] = [f.rhs for f in col]
-        r += f0.rows
-    return M
+class _Marginal:
+    """The marginal rows [A | b] of one eliminated system, left in the
+    array eliminate_stacked returned while they wait in sum_product:
+    `data` is a (rows, n+1) view of its T, `cols` the column ranges
+    (vid, a, b) of `variables` (see _layout), b in the last column."""
+
+    __slots__ = ("data", "cols", "variables", "rows")
+
+    def __init__(self, data: np.ndarray, cols, variables: Tuple[Any, ...]):
+        self.data, self.cols, self.variables = data, cols, variables
+        self.rows = data.shape[0]
+
+    def as_factor(self) -> JacobianFactor:
+        """The rows as a JacobianFactor over views of `data`."""
+        data = self.data
+        return JacobianFactor._own({vid: data[:, a:b] for vid, a, b in self.cols},
+                                   data[:, -1], self.variables)
 
 
-def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:
-    """Column dimension of every variable, which all factors must agree on."""
+def _dims(factors) -> Dict[Any, int]:
+    """Column dimension of every variable of the JacobianFactors and
+    _Marginals, which all factors must agree on."""
     dims: Dict[Any, int] = {}
     for f in factors:
-        for vid, A in f.blocks.items():
-            if dims.setdefault(vid, A.shape[1]) != A.shape[1]:
+        widths = [(vid, b - a) for vid, a, b in f.cols] \
+            if type(f) is _Marginal else \
+            [(vid, A.shape[1]) for vid, A in f.blocks.items()]
+        for vid, w in widths:
+            if dims.setdefault(vid, w) != w:
                 raise ValueError(f"inconsistent dimension for {vid!r}")
     return dims
+
+
+def _put(M: np.ndarray, r: int, f, offsets: Mapping[Any, int], cells=None
+         ) -> int:
+    """Write the rows [A | b] of f, a JacobianFactor or a _Marginal, into
+    M[..., r:, :] at the columns `offsets` gives each variable, b in the
+    last column; returns the row after them.  Into a stack of k systems
+    (k, m, n+1), f goes into every system, or with `cells`, k factors of
+    f's layout, cell i into system i."""
+    e = r + f.rows
+    if type(f) is _Marginal:
+        data = f.data if cells is None else np.array([g.data for g in cells])
+        for vid, a, b in f.cols:
+            c = offsets[vid]
+            M[..., r:e, c:c + b - a] = data[..., a:b]
+        M[..., r:e, -1] = data[..., -1]
+        return e
+    for vid, A in f.blocks.items():
+        c = offsets[vid]
+        M[..., r:e, c:c + A.shape[1]] = A if cells is None \
+            else np.array([g.blocks[vid] for g in cells])
+    M[..., r:e, -1] = f.rhs if cells is None else np.array([g.rhs for g in cells])
+    return e
 
 
 class UnderconstrainedVariable(ValueError):
     pass
 
 
-def _columns(separator: Sequence[Any], dims: Mapping[Any, int], start: int
-             ) -> Tuple[Tuple[Any, int, int], ...]:
-    """Column ranges (vid, a, b) of the separator's variables, laid out in
-    order from column `start` (after the eliminated variable's)."""
+def _layout(var, separator: Sequence[Any], dims: Mapping[Any, int]):
+    """The columns of a system [A | b] that eliminates `var` onto the
+    separator: `var`'s first, then the separator's in order, then b.
+    Returns the separator's column ranges (vid, a, b), every variable's
+    first column, and the number of columns."""
+    c = dims[var]
+    offsets = {var: 0}
     cols = []
     for vid in separator:
-        cols.append((vid, start, start + dims[vid]))
-        start += dims[vid]
-    return tuple(cols)
+        offsets[vid] = c
+        cols.append((vid, c, c + dims[vid]))
+        c += dims[vid]
+    return tuple(cols), offsets, c + 1
+
+
+class Eliminated:
+    """What eliminate_stacked computed for the systems of its batch whose
+    variable is full rank: `live` holds their indices in the batch, and
+    position p of every array is system live[p].  R is (k', dv, dv), d
+    (k', dv), S maps each column range (a, b) in use to its parent blocks
+    (k', dv, b - a), and T is (k', rows, n+1)."""
+
+    __slots__ = ("live", "R", "d", "S", "log_norms", "T", "_views")
+
+    def __init__(self, live: np.ndarray, R: np.ndarray, d: np.ndarray,
+                 S: Dict[Tuple[int, int], np.ndarray], log_norms: List[float],
+                 T: np.ndarray):
+        self.live, self.R, self.d, self.S = live, R, d, S
+        self.log_norms, self.T = log_norms, T
+        # Per-position views, made in one pass each: taking one from a
+        # list costs less than indexing an array.
+        self._views = (list(R), list(d), {ab: list(S[ab]) for ab in S},
+                       list(T))
+
+    def conditional(self, p: int, var, cols, parents: Tuple[Any, ...]
+                    ) -> GaussianConditional:
+        """p(var | parents) of position p, over views of the arrays."""
+        R, d, S, _ = self._views
+        return GaussianConditional._own(
+            var, R[p], {vid: S[a, b][p] for vid, a, b in cols}, d[p],
+            self.log_norms[p], parents)
+
+    def marginal(self, p: int, cols, variables: Tuple[Any, ...]) -> _Marginal:
+        """The marginal rows of position p, on `variables` at `cols`."""
+        return _Marginal(self._views[3][p], cols, variables)
 
 
 def eliminate_stacked(M: np.ndarray, dv: int,
                       heads: Sequence[Tuple[Any, Tuple[Tuple[Any, int, int], ...]]]
-                      ) -> List[Optional[Tuple[GaussianConditional, JacobianFactor]]]:
+                      ) -> Eliminated:
     """Eliminate k stacked systems at once, with one QR.
 
-    M is (k, m, n+1): k matrices [A | b] (see _stack).  System j
-    eliminates the variable heads[j][0], whose dv columns come first, onto
-    the separator whose column ranges heads[j][1] gives as (vid, a, b), in
-    separator order (see _columns); systems may eliminate different
-    variables onto different separators.  Returns, per system, the
-    conditional p(var | separator) and the marginal factor on the
-    separator, or None where its variable is rank deficient.  The marginal
-    keeps any pure-residual row, so 0.5||A x - b||^2 = 0.5||R x_var + S p -
-    d||^2 + marginal error holds exactly.  Raises UnderconstrainedVariable
-    when m is below dv, and ValueError naming the first system with
-    non-finite entries.
+    M is (k, m, n+1): k matrices [A | b].  System j eliminates the
+    variable heads[j][0], whose dv columns come first, onto the separator
+    whose column ranges heads[j][1] gives as (vid, a, b), in separator
+    order (see _layout); systems may eliminate different variables onto
+    different separators.  Returns, for the systems whose variable is not
+    rank deficient, the conditionals' rows R, S and d, signed so that R's
+    diagonal is positive, with one parent-block array per column range in
+    use, their log-normalizers, and the marginal rows T over all n+1
+    columns (the first dv of them zero), each row signed so that its
+    first significant entry is nonnegative; T keeps any pure-residual row,
+    so 0.5||A x - b||^2 = 0.5||R x_var + S p - d||^2 + 0.5||T [x; -1]||^2
+    holds exactly.  Raises UnderconstrainedVariable when m is below dv,
+    and ValueError naming the first system with non-finite entries.
 
-    The outputs take slices of arrays computed here, without copies or
-    re-checks: R is square and matches d by construction, the rank check
-    gives |R_ii| > RANK_TOL * max(scale, 1) >= 1e-12, and the finite
-    per-system scale (a max, which NaN propagates through) covers every
-    block.
+    Views of the arrays need no re-check: R is square and matches d by
+    construction, the rank check gives |R_ii| > RANK_TOL * max(scale, 1)
+    >= 1e-12, and the finite per-system scale (a max, which NaN propagates
+    through) covers every block.  R, S and d are views of one signed copy
+    of the conditional rows, not of the QR's output, so conditionals do
+    not keep T alive.
     """
     k, m, _ = M.shape
     if m < dv:
@@ -367,46 +419,29 @@ def eliminate_stacked(M: np.ndarray, dv: int,
     Rfull = np.linalg.qr(M, mode="r")
     A = np.abs(Rfull)
     scale = A.max(axis=(1, 2))
-    bad = ~np.isfinite(scale)
-    if bad.any():
-        raise ValueError(f"eliminating {heads[int(bad.argmax())][0]!r}: "
-                         "non-finite entries")
+    if not np.isfinite(scale).all():
+        raise ValueError(f"eliminating {heads[int(np.isfinite(scale).argmin())][0]!r}"
+                         ": non-finite entries")
     tol = RANK_TOL * np.maximum(scale, 1.0)
-    live = (A.diagonal(0, 1, 2)[:, :dv] > tol[:, None]).all(axis=1).nonzero()[0]
+    diag = A.diagonal(0, 1, 2)[:, :dv]
+    live = (diag > tol[:, None]).all(axis=1).nonzero()[0]
     if live.size < k:
-        Rfull, A, tol = Rfull[live], A[live], tol[live]
-    # Conditional rows, signed so that the diagonal of R is positive.
-    flip = np.sign(Rfull.diagonal(0, 1, 2)[:, :dv])
-    rows_flip = flip[:, :, None]
-    R = Rfull[:, :dv, :dv] * rows_flip
-    d = Rfull[:, :dv, -1] * flip
+        Rfull, A, tol, diag = Rfull[live], A[live], tol[live], diag[live]
+    # Conditional rows [R S | d], signed so that the diagonal of R is
+    # positive; R, d and the parent blocks are views of them.
+    top = Rfull[:, :dv, :] * np.sign(Rfull.diagonal(0, 1, 2)[:, :dv])[:, :, None]
     log_norms = (0.5 * dv * math.log(2.0 * math.pi)
-                 - np.log(A.diagonal(0, 1, 2)[:, :dv]).sum(axis=1)).tolist()
-    # Parent blocks: one signed array over the batch per column range in use.
-    layouts = {id(cols): cols for _, cols in heads}
-    S = {ab: Rfull[:, :dv, ab[0]:ab[1]] * rows_flip for ab in
-         {(a, b) for cols in layouts.values() for _, a, b in cols}}
-    separators = {key: tuple(vid for vid, _, _ in cols)
-                  for key, cols in layouts.items()}
+                 - np.log(diag).sum(axis=1)).tolist()
+    S = {(a, b): top[:, :, a:b] for cols in {id(cols): cols for _, cols in heads
+                                             }.values() for _, a, b in cols}
     # Marginal rows, signed so that each row's first significant entry is
     # nonnegative; a row with none gets first = 0, never < -tol.  Rows are
-    # multiplied by -1 or 1, which leaves every bit of a kept row as is.
+    # negated or left as they are, which keeps every other bit.
     T = Rfull[:, dv:, :]
     first = (A[:, dv:, :] > tol[:, None, None]).argmax(axis=2)
     lead = T[np.arange(len(T))[:, None], np.arange(T.shape[1]), first]
-    T *= np.where(lead < -tol[:, None], -1.0, 1.0)[:, :, None]
-    out: List[Optional[Tuple[GaussianConditional, JacobianFactor]]] = [None] * k
-    for j, system in enumerate(live.tolist()):
-        var, cols = heads[system]
-        sep = separators[id(cols)]
-        conditional = GaussianConditional._own(
-            var, R[j], {vid: S[a, b][j] for vid, a, b in cols}, d[j],
-            log_norms[j], sep)
-        Tj = T[j]
-        marginal = JacobianFactor._own({vid: Tj[:, a:b] for vid, a, b in cols},
-                                       Tj[:, -1], sep)
-        out[system] = (conditional, marginal)
-    return out
+    T[lead < -tol[:, None]] *= -1.0
+    return Eliminated(live, top[:, :, :dv], top[:, :, -1], S, log_norms, T)
 
 
 def eliminate_one(factors: Sequence[JacobianFactor], var
@@ -419,14 +454,18 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
     if var not in dims:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "appears in no factor")
-    separator = sorted(v for v in dims if v != var)
-    dv = dims[var]
-    (result,) = eliminate_stacked(_stack(factors, [var] + separator, dims), dv,
-                                  [(var, _columns(separator, dims, dv))])
-    if result is None:
+    separator = tuple(sorted(v for v in dims if v != var))
+    cols, offsets, width = _layout(var, separator, dims)
+    M = np.zeros((1, sum(f.rows for f in factors), width))
+    r = 0
+    for f in factors:
+        r = _put(M[0], r, f, offsets)
+    out = eliminate_stacked(M, dims[var], [(var, cols)])
+    if not out.live.size:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "is rank deficient")
-    return result
+    return (out.conditional(0, var, cols, separator),
+            out.marginal(0, cols, separator).as_factor())
 
 
 def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues:
@@ -434,8 +473,10 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
     order (parents always eliminated later).  Conditionals at one depth
     below the roots (1 + their deepest parent's) need only shallower
     values, so each depth's conditionals of one dimension are solved
-    together, with one stacked LU solve: each gets the bits of its own
-    `solve`."""
+    together: their right-hand sides d - sum_i S_i p_i take one batched
+    matmul per parent position and parent dimension, subtracted in each
+    conditional's parent order, then one stacked LU solve.  Each gets the
+    bits of its own `solve`."""
     depth: Dict[Any, int] = {}
     levels: Dict[Tuple[int, int], List[GaussianConditional]] = {}
     for cond in reversed(list(conditionals)):
@@ -447,12 +488,24 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
         depth[cond.frontal] = level
         levels.setdefault((level, cond.dim), []).append(cond)
     values: VectorValues = {}
-    for (_, n), group in sorted(levels.items()):
-        R = np.empty((len(group), n, n))
-        rhs = np.empty((len(group), n, 1))
+    for _, group in sorted(levels.items()):
+        R = np.array([cond.R for cond in group])
+        rhs = np.array([cond.d for cond in group])
+        # Per (parent position, parent dimension): the conditionals with
+        # such a parent, its blocks and its values.
+        terms: Dict[Tuple[int, int], Tuple[List[int], List[Any], List[Any]]] = {}
         for j, cond in enumerate(group):
-            R[j] = cond.R
-            rhs[j, :, 0] = cond._rhs(values)
-        for cond, x in zip(group, np.linalg.solve(R, rhs)[:, :, 0]):
+            for i, (vid, S) in enumerate(cond.parent_blocks.items()):
+                rows, blocks, xs = terms.setdefault((i, S.shape[1]), ([], [], []))
+                rows.append(j)
+                blocks.append(S)
+                xs.append(values[vid])
+        for _, (rows, blocks, xs) in sorted(terms.items()):
+            Sp = (np.array(blocks) @ np.array(xs)[:, :, None])[:, :, 0]
+            if len(rows) == len(group):
+                rhs -= Sp
+            else:
+                rhs[rows] -= Sp
+        for cond, x in zip(group, np.linalg.solve(R, rhs[:, :, None])[:, :, 0]):
             values[cond.frontal] = x
     return values

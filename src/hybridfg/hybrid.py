@@ -481,14 +481,17 @@ HybridGaussianFactorGraph = HybridFactorGraph
 
 
 class HybridBayesNet:
-    """Conditionals in elimination order; continuous ones precede discrete."""
+    """Conditionals in elimination order; continuous ones precede discrete.
+    Add them with append, which drops the cached discrete joint."""
 
     def __init__(self, conditionals: Sequence[Any] = ()):
         self.conditionals: List[Any] = []
+        self._joint: Any = None     # (discrete_joint(),) once computed
         for c in conditionals:
             self.append(c)
 
     def append(self, c):
+        self._joint = None
         if isinstance(c, DiscreteConditional):
             self.conditionals.append(c)
             return
@@ -523,11 +526,12 @@ class HybridBayesNet:
         return keys
 
     def discrete_joint(self) -> Optional[DecisionTree]:
-        """P(M | Z) as one table: the product of the discrete conditionals."""
-        conds = self.discrete_conditionals()
-        if not conds:
-            return None
-        tree = conds[0].potentials
-        for c in conds[1:]:
-            tree = tree.apply(c.potentials, np.multiply)
-        return tree
+        """P(M | Z) as one table: the product of the discrete conditionals,
+        computed once per net (its leaves are read-only)."""
+        if self._joint is None:
+            conds = self.discrete_conditionals()
+            tree = conds[0].potentials if conds else None
+            for c in conds[1:]:
+                tree = tree.apply(c.potentials, np.multiply)
+            self._joint = (tree,)
+        return self._joint[0]

@@ -66,6 +66,41 @@ def reference_eliminate_one(factors, var):
     return conditional, marginal
 
 
+def stack_systems(shared, order, dims, per_cell=()):
+    """Test input: k systems [A | b] of one layout as a (k, m, n+1) array,
+    columns laid out per `order`: the rows of the `shared` factors, the
+    same in every system, then for each position of `per_cell` the rows of
+    its k factors, one per system.  Without `per_cell`, k is 1."""
+    offsets, ncols = {}, 0
+    for vid in order:
+        offsets[vid] = ncols
+        ncols += dims[vid]
+    k = len(per_cell[0]) if per_cell else 1
+    systems = [list(shared) + [col[i] for col in per_cell] for i in range(k)]
+    M = np.zeros((k, sum(f.rows for f in systems[0]), ncols + 1))
+    for j, factors in enumerate(systems):
+        r = 0
+        for f in factors:
+            for vid, A in f.blocks.items():
+                M[j, r:r + f.rows, offsets[vid]:offsets[vid] + A.shape[1]] = A
+            M[j, r:r + f.rows, -1] = f.rhs
+            r += f.rows
+    return M
+
+
+def stacked_results(out, heads, k):
+    """eliminate_stacked's output `out` for k systems with `heads`, per
+    system: (conditional, marginal JacobianFactor) built as views of its
+    arrays, or None where the system's variable is rank deficient."""
+    results = [None] * k
+    for p, j in enumerate(out.live.tolist()):
+        var, cols = heads[j]
+        parents = tuple(vid for vid, _, _ in cols)
+        results[j] = (out.conditional(p, var, cols, parents),
+                      out.marginal(p, cols, parents).as_factor())
+    return results
+
+
 def same_bits(a, b) -> bool:
     """Arrays equal bit for bit, signs of zeros included."""
     a, b = np.asarray(a), np.asarray(b)
@@ -545,6 +580,35 @@ def hypothesis_chain_graph(rng, n_keys=8):
                           log_normalization_constant(var)))
         g.add(HybridGaussianFactor.from_components([k], comps))
     return g
+
+
+# Largest difference two runs' printed numbers may show when only rounding
+# moved between them: the final batch stops at 1e-9 (slam_cli's
+# OptimizeConfig tol), the scale of the 9 printed decimals.
+OUTPUT_TOL = 5e-9
+
+
+def output_differences(dir_a, dir_b, tol=OUTPUT_TOL):
+    """Lines of trajectory.txt, modes.txt and history.txt in which two runs
+    differ: a word without a decimal point (record, index, key, mode value)
+    must match exactly, a number with one within `tol`.  Empty when the
+    runs agree."""
+    diffs = []
+    for name in ("trajectory.txt", "modes.txt", "history.txt"):
+        with open(os.path.join(dir_a, name), encoding="utf-8") as fh:
+            lines_a = fh.read().splitlines()
+        with open(os.path.join(dir_b, name), encoding="utf-8") as fh:
+            lines_b = fh.read().splitlines()
+        if len(lines_a) != len(lines_b):
+            diffs.append(f"{name}: {len(lines_a)} lines against {len(lines_b)}")
+            continue
+        for a, b in zip(lines_a, lines_b):
+            wa, wb = a.split(), b.split()
+            if len(wa) != len(wb) or not all(
+                    abs(float(x) - float(y)) <= tol if "." in x + y else x == y
+                    for x, y in zip(wa, wb)):
+                diffs.append(f"{name}: {a!r} against {b!r}")
+    return diffs
 
 
 def run_module(module, *args):

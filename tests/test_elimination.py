@@ -20,13 +20,13 @@ from hybridfg.elimination import (_live_masks, hypothesis_support,
                                   restrict_to_support)
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
-from hybridfg import slam_cli
-from hybridfg.dataset import square_loop_dataset
+from hybridfg import elimination, slam_cli
+from hybridfg.dataset import square_loop_dataset, write_dataset
 
-from helpers import (hypothesis_chain_graph, mixture_graph, random_hybrid_graph,
-                     reference_back_substitute, reference_eliminate_one,
-                     reference_sum_product, same_bits, same_conditional,
-                     same_marginal, same_net)
+from helpers import (hypothesis_chain_graph, mixture_graph, output_differences,
+                     random_hybrid_graph, reference_back_substitute,
+                     reference_eliminate_one, reference_sum_product, same_bits,
+                     same_conditional, same_marginal, same_net)
 
 MIXTURE_P0 = 1.0 / (1.0 + math.exp(-2.0))
 
@@ -908,6 +908,27 @@ class TestWavefront:
         sum_product(g)
         assert calls == [4, 1]
 
+    @pytest.mark.parametrize("shape, config, most", [
+        ((0, 200, 10, 10), slam_cli.RunConfig(elim_every=1, relin_every=2),
+         (923, 4710)),
+        ((0, 100, 10, 4), slam_cli.RunConfig(), (234, 2332))])
+    def test_qr_calls_and_systems_do_not_grow(self, monkeypatch, shape, config,
+                                              most):
+        """The batching a whole run gets: QR calls and the systems they
+        take, on the streaming benchmark's input and on C09's, at most as
+        many as when levels were first grouped by shape, so a change to
+        how groups are filled cannot quietly split them."""
+        calls = []
+        real_qr = np.linalg.qr
+
+        def counting_qr(M, mode):
+            calls.append(M.shape[0])
+            return real_qr(M, mode=mode)
+        entries, _, _ = square_loop_dataset(*shape)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        slam_cli.run(config, entries)
+        assert len(calls) <= most[0] and sum(calls) <= most[1]
+
     def test_back_substitution_matches_per_conditional_solve(self):
         """The MAP of random nets and of a pose graph's net, solved a depth
         and a dimension at a time, keeps the bits of solving one conditional
@@ -930,6 +951,61 @@ class TestWavefront:
             assert got.continuous.keys() == want.keys(), trial
             for vid in want:
                 assert same_bits(got.continuous[vid], want[vid]), trial
+
+
+class TestOrderingIndependence:
+    """Elimination remaps columns for every ordering; the posterior and the
+    MAP must not depend on which valid strong ordering it takes, up to
+    rounding (1e-9)."""
+
+    @staticmethod
+    def _assert_same_posterior(a, b, trial):
+        ma, mb = discrete_marginals(a), discrete_marginals(b)
+        assert ma.keys() == mb.keys(), trial
+        for kid in ma:
+            np.testing.assert_allclose(ma[kid], mb[kid], rtol=0, atol=1e-9,
+                                       err_msg=str(trial))
+        xa, xb = bn_map(a), bn_map(b)
+        assert xa.discrete == xb.discrete, trial
+        assert xa.continuous.keys() == xb.continuous.keys(), trial
+        for vid in xa.continuous:
+            np.testing.assert_allclose(xa.continuous[vid], xb.continuous[vid],
+                                       rtol=0, atol=1e-9, err_msg=str(trial))
+
+    def test_random_graphs_under_random_orderings(self):
+        rng = np.random.default_rng(44)
+        for trial in range(40):
+            g = random_hybrid_graph(rng, int(rng.integers(2, 7)),
+                                    int(rng.integers(1, 5)),
+                                    two_var_hybrids=bool(trial % 2))
+            base = sum_product(g)
+            for _ in range(4):
+                self._assert_same_posterior(
+                    base, sum_product(g, _random_strong_ordering(rng, g)), trial)
+
+    def test_slam_linearization_under_random_orderings(self):
+        g = _slam_graph(65, 4, 2)
+        base = sum_product(g)
+        rng = np.random.default_rng(45)
+        for trial in range(4):
+            self._assert_same_posterior(
+                base, sum_product(g, _random_strong_ordering(rng, g)), trial)
+
+    def test_slam_runs_under_random_orderings(self, tmp_path, monkeypatch):
+        """The whole streaming run, every elimination under a random strong
+        ordering: the same modes, numbers within helpers.OUTPUT_TOL."""
+        entries, _, _ = square_loop_dataset(0, 65, 4, 2)
+        path = str(tmp_path / "data.txt")
+        write_dataset(entries, path)
+        args = ["--input", path, "--elim-every", "1", "--relin-every", "2"]
+        assert slam_cli.main(args + ["--output", str(tmp_path / "base")]) == 0
+        rng = np.random.default_rng(46)
+        monkeypatch.setattr(elimination, "strong_ordering",
+                            lambda g: _random_strong_ordering(rng, g))
+        for run in range(2):
+            out = str(tmp_path / f"shuffled{run}")
+            assert slam_cli.main(args + ["--output", out]) == 0
+            assert output_differences(str(tmp_path / "base"), out) == [], run
 
 
 class TestMaxProduct:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hybridfg.gaussian import (RANK_TOL, GaussianConditional, JacobianFactor,
-                               UnderconstrainedVariable, _columns, _stack,
+                               UnderconstrainedVariable, _layout,
                                back_substitute, eliminate_one,
                                eliminate_stacked, log_normalization_constant,
                                sigma_cholesky, whiten)
 
-from helpers import reference_eliminate_one, same_elimination
+from helpers import (reference_eliminate_one, same_elimination, stack_systems,
+                     stacked_results)
 
 
 def _random_spd(rng, n):
@@ -191,7 +192,7 @@ class TestMarginalRowSigns:
                 factors.append(JacobianFactor(blocks, rhs))
             _, marginal = eliminate_one(factors, "x")
             present = sorted({v for f in factors for v in f.blocks} - {"x"})
-            Rfull = np.linalg.qr(_stack(factors, ["x"] + present, dims)[0],
+            Rfull = np.linalg.qr(stack_systems(factors, ["x"] + present, dims)[0],
                                  mode="r")
             tol = RANK_TOL * max(float(np.max(np.abs(Rfull))), 1.0)
             want = _loop_row_signs(Rfull[dims["x"]:], tol)[:, dims["x"]:]
@@ -238,13 +239,14 @@ def _random_batch(rng):
         k = 1
     systems = [shared + [col[i] for col in per_cell] for i in range(k)]
     present = sorted({v for used, _, _ in layout for v in used} - {"x"})
-    return _stack(shared, ["x"] + present, dims, per_cell), present, dims, systems
+    return (stack_systems(shared, ["x"] + present, dims, per_cell), present,
+            dims, systems)
 
 
 def _one_head(M, present, dims):
     """eliminate_stacked's (dv, heads) for k systems that all eliminate "x"
     onto `present`."""
-    return dims["x"], [("x", _columns(present, dims, dims["x"]))] * len(M)
+    return dims["x"], [("x", _layout("x", present, dims)[0])] * len(M)
 
 
 class TestEliminateStacked:
@@ -269,7 +271,8 @@ class TestEliminateStacked:
                 with pytest.raises(UnderconstrainedVariable, match="rows"):
                     eliminate_stacked(M, *_one_head(M, present, dims))
                 continue
-            got = eliminate_stacked(M, *_one_head(M, present, dims))
+            dv, heads = _one_head(M, present, dims)
+            got = stacked_results(eliminate_stacked(M, dv, heads), heads, len(M))
             assert len(got) == len(systems), trial
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), trial
@@ -317,13 +320,14 @@ class TestEliminateStacked:
                 if rng.random() < 0.15:
                     blocks[var][:] = 0.0
                 factors = [JacobianFactor(blocks, rng.normal(size=m))]
-                stacks.append(_stack(factors, [var] + separator, dims))
-                heads.append((var, _columns(separator, dims, dv)))
+                stacks.append(stack_systems(factors, [var] + separator, dims))
+                heads.append((var, _layout(var, separator, dims)[0]))
                 try:
                     want.append(reference_eliminate_one(factors, var))
                 except UnderconstrainedVariable:
                     want.append(None)
-            got = eliminate_stacked(np.concatenate(stacks), dv, heads)
+            got = stacked_results(eliminate_stacked(
+                np.concatenate(stacks), dv, heads), heads, len(heads))
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), trial
                 if g is not None:

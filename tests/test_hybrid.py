@@ -221,3 +221,26 @@ class TestStructuralInvariants:
             want = 0.5 * n * math.log(2.0 * math.pi) \
                 - float(np.sum(np.log(np.diag(leaf.R))))
             assert leaf.log_normalizer == pytest.approx(want, abs=1e-12)
+
+
+class TestDiscreteJointCache:
+    def test_repeat_call_returns_the_cached_table(self):
+        """The joint is the product of the discrete conditionals, built once
+        per net; its leaves are read-only, and append drops it."""
+        K = DiscreteKey("k", 3)
+        pm = DiscreteConditional(M, (), DecisionTree([M], [0.25, 0.75]))
+        pk = DiscreteConditional(K, (M,), DecisionTree(
+            [K, M], np.array([[0.2, 0.5], [0.3, 0.25], [0.5, 0.25]])))
+        bn = HybridBayesNet([GaussianConditional("x", [[1.0]], {}, [0.0])])
+        assert bn.discrete_joint() is None
+        bn.append(pm)
+        joint = bn.discrete_joint()
+        assert bn.discrete_joint() is joint
+        assert np.array_equal(joint.leaves, [0.25, 0.75])
+        assert not joint.leaves.flags.writeable
+        bn.append(pk)
+        both = bn.discrete_joint()
+        assert both is not joint and bn.discrete_joint() is both
+        assert not both.leaves.flags.writeable
+        np.testing.assert_allclose(both.leaves, [[0.05, 0.375], [0.075, 0.1875],
+                                                 [0.125, 0.1875]])
