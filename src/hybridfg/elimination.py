@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from operator import itemgetter
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -28,7 +29,7 @@ from .discrete import (DecisionTree, DiscreteConditional,
 # Unused here; the benchmark's tracer patches this module's binding of it.
 from .discrete import eliminate_discrete_max  # noqa: F401
 from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims,
-                       _layout, _Marginal, _put, back_substitute,
+                       _layout, _Marginal, _put, _split, back_substitute,
                        eliminate_stacked)
 # Unused here since elimination runs by wavefront; the benchmark's tracer
 # patches this module's binding of it.
@@ -52,12 +53,8 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     if not cont and not disc:
         raise ValueError("graph is empty")
     adj: Dict[Any, set] = {v: set() for v in cont}
-    for f in g.continuous_factors:
-        vs = f.variables
-        for a in vs:
-            adj[a].update(v for v in vs if v != a)
-    for f in g.hybrid_factors:
-        vs = f.continuous_ids
+    for vs in [f.variables for f in g.continuous_factors] \
+            + [f.continuous_ids for f in g.hybrid_factors]:
         for a in vs:
             adj[a].update(v for v in vs if v != a)
     # adj keeps only uneliminated neighbours, so len(adj[u]) is u's degree;
@@ -90,9 +87,7 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     return order + sorted(disc)
 
 
-def _validate_ordering(g: HybridFactorGraph, ordering: Sequence[Any]):
-    cont = set(g.continuous_variables())
-    disc = {k.id for k in g.discrete_keys()}
+def _validate_ordering(ordering: Sequence[Any], cont: set, disc: set):
     if set(ordering) != cont | disc:
         raise ValueError("ordering must cover exactly the graph's variables")
     if len(set(ordering)) != len(ordering):
@@ -106,20 +101,9 @@ def _validate_ordering(g: HybridFactorGraph, ordering: Sequence[Any]):
                              f"{vid!r} after a discrete one")
 
 
-class _HybridMarginal:
-    """A hybrid clique's separator while it waits in sum_product: per mode
-    cell of `keys`, in the object array `leaves`, None or (_Marginal,
-    constant)."""
-
-    __slots__ = ("keys", "continuous_ids", "leaves")
-
-    def __init__(self, keys, continuous_ids, leaves):
-        self.keys, self.continuous_ids, self.leaves = keys, continuous_ids, leaves
-
-    def as_factor(self) -> HybridGaussianFactor:
-        return HybridGaussianFactor(self.keys, DecisionTree(self.keys, [
-            None if leaf is None else (leaf[0].as_factor(), leaf[1])
-            for leaf in self.leaves.flat]))
+# A hybrid clique's separator while it waits in sum_product: per mode cell
+# of `keys`, in the object array `leaves`, None or (_Marginal, constant).
+_HybridMarginal = namedtuple("_HybridMarginal", "keys continuous_ids leaves")
 
 
 def _variables(f) -> Sequence[Any]:
@@ -132,27 +116,19 @@ def _variables(f) -> Sequence[Any]:
 
 
 class _Clique:
-    """The elimination of one continuous variable from its bucket.  Built
-    symbolically: the bucket's factors, one system or one per live mode
-    cell, and the row layouts of those systems.  _eliminate_independent
-    then has the clique write its systems into the arrays of their shape
-    groups (fill), and runs their QRs; finish assembles the conditional
-    and the separator from the group arrays.
-
-    A bucket holds JacobianFactors and HybridGaussianFactors of the graph
-    and the separators of earlier cliques as _Marginal and _HybridMarginal
-    references into their groups' arrays."""
+    """The elimination of one variable from its bucket (whose separators
+    of earlier cliques are _Marginal or _HybridMarginal): the row layouts
+    of its systems, one or one per live mode cell, then, once
+    _eliminate_independent has run them, the conditional and separator."""
 
     def __init__(self, factors: Sequence[Any], var):
         plains: List[Any] = []
         hybrids: List[Tuple[Tuple[DiscreteKey, ...], np.ndarray]] = []
         base_const = 0.0
-        rows = 0
         cont_vars = set()
         for f in factors:
             if isinstance(f, (JacobianFactor, _Marginal)):
                 plains.append(f)
-                rows += f.rows
                 cont_vars.update(f.variables)
                 continue
             if isinstance(f, _HybridMarginal):
@@ -165,18 +141,17 @@ class _Clique:
                 # Fully restricted factor: one live component plus constant.
                 jf, c = f.components.leaves[()]
                 plains.append(jf)
-                rows += jf.rows
                 base_const += c
             cont_vars.update(f.continuous_ids)
-        keys: Tuple[DiscreteKey, ...] = ()
-        for f_keys, _ in hybrids:
-            keys = _merge_keys(keys, f_keys)
+        keys = _merge_keys((), [k for f_keys, _ in hybrids for k in f_keys]) \
+            if hybrids else ()
         if var not in cont_vars:
             raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
         cont_vars.discard(var)
         separator = tuple(sorted(cont_vars))
         self.var, self.keys, self.separator = var, keys, separator
         self.plains = plains
+        rows = sum(f.rows for f in plains)
         self.error: Optional[ValueError] = None
         # Per layout: (rows m of its systems, per hybrid the components of
         # its cells, the cells' indices into self.results: live cells in
@@ -214,27 +189,15 @@ class _Clique:
             for cell_rows, members in layouts.items():
                 self.layouts.append((rows + sum(cell_rows), [
                     [col[i] for i in members] for col in components], members))
-        self.cols = ()
         if self.layouts:
             self.dv = dims[var]
             self.cols, self.offsets, self.width = _layout(var, separator, dims)
-
-    def fill(self, M: np.ndarray, per_cell: Sequence[Sequence[Any]]):
-        """Write the systems of one layout into M, zeros elsewhere: (m, n+1)
-        for one system, (k, m, n+1) for k.  Rows: the plain factors, the
-        same in every system, then per hybrid its components, one per
-        cell, in bucket order."""
-        r = 0
-        for f in self.plains:
-            r = _put(M, r, f, self.offsets)
-        for col in per_cell:
-            r = _put(M, r, col[0], self.offsets, col)
 
     def finish(self):
         """(conditional, separator) where the separator is a _Marginal,
         _HybridMarginal, DiscreteFactor (boundary), or None when it carries
         no content beyond a mode-independent constant."""
-        var, cols, separator = self.var, self.cols, self.separator
+        var, separator = self.var, self.separator
         if self.error is not None:
             raise self.error
         if not self.keys:
@@ -245,32 +208,27 @@ class _Clique:
                     f"underconstrained variable: {var!r} has {m} rows, "
                     f"needs {self.dv}" if m < self.dv else
                     f"underconstrained variable: {var!r} is rank deficient")
-            out, p = result
+            conditional, marginal = result
             # Without a separator the marginal is a pure residual: a
             # mode-independent constant, nothing downstream.
-            return (out.conditional(p, var, cols, separator),
-                    out.marginal(p, cols, separator) if separator else None)
+            return conditional, marginal if separator else None
+        if all(result is None for result in self.results):
+            raise UnderconstrainedVariable(
+                f"variable unconstrained in every mode: {var!r}")
         size = math.prod(self.shape)
         cond_leaves = np.full(size, None)
         sep_leaves = np.full(size, None)
         bound_leaves = np.full(size, math.inf)
-        alive = 0
         for cell, c_in, result in zip(self.flat, self.c_in, self.results):
             if result is None:    # rank deficient, or fewer rows than var needs
                 continue
-            out, p = result
-            alive += 1
-            conditional = out.conditional(p, var, cols, separator)
+            conditional, marginal = result
             c_out = c_in - conditional.log_normalizer
             cond_leaves[cell] = conditional
-            if separator:
-                sep_leaves[cell] = (out.marginal(p, cols, separator), c_out)
-            else:
-                r = -out.T[p, :, -1]
+            sep_leaves[cell] = (marginal, c_out)
+            if not separator:
+                r = -marginal.data[:, -1]
                 bound_leaves[cell] = 0.5 * float(r @ r) + c_out
-        if alive == 0:
-            raise UnderconstrainedVariable(
-                f"variable unconstrained in every mode: {var!r}")
         keys = self.keys
         conditional = HybridGaussianConditional(
             keys, DecisionTree(keys, cond_leaves.reshape(self.shape)))
@@ -282,11 +240,11 @@ class _Clique:
 
 
 def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
-    """Run the QRs of cliques none of which feeds another.  Their systems,
+    """Run the QRs of cliques none of which feeds another: their systems,
     grouped by shape (rows, columns and the eliminated variable's
-    dimension), are written by their cliques into one (K, m, n+1) array
-    per group, which takes one eliminate_stacked call.  A group with fewer
-    rows than the variable needs runs none; its results stay None."""
+    dimension), are filled by their cliques into one (K, m, n+1) array per
+    group, which takes one eliminate_stacked call.  A group with fewer rows
+    than the variable needs runs none; its results stay None."""
     groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, Any, List[int]]]] = {}
     for c in cliques:
         for m, per_cell, members in c.layouts:
@@ -295,43 +253,35 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
         if m < dv:
             continue
         M = np.zeros((sum(len(members) for _, _, members in parts), m, width))
-        heads = []
-        at = 0
+        heads: List[Any] = []
+        cells: List[Tuple[_Clique, int]] = []    # per system: clique, cell
         for c, per_cell, members in parts:
             k = len(members)
-            c.fill(M[at] if k == 1 else M[at:at + k], per_cell)
+            # Rows: the plain factors, the same in every system, then per
+            # hybrid its components, one per cell, in bucket order.
+            S = M[len(heads)] if k == 1 else M[len(heads):len(heads) + k]
+            r = 0
+            for f in c.plains:
+                r = _put(S, r, f, c.offsets)
+            for col in per_cell:
+                r = _put(S, r, col[0], c.offsets, col)
             heads += [(c.var, c.cols)] * k
-            at += k
+            cells += [(c, i) for i in members]
         try:
-            _record(parts, M, dv, heads)
+            results = _split(eliminate_stacked(M, dv, heads), heads)
         except ValueError:
             # Non-finite entries: one QR per part finds whose.
-            at = 0
-            for part in parts:
-                k = len(part[2])
+            results = []
+            for c, _, members in parts:
+                part = slice(len(results), len(results) + len(members))
                 try:
-                    _record([part], M[at:at + k], dv, heads[at:at + k])
+                    results += _split(eliminate_stacked(M[part], dv, heads[part]),
+                                      heads[part])
                 except ValueError as e:
-                    part[0].error = e
-                at += k
-
-
-def _record(parts, M: np.ndarray, dv: int, heads) -> None:
-    """One eliminate_stacked call for the filled systems of `parts`; each
-    clique gets, per system, the group's arrays and the system's position
-    in them, or None where its variable is rank deficient."""
-    out = eliminate_stacked(M, dv, heads)
-    if len(out.live) == len(M):
-        where: Sequence[int] = range(len(M))
-    else:
-        index = np.full(len(M), -1)
-        index[out.live] = np.arange(len(out.live))
-        where = index.tolist()
-    at = 0
-    for c, _, members in parts:
-        for i, p in zip(members, where[at:at + len(members)]):
-            c.results[i] = (out, p) if p >= 0 else None
-        at += len(members)
+                    c.error = e
+                    results += [None] * len(members)
+        for (c, i), result in zip(cells, results):
+            c.results[i] = result
 
 
 def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
@@ -339,14 +289,14 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
 
     Returns (conditional, separator) where the separator is a
     JacobianFactor, HybridGaussianFactor, DiscreteFactor (boundary), or None
-    when it carries no content beyond a mode-independent constant.
-    """
+    when it carries no content beyond a mode-independent constant."""
     clique = _Clique(factors, var)
     _eliminate_independent([clique])
-    conditional, separator = clique.finish()
-    if isinstance(separator, (_Marginal, _HybridMarginal)):
-        separator = separator.as_factor()
-    return conditional, separator
+    conditional, sep = clique.finish()
+    if isinstance(sep, _HybridMarginal):
+        sep = HybridGaussianFactor(sep.keys, DecisionTree(sep.keys, [
+            leaf and (leaf[0].as_factor(), leaf[1]) for leaf in sep.leaves.flat]))
+    return conditional, sep.as_factor() if isinstance(sep, _Marginal) else sep
 
 
 def _levels(ordering: Sequence[Any], position: Dict[Any, int],
@@ -391,9 +341,10 @@ def sum_product(g: HybridFactorGraph,
     """
     if ordering is None:
         ordering = strong_ordering(g)
-    _validate_ordering(g, ordering)
-    n_cont = len(g.continuous_variables())
-    keymap = {k.id: k for k in g.discrete_keys()}
+    cont, keys = g.continuous_variables(), g.discrete_keys()
+    _validate_ordering(ordering, set(cont), {k.id for k in keys})
+    n_cont = len(cont)
+    keymap = {k.id: k for k in keys}
     position = {vid: i for i, vid in enumerate(ordering)}
     # Bucket entries (position of the variable that produced the factor,
     # factor), the graph's own factors at -1.
@@ -510,10 +461,8 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     if P < 1:
         raise ValueError("P must be >= 1")
     joint = bn.discrete_joint()
-    if joint is None:
-        return HybridBayesNet(list(bn.conditionals))
-    pruned = prune_to_top(joint, P)
-    if np.array_equal(pruned.leaves, joint.leaves):
+    pruned = None if joint is None else prune_to_top(joint, P)
+    if pruned is None or np.array_equal(pruned.leaves, joint.leaves):
         return HybridBayesNet(list(bn.conditionals))
     out = HybridBayesNet()
     live_mask = _live_masks(pruned)
@@ -546,12 +495,11 @@ def restrict_to_support(g: HybridFactorGraph, support: DecisionTree
     graph so dead joint hypotheses stay dead in later eliminations."""
     if not support.keys:
         return g
-    graph_keys = {k.id for k in g.discrete_keys()}
-    if not {k.id for k in support.keys} <= graph_keys:
+    support_ids = {k.id for k in support.keys}
+    if not support_ids <= {k.id for k in g.discrete_keys()}:
         raise ValueError("support mentions keys absent from the graph")
     out = HybridFactorGraph()
     out.continuous_factors = list(g.continuous_factors)
-    support_ids = {k.id for k in support.keys}
     live_mask = _live_masks(support)
     for hf in g.hybrid_factors:
         if support_ids.isdisjoint(k.id for k in hf.keys):

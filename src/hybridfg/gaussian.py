@@ -12,7 +12,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import (Any, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -23,13 +25,11 @@ VectorValues = Dict[Any, np.ndarray]
 
 
 def _as_matrix(a) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(a, dtype=float))
-    return m
+    return np.atleast_2d(np.asarray(a, dtype=float))
 
 
 def _as_vector(a) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(a, dtype=float)).reshape(-1)
-    return v
+    return np.atleast_1d(np.asarray(a, dtype=float)).reshape(-1)
 
 
 class JacobianFactor:
@@ -147,18 +147,14 @@ class GaussianConditional:
     def dim(self) -> int:
         return int(self.R.shape[0])
 
-    def _rhs(self, values: VectorValues) -> np.ndarray:
-        """d - sum_i S_i p_i."""
-        rhs = self.d.copy()
+    def solve(self, values: VectorValues) -> np.ndarray:
+        """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
+        rhs = self.d
         for vid, S in self.parent_blocks.items():
             if vid not in values:
                 raise ValueError(f"incomplete values: missing {vid!r}")
             rhs = rhs - S @ _as_vector(values[vid])
-        return rhs
-
-    def solve(self, values: VectorValues) -> np.ndarray:
-        """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
-        return np.linalg.solve(self.R, self._rhs(values))
+        return np.linalg.solve(self.R, rhs)
 
     def log_density(self, values: VectorValues) -> float:
         if self.frontal not in values:
@@ -196,9 +192,7 @@ def sigma_cholesky(sigma, dim: int = None) -> np.ndarray:
     diagonal of variances, or a full SPD matrix."""
     s = np.asarray(sigma, dtype=float)
     if s.ndim == 0:
-        if dim is None:
-            dim = 1
-        s = np.eye(dim) * float(s)
+        s = np.eye(1 if dim is None else dim) * float(s)
     elif s.ndim == 1:
         s = np.diag(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -279,34 +273,31 @@ def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
     return NoiseModel(sigma, z.shape[0]).whiten(blocks, z)
 
 
-class _Marginal:
-    """The marginal rows [A | b] of one eliminated system, left in the
-    array eliminate_stacked returned while they wait in sum_product:
-    `data` is a (rows, n+1) view of its T, `cols` the column ranges
-    (vid, a, b) of `variables` (see _layout), b in the last column."""
+class _Marginal(NamedTuple):
+    """The marginal rows [A | b] of one eliminated system while they wait
+    in sum_product: `data` is a (rows, n+1) view of its group's T, `cols`
+    the column ranges (vid, a, b) of `variables` (see _layout)."""
 
-    __slots__ = ("data", "cols", "variables", "rows")
+    data: np.ndarray
+    cols: Tuple[Tuple[Any, int, int], ...]
+    variables: Tuple[Any, ...]
 
-    def __init__(self, data: np.ndarray, cols, variables: Tuple[Any, ...]):
-        self.data, self.cols, self.variables = data, cols, variables
-        self.rows = data.shape[0]
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
 
     def as_factor(self) -> JacobianFactor:
-        """The rows as a JacobianFactor over views of `data`."""
-        data = self.data
-        return JacobianFactor._own({vid: data[:, a:b] for vid, a, b in self.cols},
-                                   data[:, -1], self.variables)
+        d = self.data
+        return JacobianFactor._own({vid: d[:, a:b] for vid, a, b in self.cols},
+                                   d[:, -1], self.variables)
 
 
 def _dims(factors) -> Dict[Any, int]:
-    """Column dimension of every variable of the JacobianFactors and
-    _Marginals, which all factors must agree on."""
+    """Column dimension of every variable, which all factors must agree on."""
     dims: Dict[Any, int] = {}
     for f in factors:
-        widths = [(vid, b - a) for vid, a, b in f.cols] \
-            if type(f) is _Marginal else \
-            [(vid, A.shape[1]) for vid, A in f.blocks.items()]
-        for vid, w in widths:
+        for vid, w in [(vid, b - a) for vid, a, b in f.cols] if type(f) is _Marginal \
+                else [(vid, A.shape[1]) for vid, A in f.blocks.items()]:
             if dims.setdefault(vid, w) != w:
                 raise ValueError(f"inconsistent dimension for {vid!r}")
     return dims
@@ -314,22 +305,19 @@ def _dims(factors) -> Dict[Any, int]:
 
 def _put(M: np.ndarray, r: int, f, offsets: Mapping[Any, int], cells=None
          ) -> int:
-    """Write the rows [A | b] of f, a JacobianFactor or a _Marginal, into
-    M[..., r:, :] at the columns `offsets` gives each variable, b in the
-    last column; returns the row after them.  Into a stack of k systems
-    (k, m, n+1), f goes into every system, or with `cells`, k factors of
-    f's layout, cell i into system i."""
+    """Write the rows [A | b] of f, a JacobianFactor or _Marginal, into
+    M[..., r:, :] at the columns `offsets` gives, b last; returns the next
+    row.  Into k systems (k, m, n+1) f goes into each, or with `cells`
+    (k factors of f's layout) cell i into system i."""
     e = r + f.rows
     if type(f) is _Marginal:
         data = f.data if cells is None else np.array([g.data for g in cells])
         for vid, a, b in f.cols:
-            c = offsets[vid]
-            M[..., r:e, c:c + b - a] = data[..., a:b]
+            M[..., r:e, offsets[vid]:offsets[vid] + b - a] = data[..., a:b]
         M[..., r:e, -1] = data[..., -1]
         return e
     for vid, A in f.blocks.items():
-        c = offsets[vid]
-        M[..., r:e, c:c + A.shape[1]] = A if cells is None \
+        M[..., r:e, offsets[vid]:offsets[vid] + A.shape[1]] = A if cells is None \
             else np.array([g.blocks[vid] for g in cells])
     M[..., r:e, -1] = f.rhs if cells is None else np.array([g.rhs for g in cells])
     return e
@@ -340,50 +328,17 @@ class UnderconstrainedVariable(ValueError):
 
 
 def _layout(var, separator: Sequence[Any], dims: Mapping[Any, int]):
-    """The columns of a system [A | b] that eliminates `var` onto the
-    separator: `var`'s first, then the separator's in order, then b.
-    Returns the separator's column ranges (vid, a, b), every variable's
-    first column, and the number of columns."""
-    c = dims[var]
-    offsets = {var: 0}
-    cols = []
+    """The columns of a system [A | b] eliminating `var` onto the separator
+    (`var`'s, the separator's in order, b): the separator's column ranges
+    (vid, a, b), every variable's first column, the number of columns."""
+    cols, c = [], dims[var]
     for vid in separator:
-        offsets[vid] = c
         cols.append((vid, c, c + dims[vid]))
         c += dims[vid]
-    return tuple(cols), offsets, c + 1
+    return tuple(cols), {var: 0, **{vid: a for vid, a, _ in cols}}, c + 1
 
 
-class Eliminated:
-    """What eliminate_stacked computed for the systems of its batch whose
-    variable is full rank: `live` holds their indices in the batch, and
-    position p of every array is system live[p].  R is (k', dv, dv), d
-    (k', dv), S maps each column range (a, b) in use to its parent blocks
-    (k', dv, b - a), and T is (k', rows, n+1)."""
-
-    __slots__ = ("live", "R", "d", "S", "log_norms", "T", "_views")
-
-    def __init__(self, live: np.ndarray, R: np.ndarray, d: np.ndarray,
-                 S: Dict[Tuple[int, int], np.ndarray], log_norms: List[float],
-                 T: np.ndarray):
-        self.live, self.R, self.d, self.S = live, R, d, S
-        self.log_norms, self.T = log_norms, T
-        # Per-position views, made in one pass each: taking one from a
-        # list costs less than indexing an array.
-        self._views = (list(R), list(d), {ab: list(S[ab]) for ab in S},
-                       list(T))
-
-    def conditional(self, p: int, var, cols, parents: Tuple[Any, ...]
-                    ) -> GaussianConditional:
-        """p(var | parents) of position p, over views of the arrays."""
-        R, d, S, _ = self._views
-        return GaussianConditional._own(
-            var, R[p], {vid: S[a, b][p] for vid, a, b in cols}, d[p],
-            self.log_norms[p], parents)
-
-    def marginal(self, p: int, cols, variables: Tuple[Any, ...]) -> _Marginal:
-        """The marginal rows of position p, on `variables` at `cols`."""
-        return _Marginal(self._views[3][p], cols, variables)
+Eliminated = namedtuple("Eliminated", "live R d S log_norms T")
 
 
 def eliminate_stacked(M: np.ndarray, dv: int,
@@ -393,24 +348,22 @@ def eliminate_stacked(M: np.ndarray, dv: int,
 
     M is (k, m, n+1): k matrices [A | b].  System j eliminates the
     variable heads[j][0], whose dv columns come first, onto the separator
-    whose column ranges heads[j][1] gives as (vid, a, b), in separator
-    order (see _layout); systems may eliminate different variables onto
-    different separators.  Returns, for the systems whose variable is not
-    rank deficient, the conditionals' rows R, S and d, signed so that R's
-    diagonal is positive, with one parent-block array per column range in
-    use, their log-normalizers, and the marginal rows T over all n+1
-    columns (the first dv of them zero), each row signed so that its
-    first significant entry is nonnegative; T keeps any pure-residual row,
-    so 0.5||A x - b||^2 = 0.5||R x_var + S p - d||^2 + 0.5||T [x; -1]||^2
-    holds exactly.  Raises UnderconstrainedVariable when m is below dv,
-    and ValueError naming the first system with non-finite entries.
+    whose column ranges heads[j][1] gives as (vid, a, b) (see _layout).
+    Returns Eliminated over the systems whose variable is not rank
+    deficient, system live[p] at position p: R (k', dv, dv) with positive
+    diagonal, d (k', dv), S the parent blocks (k', dv, b - a) per column
+    range (a, b) in use, the log-normalizers, and T (k', m - dv, n+1), the
+    marginal rows, each signed so that its first significant entry is
+    nonnegative.  T keeps any pure-residual row, so 0.5||A x - b||^2 =
+    0.5||R x_var + S p - d||^2 + 0.5||T [x; -1]||^2 exactly.  Raises
+    UnderconstrainedVariable when m is below dv, and ValueError naming the
+    first system with non-finite entries.
 
-    Views of the arrays need no re-check: R is square and matches d by
-    construction, the rank check gives |R_ii| > RANK_TOL * max(scale, 1)
-    >= 1e-12, and the finite per-system scale (a max, which NaN propagates
-    through) covers every block.  R, S and d are views of one signed copy
-    of the conditional rows, not of the QR's output, so conditionals do
-    not keep T alive.
+    Views of the arrays need no re-check: R is square and matches d, the
+    rank check gives |R_ii| > RANK_TOL * max(scale, 1) >= 1e-12, and the
+    finite per-system scale (NaN propagates through a max) covers every
+    block.  R, S and d view a signed copy of the conditional rows, so
+    conditionals do not keep T alive.
     """
     k, m, _ = M.shape
     if m < dv:
@@ -432,8 +385,8 @@ def eliminate_stacked(M: np.ndarray, dv: int,
     top = Rfull[:, :dv, :] * np.sign(Rfull.diagonal(0, 1, 2)[:, :dv])[:, :, None]
     log_norms = (0.5 * dv * math.log(2.0 * math.pi)
                  - np.log(diag).sum(axis=1)).tolist()
-    S = {(a, b): top[:, :, a:b] for cols in {id(cols): cols for _, cols in heads
-                                             }.values() for _, a, b in cols}
+    layouts = {id(cols): cols for _, cols in heads}
+    S = {(a, b): top[:, :, a:b] for cols in layouts.values() for _, a, b in cols}
     # Marginal rows, signed so that each row's first significant entry is
     # nonnegative; a row with none gets first = 0, never < -tol.  Rows are
     # negated or left as they are, which keeps every other bit.
@@ -442,6 +395,23 @@ def eliminate_stacked(M: np.ndarray, dv: int,
     lead = T[np.arange(len(T))[:, None], np.arange(T.shape[1]), first]
     T[lead < -tol[:, None]] *= -1.0
     return Eliminated(live, top[:, :, :dv], top[:, :, -1], S, log_norms, T)
+
+
+def _split(out: Eliminated, heads) -> List[Any]:
+    """Per system of eliminate_stacked's batch (see its heads): the
+    conditional and the _Marginal, views of out's arrays, or None where
+    its variable is rank deficient."""
+    R, d, T = list(out.R), list(out.d), list(out.T)
+    S = {ab: list(blocks) for ab, blocks in out.S.items()}
+    separators = {id(cols): tuple(vid for vid, _, _ in cols) for _, cols in heads}
+    results: List[Any] = [None] * len(heads)
+    for p, j in enumerate(out.live.tolist()):
+        var, cols = heads[j]
+        sep = separators[id(cols)]
+        results[j] = (GaussianConditional._own(
+            var, R[p], {vid: S[a, b][p] for vid, a, b in cols}, d[p],
+            out.log_norms[p], sep), _Marginal(T[p], cols, sep))
+    return results
 
 
 def eliminate_one(factors: Sequence[JacobianFactor], var
@@ -460,23 +430,21 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
     r = 0
     for f in factors:
         r = _put(M[0], r, f, offsets)
-    out = eliminate_stacked(M, dims[var], [(var, cols)])
-    if not out.live.size:
+    heads = [(var, cols)]
+    (result,) = _split(eliminate_stacked(M, dims[var], heads), heads)
+    if result is None:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "is rank deficient")
-    return (out.conditional(0, var, cols, separator),
-            out.marginal(0, cols, separator).as_factor())
+    return result[0], result[1].as_factor()
 
 
 def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues:
     """Solve the triangular system defined by conditionals in elimination
-    order (parents always eliminated later).  Conditionals at one depth
-    below the roots (1 + their deepest parent's) need only shallower
-    values, so each depth's conditionals of one dimension are solved
-    together: their right-hand sides d - sum_i S_i p_i take one batched
-    matmul per parent position and parent dimension, subtracted in each
-    conditional's parent order, then one stacked LU solve.  Each gets the
-    bits of its own `solve`."""
+    order (parents always eliminated later).  The conditionals of one depth
+    below the roots (1 + their deepest parent's) and one dimension are
+    solved together: d - sum_i S_i p_i by one batched matmul per parent
+    position and dimension, in each one's parent order, then one stacked
+    LU solve, which gives each the bits of its own `solve`."""
     depth: Dict[Any, int] = {}
     levels: Dict[Tuple[int, int], List[GaussianConditional]] = {}
     for cond in reversed(list(conditionals)):
@@ -491,21 +459,15 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
     for _, group in sorted(levels.items()):
         R = np.array([cond.R for cond in group])
         rhs = np.array([cond.d for cond in group])
-        # Per (parent position, parent dimension): the conditionals with
-        # such a parent, its blocks and its values.
-        terms: Dict[Tuple[int, int], Tuple[List[int], List[Any], List[Any]]] = {}
+        # Per (parent position, parent dimension): (j, S_i, p_i) of each.
+        terms: Dict[Tuple[int, int], List[Tuple[int, Any, Any]]] = {}
         for j, cond in enumerate(group):
             for i, (vid, S) in enumerate(cond.parent_blocks.items()):
-                rows, blocks, xs = terms.setdefault((i, S.shape[1]), ([], [], []))
-                rows.append(j)
-                blocks.append(S)
-                xs.append(values[vid])
-        for _, (rows, blocks, xs) in sorted(terms.items()):
+                terms.setdefault((i, S.shape[1]), []).append((j, S, values[vid]))
+        for _, term in sorted(terms.items()):
+            rows, blocks, xs = zip(*term)
             Sp = (np.array(blocks) @ np.array(xs)[:, :, None])[:, :, 0]
-            if len(rows) == len(group):
-                rhs -= Sp
-            else:
-                rhs[rows] -= Sp
+            rhs[list(rows) if len(rows) < len(group) else slice(None)] -= Sp
         for cond, x in zip(group, np.linalg.solve(R, rhs[:, :, None])[:, :, 0]):
             values[cond.frontal] = x
     return values

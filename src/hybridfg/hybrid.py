@@ -482,7 +482,7 @@ HybridGaussianFactorGraph = HybridFactorGraph
 
 class HybridBayesNet:
     """Conditionals in elimination order; continuous ones precede discrete.
-    Add them with append, which drops the cached discrete joint."""
+    Add them with append, which drops the cached discrete_joint."""
 
     def __init__(self, conditionals: Sequence[Any] = ()):
         self.conditionals: List[Any] = []

@@ -15,7 +15,7 @@ from hybridfg import (DiscreteFactor, DiscreteKey, GaussianConditional,
                       HybridNonlinearFactor, JacobianFactor, NonlinearFactor,
                       Pose2, log_normalization_constant, whiten)
 from hybridfg.discrete import eliminate_discrete_sum, multiply_factors
-from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable
+from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable, _split
 from hybridfg.nonlinear import (FD_STEP, BetweenResidual, FuncResidual,
                                 LinearResidual, PriorResidual)
 
@@ -88,17 +88,12 @@ def stack_systems(shared, order, dims, per_cell=()):
     return M
 
 
-def stacked_results(out, heads, k):
-    """eliminate_stacked's output `out` for k systems with `heads`, per
+def stacked_results(out, heads):
+    """eliminate_stacked's output `out` for the systems of `heads`, per
     system: (conditional, marginal JacobianFactor) built as views of its
     arrays, or None where the system's variable is rank deficient."""
-    results = [None] * k
-    for p, j in enumerate(out.live.tolist()):
-        var, cols = heads[j]
-        parents = tuple(vid for vid, _, _ in cols)
-        results[j] = (out.conditional(p, var, cols, parents),
-                      out.marginal(p, cols, parents).as_factor())
-    return results
+    return [None if r is None else (r[0], r[1].as_factor())
+            for r in _split(out, heads)]
 
 
 def same_bits(a, b) -> bool:

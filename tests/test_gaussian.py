@@ -272,7 +272,7 @@ class TestEliminateStacked:
                     eliminate_stacked(M, *_one_head(M, present, dims))
                 continue
             dv, heads = _one_head(M, present, dims)
-            got = stacked_results(eliminate_stacked(M, dv, heads), heads, len(M))
+            got = stacked_results(eliminate_stacked(M, dv, heads), heads)
             assert len(got) == len(systems), trial
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), trial
@@ -327,7 +327,7 @@ class TestEliminateStacked:
                 except UnderconstrainedVariable:
                     want.append(None)
             got = stacked_results(eliminate_stacked(
-                np.concatenate(stacks), dv, heads), heads, len(heads))
+                np.concatenate(stacks), dv, heads), heads)
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), trial
                 if g is not None:
