@@ -297,11 +297,6 @@ class DiscreteConditional:
     def value(self, assignment: Assignment) -> float:
         return float(self.potentials.leaf(assignment))
 
-    def distribution(self, parent_assignment: Assignment) -> np.ndarray:
-        """P(frontal = .) given a full parent assignment."""
-        fixed = {k.id: parent_assignment[k.id] for k in self.parents}
-        return np.asarray(self.potentials.choose(fixed).leaves, dtype=float)
-
     def __repr__(self):
         return (f"DiscreteConditional(P({self.frontal.id!r} | "
                 f"{[k.id for k in self.parents]}))")

@@ -7,8 +7,8 @@ exp(-(0.5||Ax-b||^2 + c)) into a Gaussian conditional and a separator
 factor whose constant drops by the conditional's log-normalizer, so that the
 separator equals the true integral over the frontal variable.  When the
 continuous separator is empty the per-mode residuals become a discrete factor
-(the continuous-discrete boundary), and the remaining discrete graph is
-eliminated with table operations.
+(the continuous-discrete boundary); the product of those and the graph's
+discrete factors, normalized, is the net's one table P(M | Z).
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from .discrete import (DecisionTree, DiscreteConditional,
-                       DiscreteFactor, DiscreteKey, check_enumeration,
-                       eliminate_discrete_sum, first_best, multiply_factors,
+from .discrete import (DecisionTree, DiscreteFactor, DiscreteKey,
+                       check_enumeration, first_best, multiply_factors,
                        prune_to_top, _expand, _merge_keys)
-# Unused here; the benchmark's tracer patches this module's binding of it.
-from .discrete import eliminate_discrete_max  # noqa: F401
+# Unused here since the net holds one discrete table; the benchmark's
+# tracer patches this module's bindings of them through its __dict__.
+from .discrete import eliminate_discrete_max, eliminate_discrete_sum  # noqa: F401
 from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims,
                        _layout, _Marginal, _put, _split, back_substitute,
                        eliminate_stacked)
@@ -327,7 +327,11 @@ def _levels(ordering: Sequence[Any], position: Dict[Any, int],
 
 def sum_product(g: HybridFactorGraph,
                 ordering: Optional[Sequence[Any]] = None) -> HybridBayesNet:
-    """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z).
+    """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z):
+    the continuous conditionals p(X | M, Z), and P(M | Z) as one table, the
+    product of the discrete factors left after continuous elimination
+    divided by its sum.  A product that is 0 everywhere raises ValueError,
+    as the oracle does.
 
     Each factor, and each separator once produced, waits in the bucket of
     its first variable in the ordering, so no factor is scanned twice.  The
@@ -344,7 +348,6 @@ def sum_product(g: HybridFactorGraph,
     cont, keys = g.continuous_variables(), g.discrete_keys()
     _validate_ordering(ordering, set(cont), {k.id for k in keys})
     n_cont = len(cont)
-    keymap = {k.id: k for k in keys}
     position = {vid: i for i, vid in enumerate(ordering)}
     # Bucket entries (position of the variable that produced the factor,
     # factor), the graph's own factors at -1.
@@ -383,14 +386,15 @@ def sum_product(g: HybridFactorGraph,
                 place(separator, i)
     if failures:
         raise failures[min(failures)]
-    bn = HybridBayesNet(conditionals)
-    for i in range(n_cont, len(ordering)):
-        conditional, separator = eliminate_discrete_sum(
-            multiply_factors(bucket(i)), keymap[ordering[i]])
-        bn.append(conditional)
-        if separator is not None:
-            place(separator, i)
-    return bn
+    if not keys:
+        return HybridBayesNet(conditionals)
+    product = multiply_factors([f for i in range(n_cont, len(ordering))
+                                for f in bucket(i)]).potentials
+    total = float(product.leaves.sum())
+    if not total > 0.0:
+        raise ValueError("all discrete assignments are impossible")
+    return HybridBayesNet(conditionals,
+                          DecisionTree(product.keys, product.leaves / total))
 
 
 def bn_map(bn: HybridBayesNet) -> HybridValues:
@@ -402,7 +406,7 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
     through.  Ties, scores within rounding of the best (see first_best),
     keep the first in flat order, as the oracle does.
     """
-    conditionals = bn.continuous_conditionals()
+    conditionals = bn.conditionals
     hybrids = [c for c in conditionals if isinstance(c, HybridGaussianConditional)]
     joint = bn.discrete_joint()
     candidates: List[Dict[Any, int]] = []
@@ -454,30 +458,22 @@ def _live_masks(support: DecisionTree
 def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     """Keep only the top-P joint discrete hypotheses.
 
-    The pruned joint is redistributed into fresh discrete conditionals (zero
-    slices become uniform, carried mass stays zero), and hybrid conditionals
-    get nil components wherever no surviving hypothesis is consistent.
+    The net's joint becomes prune_to_top(joint, P) divided by its sum, and
+    hybrid conditionals get nil components wherever no surviving hypothesis
+    is consistent.  A net with at most P live hypotheses is returned as is.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     joint = bn.discrete_joint()
     pruned = None if joint is None else prune_to_top(joint, P)
     if pruned is None or np.array_equal(pruned.leaves, joint.leaves):
-        return HybridBayesNet(list(bn.conditionals))
-    out = HybridBayesNet()
+        return bn
     live_mask = _live_masks(pruned)
-    for c in bn.continuous_conditionals():
-        if isinstance(c, HybridGaussianConditional):
-            tree = c.components.where(live_mask(c.keys))
-            out.append(HybridGaussianConditional(c.keys, tree))
-        else:
-            out.append(c)
-    prod = DiscreteFactor(pruned.keys, pruned)
-    for c in bn.discrete_conditionals():
-        cond, tau = eliminate_discrete_sum(prod, c.frontal)
-        out.append(cond)
-        prod = tau
-    return out
+    return HybridBayesNet(
+        [HybridGaussianConditional(c.keys, c.components.where(live_mask(c.keys)))
+         if isinstance(c, HybridGaussianConditional) else c
+         for c in bn.conditionals],
+        DecisionTree(pruned.keys, pruned.leaves / pruned.leaves.sum()))
 
 
 def hypothesis_support(bn: HybridBayesNet) -> Optional[DecisionTree]:
@@ -544,15 +540,15 @@ def dead_mode_removal(bn: HybridBayesNet, graph, delta: float):
 
 
 def bn_evaluate(bn: HybridBayesNet, v: HybridValues) -> float:
-    """Product of all conditional densities at a full hybrid instantiation."""
-    total = 0.0
+    """P(m | Z) times every conditional density at a full hybrid
+    instantiation (x, m)."""
+    joint = bn.discrete_joint()
+    p = 1.0 if joint is None else float(joint.leaf(v.discrete))
+    if p <= 0.0:
+        return 0.0
+    total = math.log(p)
     for c in bn.conditionals:
-        if isinstance(c, DiscreteConditional):
-            p = c.value(v.discrete)
-            if p <= 0.0:
-                return 0.0
-            total += math.log(p)
-        elif isinstance(c, HybridGaussianConditional):
+        if isinstance(c, HybridGaussianConditional):
             ld = c.log_density(v)
             if ld == -math.inf:
                 return 0.0
@@ -563,15 +559,19 @@ def bn_evaluate(bn: HybridBayesNet, v: HybridValues) -> float:
 
 
 def bn_sample(bn: HybridBayesNet, seed) -> HybridValues:
-    """Ancestral sampling in reverse elimination order (roots first)."""
+    """Ancestral sampling: the modes as one row of the joint table, drawn
+    with its probability, then the continuous conditionals in reverse
+    elimination order (roots first)."""
     rng = np.random.default_rng(seed)
     modes: Dict[Any, int] = {}
+    joint = bn.discrete_joint()
+    if joint is not None:
+        row = rng.choice(joint.leaves.size, p=joint.leaves.reshape(-1))
+        modes = {k.id: int(v) for k, v in
+                 zip(joint.keys, np.unravel_index(row, joint.leaves.shape))}
     values = {}
     for c in reversed(bn.conditionals):
-        if isinstance(c, DiscreteConditional):
-            dist = c.distribution(modes)
-            modes[c.frontal.id] = int(rng.choice(c.frontal.cardinality, p=dist))
-        elif isinstance(c, HybridGaussianConditional):
+        if isinstance(c, HybridGaussianConditional):
             leaf = c.component({k.id: modes[k.id] for k in c.keys})
             if leaf is None:
                 raise RuntimeError("sampled a pruned component; net is inconsistent")

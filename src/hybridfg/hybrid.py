@@ -17,8 +17,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discrete import (Assignment, DecisionTree, DiscreteConditional,
-                       DiscreteFactor, DiscreteKey, _merge_keys, _sorted_keys)
+from .discrete import (Assignment, DecisionTree, DiscreteFactor, DiscreteKey,
+                       _merge_keys, _sorted_keys)
 from .gaussian import (GaussianConditional, JacobianFactor, NoiseModel,
                        VectorValues, whiten_stacked)
 
@@ -481,28 +481,24 @@ HybridGaussianFactorGraph = HybridFactorGraph
 
 
 class HybridBayesNet:
-    """Conditionals in elimination order; continuous ones precede discrete.
-    Add them with append, which drops the cached discrete_joint."""
+    """Gaussian and hybrid conditionals in elimination order, plus P(M | Z)
+    as one normalized table over all of the net's discrete keys (None when
+    it has none)."""
 
-    def __init__(self, conditionals: Sequence[Any] = ()):
-        self.conditionals: List[Any] = []
-        self._joint: Any = None     # (discrete_joint(),) once computed
+    def __init__(self, conditionals: Sequence[Any] = (),
+                 joint: Optional[DecisionTree] = None):
+        keys = {k.id for k in joint.keys} if joint is not None else set()
         for c in conditionals:
-            self.append(c)
-
-    def append(self, c):
-        self._joint = None
-        if isinstance(c, DiscreteConditional):
-            self.conditionals.append(c)
-            return
-        if isinstance(c, (GaussianConditional, HybridGaussianConditional)):
-            # Only discrete conditionals follow a discrete one.
-            if self.conditionals and isinstance(self.conditionals[-1],
-                                                DiscreteConditional):
-                raise ValueError("continuous conditionals must precede discrete ones")
-            self.conditionals.append(c)
-            return
-        raise TypeError(f"cannot add {type(c).__name__} to a hybrid Bayes net")
+            if not isinstance(c, (GaussianConditional, HybridGaussianConditional)):
+                raise TypeError(f"cannot add {type(c).__name__} to a hybrid Bayes net")
+            if isinstance(c, HybridGaussianConditional) and \
+                    not keys.issuperset(k.id for k in c.keys):
+                raise ValueError("hybrid conditional keys missing from the joint")
+        if joint is not None and not math.isclose(float(joint.leaves.sum()), 1.0,
+                                                  abs_tol=1e-9):
+            raise ValueError("discrete joint must sum to 1")
+        self.conditionals: List[Any] = list(conditionals)
+        self._discrete_joint = joint
 
     def __iter__(self):
         return iter(self.conditionals)
@@ -510,28 +506,10 @@ class HybridBayesNet:
     def __len__(self):
         return len(self.conditionals)
 
-    def discrete_conditionals(self) -> List[Any]:
-        return [c for c in self.conditionals if isinstance(c, DiscreteConditional)]
-
-    def continuous_conditionals(self) -> List[Any]:
-        return [c for c in self.conditionals if not isinstance(c, DiscreteConditional)]
-
     def discrete_keys(self) -> Tuple[DiscreteKey, ...]:
-        keys: Tuple[DiscreteKey, ...] = ()
-        for c in self.discrete_conditionals():
-            keys = _merge_keys(keys, (c.frontal,) + tuple(c.parents))
-        for c in self.continuous_conditionals():
-            if isinstance(c, HybridGaussianConditional):
-                keys = _merge_keys(keys, c.keys)
-        return keys
+        joint = self._discrete_joint
+        return joint.keys if joint is not None else ()
 
     def discrete_joint(self) -> Optional[DecisionTree]:
-        """P(M | Z) as one table: the product of the discrete conditionals,
-        computed once per net (its leaves are read-only)."""
-        if self._joint is None:
-            conds = self.discrete_conditionals()
-            tree = conds[0].potentials if conds else None
-            for c in conds[1:]:
-                tree = tree.apply(c.potentials, np.multiply)
-            self._joint = (tree,)
-        return self._joint[0]
+        """P(M | Z) as one table (its leaves are read-only)."""
+        return self._discrete_joint

@@ -14,7 +14,7 @@ from hybridfg import (DiscreteFactor, DiscreteKey, GaussianConditional,
                       HybridGaussianConditional, HybridGaussianFactor,
                       HybridNonlinearFactor, JacobianFactor, NonlinearFactor,
                       Pose2, log_normalization_constant, whiten)
-from hybridfg.discrete import eliminate_discrete_sum, multiply_factors
+from hybridfg.discrete import multiply_factors
 from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable, _split
 from hybridfg.nonlinear import (FD_STEP, BetweenResidual, FuncResidual,
                                 LinearResidual, PriorResidual)
@@ -221,9 +221,9 @@ def reference_sum_product(g, ordering):
     one-at-a-time bucket loop over the ordering; each factor and each
     separator waits in the bucket of its first variable.  Continuous
     variables go through reference_eliminate_continuous, so nothing of the
-    batched elimination is used."""
+    batched elimination is used; the joint is the product of the discrete
+    buckets' factors, in ordering order, divided by its sum."""
     cont = set(g.continuous_variables())
-    keymap = {k.id: k for k in g.discrete_keys()}
     position = {vid: i for i, vid in enumerate(ordering)}
     buckets = [[] for _ in ordering]
 
@@ -236,17 +236,22 @@ def reference_sum_product(g, ordering):
 
     for f in g.all_factors():
         place(f)
-    bn = HybridBayesNet()
+    conditionals = []
     for vid, bucket in zip(ordering, buckets):
         if vid in cont:
             conditional, separator = reference_eliminate_continuous(bucket, vid)
-        else:
-            conditional, separator = eliminate_discrete_sum(
-                multiply_factors(bucket), keymap[vid])
-        bn.append(conditional)
-        if separator is not None:
-            place(separator)
-    return bn
+            conditionals.append(conditional)
+            if separator is not None:
+                place(separator)
+    if not g.discrete_keys():
+        return HybridBayesNet(conditionals)
+    product = multiply_factors([f for vid, bucket in zip(ordering, buckets)
+                                if vid not in cont for f in bucket]).potentials
+    total = float(product.leaves.sum())
+    if not total > 0.0:
+        raise ValueError("all discrete assignments are impossible")
+    return HybridBayesNet(conditionals, hybridfg.DecisionTree(
+        product.keys, product.leaves / total))
 
 
 def reference_back_substitute(conditionals):
@@ -260,8 +265,12 @@ def reference_back_substitute(conditionals):
 def same_net(a, b) -> bool:
     """Bitwise equal nets: conditionals in the same order, Gaussian ones
     (every live component of a hybrid one, nil at the same cells) as in
-    same_conditional, discrete ones with the same keys and potentials."""
-    if len(a.conditionals) != len(b.conditionals):
+    same_conditional, and joints with the same keys and leaves."""
+    ja, jb = a.discrete_joint(), b.discrete_joint()
+    if (ja is None) != (jb is None) or len(a.conditionals) != len(b.conditionals):
+        return False
+    if ja is not None and (ja.keys != jb.keys
+                           or not same_bits(ja.leaves, jb.leaves)):
         return False
     for c1, c2 in zip(a.conditionals, b.conditionals):
         if type(c1) is not type(c2):
@@ -269,16 +278,13 @@ def same_net(a, b) -> bool:
         if isinstance(c1, GaussianConditional):
             if not same_conditional(c1, c2):
                 return False
-        elif isinstance(c1, HybridGaussianConditional):
+        else:
             l1, l2 = c1.components.leaves.flat, c2.components.leaves.flat
             if c1.keys != c2.keys or not all(
                     (x is None and y is None) or (
                         x is not None and y is not None and same_conditional(x, y))
                     for x, y in zip(l1, l2)):
                 return False
-        elif (c1.frontal != c2.frontal or c1.parents != c2.parents
-              or not same_bits(c1.potentials.leaves, c2.potentials.leaves)):
-            return False
     return True
 
 

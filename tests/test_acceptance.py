@@ -84,7 +84,7 @@ def test_c04_normalization_identities():
         rng = np.random.default_rng(seed)
         g = random_hybrid_graph(rng, 3, 3, two_var_hybrids=True)
         bn = sum_product(g)
-        for cond in bn.continuous_conditionals():
+        for cond in bn.conditionals:
             if not isinstance(cond, HybridGaussianConditional):
                 continue
             for leaf in cond.components.leaves.reshape(-1):
@@ -112,7 +112,7 @@ def test_c05_conditional_as_factor_round_trip():
         rng = np.random.default_rng(seed)
         g = random_hybrid_graph(rng, 3, 2, two_var_hybrids=True)
         bn = sum_product(g)
-        hgcs.extend(c for c in bn.continuous_conditionals()
+        hgcs.extend(c for c in bn.conditionals
                     if isinstance(c, HybridGaussianConditional))
     assert len(hgcs) >= 5
     for hgc in hgcs:

@@ -12,8 +12,7 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       enumerate_assignments,
                       log_normalization_constant, max_product,
                       prune_bayes_net, strong_ordering, sum_product, whiten)
-from hybridfg.discrete import (DiscreteConditional, _expand, _merge_keys,
-                               prune_to_top)
+from hybridfg.discrete import _expand, _merge_keys, prune_to_top
 from hybridfg.gaussian import UnderconstrainedVariable
 from hybridfg.hybrid import discrete_factor_from_leaves
 from hybridfg.elimination import (_live_masks, hypothesis_support,
@@ -494,8 +493,8 @@ class TestLiveCells:
             pruned = prune_to_top(bn.discrete_joint(), P)
             support = DecisionTree(pruned.keys, (pruned.leaves > 0).astype(float))
             out = prune_bayes_net(bn, P)
-            for c, c2 in zip(bn.continuous_conditionals(),
-                             out.continuous_conditionals()):
+            for c, c2 in zip(bn.conditionals,
+                             out.conditionals):
                 if isinstance(c, HybridGaussianConditional):
                     w = _nil_by_support_reference(c.components, support)
                     assert _same_leaves(c2.components, w), trial
@@ -635,8 +634,19 @@ class TestSumProduct:
         assert isinstance(bn.conditionals[1], HybridGaussianConditional)
         assert bn.conditionals[1].frontals == ("x1",)
         assert bn.conditionals[1].parents == ()
-        assert isinstance(bn.conditionals[2], DiscreteConditional)
-        assert bn.conditionals[2].frontal == m
+        assert len(bn.conditionals) == 2
+        assert bn.discrete_joint().keys == (m,)
+
+    def test_zero_evidence_raises_like_oracle(self):
+        """With every hypothesis at probability 0 there is no posterior:
+        elimination raises the oracle's error instead of a uniform joint."""
+        m = DiscreteKey("m", 2)
+        g = HybridFactorGraph().add(DiscreteFactor([m], [0.0, 0.0]))
+        for query in (enumerate_posterior, enumerate_map, sum_product,
+                      max_product):
+            with pytest.raises(ValueError, match="all discrete assignments "
+                                                 "are impossible"):
+                query(g)
 
     def test_pure_continuous_matches_gaussian_pipeline(self):
         rng = np.random.default_rng(0)
@@ -816,7 +826,7 @@ class TestWavefront:
                 # factor across the continuous-discrete boundary.
                 seen["boundary"] += any(not c.parents for c in hybrids)
                 seen["several levels"] += any(
-                    c.parents for c in bn.continuous_conditionals())
+                    c.parents for c in bn.conditionals)
         assert all(seen.values()), seen
 
     def test_slam_linearizations_match_sequential_reference(self):
@@ -946,7 +956,7 @@ class TestWavefront:
             got = bn_map(bn)
             chosen = [c.component(got.discrete)
                       if isinstance(c, HybridGaussianConditional) else c
-                      for c in bn.continuous_conditionals()]
+                      for c in bn.conditionals]
             want = reference_back_substitute(chosen)
             assert got.continuous.keys() == want.keys(), trial
             for vid in want:
@@ -1111,9 +1121,9 @@ class TestBnMap:
     def test_nil_pick_raises(self):
         m = DiscreteKey("m", 2)
         leaf = GaussianConditional("x", [[1.0]], {}, [0.0])
-        bn = HybridBayesNet([
-            HybridGaussianConditional([m], DecisionTree([m], [leaf, None])),
-            DiscreteConditional(m, [], DecisionTree([m], [0.0, 1.0]))])
+        bn = HybridBayesNet(
+            [HybridGaussianConditional([m], DecisionTree([m], [leaf, None]))],
+            DecisionTree([m], [0.0, 1.0]))
         with pytest.raises(RuntimeError, match="pruned component"):
             bn_map(bn)
 
@@ -1128,10 +1138,7 @@ class TestPruneBayesNet:
 
     def test_uniform_hypotheses_keep_smallest_index(self):
         a, b = DiscreteKey("a", 2), DiscreteKey("b", 2)
-        bn = HybridBayesNet([
-            DiscreteConditional(a, (b,), DecisionTree([a, b], [0.5] * 4)),
-            DiscreteConditional(b, (), DecisionTree([b], [0.5, 0.5])),
-        ])
+        bn = HybridBayesNet([], DecisionTree([a, b], [0.25] * 4))
         bn2 = prune_bayes_net(bn, 1)
         joint = _joint(bn2).reshape(-1)
         assert joint.tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -1156,6 +1163,25 @@ class TestPruneBayesNet:
         order_after = alive[np.argsort(-after[alive], kind="stable")]
         np.testing.assert_array_equal(order_before, order_after)
 
+    def test_pruned_joint_is_normalized_top_p(self):
+        """The pruned joint is prune_to_top(joint, P) divided by its sum, bit
+        for bit; the support marks exactly its P rows, and pruning again at
+        P changes nothing."""
+        rng = np.random.default_rng(11)
+        g = random_hybrid_graph(rng, 3, 4)
+        bn = sum_product(g)
+        P = 5
+        assert np.count_nonzero(_joint(bn)) > P
+        pruned = prune_bayes_net(bn, P)
+        top = prune_to_top(bn.discrete_joint(), P).leaves
+        assert same_bits(_joint(pruned), top / top.sum())
+        assert _joint(pruned).sum() == pytest.approx(1.0, abs=1e-12)
+        support = hypothesis_support(pruned)
+        assert support.keys == pruned.discrete_joint().keys
+        assert np.array_equal(support.leaves, (top > 0).astype(float))
+        assert int(support.leaves.sum()) == P
+        assert same_bits(_joint(prune_bayes_net(pruned, P)), _joint(pruned))
+
     def test_hybrid_conditionals_get_nil_leaves(self):
         """A component is nil exactly when no surviving hypothesis agrees
         with it on the conditional's keys."""
@@ -1165,7 +1191,7 @@ class TestPruneBayesNet:
         joint = bn.discrete_joint()
         alive = [a for a, v in zip(enumerate_assignments(joint.keys),
                                    joint.leaves.flat) if v > 0]
-        hybrids = [c for c in bn.continuous_conditionals()
+        hybrids = [c for c in bn.conditionals
                    if isinstance(c, HybridGaussianConditional)]
         assert hybrids
         nils = 0
@@ -1207,7 +1233,7 @@ class TestDeadModeRemoval:
     def test_balanced_marginal_not_removed(self):
         rng = np.random.default_rng(7)
         a = DiscreteKey("a", 2)
-        bn = HybridBayesNet([DiscreteConditional(a, (), DecisionTree([a], [0.6, 0.4]))])
+        bn = HybridBayesNet([], DecisionTree([a], [0.6, 0.4]))
         g = HybridFactorGraph()
         g.add(DiscreteFactor([a], [0.6, 0.4]))
         red, fixed = dead_mode_removal(bn, g, 0.8)
@@ -1240,7 +1266,7 @@ class TestBnEvaluate:
 
     def test_single_discrete(self):
         m = DiscreteKey("m", 2)
-        bn = HybridBayesNet([DiscreteConditional(m, (), DecisionTree([m], [0.25, 0.75]))])
+        bn = HybridBayesNet([], DecisionTree([m], [0.25, 0.75]))
         assert bn_evaluate(bn, HybridValues(discrete={"m": 1})) == 0.75
 
     def test_monte_carlo_normalization(self):
@@ -1287,6 +1313,23 @@ class TestBnSample:
         p = float(np.asarray(bn.discrete_joint().leaves)[0])
         bound = 3.0 * math.sqrt(p * (1 - p) * n)
         assert abs(counts - p * n) <= bound
+
+    def test_rows_of_pruned_joint_match_frequencies(self):
+        """Over 5e4 samples of a pruned three-key net, only live rows are
+        drawn, each within 3-sigma binomial bounds of its probability."""
+        rng = np.random.default_rng(12)
+        bn = prune_bayes_net(sum_product(random_hybrid_graph(rng, 1, 3)), 4)
+        joint = bn.discrete_joint()
+        assert len(joint.keys) == 3 and np.count_nonzero(joint.leaves) == 4
+        n = 50_000
+        counts = np.zeros(joint.leaves.shape)
+        draws = np.random.default_rng(321)   # shared generator across draws
+        for _ in range(n):
+            modes = bn_sample(bn, draws).discrete
+            counts[tuple(modes[k.id] for k in joint.keys)] += 1
+        p = joint.leaves
+        assert np.all(counts[p == 0] == 0)
+        assert np.all(np.abs(counts - p * n) <= 3.0 * np.sqrt(p * (1 - p) * n))
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(9)

@@ -192,13 +192,13 @@ class TestStructuralInvariants:
         with pytest.raises(TypeError):
             g.add(_two_mode_conditional())
 
-    def test_bayes_net_orders_continuous_before_discrete(self):
+    def test_bayes_net_rejects_discrete_conditionals(self):
+        """The discrete part of a net is its joint table, never a chain."""
         dc = DiscreteConditional(M, (), DecisionTree([M], [0.5, 0.5]))
         gc = GaussianConditional("x", [[1.0]], {}, [0.0])
-        bn = HybridBayesNet([gc, dc])
-        assert len(bn) == 2
-        with pytest.raises(ValueError, match="precede"):
-            HybridBayesNet([dc, gc])
+        assert len(HybridBayesNet([gc], DecisionTree([M], [0.5, 0.5]))) == 1
+        with pytest.raises(TypeError, match="DiscreteConditional"):
+            HybridBayesNet([gc, dc])
 
     def test_id_shared_between_continuous_and_discrete_rejected(self):
         g = HybridFactorGraph()
@@ -223,24 +223,26 @@ class TestStructuralInvariants:
             assert leaf.log_normalizer == pytest.approx(want, abs=1e-12)
 
 
-class TestDiscreteJointCache:
-    def test_repeat_call_returns_the_cached_table(self):
-        """The joint is the product of the discrete conditionals, built once
-        per net; its leaves are read-only, and append drops it."""
+class TestDiscreteJoint:
+    def test_joint_is_read_only(self):
+        """The net holds the table it was given; its leaves are read-only."""
         K = DiscreteKey("k", 3)
-        pm = DiscreteConditional(M, (), DecisionTree([M], [0.25, 0.75]))
-        pk = DiscreteConditional(K, (M,), DecisionTree(
-            [K, M], np.array([[0.2, 0.5], [0.3, 0.25], [0.5, 0.25]])))
-        bn = HybridBayesNet([GaussianConditional("x", [[1.0]], {}, [0.0])])
-        assert bn.discrete_joint() is None
-        bn.append(pm)
-        joint = bn.discrete_joint()
-        assert bn.discrete_joint() is joint
-        assert np.array_equal(joint.leaves, [0.25, 0.75])
-        assert not joint.leaves.flags.writeable
-        bn.append(pk)
-        both = bn.discrete_joint()
-        assert both is not joint and bn.discrete_joint() is both
-        assert not both.leaves.flags.writeable
-        np.testing.assert_allclose(both.leaves, [[0.05, 0.375], [0.075, 0.1875],
-                                                 [0.125, 0.1875]])
+        gc = GaussianConditional("x", [[1.0]], {}, [0.0])
+        assert HybridBayesNet([gc]).discrete_joint() is None
+        table = DecisionTree([K, M], np.array([[0.05, 0.375], [0.075, 0.1875],
+                                               [0.125, 0.1875]]))
+        bn = HybridBayesNet([gc], table)
+        assert bn.discrete_joint() is table
+        assert bn.discrete_keys() == (K, M)
+        assert not bn.discrete_joint().leaves.flags.writeable
+
+    def test_joint_checked_on_construction(self):
+        """The joint must sum to 1 and cover every hybrid conditional's keys."""
+        with pytest.raises(ValueError, match="sum to 1"):
+            HybridBayesNet([], DecisionTree([M], [0.5, 0.6]))
+        with pytest.raises(ValueError, match="missing from the joint"):
+            HybridBayesNet([_two_mode_conditional()])
+        K = DiscreteKey("k", 2)
+        with pytest.raises(ValueError, match="missing from the joint"):
+            HybridBayesNet([_two_mode_conditional()],
+                           DecisionTree([K], [0.5, 0.5]))
