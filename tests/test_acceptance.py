@@ -7,6 +7,7 @@ lines alongside pytest's own verdicts.
 import csv
 import filecmp
 import math
+import os
 import time
 
 import numpy as np
@@ -21,7 +22,8 @@ from hybridfg.nonlinear import BetweenResidual, PriorResidual, numerical_jacobia
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 from hybridfg.slam_cli import RunConfig, main, run
 
-from helpers import hypothesis_chain_graph, mixture_graph, random_hybrid_graph
+from helpers import (hypothesis_chain_graph, mixture_graph, output_differences,
+                     random_hybrid_graph)
 
 N_CORPUS = 500
 
@@ -224,6 +226,23 @@ def test_c09_synthetic_slam_regression():
     assert ate < 0.1, f"ATE {ate:.3f} m"
     _ok(9, f"{correct}/10 modes, all loops on (>0.9), ATE {ate:.3f} m < 0.1, "
            f"{elapsed:.1f}s < 60s")
+
+
+# trajectory.txt, modes.txt and history.txt of the C09 run (CLI defaults),
+# kept so that a change meant to leave the solver's results alone is
+# checked against them.
+C09_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "c09")
+
+
+def test_c09_outputs_match_golden(tmp_path):
+    """A fresh C09 run writes the stored outputs: words exactly, numbers
+    within OUTPUT_TOL."""
+    entries, _, _ = square_loop_dataset(seed=0)
+    data = tmp_path / "data.txt"
+    write_dataset(entries, data)
+    assert main(["--input", str(data), "--output", str(tmp_path / "out")]) == 0
+    assert output_differences(C09_GOLDEN, str(tmp_path / "out")) == []
+    _ok(9, "trajectory, modes and history match the stored C09 outputs")
 
 
 def test_c10_jacobian_checks():
