@@ -16,9 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
-from operator import itemgetter
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -48,18 +47,17 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     every one that no variable eliminated earlier in the round is adjacent
     to, so one round adds an independent set to the ordering and the
     elimination tree stays short."""
-    cont = g.continuous_variables()
     disc = [k.id for k in g.discrete_keys()]
-    if not cont and not disc:
-        raise ValueError("graph is empty")
-    adj: Dict[Any, set] = {v: set() for v in cont}
+    adj: Dict[Any, set] = {}
     for vs in [f.variables for f in g.continuous_factors] \
             + [f.continuous_ids for f in g.hybrid_factors]:
         for a in vs:
-            adj[a].update(v for v in vs if v != a)
+            adj.setdefault(a, set()).update(v for v in vs if v != a)
+    if not adj and not disc:
+        raise ValueError("graph is empty")
     # adj keeps only uneliminated neighbours, so len(adj[u]) is u's degree;
     # heap entries of eliminated variables or outdated degrees are skipped.
-    heap = [(len(adj[v]), v) for v in cont]
+    heap = [(len(neighbors), v) for v, neighbors in adj.items()]
     heapq.heapify(heap)
     order = []
     while heap:
@@ -77,8 +75,10 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
             order.append(v)
             neighbors = adj.pop(v)
             for a in neighbors:
-                adj[a] |= neighbors
-                adj[a] -= {a, v}
+                fill = adj[a]
+                fill |= neighbors
+                fill.discard(a)
+                fill.discard(v)
             touched |= neighbors
         # Neighbours of the round's variables wait for the next round, at
         # their new degrees.
@@ -87,54 +87,101 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     return order + sorted(disc)
 
 
-def _validate_ordering(ordering: Sequence[Any], cont: set, disc: set):
-    if set(ordering) != cont | disc:
+def _first_component(f) -> JacobianFactor:
+    """f, or a hybrid f's first live component (all share variables and dims)."""
+    if type(f) is HybridGaussianFactor:
+        return next(leaf for leaf in f.components.leaves.flat if leaf is not None)[0]
+    if type(f) is not JacobianFactor:
+        raise TypeError("continuous elimination takes Jacobian/hybrid factors")
+    return f
+
+
+_Step = namedtuple("_Step", "var factors children separator keys dv cols offsets width")
+
+
+def _step(var, factors: Sequence[ContinuousFactor], children: Sequence[int],
+          steps: Sequence[_Step], dims: Mapping[Any, int]) -> _Step:
+    """Eliminating `var` from the graph's `factors` and the separators of
+    steps[c] for c in children: the separator (the other variables, sorted),
+    the keys (its hybrids' and children's) and the columns (gaussian._layout)."""
+    scope, keys = set(), []
+    for f in factors:
+        if type(f) is JacobianFactor:
+            scope.update(f.variables)
+        else:
+            scope.update(f.continuous_ids)
+            keys += f.keys
+    for c in children:
+        scope.update(steps[c].separator)
+        keys += steps[c].keys
+    if var not in scope:
+        raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
+    scope.discard(var)
+    separator = tuple(sorted(scope))
+    return _Step(var, factors, children, separator,
+                 _merge_keys((), keys) if keys else (), dims[var],
+                 *_layout(var, separator, dims))
+
+
+def _plan(g: HybridFactorGraph, ordering: Sequence[Any]):
+    """The symbolic elimination of g, dimensions read once: a factor, a
+    separator or, without one, a boundary factor waits in the bucket of its
+    first variable.  Returns the _Step of every continuous position, these
+    positions by level (1 + the largest level of those sending separators
+    to it), and per discrete position its graph factors and its senders."""
+    factors = g.continuous_factors + g.hybrid_factors
+    firsts = [_first_component(f) for f in factors]
+    dims = _dims(firsts)
+    disc = {k.id for k in g.discrete_keys()}
+    if set(ordering) != set(dims) | disc:
         raise ValueError("ordering must cover exactly the graph's variables")
-    if len(set(ordering)) != len(ordering):
+    position = {vid: i for i, vid in enumerate(ordering)}
+    if len(position) != len(ordering):
         raise ValueError("ordering contains duplicates")
-    seen_discrete = False
-    for vid in ordering:
-        if vid in disc:
-            seen_discrete = True
-        elif seen_discrete:
-            raise ValueError("not a strong ordering: continuous variable "
-                             f"{vid!r} after a discrete one")
+    first = next((i for i, v in enumerate(ordering) if v in disc), len(ordering))
+    late = [v for v in ordering[first:] if v in dims]
+    if late:
+        raise ValueError(f"not a strong ordering: continuous variable {late[0]!r} "
+                         "after a discrete one")
+    buckets: List[List[Any]] = [[] for _ in ordering]
+    for f, ids in zip(factors + g.discrete_factors, [f.variables for f in firsts]
+                      + [[k.id for k in f.keys] for f in g.discrete_factors]):
+        if ids:  # a factor without variables is a constant
+            buckets[min(map(position.__getitem__, ids))].append(f)
+    n_cont, steps = len(dims), []
+    children: List[List[int]] = [[] for _ in ordering]
+    level = [0] * n_cont
+    for i in range(n_cont):
+        steps.append(_step(ordering[i], buckets[i], children[i], steps, dims))
+        ids = steps[i].separator or [k.id for k in steps[i].keys]
+        if ids:
+            t = min(map(position.__getitem__, ids))
+            children[t].append(i)
+            if t < n_cont:
+                level[t] = max(level[t], level[i] + 1)
+    levels: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for i, lv in enumerate(level):
+        levels[lv].append(i)
+    return steps, levels, list(zip(buckets, children))[n_cont:]
 
 
-# A hybrid clique's separator while it waits in sum_product: per mode cell
-# of `keys`, in the object array `leaves`, None or (_Marginal, constant).
-_HybridMarginal = namedtuple("_HybridMarginal", "keys continuous_ids leaves")
-
-
-def _variables(f) -> Sequence[Any]:
-    """Variables whose elimination consumes f (for hybrids, the continuous)."""
-    if isinstance(f, DiscreteFactor):
-        return [k.id for k in f.keys]
-    if isinstance(f, (HybridGaussianFactor, _HybridMarginal)):
-        return f.continuous_ids
-    return f.variables
+# A hybrid separator: per mode cell of `keys`, None or (_Marginal, constant).
+_HybridMarginal = namedtuple("_HybridMarginal", "keys leaves")
 
 
 class _Clique:
-    """The elimination of one variable from its bucket (whose separators
-    of earlier cliques are _Marginal or _HybridMarginal): the row layouts
+    """The numeric elimination of a planned step, given the finished
+    separators by position (_Marginal or _HybridMarginal): the row layouts
     of its systems, one or one per live mode cell, then, once
     _eliminate_independent has run them, the conditional and separator."""
 
-    def __init__(self, factors: Sequence[Any], var):
+    def __init__(self, step: _Step, separators: Sequence[Any]):
         plains: List[Any] = []
         hybrids: List[Tuple[Tuple[DiscreteKey, ...], np.ndarray]] = []
         base_const = 0.0
-        cont_vars = set()
-        for f in factors:
-            if isinstance(f, (JacobianFactor, _Marginal)):
+        for f in step.factors:
+            if type(f) is JacobianFactor:
                 plains.append(f)
-                cont_vars.update(f.variables)
-                continue
-            if isinstance(f, _HybridMarginal):
-                hybrids.append((f.keys, f.leaves))
-            elif not isinstance(f, HybridGaussianFactor):
-                raise TypeError("continuous elimination takes Jacobian/hybrid factors")
             elif f.keys:
                 hybrids.append((f.keys, f.components.leaves))
             else:
@@ -142,71 +189,65 @@ class _Clique:
                 jf, c = f.components.leaves[()]
                 plains.append(jf)
                 base_const += c
-            cont_vars.update(f.continuous_ids)
-        keys = _merge_keys((), [k for f_keys, _ in hybrids for k in f_keys]) \
-            if hybrids else ()
-        if var not in cont_vars:
-            raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
-        cont_vars.discard(var)
-        separator = tuple(sorted(cont_vars))
-        self.var, self.keys, self.separator = var, keys, separator
-        self.plains = plains
+        for s in map(separators.__getitem__, step.children):
+            if type(s) is _Marginal:
+                plains.append(s)
+            else:
+                hybrids.append((s.keys, s.leaves))
+        self.step, self.plains = step, plains
         rows = sum(f.rows for f in plains)
         self.error: Optional[ValueError] = None
         # Per layout: (rows m of its systems, per hybrid the components of
         # its cells, the cells' indices into self.results: live cells in
         # flat order, 0 without keys).
         self.layouts: List[Tuple[int, List[List[Any]], List[int]]] = []
+        keys = step.keys
         if not keys:
             # base_const is mode-independent here and cancels in any posterior.
-            dims = _dims(plains)
             self.layouts.append((rows, [], [0]))
             self.results: List[Any] = [None]
-        else:
-            self.shape = tuple(k.cardinality for k in keys)
-            check_enumeration(self.shape)
-            # Live cells: those where every hybrid has a component.
-            live = np.ones(self.shape, dtype=bool)
-            for f_keys, leaves in hybrids:
-                live &= _expand(np.not_equal(leaves, None), f_keys, keys)
-            cells = np.nonzero(live)
-            pos = {k.id: i for i, k in enumerate(keys)}
-            picked = [leaves[tuple(cells[pos[k.id]] for k in f_keys)]
-                      for f_keys, leaves in hybrids]
-            components = [[jf for jf, _ in leaves] for leaves in picked]
-            c_in = np.full(len(cells[0]), base_const)
-            for leaves in picked:
-                c_in += [c for _, c in leaves]
-            self.c_in = c_in.tolist()
-            self.flat = np.ravel_multi_index(cells, self.shape).tolist()
-            self.results = [None] * len(self.flat)
-            # Cells whose components have the same row counts share a layout.
-            layouts: Dict[Tuple[int, ...], List[int]] = {}
-            for i, cell_rows in enumerate(zip(*[[jf.rows for jf in col]
-                                                for col in components])):
-                layouts.setdefault(cell_rows, []).append(i)
-            dims = _dims(plains + [col[0] for col in components if col])
-            for cell_rows, members in layouts.items():
-                self.layouts.append((rows + sum(cell_rows), [
-                    [col[i] for i in members] for col in components], members))
-        if self.layouts:
-            self.dv = dims[var]
-            self.cols, self.offsets, self.width = _layout(var, separator, dims)
+            return
+        self.shape = tuple(k.cardinality for k in keys)
+        check_enumeration(self.shape)
+        # Live cells: those where every hybrid has a component.
+        live = np.ones(self.shape, dtype=bool)
+        for f_keys, leaves in hybrids:
+            live &= _expand(np.not_equal(leaves, None), f_keys, keys)
+        cells = np.nonzero(live)
+        pos = {k.id: i for i, k in enumerate(keys)}
+        picked = [leaves[tuple(cells[pos[k.id]] for k in f_keys)]
+                  for f_keys, leaves in hybrids]
+        components = [[jf for jf, _ in leaves] for leaves in picked]
+        c_in = np.full(len(cells[0]), base_const)
+        for leaves in picked:
+            c_in += [c for _, c in leaves]
+        self.c_in = c_in.tolist()
+        self.flat = np.ravel_multi_index(cells, self.shape).tolist()
+        self.results = [None] * len(self.flat)
+        # Cells whose components have the same row counts share a layout.
+        layouts: Dict[Tuple[int, ...], List[int]] = {}
+        for i, cell_rows in enumerate(zip(*[[jf.rows for jf in col]
+                                            for col in components])):
+            layouts.setdefault(cell_rows, []).append(i)
+        for cell_rows, members in layouts.items():
+            self.layouts.append((rows + sum(cell_rows), [
+                [col[i] for i in members] for col in components], members))
 
     def finish(self):
         """(conditional, separator) where the separator is a _Marginal,
         _HybridMarginal, DiscreteFactor (boundary), or None when it carries
         no content beyond a mode-independent constant."""
-        var, separator = self.var, self.separator
+        step = self.step
+        var, separator, keys = step.var, step.separator, step.keys
         if self.error is not None:
             raise self.error
-        if not self.keys:
+        if not keys:
             result = self.results[0]
             if result is None:
                 m = self.layouts[0][0]
                 raise UnderconstrainedVariable(
                     f"underconstrained variable: {var!r} has {m} rows, "
-                    f"needs {self.dv}" if m < self.dv else
+                    f"needs {step.dv}" if m < step.dv else
                     f"underconstrained variable: {var!r} is rank deficient")
             conditional, marginal = result
             # Without a separator the marginal is a pure residual: a
@@ -229,12 +270,10 @@ class _Clique:
             if not separator:
                 r = -marginal.data[:, -1]
                 bound_leaves[cell] = 0.5 * float(r @ r) + c_out
-        keys = self.keys
         conditional = HybridGaussianConditional(
             keys, DecisionTree(keys, cond_leaves.reshape(self.shape)))
         if separator:
-            return conditional, _HybridMarginal(keys, separator,
-                                                sep_leaves.reshape(self.shape))
+            return conditional, _HybridMarginal(keys, sep_leaves.reshape(self.shape))
         return conditional, discrete_factor_from_leaves(
             DecisionTree(keys, bound_leaves.reshape(self.shape)))
 
@@ -248,7 +287,8 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
     groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, Any, List[int]]]] = {}
     for c in cliques:
         for m, per_cell, members in c.layouts:
-            groups.setdefault((m, c.width, c.dv), []).append((c, per_cell, members))
+            groups.setdefault((m, c.step.width, c.step.dv), []).append(
+                (c, per_cell, members))
     for (m, width, dv), parts in groups.items():
         if m < dv:
             continue
@@ -256,16 +296,16 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
         heads: List[Any] = []
         cells: List[Tuple[_Clique, int]] = []    # per system: clique, cell
         for c, per_cell, members in parts:
-            k = len(members)
+            k, offsets = len(members), c.step.offsets
             # Rows: the plain factors, the same in every system, then per
             # hybrid its components, one per cell, in bucket order.
             S = M[len(heads)] if k == 1 else M[len(heads):len(heads) + k]
             r = 0
             for f in c.plains:
-                r = _put(S, r, f, c.offsets)
+                r = _put(S, r, f, offsets)
             for col in per_cell:
-                r = _put(S, r, col[0], c.offsets, col)
-            heads += [(c.var, c.cols)] * k
+                r = _put(S, r, col[0], offsets, col)
+            heads += [(c.step.var, c.step.cols)] * k
             cells += [(c, i) for i in members]
         try:
             results = _split(eliminate_stacked(M, dv, heads), heads)
@@ -290,39 +330,15 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     Returns (conditional, separator) where the separator is a
     JacobianFactor, HybridGaussianFactor, DiscreteFactor (boundary), or None
     when it carries no content beyond a mode-independent constant."""
-    clique = _Clique(factors, var)
+    factors = list(factors)
+    clique = _Clique(_step(var, factors, (), (), _dims(
+        [_first_component(f) for f in factors])), ())
     _eliminate_independent([clique])
     conditional, sep = clique.finish()
     if isinstance(sep, _HybridMarginal):
         sep = HybridGaussianFactor(sep.keys, DecisionTree(sep.keys, [
             leaf and (leaf[0].as_factor(), leaf[1]) for leaf in sep.leaves.flat]))
     return conditional, sep.as_factor() if isinstance(sep, _Marginal) else sep
-
-
-def _levels(ordering: Sequence[Any], position: Dict[Any, int],
-            buckets: Sequence[Sequence[Tuple[int, Any]]], n_cont: int
-            ) -> List[List[int]]:
-    """Positions of the first n_cont variables of the ordering, the
-    continuous ones, by level of the elimination tree: a variable's level
-    is 1 + the largest level of the variables whose separators land in its
-    bucket, 0 without any, so no variable feeds another of its level.
-    Symbolic: a separator's variables are those of its bucket but the
-    eliminated one, and it lands in the bucket of the first of them."""
-    scope = [set() for _ in range(n_cont)]
-    for i in range(n_cont):
-        for _, f in buckets[i]:
-            scope[i].update(_variables(f))
-    level = [0] * n_cont
-    for i in range(n_cont):
-        scope[i].discard(ordering[i])
-        if scope[i]:
-            t = min(position[v] for v in scope[i])
-            scope[t] |= scope[i]
-            level[t] = max(level[t], level[i] + 1)
-    out: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
-    for i, lv in enumerate(level):
-        out[lv].append(i)
-    return out
 
 
 def sum_product(g: HybridFactorGraph,
@@ -333,63 +349,40 @@ def sum_product(g: HybridFactorGraph,
     divided by its sum.  A product that is 0 everywhere raises ValueError,
     as the oracle does.
 
-    Each factor, and each separator once produced, waits in the bucket of
-    its first variable in the ordering, so no factor is scanned twice.  The
-    continuous variables are eliminated by wavefront: one level of the
-    elimination tree at a time, the QRs of all its buckets batched by
-    shape (see _eliminate_independent).  A bucket stacks the graph's
-    factors in graph order, then separators in the order of the variables
-    that produced them, as a one-at-a-time loop would: for a given
-    ordering the net is the same bit for bit, and an error is that of the
-    first failing variable in the ordering.
+    The symbolic elimination is planned once (see _plan); the wavefront
+    then eliminates one level of the elimination tree at a time, batching
+    the QRs of its buckets by shape (see _eliminate_independent), and a
+    finished separator waits by position until its parent reads it.  For a
+    given ordering the net is a one-at-a-time bucket loop's bit for bit,
+    and an error is that of the first failing variable in the ordering.
     """
     if ordering is None:
         ordering = strong_ordering(g)
-    cont, keys = g.continuous_variables(), g.discrete_keys()
-    _validate_ordering(ordering, set(cont), {k.id for k in keys})
-    n_cont = len(cont)
-    position = {vid: i for i, vid in enumerate(ordering)}
-    # Bucket entries (position of the variable that produced the factor,
-    # factor), the graph's own factors at -1.
-    buckets: List[List[Tuple[int, Any]]] = [[] for _ in ordering]
-
-    def place(f, source=-1):
-        ids = _variables(f)
-        if ids:  # a factor without variables is a constant
-            buckets[min(map(position.__getitem__, ids))].append((source, f))
-
-    def bucket(i):
-        return [f for _, f in sorted(buckets[i], key=itemgetter(0))]
-
-    for f in g.all_factors():
-        place(f)
-    conditionals: List[Any] = [None] * n_cont
+    steps, levels, tail = _plan(g, ordering)
+    conditionals, separators = [None] * len(steps), [None] * len(steps)
     # Errors by position: past the first, the loop would not have gone.
     failures: Dict[int, Exception] = {}
-    for level in _levels(ordering, position, buckets, n_cont):
+    for level in levels:
         cliques = []
         for i in level:
             if failures and i > min(failures):
                 continue
             try:
-                cliques.append((i, _Clique(bucket(i), ordering[i])))
-            except (TypeError, ValueError) as e:
+                cliques.append((i, _Clique(steps[i], separators)))
+            except ValueError as e:
                 failures[i] = e
         _eliminate_independent([c for _, c in cliques])
         for i, c in cliques:
             try:
-                conditionals[i], separator = c.finish()
+                conditionals[i], separators[i] = c.finish()
             except ValueError as e:
                 failures[i] = e
-                continue
-            if separator is not None:
-                place(separator, i)
     if failures:
         raise failures[min(failures)]
-    if not keys:
+    if not tail:
         return HybridBayesNet(conditionals)
-    product = multiply_factors([f for i in range(n_cont, len(ordering))
-                                for f in bucket(i)]).potentials
+    product = multiply_factors([f for factors, kids in tail for f in factors
+                                + [separators[c] for c in kids]]).potentials
     total = float(product.leaves.sum())
     if not total > 0.0:
         raise ValueError("all discrete assignments are impossible")
@@ -460,7 +453,8 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
 
     The net's joint becomes prune_to_top(joint, P) divided by its sum, and
     hybrid conditionals get nil components wherever no surviving hypothesis
-    is consistent.  A net with at most P live hypotheses is returned as is.
+    is consistent; one that loses none is kept as it is, and so is a net
+    with at most P live hypotheses.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -469,11 +463,16 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     if pruned is None or np.array_equal(pruned.leaves, joint.leaves):
         return bn
     live_mask = _live_masks(pruned)
-    return HybridBayesNet(
-        [HybridGaussianConditional(c.keys, c.components.where(live_mask(c.keys)))
-         if isinstance(c, HybridGaussianConditional) else c
-         for c in bn.conditionals],
-        DecisionTree(pruned.keys, pruned.leaves / pruned.leaves.sum()))
+    conditionals = []
+    for c in bn.conditionals:
+        if isinstance(c, HybridGaussianConditional):
+            # The joint's keys hold c's, so the mask has c's shape.
+            mask = live_mask(c.keys)
+            if np.not_equal(c.components.leaves[mask], None).sum() < c.num_live:
+                c = HybridGaussianConditional(c.keys, c.components.where(mask))
+        conditionals.append(c)
+    return HybridBayesNet(conditionals, DecisionTree(
+        pruned.keys, pruned.leaves / pruned.leaves.sum()))
 
 
 def hypothesis_support(bn: HybridBayesNet) -> Optional[DecisionTree]:
@@ -509,16 +508,15 @@ def restrict_to_support(g: HybridFactorGraph, support: DecisionTree
 
 
 def discrete_marginals(bn: HybridBayesNet) -> Dict[Any, np.ndarray]:
-    """Per-key marginal probabilities implied by the net's discrete part."""
+    """Per-key marginal probabilities implied by the net's discrete part,
+    summed over the live hypotheses that one scan of its table finds."""
     joint = bn.discrete_joint()
-    if joint is None:
+    if joint is None or not joint.keys:
         return {}
-    vals = np.asarray(joint.leaves, dtype=float)
-    out = {}
-    for i, k in enumerate(joint.keys):
-        axes = tuple(j for j in range(len(joint.keys)) if j != i)
-        out[k.id] = vals.sum(axis=axes) if axes else vals.copy()
-    return out
+    rows = np.nonzero(joint.leaves)
+    probs = joint.leaves[rows]
+    return {k.id: np.bincount(values, probs, k.cardinality)
+            for k, values in zip(joint.keys, rows)}
 
 
 def dead_mode_removal(bn: HybridBayesNet, graph, delta: float):

@@ -292,13 +292,12 @@ class _Marginal(NamedTuple):
                                    d[:, -1], self.variables)
 
 
-def _dims(factors) -> Dict[Any, int]:
+def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:
     """Column dimension of every variable, which all factors must agree on."""
     dims: Dict[Any, int] = {}
     for f in factors:
-        for vid, w in [(vid, b - a) for vid, a, b in f.cols] if type(f) is _Marginal \
-                else [(vid, A.shape[1]) for vid, A in f.blocks.items()]:
-            if dims.setdefault(vid, w) != w:
+        for vid, A in f.blocks.items():
+            if dims.setdefault(vid, A.shape[1]) != A.shape[1]:
                 raise ValueError(f"inconsistent dimension for {vid!r}")
     return dims
 
@@ -331,11 +330,12 @@ def _layout(var, separator: Sequence[Any], dims: Mapping[Any, int]):
     """The columns of a system [A | b] eliminating `var` onto the separator
     (`var`'s, the separator's in order, b): the separator's column ranges
     (vid, a, b), every variable's first column, the number of columns."""
-    cols, c = [], dims[var]
+    cols, offsets, c = [], {var: 0}, dims[var]
     for vid in separator:
+        offsets[vid] = c
         cols.append((vid, c, c + dims[vid]))
         c += dims[vid]
-    return tuple(cols), {var: 0, **{vid: a for vid, a, _ in cols}}, c + 1
+    return tuple(cols), offsets, c + 1
 
 
 Eliminated = namedtuple("Eliminated", "live R d S log_norms T")

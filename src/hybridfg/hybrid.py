@@ -98,9 +98,9 @@ class HybridGaussianFactor:
 
 
 class HybridGaussianConditional:
-    """Mode-indexed Gaussian conditional p(x | parents, modes)."""
+    """Mode-indexed Gaussian conditional p(x | parents, modes): num_live live leaves."""
 
-    __slots__ = ("frontals", "parents", "keys", "components")
+    __slots__ = ("frontals", "parents", "keys", "components", "num_live")
 
     def __init__(self, keys: Sequence[DiscreteKey], components: DecisionTree):
         keys = _sorted_keys(keys)
@@ -108,7 +108,8 @@ class HybridGaussianConditional:
             raise ValueError("component tree keys must match conditional keys")
         frontals: Optional[Tuple[Any, ...]] = None
         parents: Optional[Tuple[Any, ...]] = None
-        for leaf in components.live_leaves():
+        live = components.live_leaves()
+        for leaf in live:
             if not isinstance(leaf, GaussianConditional):
                 raise ValueError("components must be GaussianConditional")
             if frontals is None:
@@ -122,6 +123,7 @@ class HybridGaussianConditional:
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "num_live", len(live))
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridGaussianConditional is immutable")

@@ -963,6 +963,66 @@ class TestWavefront:
                 assert same_bits(got.continuous[vid], want[vid]), trial
 
 
+class TestPlan:
+    """The symbolic elimination sum_product plans once and its wavefront
+    reads (elimination._plan)."""
+
+    def test_separators_are_the_net_parents(self):
+        """Random graphs and a pose graph under random strong orderings:
+        each conditional's frontal, parents and keys are the variable,
+        separator and keys the plan gave its position, and no position
+        feeds another of its level."""
+        rng = np.random.default_rng(47)
+        graphs = [random_hybrid_graph(rng, int(rng.integers(1, 7)),
+                                      int(rng.integers(0, 5)),
+                                      two_var_hybrids=bool(trial % 2))
+                  for trial in range(120)]
+        graphs.append(_slam_graph(65, 4, 2))
+        seen = {"separator": 0, "keys": 0, "boundary": 0}
+        for trial, g in enumerate(graphs):
+            ordering = _random_strong_ordering(rng, g)
+            steps, levels, tail = elimination._plan(g, ordering)
+            bn = sum_product(g, ordering)
+            assert len(steps) == len(bn.conditionals), trial
+            for step, c in zip(steps, bn.conditionals):
+                if isinstance(c, HybridGaussianConditional):
+                    assert c.frontals == (step.var,), trial
+                    assert c.keys == step.keys, trial
+                else:
+                    assert c.frontal == step.var and step.keys == (), trial
+                assert c.parents == step.separator, trial
+                seen["separator"] += bool(step.separator)
+                seen["keys"] += bool(step.keys)
+                seen["boundary"] += bool(step.keys) and not step.separator
+            done = set()
+            for level in levels:
+                assert all(c in done for i in level for c in steps[i].children)
+                done.update(level)
+            assert sorted(done) == list(range(len(steps))), trial
+            assert len(tail) == len(ordering) - len(steps), trial
+        assert all(seen.values()), seen
+
+    def test_inconsistent_dimension_raises(self):
+        """Two factors that give x different widths, plain or hybrid."""
+        m = DiscreteKey("m", 2)
+        wide = JacobianFactor({"x": [[1.0, 2.0]], "y": [[1.0]]}, [0.0])
+        for other in (JacobianFactor({"x": [[1.0]]}, [0.0]),
+                      HybridGaussianFactor.from_components([m], [
+                          (JacobianFactor({"x": [[1.0]]}, [0.0]), 0.0), None])):
+            g = HybridFactorGraph().add(wide).add(other)
+            with pytest.raises(ValueError) as err:
+                sum_product(g)
+            assert str(err.value) == "inconsistent dimension for 'x'"
+
+    def test_empty_bucket_raises_underconstrained(self):
+        """Under sum_product every variable's bucket holds a factor or a
+        separator on it; eliminate_hybrid_sum meets a bucket without x."""
+        for factors in ([], [JacobianFactor({"y": [[1.0]]}, [0.0])]):
+            with pytest.raises(UnderconstrainedVariable) as err:
+                eliminate_hybrid_sum(factors, "x")
+            assert str(err.value) == "underconstrained variable: 'x'"
+
+
 class TestOrderingIndependence:
     """Elimination remaps columns for every ordering; the posterior and the
     MAP must not depend on which valid strong ordering it takes, up to
@@ -1204,6 +1264,54 @@ class TestPruneBayesNet:
                 nils += leaf is None
         assert nils > 0
 
+
+    def test_untouched_conditionals_kept_as_they_are(self):
+        """A hybrid conditional whose live leaves all survive is the same
+        object after pruning; any other gets nil leaves exactly where the
+        reference rule puts them, and the joint is the top P normalized."""
+        rng = np.random.default_rng(48)
+        seen = {"kept": 0, "cut": 0}
+        for trial in range(80):
+            g = random_hybrid_graph(rng, int(rng.integers(2, 6)),
+                                    int(rng.integers(1, 5)),
+                                    two_var_hybrids=bool(trial % 2))
+            bn = sum_product(g)
+            P = int(rng.integers(1, 5))
+            top = prune_to_top(bn.discrete_joint(), P)
+            out = prune_bayes_net(bn, P)
+            if out is bn:
+                continue
+            assert same_bits(_joint(out), top.leaves / top.leaves.sum()), trial
+            support = DecisionTree(top.keys, (top.leaves > 0).astype(float))
+            for c, c2 in zip(bn.conditionals, out.conditionals):
+                if not isinstance(c, HybridGaussianConditional):
+                    assert c2 is c, trial
+                    continue
+                want = _nil_by_support_reference(c.components, support)
+                live = np.count_nonzero(np.not_equal(want.leaves, None))
+                assert c2.num_live == live, trial
+                if live == np.count_nonzero(np.not_equal(c.components.leaves, None)):
+                    seen["kept"] += 1
+                    assert c2 is c, trial
+                else:
+                    seen["cut"] += 1
+                    assert _same_leaves(c2.components, want), trial
+        assert all(seen.values()), seen
+
+    def test_marginals_sum_the_joint(self):
+        """discrete_marginals, summed over the live rows only, equal the
+        dense sums over every other axis, on unpruned and pruned nets."""
+        rng = np.random.default_rng(49)
+        for trial in range(40):
+            bn = sum_product(random_hybrid_graph(rng, 3, int(rng.integers(1, 5))))
+            for net in (bn, prune_bayes_net(bn, 2)):
+                joint = _joint(net)
+                got = discrete_marginals(net)
+                assert list(got) == [k.id for k in net.discrete_joint().keys]
+                for i, k in enumerate(net.discrete_joint().keys):
+                    axes = tuple(j for j in range(joint.ndim) if j != i)
+                    np.testing.assert_allclose(got[k.id], joint.sum(axis=axes),
+                                               rtol=0, atol=1e-15)
 
 class TestDeadModeRemoval:
     def _dominant_graph(self):
