@@ -114,6 +114,17 @@ class DecisionTree:
         object.__setattr__(self, "keys", skeys)
         object.__setattr__(self, "leaves", arr)
 
+    @classmethod
+    def _own(cls, keys: Tuple[DiscreteKey, ...], leaves: np.ndarray
+             ) -> "DecisionTree":
+        """A tree over keys already in id order and a leaf array of their
+        shape that the caller has just made: no copy, no re-check."""
+        t = object.__new__(cls)
+        leaves.flags.writeable = False
+        object.__setattr__(t, "keys", keys)
+        object.__setattr__(t, "leaves", leaves)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("DecisionTree is immutable")
 

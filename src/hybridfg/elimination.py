@@ -47,12 +47,13 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     every one that no variable eliminated earlier in the round is adjacent
     to, so one round adds an independent set to the ordering and the
     elimination tree stays short."""
-    disc = [k.id for k in g.discrete_keys()]
     adj: Dict[Any, set] = {}
     for vs in [f.variables for f in g.continuous_factors] \
             + [f.continuous_ids for f in g.hybrid_factors]:
         for a in vs:
             adj.setdefault(a, set()).update(v for v in vs if v != a)
+    # adj's keys are the continuous variables.
+    disc = [k.id for k in g._discrete_keys(adj)]
     if not adj and not disc:
         raise ValueError("graph is empty")
     # adj keeps only uneliminated neighbours, so len(adj[u]) is u's degree;
@@ -132,7 +133,7 @@ def _plan(g: HybridFactorGraph, ordering: Sequence[Any]):
     factors = g.continuous_factors + g.hybrid_factors
     firsts = [_first_component(f) for f in factors]
     dims = _dims(firsts)
-    disc = {k.id for k in g.discrete_keys()}
+    disc = {k.id for k in g._discrete_keys(dims)}
     if set(ordering) != set(dims) | disc:
         raise ValueError("ordering must cover exactly the graph's variables")
     position = {vid: i for i, vid in enumerate(ordering)}
@@ -171,11 +172,14 @@ _HybridMarginal = namedtuple("_HybridMarginal", "keys leaves")
 
 class _Clique:
     """The numeric elimination of a planned step, given the finished
-    separators by position (_Marginal or _HybridMarginal): the row layouts
-    of its systems, one or one per live mode cell, then, once
-    _eliminate_independent has run them, the conditional and separator."""
+    separators by position (_Marginal or _HybridMarginal) and the live-row
+    projectors (see _live_masks) of the graph's zero-holding discrete
+    factors: the row layouts of its systems, one or one per live mode
+    cell, then, once _eliminate_independent has run them, the conditional
+    and separator."""
 
-    def __init__(self, step: _Step, separators: Sequence[Any]):
+    def __init__(self, step: _Step, separators: Sequence[Any],
+                 rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]]):
         plains: List[Any] = []
         hybrids: List[Tuple[Tuple[DiscreteKey, ...], np.ndarray]] = []
         base_const = 0.0
@@ -209,10 +213,20 @@ class _Clique:
             return
         self.shape = tuple(k.cardinality for k in keys)
         check_enumeration(self.shape)
-        # Live cells: those where every hybrid has a component.
+        # Live cells: those where every hybrid has a component and that
+        # agree with a live row of every zero-holding discrete factor.  The
+        # joint is the product of those factors, so a cell dropped by the
+        # second rule has probability 0.  Where it would drop every cell,
+        # the joint is 0 everywhere: the clique keeps its cells so that
+        # sum_product raises as the oracle does.
         live = np.ones(self.shape, dtype=bool)
         for f_keys, leaves in hybrids:
             live &= _expand(np.not_equal(leaves, None), f_keys, keys)
+        allowed = live
+        for mask in rules:
+            allowed = allowed & mask(keys)
+        if allowed.any():
+            live = allowed
         cells = np.nonzero(live)
         pos = {k.id: i for i, k in enumerate(keys)}
         picked = [leaves[tuple(cells[pos[k.id]] for k in f_keys)]
@@ -253,7 +267,8 @@ class _Clique:
             # Without a separator the marginal is a pure residual: a
             # mode-independent constant, nothing downstream.
             return conditional, marginal if separator else None
-        if all(result is None for result in self.results):
+        num_live = len(self.results) - self.results.count(None)
+        if not num_live:
             raise UnderconstrainedVariable(
                 f"variable unconstrained in every mode: {var!r}")
         size = math.prod(self.shape)
@@ -270,12 +285,15 @@ class _Clique:
             if not separator:
                 r = -marginal.data[:, -1]
                 bound_leaves[cell] = 0.5 * float(r @ r) + c_out
-        conditional = HybridGaussianConditional(
-            keys, DecisionTree(keys, cond_leaves.reshape(self.shape)))
+        # The keys are in id order and every live leaf eliminates var onto
+        # the separator, so the trees need no copy and no rescan.
+        conditional = HybridGaussianConditional._own(
+            DecisionTree._own(keys, cond_leaves.reshape(self.shape)), (var,),
+            separator, num_live)
         if separator:
             return conditional, _HybridMarginal(keys, sep_leaves.reshape(self.shape))
         return conditional, discrete_factor_from_leaves(
-            DecisionTree(keys, bound_leaves.reshape(self.shape)))
+            DecisionTree._own(keys, bound_leaves.reshape(self.shape)))
 
 
 def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
@@ -332,7 +350,7 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     when it carries no content beyond a mode-independent constant."""
     factors = list(factors)
     clique = _Clique(_step(var, factors, (), (), _dims(
-        [_first_component(f) for f in factors])), ())
+        [_first_component(f) for f in factors])), (), ())
     _eliminate_independent([clique])
     conditional, sep = clique.finish()
     if isinstance(sep, _HybridMarginal):
@@ -359,6 +377,8 @@ def sum_product(g: HybridFactorGraph,
     if ordering is None:
         ordering = strong_ordering(g)
     steps, levels, tail = _plan(g, ordering)
+    rules = [_live_masks(f.potentials) for f in g.discrete_factors
+             if f.keys and not f.potentials.leaves.all()]
     conditionals, separators = [None] * len(steps), [None] * len(steps)
     # Errors by position: past the first, the loop would not have gone.
     failures: Dict[int, Exception] = {}
@@ -368,7 +388,7 @@ def sum_product(g: HybridFactorGraph,
             if failures and i > min(failures):
                 continue
             try:
-                cliques.append((i, _Clique(steps[i], separators)))
+                cliques.append((i, _Clique(steps[i], separators, rules)))
             except ValueError as e:
                 failures[i] = e
         _eliminate_independent([c for _, c in cliques])
@@ -468,8 +488,12 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
         if isinstance(c, HybridGaussianConditional):
             # The joint's keys hold c's, so the mask has c's shape.
             mask = live_mask(c.keys)
-            if np.not_equal(c.components.leaves[mask], None).sum() < c.num_live:
-                c = HybridGaussianConditional(c.keys, c.components.where(mask))
+            leaves = c.components.leaves
+            num_live = int(np.not_equal(leaves[mask], None).sum())
+            if num_live < c.num_live:
+                c = HybridGaussianConditional._own(
+                    DecisionTree._own(c.keys, np.where(mask, leaves, None)),
+                    c.frontals, c.parents, num_live)
         conditionals.append(c)
     return HybridBayesNet(conditionals, DecisionTree(
         pruned.keys, pruned.leaves / pruned.leaves.sum()))

@@ -119,11 +119,25 @@ class HybridGaussianConditional:
                 raise ValueError("components must share frontal and parents")
         if frontals is None:
             raise ValueError("hybrid conditional needs at least one live component")
+        self._init(frontals, parents, keys, components, len(live))
+
+    @classmethod
+    def _own(cls, components: DecisionTree, frontals: Tuple[Any, ...],
+             parents: Tuple[Any, ...], num_live: int
+             ) -> "HybridGaussianConditional":
+        """A conditional over a tree the caller has just built from
+        GaussianConditionals of these frontals and parents, num_live of
+        its leaves live (see elimination._Clique): no rescan."""
+        c = object.__new__(cls)
+        c._init(frontals, parents, components.keys, components, num_live)
+        return c
+
+    def _init(self, frontals, parents, keys, components, num_live):
         object.__setattr__(self, "frontals", frontals)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "num_live", len(live))
+        object.__setattr__(self, "num_live", num_live)
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridGaussianConditional is immutable")
@@ -408,14 +422,15 @@ class HybridFactorGraph:
         return sorted(seen)
 
     def discrete_keys(self) -> Tuple[DiscreteKey, ...]:
-        keys: Tuple[DiscreteKey, ...] = ()
-        for f in self.hybrid_factors:
-            keys = _merge_keys(keys, f.keys)
-        for f in self.discrete_factors:
-            keys = _merge_keys(keys, f.keys)
-        cont = set(self.continuous_variables())
+        return self._discrete_keys(set(self.continuous_variables()))
+
+    def _discrete_keys(self, continuous) -> Tuple[DiscreteKey, ...]:
+        """discrete_keys, checked against `continuous`, a container of
+        the graph's continuous ids the caller already holds."""
+        keys = _merge_keys((), [k for f in self.hybrid_factors
+                                + self.discrete_factors for k in f.keys])
         for k in keys:
-            if k.id in cont:
+            if k.id in continuous:
                 raise ValueError(f"id {k.id!r} used as both continuous and discrete")
         return keys
 

@@ -26,6 +26,7 @@ from .dataset import (DatasetEntry, DatasetParseError, LoopClosure, Odometry,
                       parse_dataset)
 from .discrete import DecisionTree, DiscreteKey
 from .elimination import dead_mode_removal, discrete_marginals
+from .gaussian import NoiseModel
 from .hybrid import (HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
                      NonlinearFactor)
 from .nonlinear import (BetweenResidual, OptimizationDiverged, OptimizeConfig,
@@ -59,33 +60,50 @@ class RunConfig:
             raise ValueError("schedule constants must be >= 1")
 
 
-def _sigma_diag(sigma_xy: float, sigma_theta: float) -> np.ndarray:
-    return np.array([sigma_xy ** 2, sigma_xy ** 2, sigma_theta ** 2])
+def _sigma_diag(sigma_xy: float, sigma_theta: float) -> Tuple[float, ...]:
+    return (sigma_xy ** 2, sigma_xy ** 2, sigma_theta ** 2)
 
 
-def build_motion_factor(entry: Odometry, index: int):
+class NoiseModels(dict):
+    """NoiseModels of SE(2) residuals by covariance diagonal, each one
+    checked and factored on first use: a run holds one of these, so a
+    covariance that thousands of factors share is factored once."""
+
+    def __missing__(self, diag: Tuple[float, ...]) -> NoiseModel:
+        noise = self[diag] = NoiseModel(np.array(diag), 3)
+        return noise
+
+
+def build_motion_factor(entry: Odometry, index: int,
+                        noise: Optional[NoiseModels] = None):
     """Hybrid between-factor whose mode picks the odometry hypothesis; a
-    single hypothesis degenerates to a plain between-factor."""
+    single hypothesis degenerates to a plain between-factor.  Its noise
+    model comes from `noise` (a fresh NoiseModels without one)."""
+    noise = NoiseModels() if noise is None else noise
     i, j = ("x", entry.frm), ("x", entry.to)
-    sigma = _sigma_diag(entry.sigma_xy, entry.sigma_theta)
+    model = noise[_sigma_diag(entry.sigma_xy, entry.sigma_theta)]
     residuals = [BetweenResidual(i, j, Pose2(*h)) for h in entry.hypotheses]
     if len(residuals) == 1:
-        return NonlinearFactor(residuals[0], sigma)
-    key = DiscreteKey(("m", index), len(residuals))
-    return HybridNonlinearFactor.from_components(
-        [key], [(r, sigma) for r in residuals])
+        return NonlinearFactor._own(residuals[0], model)
+    keys = (DiscreteKey(("m", index), len(residuals)),)
+    return HybridNonlinearFactor(keys, DecisionTree(
+        keys, [(r, model) for r in residuals]))
 
 
-def build_loop_factor(entry: LoopClosure, index: int) -> HybridNonlinearFactor:
+def build_loop_factor(entry: LoopClosure, index: int,
+                      noise: Optional[NoiseModels] = None
+                      ) -> HybridNonlinearFactor:
     """Switchable loop closure: mode 1 uses the measurement covariance, mode
-    0 swaps in a loose isotropic covariance so the constraint can switch off."""
+    0 swaps in a loose isotropic covariance so the constraint can switch
+    off.  Its noise models come from `noise`, as in build_motion_factor."""
+    noise = NoiseModels() if noise is None else noise
     i, j = ("x", entry.frm), ("x", entry.to)
     residual = BetweenResidual(i, j, Pose2(entry.dx, entry.dy, entry.dtheta))
-    key = DiscreteKey(("l", index), 2)
-    tight = _sigma_diag(entry.sigma_xy, entry.sigma_theta)
-    loose = np.full(3, LOOSE_LOOP_VARIANCE)
-    return HybridNonlinearFactor.from_components(
-        [key], [(residual, loose), (residual, tight)])
+    keys = (DiscreteKey(("l", index), 2),)
+    tight = noise[_sigma_diag(entry.sigma_xy, entry.sigma_theta)]
+    loose = noise[(LOOSE_LOOP_VARIANCE,) * 3]
+    return HybridNonlinearFactor(keys, DecisionTree(
+        keys, [(residual, loose), (residual, tight)]))
 
 
 @dataclass
@@ -102,10 +120,12 @@ class RunResults:
 class _Runner:
     def __init__(self, config: RunConfig):
         self.cfg = config
+        self.noise = NoiseModels()
         self.graph = HybridFactorGraph()
         self.values: Dict[Any, Pose2] = {("x", 0): Pose2()}
-        self.graph.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()),
-                                       _sigma_diag(ANCHOR_SIGMA, ANCHOR_SIGMA)))
+        self.graph.add(NonlinearFactor._own(
+            PriorResidual(("x", 0), Pose2()),
+            self.noise[_sigma_diag(ANCHOR_SIGMA, ANCHOR_SIGMA)]))
         self.support: Optional[DecisionTree] = None
         self.fixed: Dict[Any, int] = {}
         self.assignment: Dict[Any, int] = {}
@@ -126,7 +146,7 @@ class _Runner:
             if to not in self.values:
                 self.values[to] = compose(self.values[frm],
                                           Pose2(*entry.hypotheses[0]))
-            factor = build_motion_factor(entry, index)
+            factor = build_motion_factor(entry, index, self.noise)
             self.graph.add(factor)
             if isinstance(factor, HybridNonlinearFactor):
                 self.hybrid_count += 1
@@ -134,7 +154,7 @@ class _Runner:
             return False
         if frm not in self.values or to not in self.values:
             raise ValueError(f"loop closure {entry.frm}-{entry.to} to an unknown pose")
-        factor = build_loop_factor(entry, index)
+        factor = build_loop_factor(entry, index, self.noise)
         self.graph.add(factor)
         self.hybrid_count += 1
         return True

@@ -142,12 +142,22 @@ def _reference_eliminate_cell(factors, var):
         raise ValueError(f"eliminating {var!r}: non-finite entries") from None
 
 
-def reference_eliminate_continuous(factors, var):
+def _allowed_by(rows, assignment) -> bool:
+    """Whether some row (a full assignment of a discrete factor's keys)
+    agrees with `assignment` on every key both hold."""
+    return any(all(assignment.get(kid, v) == v for kid, v in row.items())
+               for row in rows)
+
+
+def reference_eliminate_continuous(factors, var, rules=()):
     """Reference: Sum-Product elimination of a continuous variable, one
     reference_eliminate_one per live cell of the clique's mode grid, in
     flat order.  A cell stacks the plain factors, then each hybrid's
-    component, in bucket order; it is nil where a hybrid has no component
-    or `var` is underconstrained.  Returns (conditional, separator) as
+    component, in bucket order; it is nil where a hybrid has no component,
+    where `var` is underconstrained, or where it disagrees with every
+    nonzero row of a rule (the nonzero rows, as assignments, of one of
+    the graph's zero-holding discrete factors), unless that last test
+    would leave no cell at all.  Returns (conditional, separator) as
     sum_product places them: the separator is a JacobianFactor, a
     HybridGaussianFactor with constants c_in - log_normalizer, a
     DiscreteFactor of the per-cell residuals (no continuous separator
@@ -176,12 +186,18 @@ def reference_eliminate_continuous(factors, var):
     if not keys:
         conditional, marginal = _reference_eliminate_cell(plains, var)
         return conditional, marginal if has_separator else None
+    cells = [{k.id: v for k, v in zip(keys, cell)} for cell in
+             itertools.product(*[range(k.cardinality) for k in keys])]
+    live = [all(f.component(a) is not None for f in hybrids) for a in cells]
+    allowed = [ok and all(_allowed_by(rows, a) for rows in rules)
+               for ok, a in zip(live, cells)]
+    if any(allowed):
+        live = allowed
     conditionals, separators, residuals = [], [], []
-    for cell in itertools.product(*[range(k.cardinality) for k in keys]):
-        assignment = {k.id: v for k, v in zip(keys, cell)}
+    for assignment, ok in zip(cells, live):
         leaves = [f.component(assignment) for f in hybrids]
         result = None
-        if all(leaf is not None for leaf in leaves):
+        if ok:
             c_in = base
             for _, c in leaves:
                 c_in += c
@@ -222,8 +238,17 @@ def reference_sum_product(g, ordering):
     separator waits in the bucket of its first variable.  Continuous
     variables go through reference_eliminate_continuous, so nothing of the
     batched elimination is used; the joint is the product of the discrete
-    buckets' factors, in ordering order, divided by its sum."""
+    buckets' factors, in ordering order, divided by its sum.  The rules of
+    every elimination are the nonzero rows of the graph's discrete factors
+    that have keys and hold a zero."""
     cont = set(g.continuous_variables())
+    rules = []
+    for f in g.discrete_factors:
+        potentials = f.potentials.leaves
+        if f.keys and (potentials == 0).any():
+            rules.append([{k.id: v for k, v in zip(f.keys, cell)}
+                          for cell in np.ndindex(potentials.shape)
+                          if potentials[cell] > 0])
     position = {vid: i for i, vid in enumerate(ordering)}
     buckets = [[] for _ in ordering]
 
@@ -239,7 +264,8 @@ def reference_sum_product(g, ordering):
     conditionals = []
     for vid, bucket in zip(ordering, buckets):
         if vid in cont:
-            conditional, separator = reference_eliminate_continuous(bucket, vid)
+            conditional, separator = reference_eliminate_continuous(
+                bucket, vid, rules)
             conditionals.append(conditional)
             if separator is not None:
                 place(separator)

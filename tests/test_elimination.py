@@ -801,6 +801,44 @@ def _fragile_graph(rng):
     return g
 
 
+def _trusted(c) -> bool:
+    """Whether a hybrid conditional built without checks (_own) has the
+    attributes its checking constructor derives, over a read-only tree."""
+    checked = HybridGaussianConditional(c.keys, c.components)
+    return (not c.components.leaves.flags.writeable
+            and (c.frontals, c.parents, c.keys, c.num_live)
+            == (checked.frontals, checked.parents, checked.keys,
+                checked.num_live))
+
+
+def _with_zero_factor(rng, g):
+    """g plus a random 0/1 discrete factor, with at least one 1, over a
+    random nonempty subset of g's keys and of up to two keys that no
+    hybrid factor holds."""
+    extra = [DiscreteKey(f"u{j}", int(rng.integers(2, 4)))
+             for j in range(int(rng.integers(0, 3)))]
+    pool = list(g.discrete_keys()) + extra
+    keys = [pool[i] for i in rng.choice(len(pool), size=int(
+        rng.integers(1, min(3, len(pool)) + 1)), replace=False)]
+    size = math.prod(k.cardinality for k in keys)
+    table = (rng.random(size) < 0.5).astype(float)
+    table[int(rng.integers(size))] = 1.0
+    g.add(DiscreteFactor(keys, table))
+    return g, keys, table
+
+
+def _count_qr_systems(monkeypatch):
+    """Systems per np.linalg.qr call, appended as they run."""
+    calls = []
+    real_qr = np.linalg.qr
+
+    def counting_qr(M, mode):
+        calls.append(M.shape[0])
+        return real_qr(M, mode=mode)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    return calls
+
+
 class TestWavefront:
     """sum_product eliminates one elimination-tree level at a time; for a
     given ordering its net must keep every bit of the one-at-a-time
@@ -827,7 +865,82 @@ class TestWavefront:
                 seen["boundary"] += any(not c.parents for c in hybrids)
                 seen["several levels"] += any(
                     c.parents for c in bn.conditionals)
+                assert all(_trusted(c) for c in hybrids), trial
         assert all(seen.values()), seen
+
+    def test_zero_holding_factors_bound_the_cells(self):
+        """Random graphs with a random 0/1 factor, some of its keys held by
+        no hybrid: cliques eliminate only the cells that agree with a live
+        row of it, and under random strong orderings the net keeps the
+        reference's bits, the joint the oracle's (C01's 1e-9) and the MAP
+        the oracle's."""
+        rng = np.random.default_rng(49)
+        dropped = 0
+        for trial in range(120):
+            g, keys, table = _with_zero_factor(rng, random_hybrid_graph(
+                rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)),
+                two_var_hybrids=bool(trial % 2)))
+            probs, _ = enumerate_posterior(g)
+            want_map = enumerate_map(g)
+            for ordering in (strong_ordering(g), _random_strong_ordering(rng, g)):
+                bn = sum_product(g, ordering)
+                assert same_net(bn, reference_sum_product(g, ordering)), trial
+                np.testing.assert_allclose(_joint(bn), probs.leaves, rtol=0,
+                                           atol=1e-9, err_msg=str(trial))
+                got_map = bn_map(bn)
+                assert got_map.discrete == want_map.discrete, trial
+                for vid, vec in want_map.continuous.items():
+                    np.testing.assert_allclose(got_map.continuous[vid], vec,
+                                               rtol=0, atol=1e-9)
+                assert all(_trusted(c) for c in bn.conditionals
+                           if isinstance(c, HybridGaussianConditional)), trial
+            # The same graph with the zeros raised keeps every cell.
+            g.discrete_factors[-1] = DiscreteFactor(keys, table + 0.5)
+            full = sum_product(g, ordering)
+            live = [c.num_live for c in bn.conditionals
+                    if isinstance(c, HybridGaussianConditional)]
+            dropped += live != [c.num_live for c in full.conditionals
+                                if isinstance(c, HybridGaussianConditional)]
+        assert dropped > 20, dropped
+
+    def test_support_over_two_hybrids_keeps_two_cells(self, monkeypatch):
+        """x measured under m1 and under m2, with support {(0, 0), (1, 1)}:
+        x's clique eliminates 2 cells, not 4, and the other two are nil."""
+        m1, m2 = DiscreteKey("m1", 2), DiscreteKey("m2", 2)
+        g = HybridFactorGraph()
+        g.add(JacobianFactor({"x": [[1.0]]}, [0.0]))
+        for k, means in ((m1, (0.0, 1.0)), (m2, (0.5, 2.0))):
+            g.add(HybridGaussianFactor.from_components([k], [
+                (whiten({"x": [[1.0]]}, [z], 1.0), 0.0) for z in means]))
+        g.add(DiscreteFactor([m1, m2], [1.0, 0.0, 0.0, 1.0]))
+        calls = _count_qr_systems(monkeypatch)
+        bn = sum_product(g)
+        assert calls == [2]
+        (c,) = bn.conditionals
+        assert c.num_live == 2 and _trusted(c)
+        assert [leaf is None for leaf in c.components.leaves.flat] == \
+            [False, True, True, False]
+        probs, _ = enumerate_posterior(g)
+        np.testing.assert_allclose(_joint(bn), probs.leaves, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("tables", [[[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_impossible_rules_raise_like_oracle(self, tables):
+        """A zero-holding factor without a live row, or two whose live rows
+        contradict: the rule would leave x's clique no cell, so the clique
+        keeps its cells and the all-zero joint raises as the oracle does."""
+        m = DiscreteKey("m", 2)
+        g = HybridFactorGraph()
+        g.add(JacobianFactor({"x": [[1.0]]}, [0.0]))
+        g.add(HybridGaussianFactor.from_components([m], [
+            (whiten({"x": [[1.0]]}, [z], 1.0), 0.0) for z in (0.0, 1.0)]))
+        for table in tables:
+            g.add(DiscreteFactor([m], table))
+        message = "all discrete assignments are impossible"
+        for fn in (sum_product, enumerate_posterior):
+            with pytest.raises(ValueError, match=message):
+                fn(g)
+        assert _outcome(reference_sum_product, g, ["x", "m"]) == \
+            (ValueError, message)
 
     def test_slam_linearizations_match_sequential_reference(self):
         """Pose graphs (3-D variables, tuple ids) under the MMD ordering and
@@ -904,13 +1017,7 @@ class TestWavefront:
     def test_one_qr_per_level_and_shape(self, monkeypatch):
         """A star's leaves form one level of one shape: one QR for all of
         them, then one for the centre."""
-        calls = []
-        real_qr = np.linalg.qr
-
-        def counting_qr(M, mode):
-            calls.append(M.shape[0])
-            return real_qr(M, mode=mode)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        calls = _count_qr_systems(monkeypatch)
         g = HybridFactorGraph()
         for leaf in (5, 3, 9, 1):
             g.add(JacobianFactor({0: [[1.0]], leaf: [[float(leaf)]]}, [1.0]))
@@ -921,21 +1028,17 @@ class TestWavefront:
     @pytest.mark.parametrize("shape, config, most", [
         ((0, 200, 10, 10), slam_cli.RunConfig(elim_every=1, relin_every=2),
          (923, 4710)),
-        ((0, 100, 10, 4), slam_cli.RunConfig(), (234, 2332))])
+        ((0, 100, 10, 4), slam_cli.RunConfig(), (234, 1673)),
+        ((0, 200, 10, 10), slam_cli.RunConfig(), (313, 3576))])
     def test_qr_calls_and_systems_do_not_grow(self, monkeypatch, shape, config,
                                               most):
         """The batching a whole run gets: QR calls and the systems they
-        take, on the streaming benchmark's input and on C09's, at most as
-        many as when levels were first grouped by shape, so a change to
-        how groups are filled cannot quietly split them."""
-        calls = []
-        real_qr = np.linalg.qr
-
-        def counting_qr(M, mode):
-            calls.append(M.shape[0])
-            return real_qr(M, mode=mode)
+        take, on the streaming benchmark's input, on C09's and on
+        200/10/10 with defaults, at most as many as when cliques first
+        eliminated only the cells the support allows, so a change to how
+        groups are filled or cells picked cannot quietly add to them."""
         entries, _, _ = square_loop_dataset(*shape)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        calls = _count_qr_systems(monkeypatch)
         slam_cli.run(config, entries)
         assert len(calls) <= most[0] and sum(calls) <= most[1]
 
@@ -1013,6 +1116,28 @@ class TestPlan:
             with pytest.raises(ValueError) as err:
                 sum_product(g)
             assert str(err.value) == "inconsistent dimension for 'x'"
+
+    def test_id_clash_raises_under_an_explicit_ordering(self, monkeypatch):
+        """The plan checks discrete ids against the continuous ids it reads
+        dimensions for: an explicit ordering, which skips strong_ordering,
+        still meets the clash, and sum_product never calls
+        continuous_variables()."""
+        g = HybridFactorGraph()
+        g.add(JacobianFactor({"x": [[1.0]]}, [0.0]))
+        g.add(JacobianFactor({"y": [[1.0]]}, [0.0]))
+        g.add(DiscreteFactor([DiscreteKey("x", 2)], [0.5, 0.5]))
+        with pytest.raises(ValueError,
+                           match="'x' used as both continuous and discrete"):
+            sum_product(g, ["x", "y"])
+
+        def scan(self):
+            raise AssertionError("continuous_variables() scanned")
+        monkeypatch.setattr(HybridFactorGraph, "continuous_variables", scan)
+        ok = random_hybrid_graph(np.random.default_rng(3), 3, 2)
+        sum_product(ok)
+        with pytest.raises(ValueError,
+                           match="'x' used as both continuous and discrete"):
+            sum_product(g)
 
     def test_empty_bucket_raises_underconstrained(self):
         """Under sum_product every variable's bucket holds a factor or a
@@ -1296,6 +1421,7 @@ class TestPruneBayesNet:
                 else:
                     seen["cut"] += 1
                     assert _same_leaves(c2.components, want), trial
+                    assert _trusted(c2), trial
         assert all(seen.values()), seen
 
     def test_marginals_sum_the_joint(self):

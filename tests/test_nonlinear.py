@@ -517,8 +517,9 @@ class TestOptimize:
 
     def test_support_argument_matches_support_factor(self, monkeypatch):
         """Carrying a support through optimize gives the estimate of the
-        graph with that support appended as a discrete factor, while running
-        fewer per-mode QR eliminations."""
+        graph with that support appended as a discrete factor.  Both paths
+        eliminate only the cells that the support allows, so they run the
+        same per-mode QR eliminations."""
         g, support, init = self._three_mode_graph()
         cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=4, dmr_delta=0.8)
         calls = {"n": 0}
@@ -532,7 +533,7 @@ class TestOptimize:
         carried_calls, calls["n"] = calls["n"], 0
         g.add(DiscreteFactor(support.keys, support))
         factored, _ = optimize(g, init, cfg)
-        assert carried_calls < calls["n"]
+        assert carried_calls == calls["n"] <= 27
         assert carried.discrete == factored.discrete
         for vid in init:
             np.testing.assert_allclose(carried.continuous[vid].as_vector(),

@@ -198,6 +198,24 @@ class TestRun:
         build_loop_factor(LoopClosure(0, 3, 0.0, 0.0, 0.0, 0.01, 0.005), 0)
         assert calls["sigma_cholesky"] == 2
 
+    def test_one_noise_model_per_covariance(self, monkeypatch):
+        """A run factors each distinct covariance once: C09's odometry and
+        loop closures share one, and the loose loop covariance is the
+        other, so ingesting all of it calls sigma_cholesky twice."""
+        entries, _, _ = square_loop_dataset(0, 100, 10, 4)
+        runner = _Runner(RunConfig())
+        calls = {"n": 0}
+        original = gaussian.sigma_cholesky
+
+        def counting(*args):
+            calls["n"] += 1
+            return original(*args)
+        monkeypatch.setattr(gaussian, "sigma_cholesky", counting)
+        for index, entry in enumerate(entries):
+            runner.add_entry(entry, index)
+        assert calls["n"] == 2
+        assert len(runner.noise) == 3      # and the anchor's, made before
+
     def test_final_batch_converges(self, caplog):
         """A seed whose final batch once stopped on a rounding-level error
         increase: it now converges and its marginals come from the final
