@@ -245,6 +245,24 @@ def test_c09_outputs_match_golden(tmp_path):
     _ok(9, "trajectory, modes and history match the stored C09 outputs")
 
 
+# The same three files of the streaming benchmark's run: 200 poses, 10
+# ambiguous edges, 10 loops, every hybrid factor eliminated and every second
+# pass relinearized.
+STREAM_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data", "stream")
+
+
+def test_streaming_outputs_match_golden(tmp_path):
+    """A fresh streaming run writes the stored outputs: words exactly,
+    numbers within OUTPUT_TOL."""
+    entries, _, _ = square_loop_dataset(0, 200, 10, 10)
+    data = tmp_path / "data.txt"
+    write_dataset(entries, data)
+    assert main(["--input", str(data), "--output", str(tmp_path / "out"),
+                 "--elim-every", "1", "--relin-every", "2"]) == 0
+    assert output_differences(STREAM_GOLDEN, str(tmp_path / "out")) == []
+
+
 def test_c10_jacobian_checks():
     rng = np.random.default_rng(17)
     worst = 0.0
