@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
+from itertools import accumulate
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -27,9 +28,9 @@ from .discrete import (DecisionTree, DiscreteFactor, DiscreteKey,
 # Unused here since the net holds one discrete table; the benchmark's
 # tracer patches this module's bindings of them through its __dict__.
 from .discrete import eliminate_discrete_max, eliminate_discrete_sum  # noqa: F401
-from .gaussian import (JacobianFactor, UnderconstrainedVariable, _dims,
-                       _layout, _Marginal, _put, _split, back_substitute,
-                       eliminate_stacked)
+from .gaussian import (GaussianConditional, JacobianFactor,
+                       UnderconstrainedVariable, _dims, _layout,
+                       _marginal, _put, back_substitute, eliminate_stacked)
 # Unused here since elimination runs by wavefront; the benchmark's tracer
 # patches this module's binding of it.
 from .gaussian import eliminate_one  # noqa: F401
@@ -97,21 +98,30 @@ def _first_component(f) -> JacobianFactor:
     return f
 
 
-_Step = namedtuple("_Step", "var factors children separator keys dv cols offsets width")
+_Step = namedtuple("_Step", "var plains rows hybrids base_const children separator "
+                   "keys dv cols offsets width maps")
 
 
 def _step(var, factors: Sequence[ContinuousFactor], children: Sequence[int],
           steps: Sequence[_Step], dims: Mapping[Any, int]) -> _Step:
     """Eliminating `var` from the graph's `factors` and the separators of
-    steps[c] for c in children: the separator (the other variables, sorted),
-    the keys (its hybrids' and children's) and the columns (gaussian._layout)."""
-    scope, keys = set(), []
+    steps[c] for c in children: the plain factors (a restricted hybrid's
+    component too, its constant in base_const) and their rows, the hybrid
+    ones, the separator (the other variables, sorted), the keys, the
+    columns (gaussian._layout) and per child where its columns go."""
+    scope, keys, plains, rows, hybrids, base_const = set(), [], [], 0, [], 0.0
     for f in factors:
-        if type(f) is JacobianFactor:
-            scope.update(f.variables)
-        else:
+        if type(f) is not JacobianFactor:
             scope.update(f.continuous_ids)
-            keys += f.keys
+            if f.keys:
+                keys += f.keys
+                hybrids.append((f.keys, f.components.leaves, None))
+                continue
+            f, c = f.components.leaves[()]
+            base_const += c
+        scope.update(f.variables)
+        plains.append(f)
+        rows += f.rhs.shape[0]
     for c in children:
         scope.update(steps[c].separator)
         keys += steps[c].keys
@@ -119,9 +129,13 @@ def _step(var, factors: Sequence[ContinuousFactor], children: Sequence[int],
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
     scope.discard(var)
     separator = tuple(sorted(scope))
-    return _Step(var, factors, children, separator,
-                 _merge_keys((), keys) if keys else (), dims[var],
-                 *_layout(var, separator, dims))
+    cols, offsets, width = _layout(var, separator, dims)
+    maps = [[o for vid, a, b in steps[c].cols
+             for o in range(offsets[vid], offsets[vid] + b - a)] + [width - 1]
+            for c in children]
+    return _Step(var, plains, rows, hybrids, base_const,
+                 children, separator, _merge_keys((), keys) if keys else (),
+                 dims[var], cols, offsets, width, maps)
 
 
 def _plan(g: HybridFactorGraph, ordering: Sequence[Any]):
@@ -166,61 +180,49 @@ def _plan(g: HybridFactorGraph, ordering: Sequence[Any]):
     return steps, levels, list(zip(buckets, children))[n_cont:]
 
 
-# A hybrid separator: per mode cell of `keys`, None or (_Marginal, constant).
-_HybridMarginal = namedtuple("_HybridMarginal", "keys leaves")
+# A separator with keys waiting in sum_product: per mode cell, None or its
+# rows' (eliminate_stacked output, system, constant); without: (output, system).
+_HybridSeparator = namedtuple("_HybridSeparator", "keys leaves")
 
 
 class _Clique:
     """The numeric elimination of a planned step, given the finished
-    separators by position (_Marginal or _HybridMarginal) and the live-row
-    projectors (see _live_masks) of the graph's zero-holding discrete
-    factors: the row layouts of its systems, one or one per live mode
-    cell, then, once _eliminate_independent has run them, the conditional
-    and separator."""
+    separators by position and the live-row projectors (see _live_masks)
+    of the graph's zero-holding discrete factors: the row layouts of its
+    systems, one or one per live mode cell, then, once
+    _eliminate_independent has run them, the conditional and separator."""
 
     def __init__(self, step: _Step, separators: Sequence[Any],
                  rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]]):
-        plains: List[Any] = []
-        hybrids: List[Tuple[Tuple[DiscreteKey, ...], np.ndarray]] = []
-        base_const = 0.0
-        for f in step.factors:
-            if type(f) is JacobianFactor:
-                plains.append(f)
-            elif f.keys:
-                hybrids.append((f.keys, f.components.leaves))
+        self.step, self.error = step, None
+        # Rows after the plain factors: separators without keys, hybrid
+        # factors, separators with keys.  Per input: its first row, its
+        # columns (None: a factor), per cell its factor or output and system.
+        r, inputs, hybrids = step.rows, [], list(step.hybrids)
+        for c, cmap in zip(step.children, step.maps):
+            s = separators[c]
+            if type(s) is _HybridSeparator:
+                hybrids.append((s.keys, s.leaves, cmap))
             else:
-                # Fully restricted factor: one live component plus constant.
-                jf, c = f.components.leaves[()]
-                plains.append(jf)
-                base_const += c
-        for s in map(separators.__getitem__, step.children):
-            if type(s) is _Marginal:
-                plains.append(s)
-            else:
-                hybrids.append((s.keys, s.leaves))
-        self.step, self.plains = step, plains
-        rows = sum(f.rows for f in plains)
-        self.error: Optional[ValueError] = None
-        # Per layout: (rows m of its systems, per hybrid the components of
-        # its cells, the cells' indices into self.results: live cells in
-        # flat order, 0 without keys).
-        self.layouts: List[Tuple[int, List[List[Any]], List[int]]] = []
+                inputs.append((r, cmap, [s[0]], [s[1]]))
+                r += s[0].T.shape[1]
+        # Per layout: (rows, inputs, its cells' indices: live cells in flat
+        # order, 0 without keys); once run, (output, its first system).
         keys = step.keys
         if not keys:
             # base_const is mode-independent here and cancels in any posterior.
-            self.layouts.append((rows, [], [0]))
-            self.results: List[Any] = [None]
+            self.layouts, self.results = [(r, inputs, [0])], [None]
             return
         self.shape = tuple(k.cardinality for k in keys)
         check_enumeration(self.shape)
-        # Live cells: those where every hybrid has a component and that
-        # agree with a live row of every zero-holding discrete factor.  The
-        # joint is the product of those factors, so a cell dropped by the
-        # second rule has probability 0.  Where it would drop every cell,
-        # the joint is 0 everywhere: the clique keeps its cells so that
-        # sum_product raises as the oracle does.
+        # Live cells: those where every hybrid input has a component and
+        # that agree with a live row of every zero-holding discrete factor.
+        # The joint is the product of those factors, so a cell dropped by
+        # the second rule has probability 0.  Where it would drop every
+        # cell, the joint is 0 everywhere: the clique keeps its cells so
+        # that sum_product raises as the oracle does.
         live = np.ones(self.shape, dtype=bool)
-        for f_keys, leaves in hybrids:
+        for f_keys, leaves, _ in hybrids:
             live &= _expand(np.not_equal(leaves, None), f_keys, keys)
         allowed = live
         for mask in rules:
@@ -229,117 +231,136 @@ class _Clique:
             live = allowed
         cells = np.nonzero(live)
         pos = {k.id: i for i, k in enumerate(keys)}
-        picked = [leaves[tuple(cells[pos[k.id]] for k in f_keys)]
-                  for f_keys, leaves in hybrids]
-        components = [[jf for jf, _ in leaves] for leaves in picked]
-        c_in = np.full(len(cells[0]), base_const)
-        for leaves in picked:
-            c_in += [c for _, c in leaves]
+        picked = [(cmap, leaves[tuple(cells[pos[k.id]] for k in f_keys)])
+                  for f_keys, leaves, cmap in hybrids]
+        c_in = np.full(len(cells[0]), step.base_const)
+        for _, leaves in picked:
+            c_in += [leaf[-1] for leaf in leaves]
         self.c_in = c_in.tolist()
         self.flat = np.ravel_multi_index(cells, self.shape).tolist()
-        self.results = [None] * len(self.flat)
-        # Cells whose components have the same row counts share a layout.
+        # Cells whose hybrid inputs have the same row counts share a layout.
         layouts: Dict[Tuple[int, ...], List[int]] = {}
-        for i, cell_rows in enumerate(zip(*[[jf.rows for jf in col]
-                                            for col in components])):
+        for i, cell_rows in enumerate(zip(*[
+                [leaf[0].rows if cmap is None else leaf[0].T.shape[1] for leaf in leaves]
+                for cmap, leaves in picked])):
             layouts.setdefault(cell_rows, []).append(i)
+        self.layouts = []
         for cell_rows, members in layouts.items():
-            self.layouts.append((rows + sum(cell_rows), [
-                [col[i] for i in members] for col in components], members))
+            starts = accumulate(cell_rows, initial=r)
+            self.layouts.append((r + sum(cell_rows), [
+                (r0, cmap, col * len(members), ats * len(members))
+                for r0, cmap, col, ats in inputs] + [
+                (next(starts), cmap, [leaves[i][0] for i in members],
+                 cmap and [leaves[i][1] for i in members]) for cmap, leaves in picked],
+                members))
+        self.results = [None] * len(self.layouts)
 
     def finish(self):
-        """(conditional, separator) where the separator is a _Marginal,
-        _HybridMarginal, DiscreteFactor (boundary), or None when it carries
-        no content beyond a mode-independent constant."""
+        """(conditional, separator): (output, system), a _HybridSeparator, a
+        DiscreteFactor (boundary), or None (a mode-independent constant)."""
         step = self.step
-        var, separator, keys = step.var, step.separator, step.keys
+        var, separator, keys, cols = step.var, step.separator, step.keys, step.cols
         if self.error is not None:
             raise self.error
         if not keys:
-            result = self.results[0]
-            if result is None:
+            if self.results[0] is None or not self.results[0][0].live[self.results[0][1]]:
                 m = self.layouts[0][0]
                 raise UnderconstrainedVariable(
                     f"underconstrained variable: {var!r} has {m} rows, "
                     f"needs {step.dv}" if m < step.dv else
                     f"underconstrained variable: {var!r} is rank deficient")
-            conditional, marginal = result
             # Without a separator the marginal is a pure residual: a
             # mode-independent constant, nothing downstream.
-            return conditional, marginal if separator else None
-        num_live = len(self.results) - self.results.count(None)
+            out, p = self.results[0]
+            return (GaussianConditional._own(var, out.rows, p, cols, out.log_norms[p], separator),
+                    (out, p) if separator else None)
+        cond_leaves = np.full(math.prod(self.shape), None)
+        leaves = np.full(cond_leaves.size, None if separator else math.inf)  # or bound
+        num_live = 0
+        for (_, _, members), result in zip(self.layouts, self.results):
+            # No result: fewer rows than var needs; not live: rank deficient.
+            out, j = result or (None, 0)
+            for p, i in enumerate(members if result else (), j):
+                if not out.live[p]:
+                    continue
+                cell = self.flat[i]
+                cond_leaves[cell] = GaussianConditional._own(
+                    var, out.rows, p, cols, out.log_norms[p], separator)
+                num_live += 1
+                c_out = self.c_in[i] - out.log_norms[p]
+                if separator:
+                    leaves[cell] = (out, p, c_out)
+                else:
+                    r = -out.T[p][:, -1]
+                    leaves[cell] = 0.5 * float(r @ r) + c_out
         if not num_live:
             raise UnderconstrainedVariable(
                 f"variable unconstrained in every mode: {var!r}")
-        size = math.prod(self.shape)
-        cond_leaves = np.full(size, None)
-        sep_leaves = np.full(size, None)
-        bound_leaves = np.full(size, math.inf)
-        for cell, c_in, result in zip(self.flat, self.c_in, self.results):
-            if result is None:    # rank deficient, or fewer rows than var needs
-                continue
-            conditional, marginal = result
-            c_out = c_in - conditional.log_normalizer
-            cond_leaves[cell] = conditional
-            sep_leaves[cell] = (marginal, c_out)
-            if not separator:
-                r = -marginal.data[:, -1]
-                bound_leaves[cell] = 0.5 * float(r @ r) + c_out
         # The keys are in id order and every live leaf eliminates var onto
         # the separator, so the trees need no copy and no rescan.
         conditional = HybridGaussianConditional._own(
             DecisionTree._own(keys, cond_leaves.reshape(self.shape)), (var,),
             separator, num_live)
         if separator:
-            return conditional, _HybridMarginal(keys, sep_leaves.reshape(self.shape))
+            return conditional, _HybridSeparator(keys, leaves.reshape(self.shape))
         return conditional, discrete_factor_from_leaves(
-            DecisionTree._own(keys, bound_leaves.reshape(self.shape)))
+            DecisionTree._own(keys, leaves.reshape(self.shape)))
 
 
 def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
     """Run the QRs of cliques none of which feeds another: their systems,
-    grouped by shape (rows, columns and the eliminated variable's
-    dimension), are filled by their cliques into one (K, m, n+1) array per
-    group, which takes one eliminate_stacked call.  A group with fewer rows
-    than the variable needs runs none; its results stay None."""
-    groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, Any, List[int]]]] = {}
+    grouped by shape (rows, columns, the variable's dimension), fill one
+    (K, m, n+1) array per group for one eliminate_stacked call, graph
+    factors by slices, separators by one indexed copy per source group.  A
+    group with fewer rows than the variable needs runs none."""
+    groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, int]]] = {}
     for c in cliques:
-        for m, per_cell, members in c.layouts:
-            groups.setdefault((m, c.step.width, c.step.dv), []).append(
-                (c, per_cell, members))
+        for li, layout in enumerate(c.layouts):
+            groups.setdefault((layout[0], c.step.width, c.step.dv), []).append((c, li))
     for (m, width, dv), parts in groups.items():
         if m < dv:
             continue
-        M = np.zeros((sum(len(members) for _, _, members in parts), m, width))
+        M = np.zeros((sum(len(c.layouts[li][2]) for c, li in parts), m, width))
         heads: List[Any] = []
-        cells: List[Tuple[_Clique, int]] = []    # per system: clique, cell
-        for c, per_cell, members in parts:
-            k, offsets = len(members), c.step.offsets
-            # Rows: the plain factors, the same in every system, then per
-            # hybrid its components, one per cell, in bucket order.
-            S = M[len(heads)] if k == 1 else M[len(heads):len(heads) + k]
+        # Per source group, per system to copy: (the group's output, its
+        # first row in M as (K * m, n+1), its columns, its position).
+        copies: Dict[int, List[Tuple[Any, int, List[int], int]]] = {}
+        for c, li in parts:
+            _, inputs, members = c.layouts[li]
+            j, k, offsets = len(heads), len(members), c.step.offsets
+            S = M[j] if k == 1 else M[j:j + k]
             r = 0
-            for f in c.plains:
+            for f in c.step.plains:
                 r = _put(S, r, f, offsets)
-            for col in per_cell:
-                r = _put(S, r, col[0], offsets, col)
+            for r, cmap, col, ats in inputs:
+                if cmap is None:
+                    _put(S, r, col[0], offsets, col)
+                    continue
+                for q, src, p in zip(range(j * m + r, (j + k) * m, m), col, ats):
+                    copies.setdefault(id(src), []).append((src, q, cmap, p))
+            c.results[li] = j
             heads += [(c.step.var, c.step.cols)] * k
-            cells += [(c, i) for i in members]
+        M2 = M.reshape(-1, width)
+        for pairs in copies.values():
+            (src, *_), starts, maps, ats = zip(*pairs)
+            T, dv_src = src.T, src.rows.shape[1]
+            if len(ats) == 1:   # no index arrays to build
+                M2[starts[0]:starts[0] + T.shape[1], maps[0]] = T[ats[0], :, dv_src:]
+                continue
+            rows = np.add.outer(starts, np.arange(T.shape[1]))
+            M2[rows[:, :, None], np.array(maps)[:, None, :]] = T[ats, :, dv_src:]
         try:
-            results = _split(eliminate_stacked(M, dv, heads), heads)
+            out = eliminate_stacked(M, dv, heads)
+            for c, li in parts:
+                c.results[li] = (out, c.results[li])
         except ValueError:
             # Non-finite entries: one QR per part finds whose.
-            results = []
-            for c, _, members in parts:
-                part = slice(len(results), len(results) + len(members))
+            for c, li in parts:
+                j, k = c.results[li], len(c.layouts[li][2])
                 try:
-                    results += _split(eliminate_stacked(M[part], dv, heads[part]),
-                                      heads[part])
+                    c.results[li] = (eliminate_stacked(M[j:j + k], dv, heads[j:j + k]), 0)
                 except ValueError as e:
-                    c.error = e
-                    results += [None] * len(members)
-        for (c, i), result in zip(cells, results):
-            c.results[i] = result
+                    c.results[li], c.error = None, e
 
 
 def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
@@ -349,14 +370,17 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     JacobianFactor, HybridGaussianFactor, DiscreteFactor (boundary), or None
     when it carries no content beyond a mode-independent constant."""
     factors = list(factors)
-    clique = _Clique(_step(var, factors, (), (), _dims(
-        [_first_component(f) for f in factors])), (), ())
+    step = _step(var, factors, (), (), _dims([_first_component(f) for f in factors]))
+    clique = _Clique(step, (), ())
     _eliminate_independent([clique])
     conditional, sep = clique.finish()
-    if isinstance(sep, _HybridMarginal):
-        sep = HybridGaussianFactor(sep.keys, DecisionTree(sep.keys, [
-            leaf and (leaf[0].as_factor(), leaf[1]) for leaf in sep.leaves.flat]))
-    return conditional, sep.as_factor() if isinstance(sep, _Marginal) else sep
+    if type(sep) is tuple:
+        return conditional, _marginal(sep[0].T[sep[1]], step.cols, step.separator)
+    if type(sep) is not _HybridSeparator:
+        return conditional, sep
+    return conditional, HybridGaussianFactor(sep.keys, DecisionTree(sep.keys, [
+        leaf and (_marginal(leaf[0].T[leaf[1]], step.cols, step.separator), leaf[2])
+        for leaf in sep.leaves.flat]))
 
 
 def sum_product(g: HybridFactorGraph,

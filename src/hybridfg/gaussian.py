@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import (Any, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,55 +96,62 @@ class JacobianFactor:
 
 
 class GaussianConditional:
-    """p(x | parents) = exp(-0.5 ||R x + sum_i S_i p_i - d||^2 - log_normalizer)."""
+    """p(x | parents) = exp(-0.5 ||R x + sum_i S_i p_i - d||^2 - log_normalizer).
 
-    __slots__ = ("frontal", "R", "parent_blocks", "d", "log_normalizer",
-                 "parents")
+    A view of `_rows[_at]`, rows [R S | d] of a batch (eliminate_stacked's;
+    one built here is a batch of one), parent blocks at the column ranges
+    `_cols`; R, d and parent_blocks are made on first read."""
+
+    __slots__ = ("frontal", "parents", "log_normalizer", "_rows", "_at",
+                 "_cols", "R", "d", "parent_blocks")
 
     def __init__(self, frontal, R, parent_blocks: Mapping[Any, Any], d):
-        R = _as_matrix(R).copy()
-        d = _as_vector(d).copy()
+        R, d = _as_matrix(R), _as_vector(d)
         n = R.shape[0]
         if R.shape != (n, n) or d.shape != (n,):
             raise ValueError("R must be square and match d")
         if np.any(np.abs(np.diag(R)) <= 1e-12):
             raise ValueError("R is singular (|R_ii| <= 1e-12)")
-        parents = {vid: _as_matrix(S).copy() for vid, S in parent_blocks.items()}
+        blocks = [_as_matrix(S) for S in parent_blocks.values()]
+        if any(S.shape[0] != n for S in blocks):
+            raise ValueError("parent block row count must match R")
+        dims = {vid: S.shape[1] for vid, S in zip(parent_blocks, blocks)}
+        cols = _layout(frontal, tuple(parent_blocks), {**dims, frontal: n})[0]
         # Canonical sign: flip rows so the diagonal is positive.
-        flip = np.where(np.diag(R) < 0, -1.0, 1.0)
-        R *= flip[:, None]
-        d *= flip
-        for S in parents.values():
-            if S.shape[0] != n:
-                raise ValueError("parent block row count must match R")
-            S *= flip[:, None]
-        log_norm = 0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(R))))
-        self._init(frontal, R, parents, d, log_norm, tuple(sorted(parents)))
+        rows = np.hstack([R] + blocks + [d[:, None]])
+        rows *= np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]
+        log_norm = 0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(rows))))
+        self._init(frontal, rows[None], 0, cols, log_norm, tuple(sorted(parent_blocks)))
 
     @classmethod
-    def _own(cls, frontal, R: np.ndarray, parent_blocks: Dict[Any, np.ndarray],
-             d: np.ndarray, log_normalizer: float,
+    def _own(cls, frontal, rows: np.ndarray, at: int,
+             cols: Tuple[Tuple[Any, int, int], ...], log_normalizer: float,
              parents: Tuple[Any, ...]) -> "GaussianConditional":
-        """A conditional over arrays the caller has just computed in
+        """A view of rows[at], which the caller has just computed in
         canonical form (see eliminate_stacked): no copy, no re-check."""
         c = object.__new__(cls)
-        c._init(frontal, R, parent_blocks, d, log_normalizer, parents)
+        c._init(frontal, rows, at, cols, log_normalizer, parents)
         return c
 
-    def _init(self, frontal, R, parent_blocks, d, log_normalizer, parents):
-        object.__setattr__(self, "frontal", frontal)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "parent_blocks", parent_blocks)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "log_normalizer", log_normalizer)
-        object.__setattr__(self, "parents", parents)
+    def _init(self, *values):
+        for set_slot, value in zip(_SET_SLOTS, values):
+            set_slot(self, value)
+
+    def __getattr__(self, name):     # only while a slot is unset
+        if name not in ("R", "d", "parent_blocks"):
+            raise AttributeError(name)
+        rows = self._rows[self._at]
+        object.__setattr__(self, "R", rows[:, :rows.shape[0]])
+        object.__setattr__(self, "d", rows[:, -1])
+        object.__setattr__(self, "parent_blocks", {v: rows[:, a:b] for v, a, b in self._cols})
+        return object.__getattribute__(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianConditional is immutable")
 
     @property
     def dim(self) -> int:
-        return int(self.R.shape[0])
+        return int(self._rows.shape[1])
 
     def solve(self, values: VectorValues) -> np.ndarray:
         """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
@@ -185,6 +191,11 @@ class GaussianConditional:
 
     def __repr__(self):
         return f"GaussianConditional(p({self.frontal!r} | {list(self.parents)}))"
+
+
+# The slots' own setters, in _init's order: object.__setattr__ looks each up.
+_SET_SLOTS = [GaussianConditional.__dict__[name].__set__ for name in (
+    "frontal", "_rows", "_at", "_cols", "log_normalizer", "parents")]
 
 
 def sigma_cholesky(sigma, dim: int = None) -> np.ndarray:
@@ -273,25 +284,6 @@ def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
     return NoiseModel(sigma, z.shape[0]).whiten(blocks, z)
 
 
-class _Marginal(NamedTuple):
-    """The marginal rows [A | b] of one eliminated system while they wait
-    in sum_product: `data` is a (rows, n+1) view of its group's T, `cols`
-    the column ranges (vid, a, b) of `variables` (see _layout)."""
-
-    data: np.ndarray
-    cols: Tuple[Tuple[Any, int, int], ...]
-    variables: Tuple[Any, ...]
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    def as_factor(self) -> JacobianFactor:
-        d = self.data
-        return JacobianFactor._own({vid: d[:, a:b] for vid, a, b in self.cols},
-                                   d[:, -1], self.variables)
-
-
 def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:
     """Column dimension of every variable, which all factors must agree on."""
     dims: Dict[Any, int] = {}
@@ -302,19 +294,12 @@ def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:
     return dims
 
 
-def _put(M: np.ndarray, r: int, f, offsets: Mapping[Any, int], cells=None
-         ) -> int:
-    """Write the rows [A | b] of f, a JacobianFactor or _Marginal, into
-    M[..., r:, :] at the columns `offsets` gives, b last; returns the next
-    row.  Into k systems (k, m, n+1) f goes into each, or with `cells`
-    (k factors of f's layout) cell i into system i."""
+def _put(M: np.ndarray, r: int, f: JacobianFactor, offsets: Mapping[Any, int],
+         cells=None) -> int:
+    """Write the rows [A | b] of f into M[..., r:, :] at the columns
+    `offsets` gives, b last; returns the next row.  Into k systems (k, m,
+    n+1) f goes into each, or cells[i] (of f's layout) into system i."""
     e = r + f.rows
-    if type(f) is _Marginal:
-        data = f.data if cells is None else np.array([g.data for g in cells])
-        for vid, a, b in f.cols:
-            M[..., r:e, offsets[vid]:offsets[vid] + b - a] = data[..., a:b]
-        M[..., r:e, -1] = data[..., -1]
-        return e
     for vid, A in f.blocks.items():
         M[..., r:e, offsets[vid]:offsets[vid] + A.shape[1]] = A if cells is None \
             else np.array([g.blocks[vid] for g in cells])
@@ -338,7 +323,7 @@ def _layout(var, separator: Sequence[Any], dims: Mapping[Any, int]):
     return tuple(cols), offsets, c + 1
 
 
-Eliminated = namedtuple("Eliminated", "live R d S log_norms T")
+Eliminated = namedtuple("Eliminated", "live rows log_norms T")
 
 
 def eliminate_stacked(M: np.ndarray, dv: int,
@@ -349,44 +334,36 @@ def eliminate_stacked(M: np.ndarray, dv: int,
     M is (k, m, n+1): k matrices [A | b].  System j eliminates the
     variable heads[j][0], whose dv columns come first, onto the separator
     whose column ranges heads[j][1] gives as (vid, a, b) (see _layout).
-    Returns Eliminated over the systems whose variable is not rank
-    deficient, system live[p] at position p: R (k', dv, dv) with positive
-    diagonal, d (k', dv), S the parent blocks (k', dv, b - a) per column
-    range (a, b) in use, the log-normalizers, and T (k', m - dv, n+1), the
-    marginal rows, each signed so that its first significant entry is
-    nonnegative.  T keeps any pure-residual row, so 0.5||A x - b||^2 =
+    Returns Eliminated: per system `live` (not rank deficient; only then
+    do the rest hold), conditional rows [R S | d] (k, dv, n+1) with R's
+    diagonal positive, log-normalizers, and marginal rows T (k, m - dv,
+    n+1), each row's first significant entry nonnegative, its first dv
+    columns 0 and any pure-residual row kept, so 0.5||A x - b||^2 =
     0.5||R x_var + S p - d||^2 + 0.5||T [x; -1]||^2 exactly.  Raises
-    UnderconstrainedVariable when m is below dv, and ValueError naming the
-    first system with non-finite entries.
+    UnderconstrainedVariable when m < dv, ValueError naming the first
+    non-finite system.
 
     Views of the arrays need no re-check: R is square and matches d, the
     rank check gives |R_ii| > RANK_TOL * max(scale, 1) >= 1e-12, and the
     finite per-system scale (NaN propagates through a max) covers every
-    block.  R, S and d view a signed copy of the conditional rows, so
-    conditionals do not keep T alive.
+    block.  `rows` is a signed copy, so conditionals do not keep T alive.
     """
-    k, m, _ = M.shape
+    m = M.shape[1]
     if m < dv:
         raise UnderconstrainedVariable(f"underconstrained variable: "
                                        f"{heads[0][0]!r} has {m} rows, needs {dv}")
     Rfull = np.linalg.qr(M, mode="r")
     A = np.abs(Rfull)
     scale = A.max(axis=(1, 2))
-    if not np.isfinite(scale).all():
+    if not math.isfinite(scale.max()):     # a NaN propagates through max
         raise ValueError(f"eliminating {heads[int(np.isfinite(scale).argmin())][0]!r}"
                          ": non-finite entries")
     tol = RANK_TOL * np.maximum(scale, 1.0)
     diag = A.diagonal(0, 1, 2)[:, :dv]
-    live = (diag > tol[:, None]).all(axis=1).nonzero()[0]
-    if live.size < k:
-        Rfull, A, tol, diag = Rfull[live], A[live], tol[live], diag[live]
-    # Conditional rows [R S | d], signed so that the diagonal of R is
-    # positive; R, d and the parent blocks are views of them.
-    top = Rfull[:, :dv, :] * np.sign(Rfull.diagonal(0, 1, 2)[:, :dv])[:, :, None]
+    live = (diag > tol[:, None]).all(axis=1)
+    rows = Rfull[:, :dv, :] * np.sign(Rfull.diagonal(0, 1, 2)[:, :dv])[:, :, None]
     log_norms = (0.5 * dv * math.log(2.0 * math.pi)
-                 - np.log(diag).sum(axis=1)).tolist()
-    layouts = {id(cols): cols for _, cols in heads}
-    S = {(a, b): top[:, :, a:b] for cols in layouts.values() for _, a, b in cols}
+                 - np.log(np.where(live[:, None], diag, 1.0)).sum(axis=1)).tolist()
     # Marginal rows, signed so that each row's first significant entry is
     # nonnegative; a row with none gets first = 0, never < -tol.  Rows are
     # negated or left as they are, which keeps every other bit.
@@ -394,24 +371,13 @@ def eliminate_stacked(M: np.ndarray, dv: int,
     first = (A[:, dv:, :] > tol[:, None, None]).argmax(axis=2)
     lead = T[np.arange(len(T))[:, None], np.arange(T.shape[1]), first]
     T[lead < -tol[:, None]] *= -1.0
-    return Eliminated(live, top[:, :, :dv], top[:, :, -1], S, log_norms, T)
+    return Eliminated(live.tolist(), rows, log_norms, T)
 
 
-def _split(out: Eliminated, heads) -> List[Any]:
-    """Per system of eliminate_stacked's batch (see its heads): the
-    conditional and the _Marginal, views of out's arrays, or None where
-    its variable is rank deficient."""
-    R, d, T = list(out.R), list(out.d), list(out.T)
-    S = {ab: list(blocks) for ab, blocks in out.S.items()}
-    separators = {id(cols): tuple(vid for vid, _, _ in cols) for _, cols in heads}
-    results: List[Any] = [None] * len(heads)
-    for p, j in enumerate(out.live.tolist()):
-        var, cols = heads[j]
-        sep = separators[id(cols)]
-        results[j] = (GaussianConditional._own(
-            var, R[p], {vid: S[a, b][p] for vid, a, b in cols}, d[p],
-            out.log_norms[p], sep), _Marginal(T[p], cols, sep))
-    return results
+def _marginal(T: np.ndarray, cols, separator: Tuple[Any, ...]) -> JacobianFactor:
+    """One system's marginal rows T (m, n+1) as a factor on `separator`."""
+    return JacobianFactor._own({vid: T[:, a:b] for vid, a, b in cols}, T[:, -1],
+                               separator)
 
 
 def eliminate_one(factors: Sequence[JacobianFactor], var
@@ -430,44 +396,53 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
     r = 0
     for f in factors:
         r = _put(M[0], r, f, offsets)
-    heads = [(var, cols)]
-    (result,) = _split(eliminate_stacked(M, dims[var], heads), heads)
-    if result is None:
+    out = eliminate_stacked(M, dims[var], [(var, cols)])
+    if not out.live[0]:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "is rank deficient")
-    return result[0], result[1].as_factor()
+    return (GaussianConditional._own(var, out.rows, 0, cols, out.log_norms[0], separator),
+            _marginal(out.T[0], cols, separator))
 
 
 def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues:
-    """Solve the triangular system defined by conditionals in elimination
-    order (parents always eliminated later).  The conditionals of one depth
-    below the roots (1 + their deepest parent's) and one dimension are
-    solved together: d - sum_i S_i p_i by one batched matmul per parent
-    position and dimension, in each one's parent order, then one stacked
-    LU solve, which gives each the bits of its own `solve`."""
+    """Solve the triangular system of conditionals in elimination order
+    (parents eliminated later).  Those of one depth below the roots (1 +
+    their deepest parent's) and row shape are solved together: rows
+    [R S | d] by one gather per batch they view, d - sum_i S_i p_i by one
+    batched matmul per parent position and column range, in each one's
+    parent order, then one stacked LU solve: each gets its `solve`'s bits."""
     depth: Dict[Any, int] = {}
-    levels: Dict[Tuple[int, int], List[GaussianConditional]] = {}
+    # Per depth and row shape, per batch: its rows and its conditionals.
+    levels: Dict[Tuple[int, ...], Dict[int, Tuple[np.ndarray, List[Any]]]] = {}
     for cond in reversed(list(conditionals)):
         level = 0
-        for vid in cond.parent_blocks:
+        for vid in cond.parents:
             if vid not in depth:
                 raise ValueError(f"incomplete values: missing {vid!r}")
             level = max(level, depth[vid] + 1)
         depth[cond.frontal] = level
-        levels.setdefault((level, cond.dim), []).append(cond)
+        rows = cond._rows
+        levels.setdefault((level,) + rows.shape[1:], {}).setdefault(
+            id(rows), (rows, []))[1].append(cond)
     values: VectorValues = {}
-    for _, group in sorted(levels.items()):
-        R = np.array([cond.R for cond in group])
-        rhs = np.array([cond.d for cond in group])
-        # Per (parent position, parent dimension): (j, S_i, p_i) of each.
-        terms: Dict[Tuple[int, int], List[Tuple[int, Any, Any]]] = {}
+    for (_, dv, _), batches in sorted(levels.items()):
+        group = [cond for _, conds in batches.values() for cond in conds]
+        X = np.concatenate([rows[[cond._at for cond in conds]]
+                            for rows, conds in batches.values()])
+        rhs = X[:, :, -1]
+        # Per (parent position, column range): the conditionals and values.
+        terms: Dict[Tuple[int, int, int], Tuple[List[int], List[Any]]] = {}
         for j, cond in enumerate(group):
-            for i, (vid, S) in enumerate(cond.parent_blocks.items()):
-                terms.setdefault((i, S.shape[1]), []).append((j, S, values[vid]))
-        for _, term in sorted(terms.items()):
-            rows, blocks, xs = zip(*term)
-            Sp = (np.array(blocks) @ np.array(xs)[:, :, None])[:, :, 0]
-            rhs[list(rows) if len(rows) < len(group) else slice(None)] -= Sp
-        for cond, x in zip(group, np.linalg.solve(R, rhs[:, :, None])[:, :, 0]):
+            for i, (vid, a, b) in enumerate(cond._cols):
+                term = terms.setdefault((i, a, b), ([], []))
+                term[0].append(j)
+                term[1].append(values[vid])
+        for (_, a, b), (js, xs) in sorted(terms.items()):
+            if len(js) == len(group):
+                js = slice(None)
+            # A contiguous (k, dv, p) @ (k, p, 1), as S @ p per conditional.
+            rhs[js] -= (np.ascontiguousarray(X[js, :, a:b])
+                        @ np.array(xs)[:, :, None])[:, :, 0]
+        for cond, x in zip(group, np.linalg.solve(X[:, :, :dv], rhs[:, :, None])[:, :, 0]):
             values[cond.frontal] = x
     return values

@@ -431,8 +431,8 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
             fixed_total.update(newly)
             if support is not None and newly:
                 support = support.choose(newly)
-        step_norm = max((float(np.max(np.abs(d))) if np.asarray(d).size else 0.0)
-                        for d in step.continuous.values())
+        step_norm = max((float(np.max(np.abs(d))) if np.asarray(d).size else 0.0
+                         for d in step.continuous.values()), default=0.0)
         if step_norm < cfg.tol:
             break
         if not accepted and not newly:

@@ -15,7 +15,7 @@ from hybridfg import (DiscreteFactor, DiscreteKey, GaussianConditional,
                       HybridNonlinearFactor, JacobianFactor, NonlinearFactor,
                       Pose2, log_normalization_constant, whiten)
 from hybridfg.discrete import multiply_factors
-from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable, _split
+from hybridfg.gaussian import RANK_TOL, UnderconstrainedVariable, _marginal
 from hybridfg.nonlinear import (FD_STEP, BetweenResidual, FuncResidual,
                                 LinearResidual, PriorResidual)
 
@@ -92,8 +92,14 @@ def stacked_results(out, heads):
     """eliminate_stacked's output `out` for the systems of `heads`, per
     system: (conditional, marginal JacobianFactor) built as views of its
     arrays, or None where the system's variable is rank deficient."""
-    return [None if r is None else (r[0], r[1].as_factor())
-            for r in _split(out, heads)]
+    results = []
+    for p, ((var, cols), live) in enumerate(zip(heads, out.live)):
+        separator = tuple(vid for vid, _, _ in cols)
+        results.append(live and (
+            GaussianConditional._own(var, out.rows, p, cols, out.log_norms[p],
+                                     separator),
+            _marginal(out.T[p], cols, separator)) or None)
+    return results
 
 
 def same_bits(a, b) -> bool:
@@ -286,6 +292,27 @@ def reference_back_substitute(conditionals):
     for cond in reversed(list(conditionals)):
         values[cond.frontal] = cond.solve(values)
     return values
+
+
+def copy_net(bn):
+    """A deep copy of a net: its conditionals view copies of their arrays,
+    its joint is a copy."""
+    def copy_conditional(c):
+        return None if c is None else GaussianConditional._own(
+            c.frontal, c._rows.copy(), c._at, c._cols, c.log_normalizer, c.parents)
+    conditionals = []
+    for c in bn.conditionals:
+        if isinstance(c, HybridGaussianConditional):
+            leaves = np.array([copy_conditional(x) for x in c.components.leaves.flat],
+                              dtype=object).reshape(c.components.leaves.shape)
+            c = HybridGaussianConditional._own(hybridfg.DecisionTree._own(
+                c.keys, leaves), c.frontals, c.parents, c.num_live)
+        else:
+            c = copy_conditional(c)
+        conditionals.append(c)
+    joint = bn.discrete_joint()
+    return HybridBayesNet(conditionals, None if joint is None else
+                          hybridfg.DecisionTree(joint.keys, joint.leaves.copy()))
 
 
 def same_net(a, b) -> bool:

@@ -22,8 +22,9 @@ from hybridfg.oracle import enumerate_map, enumerate_posterior
 from hybridfg import elimination, slam_cli
 from hybridfg.dataset import square_loop_dataset, write_dataset
 
-from helpers import (hypothesis_chain_graph, mixture_graph, output_differences,
-                     random_hybrid_graph, reference_back_substitute,
+from helpers import (copy_net, hypothesis_chain_graph, mixture_graph,
+                     output_differences, random_hybrid_graph,
+                     reference_back_substitute,
                      reference_eliminate_one, reference_sum_product, same_bits,
                      same_conditional, same_marginal, same_net)
 
@@ -1064,6 +1065,29 @@ class TestWavefront:
             assert got.continuous.keys() == want.keys(), trial
             for vid in want:
                 assert same_bits(got.continuous[vid], want[vid]), trial
+
+
+class TestNetStorage:
+    """A net's conditionals view the arrays of their elimination groups."""
+
+    def test_net_survives_later_work_bit_for_bit(self):
+        """A net from sum_product stays bit-identical to a deep copy taken
+        right after elimination through pruning, its MAP, sampling and a
+        second elimination of the same graph: no later fill, QR or in-place
+        row negation writes into the arrays its conditionals view."""
+        rng = np.random.default_rng(47)
+        graphs = [random_hybrid_graph(rng, int(rng.integers(1, 7)),
+                                      int(rng.integers(0, 4)), two_var_hybrids=True)
+                  for _ in range(30)]
+        graphs.append(_slam_graph(65, 4, 2))
+        for trial, g in enumerate(graphs):
+            bn = sum_product(g)
+            snapshot = copy_net(bn)
+            prune_bayes_net(bn, 2)
+            bn_map(bn)
+            bn_sample(bn, trial)
+            sum_product(g)
+            assert same_net(bn, snapshot), trial
 
 
 class TestPlan:

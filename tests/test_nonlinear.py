@@ -15,7 +15,7 @@ from hybridfg.nonlinear import (BetweenResidual, FuncResidual, LinearResidual,
                                 inverse_stacked, numerical_jacobians, pose_rows,
                                 retract_stacked, retract_values, wrap_angle,
                                 wrap_angles)
-from hybridfg.oracle import enumerate_posterior
+from hybridfg.oracle import enumerate_map, enumerate_posterior
 
 from helpers import (random_nonlinear_graph, random_pose, reference_between,
                      reference_compose, reference_graph_error,
@@ -423,6 +423,17 @@ class TestOptimize:
         np.testing.assert_allclose(est.continuous["x"],
                                    init["x"] + step.continuous["x"], atol=1e-12)
         np.testing.assert_allclose(est.continuous["x"], [4.0], atol=1e-12)
+
+    def test_graph_without_continuous_variables_gives_the_discrete_map(self):
+        """Only discrete factors: the step is empty (norm 0) and the result
+        is the discrete MAP, as the oracle enumerates it."""
+        a, b = DiscreteKey("a", 2), DiscreteKey("b", 3)
+        g = HybridFactorGraph()
+        g.add(DiscreteFactor([a], [0.3, 0.7]))
+        g.add(DiscreteFactor([a, b], [0.2, 0.5, 0.3, 0.6, 0.1, 0.3]))
+        est, bn = optimize(g, {})
+        assert est.continuous == {} and bn.conditionals == []
+        assert est.discrete == enumerate_map(g).discrete == {"a": 1, "b": 0}
 
     def _three_pose_graph(self):
         """Chain with one two-hypothesis odometry; a prior on both ends makes
