@@ -99,7 +99,7 @@ def _first_component(f) -> JacobianFactor:
 
 
 _Step = namedtuple("_Step", "var plains rows hybrids base_const children separator "
-                   "keys dv cols offsets width maps")
+                   "keys dv cols offsets width")
 
 
 def _step(var, factors: Sequence[ContinuousFactor], children: Sequence[int],
@@ -107,8 +107,8 @@ def _step(var, factors: Sequence[ContinuousFactor], children: Sequence[int],
     """Eliminating `var` from the graph's `factors` and the separators of
     steps[c] for c in children: the plain factors (a restricted hybrid's
     component too, its constant in base_const) and their rows, the hybrid
-    ones, the separator (the other variables, sorted), the keys, the
-    columns (gaussian._layout) and per child where its columns go."""
+    ones, the separator (the other variables, sorted), the keys and the
+    columns (gaussian._layout)."""
     scope, keys, plains, rows, hybrids, base_const = set(), [], [], 0, [], 0.0
     for f in factors:
         if type(f) is not JacobianFactor:
@@ -129,13 +129,9 @@ def _step(var, factors: Sequence[ContinuousFactor], children: Sequence[int],
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
     scope.discard(var)
     separator = tuple(sorted(scope))
-    cols, offsets, width = _layout(var, separator, dims)
-    maps = [[o for vid, a, b in steps[c].cols
-             for o in range(offsets[vid], offsets[vid] + b - a)] + [width - 1]
-            for c in children]
     return _Step(var, plains, rows, hybrids, base_const,
                  children, separator, _merge_keys((), keys) if keys else (),
-                 dims[var], cols, offsets, width, maps)
+                 dims[var], *_layout(var, separator, dims))
 
 
 def _plan(g: HybridFactorGraph, ordering: Sequence[Any]):
@@ -181,8 +177,15 @@ def _plan(g: HybridFactorGraph, ordering: Sequence[Any]):
 
 
 # A separator with keys waiting in sum_product: per mode cell, None or its
-# rows' (eliminate_stacked output, system, constant); without: (output, system).
-_HybridSeparator = namedtuple("_HybridSeparator", "keys leaves")
+# rows' (eliminate_stacked output, system, constant), and the columns of
+# those rows (see gaussian._layout); without keys: (output, system, columns).
+_HybridSeparator = namedtuple("_HybridSeparator", "keys leaves cols")
+
+
+def _blocks(cols, rows: np.ndarray):
+    """A separator's marginal rows (..., rows, n+1) with column ranges
+    `cols`, as gaussian._put's blocks and rhs."""
+    return [(vid, rows[..., a:b]) for vid, a, b in cols], rows[..., -1]
 
 
 class _Clique:
@@ -197,15 +200,16 @@ class _Clique:
         self.step, self.error = step, None
         # Rows after the plain factors: separators without keys, hybrid
         # factors, separators with keys.  Per input: its first row, its
-        # columns (None: a factor), per cell its factor or output and system.
+        # blocks and rhs (see gaussian._put), one system's or stacked per
+        # system.
         r, inputs, hybrids = step.rows, [], list(step.hybrids)
-        for c, cmap in zip(step.children, step.maps):
-            s = separators[c]
+        for s in map(separators.__getitem__, step.children):
             if type(s) is _HybridSeparator:
-                hybrids.append((s.keys, s.leaves, cmap))
+                hybrids.append(s)
             else:
-                inputs.append((r, cmap, [s[0]], [s[1]]))
-                r += s[0].T.shape[1]
+                out, p, cols = s
+                inputs.append((r, *_blocks(cols, out.T[p])))
+                r += out.T.shape[1]
         # Per layout: (rows, inputs, its cells' indices: live cells in flat
         # order, 0 without keys); once run, (output, its first system).
         keys = step.keys
@@ -231,8 +235,9 @@ class _Clique:
             live = allowed
         cells = np.nonzero(live)
         pos = {k.id: i for i, k in enumerate(keys)}
-        picked = [(cmap, leaves[tuple(cells[pos[k.id]] for k in f_keys)])
-                  for f_keys, leaves, cmap in hybrids]
+        # Per hybrid input: its columns (None: a factor) and its cells' leaves.
+        picked = [(cols, leaves[tuple(cells[pos[k.id]] for k in f_keys)])
+                  for f_keys, leaves, cols in hybrids]
         c_in = np.full(len(cells[0]), step.base_const)
         for _, leaves in picked:
             c_in += [leaf[-1] for leaf in leaves]
@@ -241,23 +246,28 @@ class _Clique:
         # Cells whose hybrid inputs have the same row counts share a layout.
         layouts: Dict[Tuple[int, ...], List[int]] = {}
         for i, cell_rows in enumerate(zip(*[
-                [leaf[0].rows if cmap is None else leaf[0].T.shape[1] for leaf in leaves]
-                for cmap, leaves in picked])):
+                [leaf[0].rows if cols is None else leaf[0].T.shape[1] for leaf in leaves]
+                for cols, leaves in picked])):
             layouts.setdefault(cell_rows, []).append(i)
         self.layouts = []
         for cell_rows, members in layouts.items():
-            starts = accumulate(cell_rows, initial=r)
-            self.layouts.append((r + sum(cell_rows), [
-                (r0, cmap, col * len(members), ats * len(members))
-                for r0, cmap, col, ats in inputs] + [
-                (next(starts), cmap, [leaves[i][0] for i in members],
-                 cmap and [leaves[i][1] for i in members]) for cmap, leaves in picked],
-                members))
+            per_cell = []
+            for r0, (cols, leaves) in zip(accumulate(cell_rows, initial=r), picked):
+                if cols is None:    # a hybrid factor's components
+                    fs = [leaves[i][0] for i in members]
+                    per_cell.append((r0, [(vid, np.array([f.blocks[vid] for f in fs]))
+                                          for vid in fs[0].blocks],
+                                     np.array([f.rhs for f in fs])))
+                else:
+                    per_cell.append((r0, *_blocks(cols, np.array(
+                        [leaves[i][0].T[leaves[i][1]] for i in members]))))
+            self.layouts.append((r + sum(cell_rows), inputs + per_cell, members))
         self.results = [None] * len(self.layouts)
 
     def finish(self):
-        """(conditional, separator): (output, system), a _HybridSeparator, a
-        DiscreteFactor (boundary), or None (a mode-independent constant)."""
+        """(conditional, separator): (output, system, columns), a
+        _HybridSeparator, a DiscreteFactor (boundary), or None (a
+        mode-independent constant)."""
         step = self.step
         var, separator, keys, cols = step.var, step.separator, step.keys, step.cols
         if self.error is not None:
@@ -273,7 +283,7 @@ class _Clique:
             # mode-independent constant, nothing downstream.
             out, p = self.results[0]
             return (GaussianConditional._own(var, out.rows, p, cols, out.log_norms[p], separator),
-                    (out, p) if separator else None)
+                    (out, p, cols) if separator else None)
         cond_leaves = np.full(math.prod(self.shape), None)
         leaves = np.full(cond_leaves.size, None if separator else math.inf)  # or bound
         num_live = 0
@@ -302,7 +312,7 @@ class _Clique:
             DecisionTree._own(keys, cond_leaves.reshape(self.shape)), (var,),
             separator, num_live)
         if separator:
-            return conditional, _HybridSeparator(keys, leaves.reshape(self.shape))
+            return conditional, _HybridSeparator(keys, leaves.reshape(self.shape), cols)
         return conditional, discrete_factor_from_leaves(
             DecisionTree._own(keys, leaves.reshape(self.shape)))
 
@@ -310,9 +320,9 @@ class _Clique:
 def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
     """Run the QRs of cliques none of which feeds another: their systems,
     grouped by shape (rows, columns, the variable's dimension), fill one
-    (K, m, n+1) array per group for one eliminate_stacked call, graph
-    factors by slices, separators by one indexed copy per source group.  A
-    group with fewer rows than the variable needs runs none."""
+    (K, m, n+1) array per group, by slices (gaussian._put), for one
+    eliminate_stacked call.  A group with fewer rows than the variable
+    needs runs none."""
     groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, int]]] = {}
     for c in cliques:
         for li, layout in enumerate(c.layouts):
@@ -322,33 +332,20 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
             continue
         M = np.zeros((sum(len(c.layouts[li][2]) for c, li in parts), m, width))
         heads: List[Any] = []
-        # Per source group, per system to copy: (the group's output, its
-        # first row in M as (K * m, n+1), its columns, its position).
-        copies: Dict[int, List[Tuple[Any, int, List[int], int]]] = {}
         for c, li in parts:
             _, inputs, members = c.layouts[li]
             j, k, offsets = len(heads), len(members), c.step.offsets
+            # Rows: the plain factors and the separators without keys, the
+            # same in every system, then per hybrid input one cell's rows
+            # per system.
             S = M[j] if k == 1 else M[j:j + k]
             r = 0
             for f in c.step.plains:
-                r = _put(S, r, f, offsets)
-            for r, cmap, col, ats in inputs:
-                if cmap is None:
-                    _put(S, r, col[0], offsets, col)
-                    continue
-                for q, src, p in zip(range(j * m + r, (j + k) * m, m), col, ats):
-                    copies.setdefault(id(src), []).append((src, q, cmap, p))
+                r = _put(S, r, f.blocks.items(), f.rhs, offsets)
+            for r, blocks, rhs in inputs:
+                _put(S, r, blocks, rhs, offsets)
             c.results[li] = j
             heads += [(c.step.var, c.step.cols)] * k
-        M2 = M.reshape(-1, width)
-        for pairs in copies.values():
-            (src, *_), starts, maps, ats = zip(*pairs)
-            T, dv_src = src.T, src.rows.shape[1]
-            if len(ats) == 1:   # no index arrays to build
-                M2[starts[0]:starts[0] + T.shape[1], maps[0]] = T[ats[0], :, dv_src:]
-                continue
-            rows = np.add.outer(starts, np.arange(T.shape[1]))
-            M2[rows[:, :, None], np.array(maps)[:, None, :]] = T[ats, :, dv_src:]
         try:
             out = eliminate_stacked(M, dv, heads)
             for c, li in parts:

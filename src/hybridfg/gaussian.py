@@ -133,9 +133,13 @@ class GaussianConditional:
         c._init(frontal, rows, at, cols, log_normalizer, parents)
         return c
 
-    def _init(self, *values):
-        for set_slot, value in zip(_SET_SLOTS, values):
-            set_slot(self, value)
+    def _init(self, frontal, rows, at, cols, log_normalizer, parents):
+        object.__setattr__(self, "frontal", frontal)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "log_normalizer", log_normalizer)
+        object.__setattr__(self, "parents", parents)
 
     def __getattr__(self, name):     # only while a slot is unset
         if name not in ("R", "d", "parent_blocks"):
@@ -191,11 +195,6 @@ class GaussianConditional:
 
     def __repr__(self):
         return f"GaussianConditional(p({self.frontal!r} | {list(self.parents)}))"
-
-
-# The slots' own setters, in _init's order: object.__setattr__ looks each up.
-_SET_SLOTS = [GaussianConditional.__dict__[name].__set__ for name in (
-    "frontal", "_rows", "_at", "_cols", "log_normalizer", "parents")]
 
 
 def sigma_cholesky(sigma, dim: int = None) -> np.ndarray:
@@ -294,16 +293,16 @@ def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:
     return dims
 
 
-def _put(M: np.ndarray, r: int, f: JacobianFactor, offsets: Mapping[Any, int],
-         cells=None) -> int:
-    """Write the rows [A | b] of f into M[..., r:, :] at the columns
-    `offsets` gives, b last; returns the next row.  Into k systems (k, m,
-    n+1) f goes into each, or cells[i] (of f's layout) into system i."""
-    e = r + f.rows
-    for vid, A in f.blocks.items():
-        M[..., r:e, offsets[vid]:offsets[vid] + A.shape[1]] = A if cells is None \
-            else np.array([g.blocks[vid] for g in cells])
-    M[..., r:e, -1] = f.rhs if cells is None else np.array([g.rhs for g in cells])
+def _put(M: np.ndarray, r: int, blocks, rhs: np.ndarray,
+         offsets: Mapping[Any, int]) -> int:
+    """Write rows [A | b] into M[..., r:, :]: each (vid, A) of `blocks` at
+    the columns from offsets[vid], b last; returns the next row.  Into k
+    systems (k, m, n+1), arrays of one system's shape go into each, stacked
+    (k, ...) ones system by system."""
+    e = r + rhs.shape[-1]
+    for vid, A in blocks:
+        M[..., r:e, offsets[vid]:offsets[vid] + A.shape[-1]] = A
+    M[..., r:e, -1] = rhs
     return e
 
 
@@ -395,7 +394,7 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
     M = np.zeros((1, sum(f.rows for f in factors), width))
     r = 0
     for f in factors:
-        r = _put(M[0], r, f, offsets)
+        r = _put(M[0], r, f.blocks.items(), f.rhs, offsets)
     out = eliminate_stacked(M, dims[var], [(var, cols)])
     if not out.live[0]:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
@@ -407,13 +406,12 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
 def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues:
     """Solve the triangular system of conditionals in elimination order
     (parents eliminated later).  Those of one depth below the roots (1 +
-    their deepest parent's) and row shape are solved together: rows
-    [R S | d] by one gather per batch they view, d - sum_i S_i p_i by one
-    batched matmul per parent position and column range, in each one's
-    parent order, then one stacked LU solve: each gets its `solve`'s bits."""
+    their deepest parent's) and row shape are solved together: their rows
+    [R S | d] in one array, d - sum_i S_i p_i by one batched matmul per
+    parent position and column range, in each one's parent order, then one
+    stacked LU solve: each gets its `solve`'s bits."""
     depth: Dict[Any, int] = {}
-    # Per depth and row shape, per batch: its rows and its conditionals.
-    levels: Dict[Tuple[int, ...], Dict[int, Tuple[np.ndarray, List[Any]]]] = {}
+    levels: Dict[Tuple[int, ...], List[GaussianConditional]] = {}
     for cond in reversed(list(conditionals)):
         level = 0
         for vid in cond.parents:
@@ -421,14 +419,11 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
                 raise ValueError(f"incomplete values: missing {vid!r}")
             level = max(level, depth[vid] + 1)
         depth[cond.frontal] = level
-        rows = cond._rows
-        levels.setdefault((level,) + rows.shape[1:], {}).setdefault(
-            id(rows), (rows, []))[1].append(cond)
+        levels.setdefault((level,) + cond._rows.shape[1:], []).append(cond)
     values: VectorValues = {}
-    for (_, dv, _), batches in sorted(levels.items()):
-        group = [cond for _, conds in batches.values() for cond in conds]
-        X = np.concatenate([rows[[cond._at for cond in conds]]
-                            for rows, conds in batches.values()])
+    for (_, dv, _), group in sorted(levels.items()):
+        # A copy: the subtractions below go into its d column.
+        X = np.concatenate([cond._rows[cond._at:cond._at + 1] for cond in group])
         rhs = X[:, :, -1]
         # Per (parent position, column range): the conditionals and values.
         terms: Dict[Tuple[int, int, int], Tuple[List[int], List[Any]]] = {}
