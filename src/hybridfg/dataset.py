@@ -136,6 +136,8 @@ def write_dataset(entries: Sequence[DatasetEntry], path):
 
 _SIDES = (12, 13, 12, 13)  # edges per side; one lap = 50 unit steps
 _LAP = sum(_SIDES)
+# (dx, dy, dtheta) added to the measured step to make an ambiguous edge's decoy.
+DECOY_OFFSET = (1.0, -0.8, 0.0)
 
 
 def _lap_steps() -> List[Pose2]:
@@ -161,8 +163,7 @@ def square_loop_truth(num_poses: int = 100) -> List[Pose2]:
 
 def square_loop_dataset(seed: int = 0, num_poses: int = 100,
                         n_ambiguous: int = 10, n_loops: int = 4,
-                        sigma_xy: float = 0.01, sigma_theta: float = 2e-4,
-                        decoy_offset: Tuple[float, float, float] = (1.0, -0.8, 0.0),
+                        sigma_xy: float = 0.01, sigma_theta: float = 2e-4
                         ) -> Tuple[List[DatasetEntry], List[Pose2], dict]:
     """Build the regression dataset.
 
@@ -210,8 +211,8 @@ def square_loop_dataset(seed: int = 0, num_poses: int = 100,
     for k in range(num_poses - 1):
         meas = noisy(steps[k])
         if k in ambiguous:
-            decoy = (meas[0] + decoy_offset[0], meas[1] + decoy_offset[1],
-                     meas[2] + decoy_offset[2])
+            decoy = (meas[0] + DECOY_OFFSET[0], meas[1] + DECOY_OFFSET[1],
+                     meas[2] + DECOY_OFFSET[2])
             true_first = bool(rng.integers(2))
             hyps = (meas, decoy) if true_first else (decoy, meas)
             entries.append(Odometry(k, k + 1, hyps, sigma_xy, sigma_theta))

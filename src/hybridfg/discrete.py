@@ -163,11 +163,6 @@ class DecisionTree:
         shape = tuple(k.cardinality for k in union)
         return np.broadcast_to(_expand(self.leaves, self.keys, union), shape)
 
-    def where(self, mask: np.ndarray) -> "DecisionTree":
-        """Copy with leaves nil (None) wherever the bool mask, broadcast over
-        this tree's keys, is False."""
-        return DecisionTree(self.keys, np.where(mask, self.leaves, None))
-
     def apply(self, other: "DecisionTree", op: Callable[[Any, Any], Any]) -> "DecisionTree":
         """Leafwise combination over the union of both key sets.  `op` gets
         both leaf arrays broadcast over the union, so it must act
@@ -197,9 +192,10 @@ class DecisionTree:
         return f"DecisionTree(keys={ids}, leaves={self.leaves!r})"
 
 
-# Log-scores within MAP_TIE_RTOL * max(1, |best|) of the best tie: rounding
-# alone, e.g. a different elimination order, must not pick among hypotheses
-# that are tied in exact arithmetic.
+# Log-scores within MAP_TIE_RTOL * max(1, |best|) of the best tie, and so do
+# probabilities within MAP_TIE_RTOL times the pruning cut: rounding alone,
+# e.g. a different elimination order, must not pick among hypotheses that
+# are tied in exact arithmetic.
 MAP_TIE_RTOL = 1e-9
 
 
@@ -371,15 +367,17 @@ def eliminate_discrete_max(product: DiscreteFactor, var: DiscreteKey
 
 
 def prune_to_top(t: DecisionTree, P: int) -> DecisionTree:
-    """Zero every leaf outside the P largest; ties at the cut keep the
-    earlier assignment.  Retained values are unchanged."""
+    """Zero every leaf outside the P largest.  Values within MAP_TIE_RTOL
+    times the P-th largest tie with it, as in first_best: every leaf above
+    that band is kept, then the earliest leaves in flat order inside it, so
+    rounding cannot move the cut.  Retained values are unchanged."""
     if P < 1:
         raise ValueError("P must be >= 1")
     flat = np.asarray(t.leaves, dtype=float).reshape(-1)
     if P >= flat.size:
         return DecisionTree(t.keys, flat.copy())
-    order = np.argsort(-flat, kind="stable")
-    out = np.zeros_like(flat)
-    keep = order[:P]
-    out[keep] = flat[keep]
-    return DecisionTree(t.keys, out)
+    cut = -np.partition(-flat, P - 1)[P - 1]
+    band = MAP_TIE_RTOL * abs(cut)
+    keep = flat > cut + band
+    keep[np.flatnonzero(np.abs(flat - cut) <= band)[:P - keep.sum()]] = True
+    return DecisionTree(t.keys, np.where(keep, flat, 0.0))

@@ -22,9 +22,9 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from .discrete import (DecisionTree, DiscreteFactor, DiscreteKey,
-                       check_enumeration, first_best, multiply_factors,
-                       prune_to_top, _expand, _merge_keys)
+from .discrete import (DecisionTree, DiscreteKey, check_enumeration,
+                       first_best, multiply_factors, prune_to_top, _expand,
+                       _merge_keys)
 # Unused here since the net holds one discrete table; the benchmark's
 # tracer patches this module's bindings of them through its __dict__.
 from .discrete import eliminate_discrete_max, eliminate_discrete_sum  # noqa: F401
@@ -526,30 +526,6 @@ def hypothesis_support(bn: HybridBayesNet) -> Optional[DecisionTree]:
     if joint is None:
         return None
     return DecisionTree(joint.keys, (np.asarray(joint.leaves) > 0).astype(float))
-
-
-def restrict_to_support(g: HybridFactorGraph, support: DecisionTree
-                        ) -> HybridFactorGraph:
-    """Bake a pruning decision into a graph: components inconsistent with
-    every surviving hypothesis become nil, and the 0/1 indicator joins the
-    graph so dead joint hypotheses stay dead in later eliminations."""
-    if not support.keys:
-        return g
-    support_ids = {k.id for k in support.keys}
-    if not support_ids <= {k.id for k in g.discrete_keys()}:
-        raise ValueError("support mentions keys absent from the graph")
-    out = HybridFactorGraph()
-    out.continuous_factors = list(g.continuous_factors)
-    live_mask = _live_masks(support)
-    for hf in g.hybrid_factors:
-        if support_ids.isdisjoint(k.id for k in hf.keys):
-            out.hybrid_factors.append(hf)
-            continue
-        tree = hf.components.where(live_mask(hf.keys))
-        out.hybrid_factors.append(HybridGaussianFactor(hf.keys, tree))
-    out.discrete_factors = list(g.discrete_factors)
-    out.discrete_factors.append(DiscreteFactor(support.keys, support))
-    return out
 
 
 def discrete_marginals(bn: HybridBayesNet) -> Dict[Any, np.ndarray]:

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import elimination
-from .discrete import DecisionTree
+from .discrete import DecisionTree, DiscreteFactor
 from .hybrid import HybridBayesNet, HybridFactorGraph, HybridValues
 
 # d/dtheta of a rotation matrix at 0.
@@ -184,21 +184,21 @@ def retract_values(values: Mapping[Any, Any], delta: Mapping[Any, np.ndarray]):
 
 
 def numerical_jacobians(residual: Callable[[Mapping[Any, Any]], np.ndarray],
-                        values: Mapping[Any, Any], variables: Sequence[Any],
-                        step: float = FD_STEP) -> Dict[Any, np.ndarray]:
-    """Central finite differences in the retraction chart."""
+                        values: Mapping[Any, Any], variables: Sequence[Any]
+                        ) -> Dict[Any, np.ndarray]:
+    """Central finite differences of step FD_STEP in the retraction chart."""
     out: Dict[Any, np.ndarray] = {}
     for vid in variables:
         dim = _tangent_dim(values[vid])
         cols = []
         for k in range(dim):
             e = np.zeros(dim)
-            e[k] = step
+            e[k] = FD_STEP
             plus = dict(values)
             plus[vid] = _retract_value(values[vid], e)
             minus = dict(values)
             minus[vid] = _retract_value(values[vid], -e)
-            cols.append((residual(plus) - residual(minus)) / (2.0 * step))
+            cols.append((residual(plus) - residual(minus)) / (2.0 * FD_STEP))
         out[vid] = np.column_stack(cols)
     return out
 
@@ -384,15 +384,16 @@ def gauss_newton_step(graph: HybridFactorGraph,
                                  HybridValues]:
     """One hybrid Gauss-Newton step at `values`; returns (net, support, step).
 
-    Linearizes once, restricts to the incoming support (live joint
-    hypotheses; None keeps every one), eliminates with Sum-Product and, when
+    Linearizes once, adds the incoming support (live joint hypotheses;
+    None keeps every one) as a discrete factor, eliminates with Sum-Product,
+    which keeps only the mode cells that support allows, and, when
     `prune` is set, prunes to that many hypotheses and takes the survivors as
     the new support.  The update in `step.continuous` is the hybrid MAP read
     off the (pruned) net.
     """
     lin = graph.linearize(values)
-    if support is not None:
-        lin = elimination.restrict_to_support(lin, support)
+    if support is not None and support.keys:
+        lin.add(DiscreteFactor(support.keys, support))
     bn = elimination.sum_product(lin)
     if prune is not None:
         bn = elimination.prune_bayes_net(bn, prune)
@@ -411,8 +412,12 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
     raises the error is rejected; when dead mode removal then fixes nothing
     the next iteration would repeat it, so the loop stops: an increase at
     rounding level means convergence, a larger one raises
-    OptimizationDiverged carrying the current iterate and its net.
+    OptimizationDiverged carrying the current iterate and its net.  A
+    support over a key the graph lacks raises ValueError.
     """
+    if support is not None and not ({k.id for k in support.keys}
+                                    <= {k.id for k in g.discrete_keys()}):
+        raise ValueError("support mentions keys absent from the graph")
     cfg = config or OptimizeConfig()
     values = dict(init)
     graph = g

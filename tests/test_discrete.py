@@ -300,6 +300,21 @@ class TestPruneToTop:
         out = prune_to_top(t, 2)
         assert out.leaves.reshape(-1).tolist() == [0.5, 0.0, 0.5, 0.0]
 
+    def test_rounding_level_ties_keep_earlier_assignment(self):
+        """Leaves tied with the cut up to a relative 1e-15 count as tied:
+        every perturbation of them keeps the same rows, those above the tie
+        and then the earliest tied ones."""
+        keys = [DiscreteKey(f"k{i}", 2) for i in range(3)]
+        base = np.array([0.1, 0.3, 0.6, 0.3, 0.05, 0.3, 0.3, 0.2])
+        tied = np.flatnonzero(base == 0.3)
+        rng = np.random.default_rng(8)
+        for trial in range(50):
+            vals = base.copy()
+            vals[tied] *= 1.0 + 1e-15 * rng.choice([-1.0, 0.0, 1.0], tied.size)
+            flat = prune_to_top(DecisionTree(keys, vals), 3).leaves.reshape(-1)
+            assert np.flatnonzero(flat).tolist() == [1, 2, 3], trial
+            np.testing.assert_array_equal(flat[[1, 2, 3]], vals[[1, 2, 3]])
+
 
 class TestContainers:
     def test_tree_size_cap(self):

@@ -15,8 +15,7 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
 from hybridfg.discrete import _expand, _merge_keys, prune_to_top
 from hybridfg.gaussian import UnderconstrainedVariable
 from hybridfg.hybrid import discrete_factor_from_leaves
-from hybridfg.elimination import (_live_masks, hypothesis_support,
-                                  restrict_to_support)
+from hybridfg.elimination import _live_masks, hypothesis_support
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
 from hybridfg import elimination, slam_cli
@@ -281,9 +280,9 @@ def _same_jacobian(a, b):
 
 
 def _nil_by_support_reference(tree, support):
-    """Reference: the former nil rule of prune_bayes_net and
-    restrict_to_support, a max-marginal of the 0/1 support onto the keys it
-    shares with the tree, then a leaf kept where that max is positive."""
+    """Reference: the former nil rule of prune_bayes_net, a max-marginal of
+    the 0/1 support onto the keys it shares with the tree, then a leaf kept
+    where that max is positive."""
     keep = {k.id for k in tree.keys}
     axes = tuple(i for i, k in enumerate(support.keys) if k.id not in keep)
     vals = np.asarray(support.leaves, dtype=float)
@@ -398,47 +397,6 @@ class TestLiveCells:
                     assert same_marginal(leaf[0], cell[1]), trial
                     assert same_bits(leaf[1], cell[2]), trial
         assert all(seen.values()), seen
-
-    def test_restrict_to_support_matches_reference_rule(self):
-        """Supports over random subsets of the graph's keys: some miss keys
-        of a factor, some hold keys a factor lacks."""
-        rng = np.random.default_rng(22)
-        pool = [DiscreteKey(f"m{j}", int(rng.integers(2, 4))) for j in range(4)]
-        jf = JacobianFactor({"x": [[1.0]]}, [0.0])
-        lacking = missing = 0
-        for trial in range(200):
-            g = HybridFactorGraph()
-            for _ in range(int(rng.integers(1, 4))):
-                picks = sorted(rng.choice(4, size=int(rng.integers(1, 4)),
-                                          replace=False))
-                keys = [pool[i] for i in picks]
-                n = math.prod(k.cardinality for k in keys)
-                g.add(HybridGaussianFactor.from_components(
-                    keys, [(jf, float(i)) for i in range(n)]))
-            gkeys = g.discrete_keys()
-            skeys = [gkeys[i] for i in sorted(rng.choice(
-                len(gkeys), size=int(rng.integers(1, len(gkeys) + 1)),
-                replace=False))]
-            vals = (rng.random(math.prod(k.cardinality for k in skeys)) < 0.4)
-            vals[int(rng.integers(vals.size))] = True
-            support = DecisionTree(skeys, vals.astype(float))
-            sids = {k.id for k in skeys}
-            want = []
-            for hf in g.hybrid_factors:
-                fids = {k.id for k in hf.keys}
-                lacking += bool(sids - fids)
-                missing += bool(fids - sids)
-                want.append(hf.components if sids.isdisjoint(fids)
-                            else _nil_by_support_reference(hf.components, support))
-            if any(all(leaf is None for leaf in w.leaves.reshape(-1))
-                   for w in want):
-                with pytest.raises(ValueError, match="live component"):
-                    restrict_to_support(g, support)
-                continue
-            out = restrict_to_support(g, support)
-            for hf, w in zip(out.hybrid_factors, want):
-                assert _same_leaves(hf.components, w), trial
-        assert lacking and missing
 
     def test_live_masks_match_dense_projection(self):
         """The masks projected from the live rows equal, in shape, dtype
@@ -716,8 +674,8 @@ class TestSumProduct:
 
     def test_separator_leaf_counts_bounded(self):
         """Dense separators stay within the K^{W+1} budget: leaf count equals
-        the product of separator key cardinalities; after restricting to a
-        pruned support, nonzero components stay within P * K."""
+        the product of separator key cardinalities; with a pruned support
+        appended as a factor, nonzero components stay within P * K."""
         rng = np.random.default_rng(3)
         g = hypothesis_chain_graph(rng, n_keys=6)
         cont = g.continuous_variables()
@@ -737,13 +695,13 @@ class TestSumProduct:
         bn = sum_product(g)
         bn_p = prune_bayes_net(bn, 4)
         support = hypothesis_support(bn_p)
-        g2 = restrict_to_support(g, support)
+        g.add(DiscreteFactor(support.keys, support))
         new_key = DiscreteKey("z9", 2)
-        g2.add(HybridGaussianFactor.from_components([new_key], [
+        g.add(HybridGaussianFactor.from_components([new_key], [
             (whiten({"x0": [[1.0]]}, [0.0], 1.0), 0.0),
             (whiten({"x0": [[1.0]]}, [0.5], 1.0), 0.0),
         ]))
-        bn2 = sum_product(g2)
+        bn2 = sum_product(g)
         assert int(np.count_nonzero(_joint(bn2))) <= 4 * new_key.cardinality
 
 
@@ -945,12 +903,19 @@ class TestWavefront:
 
     def test_slam_linearizations_match_sequential_reference(self):
         """Pose graphs (3-D variables, tuple ids) under the MMD ordering and
-        under id order, also restricted to a pruned net's support so that
-        hybrid factors hold nil leaves."""
+        under id order, also with a pruned net's support appended and the
+        hybrid factors' components outside it nil."""
         g = _slam_graph(65, 4, 2)
-        pruned = prune_bayes_net(sum_product(g), 2)
-        restricted = restrict_to_support(g, hypothesis_support(pruned))
-        for graph in (g, restricted):
+        support = hypothesis_support(prune_bayes_net(sum_product(g), 2))
+        nil = HybridFactorGraph()
+        nil.continuous_factors = list(g.continuous_factors)
+        for hf in g.hybrid_factors:
+            nil.add(HybridGaussianFactor(
+                hf.keys, _nil_by_support_reference(hf.components, support)))
+        nil.add(DiscreteFactor(support.keys, support))
+        assert any(np.equal(hf.components.leaves, None).any()
+                   for hf in nil.hybrid_factors)
+        for graph in (g, nil):
             cont = sorted(graph.continuous_variables())
             disc = sorted(k.id for k in graph.discrete_keys())
             for ordering in (strong_ordering(graph), cont + disc):
@@ -1275,11 +1240,29 @@ class TestMaxProduct:
             assert got.discrete == best
 
 
+def _mirrored_tie_graph():
+    """A chain x0..x4 and a binary mode m whose two components are mirrored
+    about the prior's mean, so both modes tie in exact arithmetic; under the
+    reversed order mode 1 rounds higher in the last bits.  Returns the graph
+    and the chain's ids."""
+    m = DiscreteKey("m", 2)
+    xs = [f"x{i}" for i in range(5)]
+    g = HybridFactorGraph()
+    g.add(whiten({"x0": [[1.0]]}, [-1.38], 0.37))
+    for i, var in enumerate([0.33, 1.68, 1.85, 1.33]):
+        g.add(whiten({xs[i]: [[-1.0]], xs[i + 1]: [[1.0]]}, [0.0], var))
+    c = log_normalization_constant(1.89)
+    g.add(HybridGaussianFactor.from_components([m], [
+        (whiten({"x2": [[-1.0]], "x4": [[1.0]]}, [z], 1.89), c)
+        for z in (1.68, -1.68)]))
+    return g, xs
+
+
 class TestBnMap:
     @pytest.mark.parametrize("P", [1, 2, 4])
     def test_pruned_net_matches_oracle_on_its_support(self, P):
         """The MAP read off a pruned net, as a Gauss-Newton step takes it,
-        is the oracle MAP of the graph restricted to the net's hypotheses."""
+        is the oracle MAP of the graph with the net's support appended."""
         for seed in range(60):
             rng = np.random.default_rng(2000 + seed)
             g = random_hybrid_graph(rng, int(rng.integers(1, 6)),
@@ -1287,7 +1270,8 @@ class TestBnMap:
                                     two_var_hybrids=True)
             pruned = prune_bayes_net(sum_product(g), P)
             got = bn_map(pruned)
-            want = enumerate_map(restrict_to_support(g, hypothesis_support(pruned)))
+            support = hypothesis_support(pruned)
+            want = enumerate_map(g.add(DiscreteFactor(support.keys, support)))
             assert got.discrete == want.discrete
             for vid, vec in want.continuous.items():
                 np.testing.assert_allclose(got.continuous[vid], vec, atol=1e-9)
@@ -1309,16 +1293,7 @@ class TestBnMap:
         arithmetic, but their rounded scores depend on the elimination
         order (mode 1 scores higher in the last bits under the reversed
         order); every order keeps the first, as the oracle does."""
-        m = DiscreteKey("m", 2)
-        xs = [f"x{i}" for i in range(5)]
-        g = HybridFactorGraph()
-        g.add(whiten({"x0": [[1.0]]}, [-1.38], 0.37))
-        for i, var in enumerate([0.33, 1.68, 1.85, 1.33]):
-            g.add(whiten({xs[i]: [[-1.0]], xs[i + 1]: [[1.0]]}, [0.0], var))
-        c = log_normalization_constant(1.89)
-        g.add(HybridGaussianFactor.from_components([m], [
-            (whiten({"x2": [[-1.0]], "x4": [[1.0]]}, [z], 1.89), c)
-            for z in (1.68, -1.68)]))
+        g, xs = _mirrored_tie_graph()
         want = enumerate_map(g)
         assert want.discrete == {"m": 0}
         for order in (xs, xs[::-1]):
@@ -1360,6 +1335,25 @@ class TestPruneBayesNet:
         bn = prune_bayes_net(sum_product(g), 3)
         joint = _joint(bn).reshape(-1)
         assert set(np.flatnonzero(joint)) == set(np.argsort(-flat, kind="stable")[:3])
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_cut_inside_rounding_tie_same_under_orderings(self, P):
+        """The mirrored modes times an independent n: rows (m, n) = (0, 1)
+        and (1, 1) tie in exact arithmetic, as do (0, 0) and (1, 0), but
+        the reversed order rounds m = 1 higher.  The cut falls inside a tie,
+        at P = 3 below two rows, and both orders keep the same rows, the
+        earlier ones in flat order."""
+        g, xs = _mirrored_tie_graph()
+        g.add(DiscreteFactor([DiscreteKey("n", 2)], [0.7, 0.3]))
+        joints, kept = [], []
+        for order in (xs, xs[::-1]):
+            bn = sum_product(g, order + ["m", "n"])
+            joints.append(_joint(bn).reshape(-1))
+            kept.append(np.flatnonzero(_joint(prune_bayes_net(bn, P))))
+        assert not np.array_equal(joints[0], joints[1])
+        want = [0] if P == 1 else [0, 1, 2]
+        for rows in kept:
+            assert rows.tolist() == want
 
     def test_relative_order_preserved(self):
         rng = np.random.default_rng(5)

@@ -551,6 +551,14 @@ class TestOptimize:
                                        factored.continuous[vid].as_vector(),
                                        rtol=0, atol=1e-12)
 
+    def test_support_over_missing_key_refused(self):
+        """A support naming a key the graph lacks raises before any step."""
+        g, support, init = self._three_mode_graph()
+        extra = DecisionTree(support.keys + (DiscreteKey("z", 2),),
+                             np.repeat(support.leaves[..., None], 2, axis=-1))
+        with pytest.raises(ValueError, match="absent from the graph"):
+            optimize(g, init, OptimizeConfig(prune=4), extra)
+
     def test_divergence_reports_best(self):
         """A residual engineered to worsen under full Gauss-Newton steps
         triggers the divergence guard and carries the best iterate."""
