@@ -286,7 +286,7 @@ class _Clique:
                     (out, p, cols) if separator else None)
         cond_leaves = np.full(math.prod(self.shape), None)
         leaves = np.full(cond_leaves.size, None if separator else math.inf)  # or bound
-        num_live = 0
+        cell = None     # the last live cell: None while no cell is live
         for (_, _, members), result in zip(self.layouts, self.results):
             # No result: fewer rows than var needs; not live: rank deficient.
             out, j = result or (None, 0)
@@ -296,21 +296,20 @@ class _Clique:
                 cell = self.flat[i]
                 cond_leaves[cell] = GaussianConditional._own(
                     var, out.rows, p, cols, out.log_norms[p], separator)
-                num_live += 1
                 c_out = self.c_in[i] - out.log_norms[p]
                 if separator:
                     leaves[cell] = (out, p, c_out)
                 else:
                     r = -out.T[p][:, -1]
                     leaves[cell] = 0.5 * float(r @ r) + c_out
-        if not num_live:
+        if cell is None:
             raise UnderconstrainedVariable(
                 f"variable unconstrained in every mode: {var!r}")
         # The keys are in id order and every live leaf eliminates var onto
         # the separator, so the trees need no copy and no rescan.
         conditional = HybridGaussianConditional._own(
             DecisionTree._own(keys, cond_leaves.reshape(self.shape)), (var,),
-            separator, num_live)
+            separator)
         if separator:
             return conditional, _HybridSeparator(keys, leaves.reshape(self.shape), cols)
         return conditional, discrete_factor_from_leaves(
@@ -490,12 +489,14 @@ def _live_masks(support: DecisionTree
 
 
 def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
-    """Keep only the top-P joint discrete hypotheses.
+    """Keep only the top-P joint discrete hypotheses: the same conditionals
+    over prune_to_top(joint, P) divided by its sum, or the net itself when
+    it has at most P live hypotheses.
 
-    The net's joint becomes prune_to_top(joint, P) divided by its sum, and
-    hybrid conditionals get nil components wherever no surviving hypothesis
-    is consistent; one that loses none is kept as it is, and so is a net
-    with at most P live hypotheses.
+    The joint is the one record of which hypotheses live: every reader of
+    a net takes the modes from its nonzero rows, and sum_product leaves a
+    component nil only where the joint is 0, so at every surviving
+    hypothesis each hybrid conditional has a live component.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -503,20 +504,7 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     pruned = None if joint is None else prune_to_top(joint, P)
     if pruned is None or np.array_equal(pruned.leaves, joint.leaves):
         return bn
-    live_mask = _live_masks(pruned)
-    conditionals = []
-    for c in bn.conditionals:
-        if isinstance(c, HybridGaussianConditional):
-            # The joint's keys hold c's, so the mask has c's shape.
-            mask = live_mask(c.keys)
-            leaves = c.components.leaves
-            num_live = int(np.not_equal(leaves[mask], None).sum())
-            if num_live < c.num_live:
-                c = HybridGaussianConditional._own(
-                    DecisionTree._own(c.keys, np.where(mask, leaves, None)),
-                    c.frontals, c.parents, num_live)
-        conditionals.append(c)
-    return HybridBayesNet(conditionals, DecisionTree(
+    return HybridBayesNet(bn.conditionals, DecisionTree(
         pruned.keys, pruned.leaves / pruned.leaves.sum()))
 
 

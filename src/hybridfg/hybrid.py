@@ -98,9 +98,12 @@ class HybridGaussianFactor:
 
 
 class HybridGaussianConditional:
-    """Mode-indexed Gaussian conditional p(x | parents, modes): num_live live leaves."""
+    """Mode-indexed Gaussian conditional p(x | parents, modes).  A nil
+    component is a mode the conditional does not cover; sum_product leaves
+    one only where the joint is 0.  Which hypotheses live is recorded by
+    the net's joint alone, so pruning changes no conditional."""
 
-    __slots__ = ("frontals", "parents", "keys", "components", "num_live")
+    __slots__ = ("frontals", "parents", "keys", "components")
 
     def __init__(self, keys: Sequence[DiscreteKey], components: DecisionTree):
         keys = _sorted_keys(keys)
@@ -108,8 +111,7 @@ class HybridGaussianConditional:
             raise ValueError("component tree keys must match conditional keys")
         frontals: Optional[Tuple[Any, ...]] = None
         parents: Optional[Tuple[Any, ...]] = None
-        live = components.live_leaves()
-        for leaf in live:
+        for leaf in components.live_leaves():
             if not isinstance(leaf, GaussianConditional):
                 raise ValueError("components must be GaussianConditional")
             if frontals is None:
@@ -119,25 +121,23 @@ class HybridGaussianConditional:
                 raise ValueError("components must share frontal and parents")
         if frontals is None:
             raise ValueError("hybrid conditional needs at least one live component")
-        self._init(frontals, parents, keys, components, len(live))
+        self._init(frontals, parents, keys, components)
 
     @classmethod
     def _own(cls, components: DecisionTree, frontals: Tuple[Any, ...],
-             parents: Tuple[Any, ...], num_live: int
-             ) -> "HybridGaussianConditional":
+             parents: Tuple[Any, ...]) -> "HybridGaussianConditional":
         """A conditional over a tree the caller has just built from
-        GaussianConditionals of these frontals and parents, num_live of
-        its leaves live (see elimination._Clique): no rescan."""
+        GaussianConditionals of these frontals and parents, at least one
+        live (see elimination._Clique): no rescan."""
         c = object.__new__(cls)
-        c._init(frontals, parents, components.keys, components, num_live)
+        c._init(frontals, parents, components.keys, components)
         return c
 
-    def _init(self, frontals, parents, keys, components, num_live):
+    def _init(self, frontals, parents, keys, components):
         object.__setattr__(self, "frontals", frontals)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "num_live", num_live)
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridGaussianConditional is immutable")

@@ -306,7 +306,7 @@ def copy_net(bn):
             leaves = np.array([copy_conditional(x) for x in c.components.leaves.flat],
                               dtype=object).reshape(c.components.leaves.shape)
             c = HybridGaussianConditional._own(hybridfg.DecisionTree._own(
-                c.keys, leaves), c.frontals, c.parents, c.num_live)
+                c.keys, leaves), c.frontals, c.parents)
         else:
             c = copy_conditional(c)
         conditionals.append(c)

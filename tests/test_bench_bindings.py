@@ -10,8 +10,10 @@ import os
 import numpy as np
 import pytest
 
-from hybridfg import (HybridGaussianConditional, discrete_marginals,
-                      prune_bayes_net, slam_cli, sum_product)
+from hybridfg import (DiscreteFactor, HybridGaussianConditional,
+                      discrete_marginals, prune_bayes_net, slam_cli,
+                      sum_product)
+from hybridfg.elimination import hypothesis_support
 from hybridfg.dataset import square_loop_dataset, write_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -59,8 +61,10 @@ def test_workload_graph_eliminates(monkeypatch):
 
 def test_tracer_leaf_counts_match_live_leaf_walk(monkeypatch):
     """The tracer counts a net's live hybrid leaves off the dense leaf array
-    (its `.flat` and `.size`); on a pruned net the count must equal the
-    live-leaf walk's and the largest tree size the largest `leaves.size`."""
+    (its `.flat` and `.size`); on a net with nil leaves the count must equal
+    the live-leaf walk's and the largest tree size the largest
+    `leaves.size`.  The net is a streaming pass's: the linearization plus
+    the support of a net pruned to 2 as a discrete factor."""
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracer
 
@@ -68,11 +72,14 @@ def test_tracer_leaf_counts_match_live_leaf_walk(monkeypatch):
     runner = slam_cli._Runner(slam_cli.RunConfig())
     for index, entry in enumerate(entries):
         runner.add_entry(entry, index)
-    bn = prune_bayes_net(sum_product(runner.graph.linearize(runner.values)), 2)
+    lin = runner.graph.linearize(runner.values)
+    support = hypothesis_support(prune_bayes_net(sum_product(lin), 2))
+    lin.add(DiscreteFactor(support.keys, support))
+    bn = sum_product(lin)
     hybrids = [c.components for c in bn.conditionals
                if isinstance(c, HybridGaussianConditional)]
     live, largest = tracer._hybrid_leaf_counts(bn)
     assert live == sum(len(tree.live_leaves()) for tree in hybrids)
     assert largest == max(tree.leaves.size for tree in hybrids)
-    # Pruning left nil leaves, so the two counts differ.
+    # The support left nil leaves, so the two counts differ.
     assert live < sum(tree.leaves.size for tree in hybrids)

@@ -294,11 +294,6 @@ def _nil_by_support_reference(tree, support):
         for a, leaf in zip(enumerate_assignments(tree.keys), tree.leaves.flat)])
 
 
-def _same_leaves(a, b):
-    return a.keys == b.keys and all(
-        x is y for x, y in zip(a.leaves.reshape(-1), b.leaves.reshape(-1)))
-
-
 class TestLiveCells:
     def test_elimination_matches_grid_walk(self):
         """Bitwise the same conditionals, separators, constants and nil
@@ -439,29 +434,6 @@ class TestLiveCells:
                 assert got.shape == want.shape, trial
                 assert np.array_equal(got, want), trial
         assert all(seen.values()), seen
-
-    def test_prune_matches_reference_rule(self):
-        rng = np.random.default_rng(23)
-        nils = 0
-        for trial in range(60):
-            g = random_hybrid_graph(rng, int(rng.integers(2, 5)),
-                                    int(rng.integers(1, 5)),
-                                    two_var_hybrids=True)
-            bn = sum_product(g)
-            P = int(rng.integers(1, 6))
-            pruned = prune_to_top(bn.discrete_joint(), P)
-            support = DecisionTree(pruned.keys, (pruned.leaves > 0).astype(float))
-            out = prune_bayes_net(bn, P)
-            for c, c2 in zip(bn.conditionals,
-                             out.conditionals):
-                if isinstance(c, HybridGaussianConditional):
-                    w = _nil_by_support_reference(c.components, support)
-                    assert _same_leaves(c2.components, w), trial
-                    nils += sum(leaf is None for leaf in w.leaves.reshape(-1))
-                else:
-                    assert c2 is c
-        assert nils > 0
-
 
 class TestEliminateHybridSum:
     def test_single_mode_equals_pure_gaussian(self):
@@ -762,12 +734,12 @@ def _fragile_graph(rng):
 
 def _trusted(c) -> bool:
     """Whether a hybrid conditional built without checks (_own) has the
-    attributes its checking constructor derives, over a read-only tree."""
+    attributes its checking constructor derives (which also requires a
+    live component), over a read-only tree."""
     checked = HybridGaussianConditional(c.keys, c.components)
     return (not c.components.leaves.flags.writeable
-            and (c.frontals, c.parents, c.keys, c.num_live)
-            == (checked.frontals, checked.parents, checked.keys,
-                checked.num_live))
+            and (c.frontals, c.parents, c.keys)
+            == (checked.frontals, checked.parents, checked.keys))
 
 
 def _with_zero_factor(rng, g):
@@ -856,9 +828,10 @@ class TestWavefront:
             # The same graph with the zeros raised keeps every cell.
             g.discrete_factors[-1] = DiscreteFactor(keys, table + 0.5)
             full = sum_product(g, ordering)
-            live = [c.num_live for c in bn.conditionals
+            live = [len(c.components.live_leaves()) for c in bn.conditionals
                     if isinstance(c, HybridGaussianConditional)]
-            dropped += live != [c.num_live for c in full.conditionals
+            dropped += live != [len(c.components.live_leaves())
+                                for c in full.conditionals
                                 if isinstance(c, HybridGaussianConditional)]
         assert dropped > 20, dropped
 
@@ -876,7 +849,7 @@ class TestWavefront:
         bn = sum_product(g)
         assert calls == [2]
         (c,) = bn.conditionals
-        assert c.num_live == 2 and _trusted(c)
+        assert len(c.components.live_leaves()) == 2 and _trusted(c)
         assert [leaf is None for leaf in c.components.leaves.flat] == \
             [False, True, True, False]
         probs, _ = enumerate_posterior(g)
@@ -1385,62 +1358,38 @@ class TestPruneBayesNet:
         assert int(support.leaves.sum()) == P
         assert same_bits(_joint(prune_bayes_net(pruned, P)), _joint(pruned))
 
-    def test_hybrid_conditionals_get_nil_leaves(self):
-        """A component is nil exactly when no surviving hypothesis agrees
-        with it on the conditional's keys."""
-        rng = np.random.default_rng(6)
-        g = random_hybrid_graph(rng, 2, 2, with_discrete_factor=False)
-        bn = prune_bayes_net(sum_product(g), 1)
-        joint = bn.discrete_joint()
-        alive = [a for a, v in zip(enumerate_assignments(joint.keys),
-                                   joint.leaves.flat) if v > 0]
-        hybrids = [c for c in bn.conditionals
-                   if isinstance(c, HybridGaussianConditional)]
-        assert hybrids
-        nils = 0
-        for c in hybrids:
-            for a, leaf in zip(enumerate_assignments(c.keys),
-                               c.components.leaves.flat):
-                agrees = any(all(h[kid] == v for kid, v in a.items())
-                             for h in alive)
-                assert (leaf is None) == (not agrees), (c, a)
-                nils += leaf is None
-        assert nils > 0
-
-
-    def test_untouched_conditionals_kept_as_they_are(self):
-        """A hybrid conditional whose live leaves all survive is the same
-        object after pruning; any other gets nil leaves exactly where the
-        reference rule puts them, and the joint is the top P normalized."""
+    def test_conditionals_are_the_inputs(self):
+        """Pruning changes only the joint, to the top P normalized: every
+        conditional is the input's object, and at every row the pruned
+        joint keeps, each hybrid conditional has a live component, also
+        where zero-holding factors left nil components in the input."""
         rng = np.random.default_rng(48)
-        seen = {"kept": 0, "cut": 0}
+        seen = {"pruned": 0, "nil": 0}
         for trial in range(80):
             g = random_hybrid_graph(rng, int(rng.integers(2, 6)),
                                     int(rng.integers(1, 5)),
                                     two_var_hybrids=bool(trial % 2))
+            if trial % 3 == 0:
+                g, _, _ = _with_zero_factor(rng, g)
             bn = sum_product(g)
             P = int(rng.integers(1, 5))
-            top = prune_to_top(bn.discrete_joint(), P)
             out = prune_bayes_net(bn, P)
-            if out is bn:
-                continue
-            assert same_bits(_joint(out), top.leaves / top.leaves.sum()), trial
-            support = DecisionTree(top.keys, (top.leaves > 0).astype(float))
-            for c, c2 in zip(bn.conditionals, out.conditionals):
-                if not isinstance(c, HybridGaussianConditional):
-                    assert c2 is c, trial
-                    continue
-                want = _nil_by_support_reference(c.components, support)
-                live = np.count_nonzero(np.not_equal(want.leaves, None))
-                assert c2.num_live == live, trial
-                if live == np.count_nonzero(np.not_equal(c.components.leaves, None)):
-                    seen["kept"] += 1
-                    assert c2 is c, trial
-                else:
-                    seen["cut"] += 1
-                    assert _same_leaves(c2.components, want), trial
-                    assert _trusted(c2), trial
-        assert all(seen.values()), seen
+            if out is not bn:
+                seen["pruned"] += 1
+                top = prune_to_top(bn.discrete_joint(), P).leaves
+                assert same_bits(_joint(out), top / top.sum()), trial
+            assert len(out.conditionals) == len(bn.conditionals), trial
+            assert all(c2 is c for c, c2 in zip(bn.conditionals,
+                                                out.conditionals)), trial
+            hybrids = [c for c in out.conditionals
+                       if isinstance(c, HybridGaussianConditional)]
+            seen["nil"] += any(np.equal(c.components.leaves, None).any()
+                               for c in hybrids)
+            joint = out.discrete_joint()
+            for idx in zip(*np.nonzero(joint.leaves)):
+                a = {k.id: int(v) for k, v in zip(joint.keys, idx)}
+                assert all(c.component(a) is not None for c in hybrids), trial
+        assert seen["pruned"] > 20 and seen["nil"] > 0, seen
 
     def test_marginals_sum_the_joint(self):
         """discrete_marginals, summed over the live rows only, equal the

@@ -4,7 +4,8 @@ import logging
 import numpy as np
 import pytest
 
-from hybridfg import DiscreteKey, Pose2, gaussian, nonlinear, sum_product
+from hybridfg import (DiscreteKey, Pose2, discrete, gaussian, nonlinear,
+                      sum_product)
 from hybridfg.dataset import LoopClosure, Odometry, square_loop_dataset, write_dataset
 from hybridfg.elimination import discrete_marginals
 from hybridfg.hybrid import (HybridFactorGraph, HybridNonlinearFactor,
@@ -313,6 +314,19 @@ class TestCli:
         assert main(["--input", str(data), "--output", str(out)]) == 0
         for fname in ("trajectory.txt", "modes.txt", "timing.csv", "history.txt"):
             assert (out / fname).exists()
+
+    def test_mode_space_over_the_cap_is_solver_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """A mode grid larger than ENUMERATION_CAP fails early and clearly:
+        exit 1, the reason on stderr, and no output directory."""
+        monkeypatch.setattr(discrete, "ENUMERATION_CAP", 8)
+        data = tmp_path / "data.txt"
+        entries, _, _ = square_loop_dataset(0, 65, 4, 2)
+        write_dataset(entries, data)
+        out = tmp_path / "out"
+        assert main(["--input", str(data), "--output", str(out)]) == 1
+        assert "enumeration too large" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["--input", str(tmp_path / "nope.txt"),
