@@ -20,8 +20,11 @@ import numpy as np
 # Refuse to materialize assignment spaces larger than this.
 ENUMERATION_CAP = 1 << 20
 
-# Above this many factors, potential products accumulate in log domain.
-LOG_PRODUCT_SWITCH = 64
+# multiply_factors rescales a table whose largest value's binary exponent
+# leaves +-this band: two tables in band multiply to values below 2**512,
+# and the product of their largest values is at least 2**-514, far from
+# overflow and from the subnormals.
+PRODUCT_EXPONENT_BAND = 256
 
 
 @dataclass(frozen=True, order=True)
@@ -255,29 +258,29 @@ class DiscreteFactor:
         return f"DiscreteFactor(keys={[k.id for k in self.keys]})"
 
 
-def multiply_factors(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
-    """Product of potential tables.
+def _in_band(t: DecisionTree) -> DecisionTree:
+    """t, or t times the power of two that brings its largest leaf into
+    [0.5, 1) when that leaf's binary exponent lies outside
+    +-PRODUCT_EXPONENT_BAND.  A power of two scales exactly, so only the
+    unnormalized scale changes."""
+    _, e = math.frexp(float(t.leaves.max()))
+    if abs(e) <= PRODUCT_EXPONENT_BAND:
+        return t
+    return DecisionTree._own(t.keys, np.ldexp(t.leaves, -e))
 
-    Large products (> LOG_PRODUCT_SWITCH factors) accumulate in log domain and
-    are rescaled by their max, which only changes the unnormalized scale.
-    """
+
+def multiply_factors(factors: Sequence[DiscreteFactor]) -> DiscreteFactor:
+    """Product of potential tables, up to a power of two: every operand and
+    every running product is kept in band (see _in_band), as the forward
+    recursion of an HMM rescales each step, so a product whose normalized
+    values are representable neither underflows nor overflows.  The empty
+    product is the table [1.0] over no keys."""
     if not factors:
         return DiscreteFactor((), DecisionTree.constant(1.0))
-    if len(factors) <= LOG_PRODUCT_SWITCH:
-        tree = factors[0].potentials
-        for f in factors[1:]:
-            tree = tree.apply(f.potentials, np.multiply)
-        return DiscreteFactor(tree.keys, tree)
-    with np.errstate(divide="ignore"):
-        logs = [DecisionTree(f.keys, np.log(f.potentials.leaves)) for f in factors]
-    tree = logs[0]
-    for t in logs[1:]:
-        tree = tree.apply(t, np.add)
-    vals = tree.leaves
-    shift = float(np.max(vals))
-    if not math.isfinite(shift):
-        shift = 0.0
-    return DiscreteFactor(tree.keys, np.exp(vals - shift))
+    tree = _in_band(factors[0].potentials)
+    for f in factors[1:]:
+        tree = _in_band(tree.apply(_in_band(f.potentials), np.multiply))
+    return DiscreteFactor(tree.keys, tree)
 
 
 class DiscreteConditional:

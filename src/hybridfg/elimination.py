@@ -337,7 +337,7 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
             # Rows: the plain factors and the separators without keys, the
             # same in every system, then per hybrid input one cell's rows
             # per system.
-            S = M[j] if k == 1 else M[j:j + k]
+            S = M[j:j + k]
             r = 0
             for f in c.step.plains:
                 r = _put(S, r, f.blocks.items(), f.rhs, offsets)
@@ -384,8 +384,8 @@ def sum_product(g: HybridFactorGraph,
     """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z):
     the continuous conditionals p(X | M, Z), and P(M | Z) as one table, the
     product of the discrete factors left after continuous elimination
-    divided by its sum.  A product that is 0 everywhere raises ValueError,
-    as the oracle does.
+    divided by its sum (over no keys, the empty product [1.0]).  A product
+    that is 0 everywhere raises ValueError, as the oracle does.
 
     The symbolic elimination is planned once (see _plan); the wavefront
     then eliminates one level of the elimination tree at a time, batching
@@ -419,8 +419,6 @@ def sum_product(g: HybridFactorGraph,
                 failures[i] = e
     if failures:
         raise failures[min(failures)]
-    if not tail:
-        return HybridBayesNet(conditionals)
     product = multiply_factors([f for factors, kids in tail for f in factors
                                 + [separators[c] for c in kids]]).potentials
     total = float(product.leaves.sum())
@@ -444,7 +442,9 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
     joint = bn.discrete_joint()
     candidates: List[Dict[Any, int]] = []
     scores: List[float] = []
-    for idx in zip(*np.nonzero(joint.leaves)) if joint is not None else ():
+    # np.argwhere, unlike np.nonzero, takes the 0-d table of a net without
+    # modes: its one row is the empty assignment.
+    for idx in map(tuple, np.argwhere(joint.leaves)):
         a = {k.id: int(v) for k, v in zip(joint.keys, idx)}
         score = math.log(joint.leaves[idx])
         for c in hybrids:
@@ -452,7 +452,7 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
             score -= math.inf if leaf is None else leaf.log_normalizer
         candidates.append(a)
         scores.append(score)
-    modes = candidates[first_best(scores)] if candidates else {}
+    modes = candidates[first_best(scores)]
     chosen = []
     for c in conditionals:
         if isinstance(c, HybridGaussianConditional):
@@ -501,18 +501,16 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     if P < 1:
         raise ValueError("P must be >= 1")
     joint = bn.discrete_joint()
-    pruned = None if joint is None else prune_to_top(joint, P)
-    if pruned is None or np.array_equal(pruned.leaves, joint.leaves):
+    pruned = prune_to_top(joint, P)
+    if np.array_equal(pruned.leaves, joint.leaves):
         return bn
     return HybridBayesNet(bn.conditionals, DecisionTree(
         pruned.keys, pruned.leaves / pruned.leaves.sum()))
 
 
-def hypothesis_support(bn: HybridBayesNet) -> Optional[DecisionTree]:
+def hypothesis_support(bn: HybridBayesNet) -> DecisionTree:
     """0/1 indicator over the net's discrete keys marking live hypotheses."""
     joint = bn.discrete_joint()
-    if joint is None:
-        return None
     return DecisionTree(joint.keys, (np.asarray(joint.leaves) > 0).astype(float))
 
 
@@ -520,7 +518,7 @@ def discrete_marginals(bn: HybridBayesNet) -> Dict[Any, np.ndarray]:
     """Per-key marginal probabilities implied by the net's discrete part,
     summed over the live hypotheses that one scan of its table finds."""
     joint = bn.discrete_joint()
-    if joint is None or not joint.keys:
+    if not joint.keys:      # np.nonzero refuses the 0-d table
         return {}
     rows = np.nonzero(joint.leaves)
     probs = joint.leaves[rows]
@@ -549,8 +547,7 @@ def dead_mode_removal(bn: HybridBayesNet, graph, delta: float):
 def bn_evaluate(bn: HybridBayesNet, v: HybridValues) -> float:
     """P(m | Z) times every conditional density at a full hybrid
     instantiation (x, m)."""
-    joint = bn.discrete_joint()
-    p = 1.0 if joint is None else float(joint.leaf(v.discrete))
+    p = float(bn.discrete_joint().leaf(v.discrete))
     if p <= 0.0:
         return 0.0
     total = math.log(p)
@@ -567,12 +564,12 @@ def bn_evaluate(bn: HybridBayesNet, v: HybridValues) -> float:
 
 def bn_sample(bn: HybridBayesNet, seed) -> HybridValues:
     """Ancestral sampling: the modes as one row of the joint table, drawn
-    with its probability, then the continuous conditionals in reverse
-    elimination order (roots first)."""
+    with its probability (a table over no keys takes no draw), then the
+    continuous conditionals in reverse elimination order (roots first)."""
     rng = np.random.default_rng(seed)
     modes: Dict[Any, int] = {}
     joint = bn.discrete_joint()
-    if joint is not None:
+    if joint.keys:
         row = rng.choice(joint.leaves.size, p=joint.leaves.reshape(-1))
         modes = {k.id: int(v) for k, v in
                  zip(joint.keys, np.unravel_index(row, joint.leaves.shape))}

@@ -248,22 +248,6 @@ class NoiseModel:
         if rows != self.L.shape[0]:
             raise ValueError("invalid noise model: size mismatch with measurement")
 
-    def whiten(self, blocks: Mapping[Any, Any], z) -> JacobianFactor:
-        """A = L^{-1} H, b = L^{-1} z, so 0.5||Ax-b||^2 = 0.5||Hx-z||^2_Sigma:
-        whiten_stacked on one system."""
-        mats = {vid: _as_matrix(H) for vid, H in blocks.items()}
-        z = _as_vector(z)
-        for rows in [z.shape[0]] + [M.shape[0] for M in mats.values()]:
-            self.check_rows(rows)
-        H = np.hstack(list(mats.values()))[None] if mats else None
-        W, w = whiten_stacked(self.L[None], H, z[None])
-        wb = {}
-        c = 0
-        for vid, M in mats.items():
-            wb[vid] = W[0, :, c:c + M.shape[1]]
-            c += M.shape[1]
-        return JacobianFactor(wb, w[0])
-
 
 def whiten_stacked(L: np.ndarray, H: Optional[np.ndarray], z: np.ndarray
                    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
@@ -278,9 +262,22 @@ def whiten_stacked(L: np.ndarray, H: Optional[np.ndarray], z: np.ndarray
 
 
 def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
-    """Whiten H x = z with noise covariance Sigma (see NoiseModel.whiten)."""
+    """Whiten H x = z with noise covariance Sigma = L L^T: A = L^{-1} H,
+    b = L^{-1} z, so 0.5||Ax-b||^2 = 0.5||Hx-z||^2_Sigma; whiten_stacked
+    on one system."""
     z = _as_vector(z)
-    return NoiseModel(sigma, z.shape[0]).whiten(blocks, z)
+    noise = NoiseModel(sigma, z.shape[0])
+    mats = {vid: _as_matrix(H) for vid, H in blocks.items()}
+    for M in mats.values():
+        noise.check_rows(M.shape[0])
+    H = np.hstack(list(mats.values()))[None] if mats else None
+    W, w = whiten_stacked(noise.L[None], H, z[None])
+    wb = {}
+    c = 0
+    for vid, M in mats.items():
+        wb[vid] = W[0, :, c:c + M.shape[1]]
+        c += M.shape[1]
+    return JacobianFactor(wb, w[0])
 
 
 def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:
@@ -433,8 +430,6 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
                 term[0].append(j)
                 term[1].append(values[vid])
         for (_, a, b), (js, xs) in sorted(terms.items()):
-            if len(js) == len(group):
-                js = slice(None)
             # A contiguous (k, dv, p) @ (k, p, 1), as S @ p per conditional.
             rhs[js] -= (np.ascontiguousarray(X[js, :, a:b])
                         @ np.array(xs)[:, :, None])[:, :, 0]

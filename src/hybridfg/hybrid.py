@@ -499,20 +499,19 @@ HybridGaussianFactorGraph = HybridFactorGraph
 
 class HybridBayesNet:
     """Gaussian and hybrid conditionals in elimination order, plus P(M | Z)
-    as one normalized table over all of the net's discrete keys (None when
-    it has none)."""
+    as one normalized table over all of the net's discrete keys (the table
+    [1.0] over no keys when it has none)."""
 
     def __init__(self, conditionals: Sequence[Any] = (),
-                 joint: Optional[DecisionTree] = None):
-        keys = {k.id for k in joint.keys} if joint is not None else set()
+                 joint: DecisionTree = DecisionTree.constant(1.0)):
+        keys = {k.id for k in joint.keys}
         for c in conditionals:
             if not isinstance(c, (GaussianConditional, HybridGaussianConditional)):
                 raise TypeError(f"cannot add {type(c).__name__} to a hybrid Bayes net")
             if isinstance(c, HybridGaussianConditional) and \
                     not keys.issuperset(k.id for k in c.keys):
                 raise ValueError("hybrid conditional keys missing from the joint")
-        if joint is not None and not math.isclose(float(joint.leaves.sum()), 1.0,
-                                                  abs_tol=1e-9):
+        if not math.isclose(float(joint.leaves.sum()), 1.0, abs_tol=1e-9):
             raise ValueError("discrete joint must sum to 1")
         self.conditionals: List[Any] = list(conditionals)
         self._discrete_joint = joint
@@ -524,9 +523,8 @@ class HybridBayesNet:
         return len(self.conditionals)
 
     def discrete_keys(self) -> Tuple[DiscreteKey, ...]:
-        joint = self._discrete_joint
-        return joint.keys if joint is not None else ()
+        return self._discrete_joint.keys
 
-    def discrete_joint(self) -> Optional[DecisionTree]:
+    def discrete_joint(self) -> DecisionTree:
         """P(M | Z) as one table (its leaves are read-only)."""
         return self._discrete_joint

@@ -9,8 +9,9 @@ to central finite differences.
 
 The SE(2) operations work on stacked (N, 3) pose rows, and each residual
 class has an evaluate_stacked that evaluates and differentiates N residuals
-at once; the one-pose functions and evaluate_with_jacobians are their
-batches of one, so there is one arithmetic and it is bit-identical either way.
+at once; the one-pose functions and the SE(2) residuals' evaluate and
+jacobians are their batches of one, so there is one arithmetic and it is
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -214,18 +215,19 @@ def _columns(widths) -> Tuple[Tuple[Any, int, int], ...]:
 
 
 def _one(res, values) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
-    """evaluate_with_jacobians as the batch of one of evaluate_stacked."""
+    """The residual and Jacobians of `res` as the batch of one of
+    evaluate_stacked."""
     (r,), (H,), (cols,) = res.evaluate_stacked([res], values)
     return r, {vid: H[:, a:b] for vid, a, b in cols}
 
 
 def _evaluate_each(residuals, values):
     """evaluate_stacked for residual classes whose residuals can differ in
-    shape: a loop over evaluate_with_jacobians that returns lists of
+    shape: a loop over evaluate and jacobians that returns lists of
     per-residual residuals, Jacobians [J_1 | J_2 | ...] and column ranges."""
     rs, Hs, cols = [], [], []
     for res in residuals:
-        r, jacs = res.evaluate_with_jacobians(values)
+        r, jacs = res.evaluate(values), res.jacobians(values)
         mats = [np.atleast_2d(np.asarray(J, dtype=float)) for J in jacs.values()]
         rs.append(r)
         Hs.append(np.hstack(mats) if mats else np.zeros((r.shape[0], 0)))
@@ -247,10 +249,6 @@ class BetweenResidual:
 
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
         return _one(self, values)[1]
-
-    def evaluate_with_jacobians(self, values
-                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
-        return _one(self, values)
 
     @staticmethod
     def evaluate_stacked(residuals: Sequence["BetweenResidual"], values):
@@ -287,10 +285,6 @@ class PriorResidual:
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
         return _one(self, values)[1]
 
-    def evaluate_with_jacobians(self, values
-                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
-        return _one(self, values)
-
     @staticmethod
     def evaluate_stacked(residuals: Sequence["PriorResidual"], values):
         """Residuals (N, 3), Jacobians (N, 3, 3) and column ranges of N prior
@@ -324,10 +318,6 @@ class LinearResidual:
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
         return dict(self.blocks)
 
-    def evaluate_with_jacobians(self, values
-                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
-        return self.evaluate(values), self.jacobians(values)
-
     evaluate_stacked = staticmethod(_evaluate_each)
 
 
@@ -345,10 +335,6 @@ class FuncResidual:
 
     def jacobians(self, values) -> Dict[Any, np.ndarray]:
         return numerical_jacobians(self.evaluate, values, self.variables)
-
-    def evaluate_with_jacobians(self, values
-                                ) -> Tuple[np.ndarray, Dict[Any, np.ndarray]]:
-        return self.evaluate(values), self.jacobians(values)
 
     evaluate_stacked = staticmethod(_evaluate_each)
 
@@ -375,6 +361,16 @@ class OptimizeConfig:
     max_iters: int = 20
     prune: Optional[int] = None
     dmr_delta: Optional[float] = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError("tol must be finite and >= 0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if self.prune is not None and self.prune < 1:
+            raise ValueError("prune must be None or >= 1")
+        if self.dmr_delta is not None and not (0.5 < self.dmr_delta <= 1.0):
+            raise ValueError("dmr_delta must be None or in (0.5, 1]")
 
 
 def gauss_newton_step(graph: HybridFactorGraph,

@@ -74,12 +74,10 @@ class NoiseModels(dict):
         return noise
 
 
-def build_motion_factor(entry: Odometry, index: int,
-                        noise: Optional[NoiseModels] = None):
+def build_motion_factor(entry: Odometry, index: int, noise: NoiseModels):
     """Hybrid between-factor whose mode picks the odometry hypothesis; a
     single hypothesis degenerates to a plain between-factor.  Its noise
-    model comes from `noise` (a fresh NoiseModels without one)."""
-    noise = NoiseModels() if noise is None else noise
+    model comes from `noise`."""
     i, j = ("x", entry.frm), ("x", entry.to)
     model = noise[_sigma_diag(entry.sigma_xy, entry.sigma_theta)]
     residuals = [BetweenResidual(i, j, Pose2(*h)) for h in entry.hypotheses]
@@ -90,13 +88,11 @@ def build_motion_factor(entry: Odometry, index: int,
         keys, [(r, model) for r in residuals]))
 
 
-def build_loop_factor(entry: LoopClosure, index: int,
-                      noise: Optional[NoiseModels] = None
+def build_loop_factor(entry: LoopClosure, index: int, noise: NoiseModels
                       ) -> HybridNonlinearFactor:
     """Switchable loop closure: mode 1 uses the measurement covariance, mode
     0 swaps in a loose isotropic covariance so the constraint can switch
-    off.  Its noise models come from `noise`, as in build_motion_factor."""
-    noise = NoiseModels() if noise is None else noise
+    off.  Its noise models come from `noise`."""
     i, j = ("x", entry.frm), ("x", entry.to)
     residual = BetweenResidual(i, j, Pose2(entry.dx, entry.dy, entry.dtheta))
     keys = (DiscreteKey(("l", index), 2),)
@@ -109,7 +105,7 @@ def build_loop_factor(entry: LoopClosure, index: int,
 @dataclass
 class RunResults:
     values: Dict[Any, Pose2]
-    bn: Optional[HybridBayesNet]
+    bn: HybridBayesNet
     assignment: Dict[Any, int]
     fixed: Dict[Any, int]
     marginals: Dict[Any, np.ndarray]
@@ -180,8 +176,7 @@ class _Runner:
     def _record_timing(self, step, t0: float):
         """timing.csv row: step, factors, live hypotheses, ms since t0."""
         millis = (time.perf_counter() - t0) * 1000.0
-        joint = self.bn.discrete_joint() if self.bn is not None else None
-        hyps = int(np.count_nonzero(np.asarray(joint.leaves))) if joint is not None else 1
+        hyps = int(np.count_nonzero(self.bn.discrete_joint().leaves))
         self.timings.append((step, self._num_factors(), hyps, millis))
         log.info("elimination %s: %d factors, %d live hypotheses, %.1f ms",
                  step, self._num_factors(), hyps, millis)
@@ -217,10 +212,10 @@ class _Runner:
         self._record_timing("final", t0)
 
     def results(self) -> RunResults:
-        marg = discrete_marginals(self.bn) if self.bn is not None else {}
         return RunResults(values=dict(self.values), bn=self.bn,
                           assignment=dict(self.assignment),
-                          fixed=dict(self.fixed), marginals=marg,
+                          fixed=dict(self.fixed),
+                          marginals=discrete_marginals(self.bn),
                           timings=list(self.timings), history=list(self.history))
 
 

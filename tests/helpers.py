@@ -311,8 +311,8 @@ def copy_net(bn):
             c = copy_conditional(c)
         conditionals.append(c)
     joint = bn.discrete_joint()
-    return HybridBayesNet(conditionals, None if joint is None else
-                          hybridfg.DecisionTree(joint.keys, joint.leaves.copy()))
+    return HybridBayesNet(conditionals, hybridfg.DecisionTree(
+        joint.keys, joint.leaves.copy()))
 
 
 def same_net(a, b) -> bool:
@@ -320,10 +320,8 @@ def same_net(a, b) -> bool:
     (every live component of a hybrid one, nil at the same cells) as in
     same_conditional, and joints with the same keys and leaves."""
     ja, jb = a.discrete_joint(), b.discrete_joint()
-    if (ja is None) != (jb is None) or len(a.conditionals) != len(b.conditionals):
-        return False
-    if ja is not None and (ja.keys != jb.keys
-                           or not same_bits(ja.leaves, jb.leaves)):
+    if len(a.conditionals) != len(b.conditionals) or ja.keys != jb.keys \
+            or not same_bits(ja.leaves, jb.leaves):
         return False
     for c1, c2 in zip(a.conditionals, b.conditionals):
         if type(c1) is not type(c2):
@@ -428,7 +426,7 @@ def reference_evaluate(res, values):
     if isinstance(res, FuncResidual):
         return res.evaluate(values), _reference_numerical_jacobians(
             res.evaluate, values, res.variables)
-    return res.evaluate_with_jacobians(values)
+    return res.evaluate(values), res.jacobians(values)
 
 
 def reference_linearize_component(res, noise, values):

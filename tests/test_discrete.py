@@ -345,8 +345,8 @@ class TestContainers:
             t1.apply(t2, operator.mul)
 
     def test_log_domain_product_matches_linear(self):
-        """Above the 64-factor threshold the product switches to log-domain
-        accumulation; ratios must match the plain product."""
+        """A 70-factor product, rescaled whenever it leaves the exponent
+        band, keeps the ratios of the plain product."""
         rng = np.random.default_rng(8)
         factors = [DiscreteFactor([M], rng.uniform(0.5, 1.5, size=2))
                    for _ in range(70)]
@@ -357,3 +357,23 @@ class TestContainers:
         got = np.asarray(big.potentials.leaves)
         np.testing.assert_allclose(got / got.sum(), direct / direct.sum(),
                                    rtol=1e-10)
+
+    def test_product_of_tiny_tables_does_not_underflow(self):
+        """40 tables [1e-10, 2e-10] multiply to 1e-400 * [1, 2**40], below
+        the smallest double: rescaling keeps the ratio."""
+        f = DiscreteFactor([M], [1e-10, 2e-10])
+        got = np.asarray(multiply_factors([f] * 40).potentials.leaves)
+        np.testing.assert_allclose(got / got.sum(), np.array(
+            [1.0, 2.0 ** 40]) / (1.0 + 2.0 ** 40), rtol=1e-12)
+
+    def test_product_of_huge_tables_does_not_overflow(self):
+        """3 tables [1e200, 2e200] multiply to 1e600 * [1, 8], above the
+        largest double: rescaling keeps the product finite."""
+        f = DiscreteFactor([M], [1e200, 2e200])
+        got = np.asarray(multiply_factors([f] * 3).potentials.leaves)
+        assert np.isfinite(got).all()
+        assert got[1] / got[0] == 8.0
+
+    def test_empty_product_is_one_over_no_keys(self):
+        one = multiply_factors([])
+        assert one.keys == () and one.potentials.leaves.tolist() == 1.0

@@ -579,6 +579,19 @@ class TestSumProduct:
                                                  "are impossible"):
                 query(g)
 
+    def test_tiny_priors_match_oracle(self):
+        """40 priors [1e-10, 2e-10] multiply to 1e-400 * [1, 2**40], below
+        the smallest double, yet the posterior is the oracle's."""
+        m = DiscreteKey("m", 2)
+        g = HybridFactorGraph()
+        g.add(HybridGaussianFactor.from_components([m], [
+            (whiten({"x": [[1.0]]}, [z], 1.0), 0.0) for z in (0.0, 1.0)]))
+        for _ in range(40):
+            g.add(DiscreteFactor([m], [1e-10, 2e-10]))
+        probs, _ = enumerate_posterior(g)
+        np.testing.assert_allclose(_joint(sum_product(g)), probs.leaves,
+                                   rtol=0.0, atol=1e-9)
+
     def test_pure_continuous_matches_gaussian_pipeline(self):
         rng = np.random.default_rng(0)
         g = HybridFactorGraph()

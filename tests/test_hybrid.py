@@ -228,7 +228,8 @@ class TestDiscreteJoint:
         """The net holds the table it was given; its leaves are read-only."""
         K = DiscreteKey("k", 3)
         gc = GaussianConditional("x", [[1.0]], {}, [0.0])
-        assert HybridBayesNet([gc]).discrete_joint() is None
+        empty = HybridBayesNet([gc]).discrete_joint()
+        assert empty.keys == () and empty.leaves.tolist() == 1.0
         table = DecisionTree([K, M], np.array([[0.05, 0.375], [0.075, 0.1875],
                                                [0.125, 0.1875]]))
         bn = HybridBayesNet([gc], table)

@@ -91,26 +91,6 @@ class TestJacobians:
 
 
 class TestEvaluateWithJacobians:
-    def test_matches_evaluate_and_jacobians(self):
-        """One pass gives the bits of evaluate() and jacobians() apart, for
-        every residual class."""
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            values = {"a": _random_pose(rng), "b": _random_pose(rng),
-                      "x": rng.normal(size=2)}
-            for res in (BetweenResidual("a", "b", _random_pose(rng)),
-                        PriorResidual("a", _random_pose(rng)),
-                        LinearResidual({"x": rng.normal(size=(3, 2))},
-                                       rng.normal(size=3)),
-                        FuncResidual(("x",), 1, lambda v: np.array(
-                            [math.sin(v["x"][0]) * v["x"][1]]))):
-                r, jacs = res.evaluate_with_jacobians(values)
-                assert r.tobytes() == res.evaluate(values).tobytes()
-                want = res.jacobians(values)
-                assert list(jacs) == list(want)
-                for vid in want:
-                    assert jacs[vid].tobytes() == want[vid].tobytes()
-
     def test_shared_residual_evaluated_once_per_linearize(self, monkeypatch):
         """A switchable loop's loose and tight leaves share one residual:
         one linearization evaluates it once.  Linearization goes through
@@ -435,6 +415,21 @@ class TestOptimize:
         assert est.continuous == {} and bn.conditionals == []
         assert est.discrete == enumerate_map(g).discrete == {"a": 1, "b": 0}
 
+    @pytest.mark.parametrize("field, value", [
+        ("prune", 0), ("dmr_delta", 0.3), ("dmr_delta", 1.5),
+        ("max_iters", -1), ("tol", -1e-6), ("tol", math.nan),
+        ("tol", math.inf)])
+    def test_config_checked_when_built(self, field, value):
+        """A bad field fails when the config is built, before any
+        linearization or elimination, as RunConfig does."""
+        with pytest.raises(ValueError, match=field):
+            OptimizeConfig(**{field: value})
+
+    def test_config_accepts_its_bounds(self):
+        cfg = OptimizeConfig(tol=0.0, max_iters=0, prune=1, dmr_delta=1.0)
+        assert (cfg.tol, cfg.max_iters, cfg.prune, cfg.dmr_delta) \
+            == (0.0, 0, 1, 1.0)
+
     def _three_pose_graph(self):
         """Chain with one two-hypothesis odometry; a prior on both ends makes
         hypothesis 1 (the +2 step) the only consistent choice."""
@@ -502,7 +497,9 @@ class TestOptimize:
         init = {"a": Pose2(), "b": Pose2(2, 0, 0), "c": Pose2(3, 0, 0)}
         est, bn = optimize(g, init, OptimizeConfig(dmr_delta=0.8))
         assert est.discrete["m"] == 1
-        assert bn.discrete_joint() is None  # mode removed before the final pass
+        # The mode is removed before the final pass.
+        assert bn.discrete_joint().keys == ()
+        assert bn.discrete_joint().leaves.tolist() == 1.0
 
     @staticmethod
     def _three_mode_graph():

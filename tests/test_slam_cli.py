@@ -12,7 +12,7 @@ from hybridfg.hybrid import (HybridFactorGraph, HybridNonlinearFactor,
                              NonlinearFactor)
 from hybridfg.nonlinear import (OptimizationDiverged, OptimizeConfig,
                                 PriorResidual, gauss_newton_step, optimize)
-from hybridfg.slam_cli import (RunConfig, RunResults, _Runner,
+from hybridfg.slam_cli import (NoiseModels, RunConfig, RunResults, _Runner,
                                build_loop_factor, build_motion_factor,
                                emit_results, main, run)
 
@@ -24,12 +24,12 @@ TIGHT = np.array([1e-4, 1e-4, 1e-4])
 class TestBuildMotionFactor:
     def test_single_hypothesis_plain(self):
         e = Odometry(0, 1, ((1.0, 0.0, 0.0),), 0.01, 0.005)
-        f = build_motion_factor(e, 0)
+        f = build_motion_factor(e, 0, NoiseModels())
         assert isinstance(f, NonlinearFactor)
 
     def test_multi_hypothesis_key_cardinality(self):
         e = Odometry(0, 1, ((1, 0, 0), (2, 0, 0), (3, 0, 0)), 0.01, 0.005)
-        f = build_motion_factor(e, 7)
+        f = build_motion_factor(e, 7, NoiseModels())
         assert isinstance(f, HybridNonlinearFactor)
         assert f.keys[0] == DiscreteKey(("m", 7), 3)
 
@@ -37,7 +37,7 @@ class TestBuildMotionFactor:
         e = Odometry(0, 1, ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 0.01, 0.005)
         g = HybridFactorGraph()
         g.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()), TIGHT))
-        g.add(build_motion_factor(e, 0))
+        g.add(build_motion_factor(e, 0, NoiseModels()))
         values = {("x", 0): Pose2(), ("x", 1): Pose2(1, 0, 0)}
         bn = sum_product(g.linearize(values))
         marg = discrete_marginals(bn)[("m", 0)]
@@ -50,7 +50,7 @@ class TestBuildMotionFactor:
         g = HybridFactorGraph()
         g.add(NonlinearFactor(PriorResidual(("x", 0), Pose2()), TIGHT))
         g.add(NonlinearFactor(PriorResidual(("x", 1), Pose2(1, 0, 0)), TIGHT))
-        g.add(build_motion_factor(e, 0))
+        g.add(build_motion_factor(e, 0, NoiseModels()))
         values = {("x", 0): Pose2(), ("x", 1): Pose2(1, 0, 0)}
         bn = sum_product(g.linearize(values))
         marg = discrete_marginals(bn)[("m", 0)]
@@ -60,7 +60,7 @@ class TestBuildMotionFactor:
 class TestBuildLoopFactor:
     def test_loose_leaf_covariance(self):
         e = LoopClosure(0, 3, 0.0, 0.0, 0.0, 0.01, 0.005)
-        f = build_loop_factor(e, 4)
+        f = build_loop_factor(e, 4, NoiseModels())
         assert f.keys[0] == DiscreteKey(("l", 4), 2)
         _, loose = f.component({("l", 4): 0})
         np.testing.assert_allclose(loose.sigma, [10.0, 10.0, 10.0])
@@ -73,10 +73,10 @@ class TestBuildLoopFactor:
         values = {("x", 0): Pose2()}
         for k in range(3):
             e = Odometry(k, k + 1, ((1.0, 0.0, 0.0),), 0.01, 0.005)
-            g.add(build_motion_factor(e, k))
+            g.add(build_motion_factor(e, k, NoiseModels()))
             values[("x", k + 1)] = Pose2(k + 1.0, 0, 0)
         loop = LoopClosure(0, 3, 3.0 + loop_offset, 0.0, 0.0, 0.01, 0.005)
-        g.add(build_loop_factor(loop, 9))
+        g.add(build_loop_factor(loop, 9, NoiseModels()))
         return g, values
 
     def test_consistent_loop_switches_on(self):
@@ -129,7 +129,7 @@ class TestRun:
         values = {("x", 0): Pose2()}
         from hybridfg.nonlinear import compose
         for i, e in enumerate(entries):
-            g.add(build_motion_factor(e, i))
+            g.add(build_motion_factor(e, i, NoiseModels()))
             values[("x", e.to)] = compose(values[("x", e.frm)], Pose2(*e.hypotheses[0]))
         est, _ = optimize(g, values, OptimizeConfig(tol=1e-12, max_iters=10))
         for vid, pose in est.continuous.items():
@@ -196,7 +196,8 @@ class TestRun:
         runner.graph.linearize(runner.values)
         assert calls == {"sigma_cholesky": 0, "log_normalization_constant": 0}
         # The counters see the calls a factor makes when it is built.
-        build_loop_factor(LoopClosure(0, 3, 0.0, 0.0, 0.0, 0.01, 0.005), 0)
+        build_loop_factor(LoopClosure(0, 3, 0.0, 0.0, 0.0, 0.01, 0.005), 0,
+                          NoiseModels())
         assert calls["sigma_cholesky"] == 2
 
     def test_one_noise_model_per_covariance(self, monkeypatch):
