@@ -444,9 +444,9 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
     scores: List[float] = []
     # np.argwhere, unlike np.nonzero, takes the 0-d table of a net without
     # modes: its one row is the empty assignment.
-    for idx in map(tuple, np.argwhere(joint.leaves)):
-        a = {k.id: int(v) for k, v in zip(joint.keys, idx)}
-        score = math.log(joint.leaves[idx])
+    for idx in np.argwhere(joint.leaves).tolist():
+        a = dict(zip([k.id for k in joint.keys], idx))
+        score = math.log(joint.leaves[tuple(idx)])
         for c in hybrids:
             leaf = c.component(a)
             score -= math.inf if leaf is None else leaf.log_normalizer

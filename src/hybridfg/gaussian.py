@@ -404,9 +404,9 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
     """Solve the triangular system of conditionals in elimination order
     (parents eliminated later).  Those of one depth below the roots (1 +
     their deepest parent's) and row shape are solved together: their rows
-    [R S | d] in one array, d - sum_i S_i p_i by one batched matmul per
-    parent position and column range, in each one's parent order, then one
-    stacked LU solve: each gets its `solve`'s bits."""
+    [R S | d] in one array, d - sum_i S_i p_i by one batched matmul over
+    the whole group per parent position and column range, in each one's
+    parent order, then one stacked LU solve: each gets its `solve`'s bits."""
     depth: Dict[Any, int] = {}
     levels: Dict[Tuple[int, ...], List[GaussianConditional]] = {}
     for cond in reversed(list(conditionals)):
@@ -422,17 +422,21 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
         # A copy: the subtractions below go into its d column.
         X = np.concatenate([cond._rows[cond._at:cond._at + 1] for cond in group])
         rhs = X[:, :, -1]
-        # Per (parent position, column range): the conditionals and values.
-        terms: Dict[Tuple[int, int, int], Tuple[List[int], List[Any]]] = {}
+        # Per (parent position, column range): every conditional's value
+        # there, 0 for one without that term.  Columns a:b lie within every
+        # conditional's parent blocks, so such a 0 subtracts +0.0, which
+        # changes no bit.
+        terms: Dict[Tuple[int, int, int], List[Any]] = {}
         for j, cond in enumerate(group):
             for i, (vid, a, b) in enumerate(cond._cols):
-                term = terms.setdefault((i, a, b), ([], []))
-                term[0].append(j)
-                term[1].append(values[vid])
-        for (_, a, b), (js, xs) in sorted(terms.items()):
+                xs = terms.get((i, a, b))
+                if xs is None:
+                    xs = terms[i, a, b] = [np.zeros(b - a)] * len(group)
+                xs[j] = values[vid]
+        for (_, a, b), xs in sorted(terms.items()):
             # A contiguous (k, dv, p) @ (k, p, 1), as S @ p per conditional.
-            rhs[js] -= (np.ascontiguousarray(X[js, :, a:b])
-                        @ np.array(xs)[:, :, None])[:, :, 0]
+            rhs -= (np.ascontiguousarray(X[:, :, a:b])
+                    @ np.array(xs)[:, :, None])[:, :, 0]
         for cond, x in zip(group, np.linalg.solve(X[:, :, :dv], rhs[:, :, None])[:, :, 0]):
             values[cond.frontal] = x
     return values

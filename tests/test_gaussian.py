@@ -9,7 +9,8 @@ from hybridfg.gaussian import (RANK_TOL, GaussianConditional, JacobianFactor,
                                eliminate_stacked, log_normalization_constant,
                                sigma_cholesky, whiten)
 
-from helpers import (reference_eliminate_one, same_elimination, stack_systems,
+from helpers import (reference_back_substitute, reference_eliminate_one,
+                     same_bits, same_elimination, stack_systems,
                      stacked_results)
 
 
@@ -413,6 +414,27 @@ class TestBackSubstitute:
         child = GaussianConditional("x", [[1.0]], {"y": [[-1.0]]}, [1.0])
         with pytest.raises(ValueError, match="incomplete values: missing 'y'"):
             back_substitute([child])
+
+    def test_group_with_different_parent_layouts(self):
+        """Conditionals of one depth and row shape whose parents differ in
+        number and dimensions share only some column ranges: each still
+        gets the bits of its own solve."""
+        rng = np.random.default_rng(8)
+
+        def cond(frontal, parents, dim):
+            R = np.triu(rng.normal(size=(dim, dim))) + 3.0 * np.eye(dim)
+            return GaussianConditional(
+                frontal, R, {v: rng.normal(size=(dim, d)) for v, d in parents},
+                rng.normal(size=dim))
+        roots = [cond(v, (), d) for v, d in
+                 (("p", 1), ("q", 2), ("r", 2), ("s", 1), ("t", 1))]
+        children = [cond("a", (("p", 1), ("q", 2)), 2),
+                    cond("b", (("r", 2), ("s", 1)), 2),
+                    cond("c", (("p", 1), ("s", 1), ("t", 1)), 2)]
+        conds = children + roots
+        got, want = back_substitute(conds), reference_back_substitute(conds)
+        assert got.keys() == want.keys()
+        assert all(same_bits(got[v], want[v]) for v in want)
 
     def test_chain_matches_dense_least_squares(self):
         rng = np.random.default_rng(6)
