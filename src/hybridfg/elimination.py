@@ -44,10 +44,14 @@ ContinuousFactor = Union[JacobianFactor, HybridGaussianFactor]
 def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     """Continuous variables first, by multiple minimum degree (Liu, ACM
     TOMS 1985), then discrete variables in id order.  Each round takes the
-    variables of the current minimum degree in id order and eliminates
-    every one that no variable eliminated earlier in the round is adjacent
-    to, so one round adds an independent set to the ordering and the
-    elimination tree stays short."""
+    variables of degree at most max(d_min, 2), d_min the current minimum
+    degree, in (degree, id) order and eliminates every one that no
+    variable eliminated earlier in the round is adjacent to, so one round
+    adds an independent set to the ordering and the elimination tree stays
+    short.  Letting degree 2 join a round of degree 0 or 1 (Liu's delta)
+    adds at most one fill edge per such variable, and lets the interior of
+    a path go in the round its end goes: the elimination tree of a path of
+    2^k variables has k + 1 levels, not 2^(k-1) + 1."""
     adj: Dict[Any, set] = {}
     for vs in [f.variables for f in g.continuous_factors] \
             + [f.continuous_ids for f in g.hybrid_factors]:
@@ -63,12 +67,15 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     heapq.heapify(heap)
     order = []
     while heap:
-        # The round's candidates: every variable of the smallest current
-        # degree (one pushed twice with that degree pops twice in a row).
+        # The round's candidates: every variable of degree at most
+        # max(smallest current degree, 2), in (degree, id) order (one
+        # pushed twice with a degree pops twice in a row).
         round_: List[Any] = []
-        while heap and (not round_ or heap[0][0] == len(adj[round_[0]])):
+        limit = 0
+        while heap and (not round_ or heap[0][0] <= limit):
             degree, v = heapq.heappop(heap)
             if v in adj and degree == len(adj[v]) and v not in round_[-1:]:
+                limit = limit or max(degree, 2)
                 round_.append(v)
         touched = set()
         for v in round_:

@@ -186,8 +186,8 @@ class _Runner:
         if newly:
             log.info("dead mode removal fixed %s", newly)
             self.fixed.update(newly)
-            if self.support is not None:
-                self.support = self.support.choose(newly)
+            # The pass's _eliminate_once has set the support (it prunes).
+            self.support = self.support.choose(newly)
         # Re-linearize and run a full batch pass at the restricted graph.
         self._eliminate_once()
 

@@ -69,11 +69,34 @@ class TestStrongOrdering:
                 else:
                     seen_disc = True
 
+    def test_path_plans_logarithmic_levels(self):
+        """A path of 2^k scalar variables with a prior on one end: its
+        degree-2 interior joins each round its ends go in, so every round
+        halves the path and the plan has k + 1 levels (one end per round
+        would take 2^(k-1) + 1)."""
+        for k in range(7):
+            g = HybridFactorGraph()
+            g.add(JacobianFactor({0: [[1.0]]}, [0.0]))
+            for i in range(2 ** k - 1):
+                g.add(JacobianFactor({i: [[-1.0]], i + 1: [[1.0]]}, [1.0]))
+            _, levels, _ = elimination._plan(g, strong_ordering(g))
+            assert len(levels) == k + 1, k
+
+    def test_hybrid_path_still_continuous_first(self):
+        """A path of 8 variables whose links are all two-mode: the same
+        4 levels, and every mode after every continuous variable."""
+        g = hypothesis_chain_graph(np.random.default_rng(3), n_keys=7)
+        order = strong_ordering(g)
+        assert sorted(order[:8]) == [f"x{i}" for i in range(8)]
+        assert order[8:] == [f"m{i}" for i in range(7)]
+        assert len(elimination._plan(g, order)[1]) == 4
+
 
 def _mmd_reference(g):
     """Reference: multiple minimum degree as a plain loop.  Each round takes
-    the remaining variables of minimum degree in id order and eliminates
-    each one that no variable eliminated earlier in the round touches."""
+    the remaining variables of degree at most max(minimum degree, 2) in
+    (degree, id) order and eliminates each one that no variable eliminated
+    earlier in the round touches."""
     cont = g.continuous_variables()
     adj = {v: set() for v in cont}
     for vs in [f.variables for f in g.continuous_factors] \
@@ -84,7 +107,8 @@ def _mmd_reference(g):
     while adj:
         degree = min(len(n) for n in adj.values())
         touched = set()
-        for v in sorted(u for u in adj if len(adj[u]) == degree):
+        for v in sorted((u for u in adj if len(adj[u]) <= max(degree, 2)),
+                        key=lambda u: (len(adj[u]), u)):
             if v in touched:
                 continue
             order.append(v)
@@ -979,20 +1003,30 @@ class TestWavefront:
 
     @pytest.mark.parametrize("shape, config, most", [
         ((0, 200, 10, 10), slam_cli.RunConfig(elim_every=1, relin_every=2),
-         (923, 4710)),
-        ((0, 100, 10, 4), slam_cli.RunConfig(), (234, 1673)),
-        ((0, 200, 10, 10), slam_cli.RunConfig(), (313, 3576))])
+         (585, 4677, 347)),
+        ((0, 100, 10, 4), slam_cli.RunConfig(), (121, 1594, 70)),
+        ((0, 200, 10, 10), slam_cli.RunConfig(), (207, 3555, 127))])
     def test_qr_calls_and_systems_do_not_grow(self, monkeypatch, shape, config,
                                               most):
-        """The batching a whole run gets: QR calls and the systems they
-        take, on the streaming benchmark's input, on C09's and on
-        200/10/10 with defaults, at most as many as when cliques first
-        eliminated only the cells the support allows, so a change to how
-        groups are filled or cells picked cannot quietly add to them."""
+        """The batching a whole run gets: QR calls, the systems they take
+        and the wavefront levels of all its plans, on the streaming
+        benchmark's input, on C09's and on 200/10/10 with defaults, at most
+        as many as when path variables first joined the ordering's rounds,
+        so a change to the ordering, to how groups are filled or to which
+        cells are picked cannot quietly add to them."""
         entries, _, _ = square_loop_dataset(*shape)
         calls = _count_qr_systems(monkeypatch)
+        levels = []
+        plan = elimination._plan
+
+        def counting_plan(g, ordering):
+            planned = plan(g, ordering)
+            levels.append(len(planned[1]))
+            return planned
+        monkeypatch.setattr(elimination, "_plan", counting_plan)
         slam_cli.run(config, entries)
-        assert len(calls) <= most[0] and sum(calls) <= most[1]
+        counts = (len(calls), sum(calls), sum(levels))
+        assert all(n <= m for n, m in zip(counts, most)), counts
 
     def test_back_substitution_matches_per_conditional_solve(self):
         """The MAP of random nets and of a pose graph's net, solved a depth
