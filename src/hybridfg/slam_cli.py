@@ -1,9 +1,11 @@
 """Streaming hybrid SLAM solver.
 
 Ingests a dataset of (possibly ambiguous) odometry and switchable loop
-closures, runs a scheduled eliminate/prune/dead-mode-removal loop, and
-writes the trajectory, mode decisions, per-update timing, and the history of
-MAP estimates.
+closures and, every elim_every hybrid factors, runs one streaming pass: a
+Gauss-Newton step that eliminates and prunes, then dead mode removal, plus
+every relin_every-th pass one more relinearize+batch step.  Writes the
+trajectory, mode decisions, per-update timing, and the history of MAP
+estimates.
 
 Exit codes: 0 success, 1 solver error, 2 I/O error, input format error or
 bad command-line argument.
@@ -45,8 +47,8 @@ PARSERS = {"custom": parse_dataset}
 class RunConfig:
     prune_p: int = 10
     dmr_delta: float = 0.8
-    elim_every: int = 3
-    relin_every: int = 10
+    elim_every: int = 3         # hybrid factors per streaming pass
+    relin_every: int = 10       # passes per extra relinearize+batch step
     max_steps: int = 0          # 0 = whole dataset
 
     def __post_init__(self):
@@ -166,8 +168,13 @@ class _Runner:
         self.elim_count += 1
         t0 = time.perf_counter()
         bn = self._eliminate_once()
+        self.graph, newly = dead_mode_removal(bn, self.graph, self.cfg.dmr_delta)
+        if newly:
+            log.info("dead mode removal fixed %s", newly)
+            self.fixed.update(newly)
+            self.support = self.support.choose(newly)
         if self.elim_count % self.cfg.relin_every == 0:
-            self._dmr_and_relinearize(bn)
+            self._eliminate_once()
         self._record_timing(self.elim_count, t0)
         for (kind, k) in sorted(self.values):
             p = self.values[(kind, k)]
@@ -180,16 +187,6 @@ class _Runner:
         self.timings.append((step, self._num_factors(), hyps, millis))
         log.info("elimination %s: %d factors, %d live hypotheses, %.1f ms",
                  step, self._num_factors(), hyps, millis)
-
-    def _dmr_and_relinearize(self, bn: HybridBayesNet):
-        self.graph, newly = dead_mode_removal(bn, self.graph, self.cfg.dmr_delta)
-        if newly:
-            log.info("dead mode removal fixed %s", newly)
-            self.fixed.update(newly)
-            # The pass's _eliminate_once has set the support (it prunes).
-            self.support = self.support.choose(newly)
-        # Re-linearize and run a full batch pass at the restricted graph.
-        self._eliminate_once()
 
     def finalize(self):
         """Final batch: optimize to convergence with pruning and DMR,
@@ -205,7 +202,8 @@ class _Runner:
             log.warning("final optimization diverged; keeping best iterate")
             self.values, assignment, self.bn = e.best_values, e.best_assignment, e.bn
         self.assignment = dict(assignment)
-        # Modes absent from the final net were fixed by dead mode removal.
+        # Modes absent from the final net were fixed by dead mode removal,
+        # in a streaming pass (already in self.fixed) or in this batch.
         live = {k.id for k in self.bn.discrete_keys()}
         self.fixed.update({k: v for k, v in assignment.items() if k not in live})
         self.assignment.update(self.fixed)
@@ -282,9 +280,10 @@ def main(argv=None) -> int:
     p.add_argument("--dmr-delta", type=float, default=0.8,
                    help="dead-mode-removal marginal threshold (default 0.8)")
     p.add_argument("--elim-every", type=int, default=3,
-                   help="hybrid factors per elimination (default 3)")
+                   help="hybrid factors per streaming pass (default 3)")
     p.add_argument("--relin-every", type=int, default=10,
-                   help="eliminations per relinearize+batch (default 10)")
+                   help="streaming passes per extra relinearize+batch "
+                        "step; dead mode removal runs every pass (default 10)")
     p.add_argument("--max-steps", type=int, default=0,
                    help="dataset entries to ingest (0 = all)")
     args = p.parse_args(argv)

@@ -242,13 +242,46 @@ class TestRun:
             nets.append(net)
             raise OptimizationDiverged("diverged", dict(values), step.discrete, net)
         monkeypatch.setattr(nonlinear, "optimize", diverge)
-        res = run(RunConfig(), entries)
+        # Dead mode removal off: every pass would fix all of this input's
+        # modes, and the final net would have none to read marginals from.
+        res = run(RunConfig(dmr_delta=1.0), entries)
         (net,) = nets
         assert res.bn is net
         marginals = discrete_marginals(net)
         assert marginals and res.marginals.keys() == marginals.keys()
         for kid, probs in marginals.items():
             np.testing.assert_array_equal(res.marginals[kid], probs)
+
+    def test_streaming_passes_fix_settled_modes(self):
+        """Dead mode removal runs after every streaming pass: C09 makes
+        fewer passes than relin_every, and its settled modes still leave
+        the graph before the final batch."""
+        entries, _, _ = square_loop_dataset(0, 100, 10, 4)
+        runner = _Runner(RunConfig())
+        for index, entry in enumerate(entries):
+            if runner.add_entry(entry, index) and \
+                    runner.hybrid_count % runner.cfg.elim_every == 0:
+                runner.elimination_pass()
+        assert 0 < runner.elim_count < runner.cfg.relin_every
+        assert runner.fixed
+        hybrid = [f for f in runner.graph.all_factors()
+                  if isinstance(f, HybridNonlinearFactor)]
+        assert len(hybrid) < runner.hybrid_count
+        assert not {k.id for f in hybrid for k in f.keys} & runner.fixed.keys()
+
+    def test_twenty_ambiguous_edges_resolve_with_defaults(self):
+        """150 poses, 20 ambiguous edges and 6 loops: with modes fixed as
+        they settle, no clique nears the enumeration cap, and every mode
+        matches the generator."""
+        entries, _, true_modes = square_loop_dataset(0, 150, 20, 6)
+        res = run(RunConfig(), entries)
+        ambiguous = [i for i, e in enumerate(entries)
+                     if isinstance(e, Odometry) and len(e.hypotheses) > 1]
+        assert [res.assignment[("m", i)] for i in ambiguous] == \
+            [true_modes[order] for order in range(len(ambiguous))]
+        loops = [i for i, e in enumerate(entries) if isinstance(e, LoopClosure)]
+        assert len(loops) == 6
+        assert all(res.assignment[("l", i)] == 1 for i in loops)
 
     def test_loop_to_unknown_pose_refused(self):
         with pytest.raises(ValueError, match="unknown pose"):
@@ -325,7 +358,10 @@ class TestCli:
         entries, _, _ = square_loop_dataset(0, 65, 4, 2)
         write_dataset(entries, data)
         out = tmp_path / "out"
-        assert main(["--input", str(data), "--output", str(out)]) == 1
+        # Dead mode removal off, so that modes stay open and a clique
+        # reaches the cap.
+        assert main(["--input", str(data), "--output", str(out),
+                     "--dmr-delta", "1"]) == 1
         assert "enumeration too large" in capsys.readouterr().err
         assert not out.exists()
 
