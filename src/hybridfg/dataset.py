@@ -171,7 +171,7 @@ def square_loop_dataset(seed: int = 0, num_poses: int = 100,
     ambiguous odometry entries sit between consecutive loop anchors so every
     decoy is contradicted by a closed cycle before too many accumulate.
     Returns (entries, ground_truth, true_modes) where true_modes maps the
-    1-based ambiguous-entry order to the correct hypothesis index.
+    0-based ambiguous-entry order to the correct hypothesis index.
     """
     if num_poses < _LAP + 2:
         raise ValueError(f"need at least {_LAP + 2} poses for a two-lap course")

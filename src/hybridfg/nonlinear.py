@@ -17,6 +17,7 @@ bit-identical either way.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -373,75 +374,79 @@ class OptimizeConfig:
             raise ValueError("dmr_delta must be None or in (0.5, 1]")
 
 
-def gauss_newton_step(graph: HybridFactorGraph,
-                      values: Mapping[Any, Any],
-                      support: Optional[DecisionTree], prune: Optional[int]
-                      ) -> Tuple[HybridBayesNet, Optional[DecisionTree],
-                                 HybridValues]:
-    """One hybrid Gauss-Newton step at `values`; returns (net, support, step).
+# The state one hybrid iteration leaves: the graph, values and support to
+# go on with, the net and step it took, and the modes it fixed.
+Iteration = namedtuple("Iteration", "graph values support bn step fixed")
 
-    Linearizes once, adds the incoming support (live joint hypotheses;
-    None keeps every one) as a discrete factor, eliminates with Sum-Product,
-    which keeps only the mode cells that support allows, and, when
-    `prune` is set, prunes to that many hypotheses and takes the survivors as
-    the new support.  The update in `step.continuous` is the hybrid MAP read
-    off the (pruned) net.
+
+def gauss_newton_step(graph: HybridFactorGraph, values: Mapping[Any, Any],
+                      support: DecisionTree, prune: Optional[int],
+                      dmr_delta: Optional[float]) -> Iteration:
+    """One hybrid iteration at `values`: linearize once, add the incoming
+    support (a 0/1 table of the live joint hypotheses) as a discrete factor,
+    eliminate with Sum-Product, which keeps only the mode cells it allows,
+    and, when `prune` is set, prune to that many hypotheses and take the
+    survivors as the new support.  The step is the hybrid MAP read off the
+    (pruned) net, and `values` are retracted by it.  When `dmr_delta` is
+    set, the modes whose marginal exceeds it leave the graph and support.
     """
     lin = graph.linearize(values)
-    if support is not None and support.keys:
+    if support.keys:
         lin.add(DiscreteFactor(support.keys, support))
     bn = elimination.sum_product(lin)
     if prune is not None:
         bn = elimination.prune_bayes_net(bn, prune)
         support = elimination.hypothesis_support(bn)
-    return bn, support, elimination.bn_map(bn)
+    step = elimination.bn_map(bn)
+    fixed: Dict[Any, int] = {}
+    if dmr_delta is not None:
+        graph, fixed = elimination.dead_mode_removal(bn, graph, dmr_delta)
+        support = support.choose(fixed)
+    return Iteration(graph, retract_values(values, step.continuous), support,
+                     bn, step, fixed)
 
 
 def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
              config: Optional[OptimizeConfig] = None,
-             support: Optional[DecisionTree] = None
+             support: DecisionTree = DecisionTree.constant(1.0)
              ) -> Tuple[HybridValues, HybridBayesNet]:
     """Gauss-Newton over the hybrid graph, restricted to `support`.
 
-    Each iteration takes a gauss_newton_step, retracts, then optionally
-    removes dead modes, carrying the support across iterations.  A step that
-    raises the error is rejected; when dead mode removal then fixes nothing
-    the next iteration would repeat it, so the loop stops: an increase at
-    rounding level means convergence, a larger one raises
+    Each iteration is a gauss_newton_step, which carries the support and,
+    with `dmr_delta` set, removes dead modes.  A step that raises the error
+    on the graph it was taken on is rejected; when dead mode removal then
+    fixes nothing the next iteration would repeat it, so the loop stops: an
+    increase at rounding level means convergence, a larger one raises
     OptimizationDiverged carrying the current iterate and its net.  A
     support over a key the graph lacks raises ValueError.
     """
-    if support is not None and not ({k.id for k in support.keys}
-                                    <= {k.id for k in g.discrete_keys()}):
+    if not {k.id for k in support.keys} <= {k.id for k in g.discrete_keys()}:
         raise ValueError("support mentions keys absent from the graph")
     cfg = config or OptimizeConfig()
     values = dict(init)
     graph = g
     fixed_total: Dict[Any, int] = {}
     for _ in range(cfg.max_iters):
-        bn, support, step = gauss_newton_step(graph, values, support, cfg.prune)
-        candidate = retract_values(values, step.continuous)
-        err_old = graph.error(values, step.discrete)
-        err_new = graph.error(candidate, step.discrete)
+        it = gauss_newton_step(graph, values, support, cfg.prune, cfg.dmr_delta)
+        err_old = graph.error(values, it.step.discrete)
+        err_new = graph.error(it.values, it.step.discrete)
         accepted = err_new <= err_old + 1e-12
         if accepted:
-            values = candidate
-        newly: Dict[Any, int] = {}
-        if cfg.dmr_delta is not None:
-            graph, newly = elimination.dead_mode_removal(bn, graph, cfg.dmr_delta)
-            fixed_total.update(newly)
-            if support is not None and newly:
-                support = support.choose(newly)
+            values = it.values
+        graph, support = it.graph, it.support
+        fixed_total.update(it.fixed)
         step_norm = max((float(np.max(np.abs(d))) if np.asarray(d).size else 0.0
-                         for d in step.continuous.values()), default=0.0)
+                         for d in it.step.continuous.values()), default=0.0)
         if step_norm < cfg.tol:
             break
-        if not accepted and not newly:
+        if not accepted and not it.fixed:
             if err_new - err_old <= 1e-9 * max(1.0, abs(err_old)):
                 break
             raise OptimizationDiverged(
                 f"diverged: step raised the error from {err_old:.6g} to "
-                f"{err_new:.6g}", values, {**step.discrete, **fixed_total}, bn)
-    bn, _, final = gauss_newton_step(graph, values, support, cfg.prune)
+                f"{err_new:.6g}", values, {**it.step.discrete, **fixed_total},
+                it.bn)
+    final = gauss_newton_step(graph, values, support, cfg.prune, None)
     return (HybridValues(continuous=values,
-                         discrete={**final.discrete, **fixed_total}), bn)
+                         discrete={**final.step.discrete, **fixed_total}),
+            final.bn)

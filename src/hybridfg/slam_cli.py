@@ -1,11 +1,11 @@
 """Streaming hybrid SLAM solver.
 
 Ingests a dataset of (possibly ambiguous) odometry and switchable loop
-closures and, every elim_every hybrid factors, runs one streaming pass: a
-Gauss-Newton step that eliminates and prunes, then dead mode removal, plus
-every relin_every-th pass one more relinearize+batch step.  Writes the
-trajectory, mode decisions, per-update timing, and the history of MAP
-estimates.
+closures and, every elim_every hybrid factors, runs one streaming pass: one
+hybrid iteration (nonlinear.gauss_newton_step: eliminate, prune, retract,
+dead mode removal), two on every relin_every-th pass.  The final batch
+repeats the same iteration in nonlinear.optimize.  Writes the trajectory,
+mode decisions, per-update timing, and the history of MAP estimates.
 
 Exit codes: 0 success, 1 solver error, 2 I/O error, input format error or
 bad command-line argument.
@@ -20,20 +20,19 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from .dataset import (DatasetEntry, DatasetParseError, LoopClosure, Odometry,
                       parse_dataset)
 from .discrete import DecisionTree, DiscreteKey
-from .elimination import dead_mode_removal, discrete_marginals
+from .elimination import discrete_marginals
 from .gaussian import NoiseModel
 from .hybrid import (HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
                      NonlinearFactor)
 from .nonlinear import (BetweenResidual, OptimizationDiverged, OptimizeConfig,
-                        Pose2, PriorResidual, compose, gauss_newton_step,
-                        retract_values)
+                        Pose2, PriorResidual, compose, gauss_newton_step)
 
 log = logging.getLogger("hybridfg")
 
@@ -48,7 +47,7 @@ class RunConfig:
     prune_p: int = 10
     dmr_delta: float = 0.8
     elim_every: int = 3         # hybrid factors per streaming pass
-    relin_every: int = 10       # passes per extra relinearize+batch step
+    relin_every: int = 10       # every relin_every-th pass iterates twice
     max_steps: int = 0          # 0 = whole dataset
 
     def __post_init__(self):
@@ -124,14 +123,12 @@ class _Runner:
         self.graph.add(NonlinearFactor._own(
             PriorResidual(("x", 0), Pose2()),
             self.noise[_sigma_diag(ANCHOR_SIGMA, ANCHOR_SIGMA)]))
-        self.support: Optional[DecisionTree] = None
+        self.support = DecisionTree.constant(1.0)
         self.fixed: Dict[Any, int] = {}
-        self.assignment: Dict[Any, int] = {}
         self.hybrid_count = 0
         self.elim_count = 0
         self.timings: List[Tuple[Any, int, int, float]] = []
         self.history: List[Tuple[int, int, float, float, float]] = []
-        self.bn: Optional[HybridBayesNet] = None
 
     def _num_factors(self) -> int:
         return len(self.graph.all_factors())
@@ -157,33 +154,27 @@ class _Runner:
         self.hybrid_count += 1
         return True
 
-    def _eliminate_once(self):
-        self.bn, self.support, step = gauss_newton_step(
-            self.graph, self.values, self.support, self.cfg.prune_p)
-        self.values = retract_values(self.values, step.continuous)
-        self.assignment = dict(step.discrete)
-        return self.bn
-
     def elimination_pass(self):
+        """One hybrid iteration, two on every relin_every-th pass; every
+        step is accepted."""
         self.elim_count += 1
         t0 = time.perf_counter()
-        bn = self._eliminate_once()
-        self.graph, newly = dead_mode_removal(bn, self.graph, self.cfg.dmr_delta)
-        if newly:
-            log.info("dead mode removal fixed %s", newly)
-            self.fixed.update(newly)
-            self.support = self.support.choose(newly)
-        if self.elim_count % self.cfg.relin_every == 0:
-            self._eliminate_once()
-        self._record_timing(self.elim_count, t0)
+        for _ in range(1 + (self.elim_count % self.cfg.relin_every == 0)):
+            it = gauss_newton_step(self.graph, self.values, self.support,
+                                   self.cfg.prune_p, self.cfg.dmr_delta)
+            self.graph, self.values, self.support = it.graph, it.values, it.support
+            if it.fixed:
+                log.info("dead mode removal fixed %s", it.fixed)
+                self.fixed.update(it.fixed)
+        self._record_timing(self.elim_count, t0, self.support)
         for (kind, k) in sorted(self.values):
             p = self.values[(kind, k)]
             self.history.append((self.elim_count, k, p.x, p.y, p.theta))
 
-    def _record_timing(self, step, t0: float):
-        """timing.csv row: step, factors, live hypotheses, ms since t0."""
+    def _record_timing(self, step, t0: float, table: DecisionTree):
+        """timing.csv row: step, factors, live rows of `table`, ms since t0."""
         millis = (time.perf_counter() - t0) * 1000.0
-        hyps = int(np.count_nonzero(self.bn.discrete_joint().leaves))
+        hyps = int(np.count_nonzero(table.leaves))
         self.timings.append((step, self._num_factors(), hyps, millis))
         log.info("elimination %s: %d factors, %d live hypotheses, %.1f ms",
                  step, self._num_factors(), hyps, millis)
@@ -207,7 +198,7 @@ class _Runner:
         live = {k.id for k in self.bn.discrete_keys()}
         self.fixed.update({k: v for k, v in assignment.items() if k not in live})
         self.assignment.update(self.fixed)
-        self._record_timing("final", t0)
+        self._record_timing("final", t0, self.bn.discrete_joint())
 
     def results(self) -> RunResults:
         return RunResults(values=dict(self.values), bn=self.bn,
@@ -282,8 +273,9 @@ def main(argv=None) -> int:
     p.add_argument("--elim-every", type=int, default=3,
                    help="hybrid factors per streaming pass (default 3)")
     p.add_argument("--relin-every", type=int, default=10,
-                   help="streaming passes per extra relinearize+batch "
-                        "step; dead mode removal runs every pass (default 10)")
+                   help="streaming passes per pass that takes a second "
+                        "hybrid iteration; each iteration removes dead "
+                        "modes (default 10)")
     p.add_argument("--max-steps", type=int, default=0,
                    help="dataset entries to ingest (0 = all)")
     args = p.parse_args(argv)

@@ -47,7 +47,7 @@ def test_c01_sum_product_oracle_equivalence():
         probs, _ = enumerate_posterior(g)
         bn = sum_product(g)
         joint = bn.discrete_joint()
-        got = np.asarray(joint.leaves) if joint is not None else np.array(1.0)
+        got = np.asarray(joint.leaves)
         diff = float(np.max(np.abs(got - np.asarray(probs.leaves))))
         worst = max(worst, diff)
         assert diff <= 1e-9, f"graph seed {seed}: posterior off by {diff}"
@@ -170,7 +170,7 @@ def test_c07_dead_mode_removal():
         want = want / want.sum()
         bn2 = sum_product(red)
         joint = bn2.discrete_joint()
-        got = np.asarray(joint.leaves) if joint is not None else np.array(1.0)
+        got = np.asarray(joint.leaves)
         np.testing.assert_allclose(got, want, atol=1e-9)
     assert found >= 5
     _ok(7, f"{found} graphs with dominant modes: post-removal posterior "

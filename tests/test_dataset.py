@@ -109,6 +109,7 @@ class TestGenerator:
         assert len(amb) == 10
         assert len(loops) == 4
         assert len(true_modes) == 10
+        assert sorted(true_modes) == list(range(10))
 
     def test_lap_alignment(self):
         truth = square_loop_truth(100)

@@ -12,9 +12,9 @@ from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       retract)
 from hybridfg.nonlinear import (BetweenResidual, FuncResidual, LinearResidual,
                                 PriorResidual, between_stacked, compose_stacked,
-                                inverse_stacked, numerical_jacobians, pose_rows,
-                                retract_stacked, retract_values, wrap_angle,
-                                wrap_angles)
+                                gauss_newton_step, inverse_stacked,
+                                numerical_jacobians, pose_rows, retract_stacked,
+                                retract_values, wrap_angle, wrap_angles)
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
 from helpers import (random_nonlinear_graph, random_pose, reference_between,
@@ -547,6 +547,21 @@ class TestOptimize:
             np.testing.assert_allclose(carried.continuous[vid].as_vector(),
                                        factored.continuous[vid].as_vector(),
                                        rtol=0, atol=1e-12)
+
+    def test_gauss_newton_step_removes_dead_modes(self):
+        """With dmr_delta set, the iteration fixes a settled mode and drops
+        it from the graph and the support it returns; without it, the graph
+        comes back unchanged."""
+        g, support, init = self._three_mode_graph()
+        # The support's two hypotheses agree on m1 = 1.
+        it = gauss_newton_step(g, init, support, 4, 0.8)
+        assert it.fixed["m1"] == 1
+        assert "m1" not in {k.id for k in it.graph.discrete_keys()}
+        assert "m1" not in {k.id for k in it.support.keys}
+        assert it.values == retract_values(init, it.step.continuous)
+        it = gauss_newton_step(g, init, support, 4, None)
+        assert it.graph is g and it.fixed == {}
+        assert "m1" in {k.id for k in it.support.keys}
 
     def test_support_over_missing_key_refused(self):
         """A support naming a key the graph lacks raises before any step."""

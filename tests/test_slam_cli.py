@@ -147,8 +147,7 @@ class TestRun:
         step, factors, hyps, _ = res.timings[-1]
         assert step == "final"
         assert factors == len(entries) + 1      # the anchor prior and one per entry
-        joint = res.bn.discrete_joint()
-        assert hyps == (np.count_nonzero(joint.leaves) if joint is not None else 1)
+        assert hyps == np.count_nonzero(res.bn.discrete_joint().leaves)
 
     def test_hypothesis_bound(self, seed1_run):
         """Live hypotheses after each pruning pass never exceed prune_P."""
@@ -163,7 +162,9 @@ class TestRun:
         runner = _Runner(RunConfig())
         for index, entry in enumerate(entries):
             runner.add_entry(entry, index)
-        runner._eliminate_once()
+        runner.support = gauss_newton_step(runner.graph, runner.values,
+                                           runner.support, runner.cfg.prune_p,
+                                           None).support
         assert runner.support is not None and runner.support.keys
         calls = {"n": 0}
         original = HybridFactorGraph.linearize
@@ -172,7 +173,7 @@ class TestRun:
             calls["n"] += 1
             return original(self, values)
         monkeypatch.setattr(HybridFactorGraph, "linearize", counting)
-        runner._eliminate_once()
+        runner.elimination_pass()
         assert calls["n"] == 1
 
     def test_linearize_reuses_factored_noise(self, monkeypatch):
@@ -238,9 +239,10 @@ class TestRun:
         nets = []
 
         def diverge(graph, values, config, support):
-            net, _, step = gauss_newton_step(graph, values, support, config.prune)
-            nets.append(net)
-            raise OptimizationDiverged("diverged", dict(values), step.discrete, net)
+            it = gauss_newton_step(graph, values, support, config.prune, None)
+            nets.append(it.bn)
+            raise OptimizationDiverged("diverged", dict(values), it.step.discrete,
+                                       it.bn)
         monkeypatch.setattr(nonlinear, "optimize", diverge)
         # Dead mode removal off: every pass would fix all of this input's
         # modes, and the final net would have none to read marginals from.
@@ -268,6 +270,20 @@ class TestRun:
                   if isinstance(f, HybridNonlinearFactor)]
         assert len(hybrid) < runner.hybrid_count
         assert not {k.id for f in hybrid for k in f.keys} & runner.fixed.keys()
+
+    def test_pass_rows_count_carried_hypotheses(self):
+        """A pass row of timing.csv counts the hypotheses carried into the
+        next pass: the live rows of the support left after that pass's dead
+        mode removal, not of the joint from before it."""
+        entries, _, _ = square_loop_dataset(0, 100, 10, 4)
+        runner = _Runner(RunConfig())
+        for index, entry in enumerate(entries):
+            if runner.add_entry(entry, index) and \
+                    runner.hybrid_count % runner.cfg.elim_every == 0:
+                runner.elimination_pass()
+        step, _, hyps, _ = runner.timings[-1]
+        assert step == runner.elim_count
+        assert hyps == np.count_nonzero(runner.support.leaves)
 
     def test_twenty_ambiguous_edges_resolve_with_defaults(self):
         """150 poses, 20 ambiguous edges and 6 loops: with modes fixed as
