@@ -105,82 +105,132 @@ def _first_component(f) -> JacobianFactor:
     return f
 
 
-_Step = namedtuple("_Step", "var plains rows hybrids base_const children separator "
-                   "keys dv cols offsets width")
+# A planned step: eliminating `var`, which the separators of the steps at
+# positions `children` reach, onto `separator` (the other variables,
+# sorted), with the columns of gaussian._layout.
+_Step = namedtuple("_Step", "var children separator dv cols offsets width")
+
+# The symbolic elimination of a graph's continuous variables: the structure
+# it was planned for (see _structure), the bucket (position of the first
+# variable) of each variable tuple of its factors, a _Step per position and
+# the positions by level (1 + the largest level of those sending
+# separators to it).  The mode keys, the discrete factors and the factors'
+# numbers are filled in per call (see _fill).
+Plan = namedtuple("Plan", "structure bucket steps levels")
+
+# What eliminating a planned step reads in one call: the plain factors (a
+# restricted hybrid's component too, its constant in base_const) and their
+# rows, the hybrid ones and the keys the step's clique spans.
+_Fill = namedtuple("_Fill", "plains rows hybrids base_const keys")
 
 
-def _step(var, factors: Sequence[ContinuousFactor], children: Sequence[int],
-          steps: Sequence[_Step], dims: Mapping[Any, int]) -> _Step:
-    """Eliminating `var` from the graph's `factors` and the separators of
-    steps[c] for c in children: the plain factors (a restricted hybrid's
-    component too, its constant in base_const) and their rows, the hybrid
-    ones, the separator (the other variables, sorted), the keys and the
-    columns (gaussian._layout)."""
-    scope, keys, plains, rows, hybrids, base_const = set(), [], [], 0, [], 0.0
+def _step(var, scope: set, children: Sequence[int], steps: Sequence[_Step],
+          dims: Mapping[Any, int]) -> _Step:
+    """Eliminating `var` from factors over the variables `scope` (which
+    this consumes) and the separators of steps[c] for c in children."""
+    for c in children:
+        scope.update(steps[c].separator)
+    if var not in scope:
+        raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
+    scope.discard(var)
+    separator = tuple(sorted(scope))
+    return _Step(var, children, separator, dims[var],
+                 *_layout(var, separator, dims))
+
+
+def _fill_step(factors: Sequence[ContinuousFactor], children: Sequence[int],
+               fills: Sequence[_Fill]) -> _Fill:
+    """The _Fill of a step whose bucket holds `factors` and whose children's
+    fills are fills[c]."""
+    keys, plains, rows, hybrids, base_const = [], [], 0, [], 0.0
     for f in factors:
         if type(f) is not JacobianFactor:
-            scope.update(f.continuous_ids)
             if f.keys:
                 keys += f.keys
                 hybrids.append((f.keys, f.components.leaves, None))
                 continue
             f, c = f.components.leaves[()]
             base_const += c
-        scope.update(f.variables)
         plains.append(f)
         rows += f.rhs.shape[0]
     for c in children:
-        scope.update(steps[c].separator)
-        keys += steps[c].keys
-    if var not in scope:
-        raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
-    scope.discard(var)
-    separator = tuple(sorted(scope))
-    return _Step(var, plains, rows, hybrids, base_const,
-                 children, separator, _merge_keys((), keys) if keys else (),
-                 dims[var], *_layout(var, separator, dims))
+        keys += fills[c].keys
+    return _Fill(plains, rows, hybrids, base_const,
+                 _merge_keys((), keys) if keys else ())
 
 
-def _plan(g: HybridFactorGraph, ordering: Sequence[Any]):
-    """The symbolic elimination of g, dimensions read once: a factor, a
-    separator or, without one, a boundary factor waits in the bucket of its
-    first variable.  Returns the _Step of every continuous position, these
-    positions by level (1 + the largest level of those sending separators
-    to it), and per discrete position its graph factors and its senders."""
+def _structure(g: HybridFactorGraph):
+    """What a plan of g depends on: its continuous and hybrid factors, the
+    first component of each (see _first_component), the multiset of their
+    variable tuples with the variables' dimensions, and the discrete ids."""
     factors = g.continuous_factors + g.hybrid_factors
     firsts = [_first_component(f) for f in factors]
     dims = _dims(firsts)
-    disc = {k.id for k in g._discrete_keys(dims)}
-    if set(ordering) != set(dims) | disc:
+    disc = [k.id for k in g._discrete_keys(dims)]
+    scopes: Dict[Tuple[Any, ...], int] = {}
+    for f in firsts:
+        scopes[f.variables] = scopes.get(f.variables, 0) + 1
+    return factors, firsts, (scopes, dims), disc
+
+
+def _plan(ordering: Sequence[Any], structure, disc: Sequence[Any]) -> Plan:
+    """The symbolic elimination of a graph of this structure and discrete
+    ids under `ordering`: a factor or a separator waits in the bucket of
+    its first variable."""
+    scopes, dims = structure
+    named = set(ordering)
+    if named != set(dims) | set(disc):
         raise ValueError("ordering must cover exactly the graph's variables")
-    position = {vid: i for i, vid in enumerate(ordering)}
-    if len(position) != len(ordering):
+    if len(named) != len(ordering):
         raise ValueError("ordering contains duplicates")
-    first = next((i for i, v in enumerate(ordering) if v in disc), len(ordering))
+    first = next((i for i, v in enumerate(ordering) if v not in dims), len(ordering))
     late = [v for v in ordering[first:] if v in dims]
     if late:
         raise ValueError(f"not a strong ordering: continuous variable {late[0]!r} "
                          "after a discrete one")
-    buckets: List[List[Any]] = [[] for _ in ordering]
-    for f, ids in zip(factors + g.discrete_factors, [f.variables for f in firsts]
-                      + [[k.id for k in f.keys] for f in g.discrete_factors]):
-        if ids:  # a factor without variables is a constant
-            buckets[min(map(position.__getitem__, ids))].append(f)
-    n_cont, steps = len(dims), []
-    children: List[List[int]] = [[] for _ in ordering]
-    level = [0] * n_cont
-    for i in range(n_cont):
-        steps.append(_step(ordering[i], buckets[i], children[i], steps, dims))
-        ids = steps[i].separator or [k.id for k in steps[i].keys]
-        if ids:
-            t = min(map(position.__getitem__, ids))
+    position = {vid: i for i, vid in enumerate(ordering[:first])}
+    # A factor without variables is a constant.
+    bucket = {ids: min(map(position.__getitem__, ids)) for ids in scopes if ids}
+    buckets: List[set] = [set() for _ in position]
+    for ids, i in bucket.items():
+        buckets[i].update(ids)
+    steps: List[_Step] = []
+    children: List[List[int]] = [[] for _ in position]
+    level = [0] * len(position)
+    for i, var in enumerate(ordering[:first]):
+        steps.append(_step(var, buckets[i], children[i], steps, dims))
+        if steps[i].separator:
+            t = min(map(position.__getitem__, steps[i].separator))
             children[t].append(i)
-            if t < n_cont:
-                level[t] = max(level[t], level[i] + 1)
+            level[t] = max(level[t], level[i] + 1)
     levels: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
     for i, lv in enumerate(level):
         levels[lv].append(i)
-    return steps, levels, list(zip(buckets, children))[n_cont:]
+    return Plan(structure, bucket, steps, levels)
+
+
+def _fill(plan: Plan, factors: Sequence[ContinuousFactor],
+          firsts: Sequence[JacobianFactor], discrete_factors, tail: Sequence[Any]):
+    """Per planned step its _Fill, and per discrete id of `tail`, in that
+    order, its graph factors and the positions whose boundary factors wait
+    there."""
+    bucket = plan.bucket
+    buckets: List[List[Any]] = [[] for _ in plan.steps]
+    for f, first in zip(factors, firsts):
+        if first.variables:
+            buckets[bucket[first.variables]].append(f)
+    fills: List[_Fill] = []
+    for step, held in zip(plan.steps, buckets):
+        fills.append(_fill_step(held, step.children, fills))
+    at = {vid: t for t, vid in enumerate(tail)}
+    waiting: List[Tuple[List[Any], List[int]]] = [([], []) for _ in tail]
+    for f in discrete_factors:
+        if f.keys:
+            waiting[min(at[k.id] for k in f.keys)][0].append(f)
+    for i, (step, fill) in enumerate(zip(plan.steps, fills)):
+        if not step.separator and fill.keys:
+            waiting[min(at[k.id] for k in fill.keys)][1].append(i)
+    return fills, waiting
 
 
 # A separator with keys waiting in sum_product: per mode cell, None or its
@@ -196,20 +246,20 @@ def _blocks(cols, rows: np.ndarray):
 
 
 class _Clique:
-    """The numeric elimination of a planned step, given the finished
-    separators by position and the live-row projectors (see _live_masks)
-    of the graph's zero-holding discrete factors: the row layouts of its
-    systems, one or one per live mode cell, then, once
+    """The numeric elimination of a planned step and its fill, given the
+    finished separators by position and the live-row projectors (see
+    _live_masks) of the graph's zero-holding discrete factors: the row
+    layouts of its systems, one or one per live mode cell, then, once
     _eliminate_independent has run them, the conditional and separator."""
 
-    def __init__(self, step: _Step, separators: Sequence[Any],
+    def __init__(self, step: _Step, fill: _Fill, separators: Sequence[Any],
                  rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]]):
-        self.step, self.error = step, None
+        self.step, self.fill, self.error = step, fill, None
         # Rows after the plain factors: separators without keys, hybrid
         # factors, separators with keys.  Per input: its first row, its
         # blocks and rhs (see gaussian._put), one system's or stacked per
         # system.
-        r, inputs, hybrids = step.rows, [], list(step.hybrids)
+        r, inputs, hybrids = fill.rows, [], list(fill.hybrids)
         for s in map(separators.__getitem__, step.children):
             if type(s) is _HybridSeparator:
                 hybrids.append(s)
@@ -219,7 +269,7 @@ class _Clique:
                 r += out.T.shape[1]
         # Per layout: (rows, inputs, its cells' indices: live cells in flat
         # order, 0 without keys); once run, (output, its first system).
-        keys = step.keys
+        keys = fill.keys
         if not keys:
             # base_const is mode-independent here and cancels in any posterior.
             self.layouts, self.results = [(r, inputs, [0])], [None]
@@ -245,7 +295,7 @@ class _Clique:
         # Per hybrid input: its columns (None: a factor) and its cells' leaves.
         picked = [(cols, leaves[tuple(cells[pos[k.id]] for k in f_keys)])
                   for f_keys, leaves, cols in hybrids]
-        c_in = np.full(len(cells[0]), step.base_const)
+        c_in = np.full(len(cells[0]), fill.base_const)
         for _, leaves in picked:
             c_in += [leaf[-1] for leaf in leaves]
         self.c_in = c_in.tolist()
@@ -276,7 +326,8 @@ class _Clique:
         _HybridSeparator, a DiscreteFactor (boundary), or None (a
         mode-independent constant)."""
         step = self.step
-        var, separator, keys, cols = step.var, step.separator, step.keys, step.cols
+        var, separator, cols = step.var, step.separator, step.cols
+        keys = self.fill.keys
         if self.error is not None:
             raise self.error
         if not keys:
@@ -346,7 +397,7 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
             # per system.
             S = M[j:j + k]
             r = 0
-            for f in c.step.plains:
+            for f in c.fill.plains:
                 r = _put(S, r, f.blocks.items(), f.rhs, offsets)
             for r, blocks, rhs in inputs:
                 _put(S, r, blocks, rhs, offsets)
@@ -373,8 +424,10 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     JacobianFactor, HybridGaussianFactor, DiscreteFactor (boundary), or None
     when it carries no content beyond a mode-independent constant."""
     factors = list(factors)
-    step = _step(var, factors, (), (), _dims([_first_component(f) for f in factors]))
-    clique = _Clique(step, (), ())
+    firsts = [_first_component(f) for f in factors]
+    step = _step(var, {v for f in firsts for v in f.variables}, (), (),
+                 _dims(firsts))
+    clique = _Clique(step, _fill_step(factors, (), ()), (), ())
     _eliminate_independent([clique])
     conditional, sep = clique.finish()
     if type(sep) is tuple:
@@ -386,36 +439,47 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
         for leaf in sep.leaves.flat]))
 
 
-def sum_product(g: HybridFactorGraph,
-                ordering: Optional[Sequence[Any]] = None) -> HybridBayesNet:
+def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
+                plan: Optional[Plan] = None) -> HybridBayesNet:
     """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z):
     the continuous conditionals p(X | M, Z), and P(M | Z) as one table, the
     product of the discrete factors left after continuous elimination
     divided by its sum (over no keys, the empty product [1.0]).  A product
     that is 0 everywhere raises ValueError, as the oracle does.
 
-    The symbolic elimination is planned once (see _plan); the wavefront
-    then eliminates one level of the elimination tree at a time, batching
-    the QRs of its buckets by shape (see _eliminate_independent), and a
-    finished separator waits by position until its parent reads it.  For a
-    given ordering the net is a one-at-a-time bucket loop's bit for bit,
-    and an error is that of the first failing variable in the ordering.
+    The symbolic elimination is planned once (see _plan) and kept as the
+    net's `plan`.  Given the plan of an earlier net and no ordering, it is
+    reused when g's continuous and hybrid factors have the multiset of
+    variable tuples and the dimensions it was planned for (the mode keys
+    and discrete factors may differ); the ordering, which for
+    strong_ordering depends on that adjacency alone, is then the plan's.
+    The wavefront then eliminates one level of the elimination tree at a
+    time, batching the QRs of its buckets by shape (see
+    _eliminate_independent), and a finished separator waits by position
+    until its parent reads it.  For a given ordering the net is a
+    one-at-a-time bucket loop's bit for bit, and an error is that of the
+    first failing variable in the ordering.
     """
-    if ordering is None:
-        ordering = strong_ordering(g)
-    steps, levels, tail = _plan(g, ordering)
+    factors, firsts, structure, disc = _structure(g)
+    if ordering is not None or plan is None or plan.structure != structure:
+        if ordering is None:
+            ordering = strong_ordering(g)
+        plan = _plan(ordering, structure, disc)
+        disc = ordering[len(plan.steps):]   # in the ordering's order
+    steps = plan.steps
+    fills, tail = _fill(plan, factors, firsts, g.discrete_factors, disc)
     rules = [_live_masks(f.potentials) for f in g.discrete_factors
              if f.keys and not f.potentials.leaves.all()]
     conditionals, separators = [None] * len(steps), [None] * len(steps)
     # Errors by position: past the first, the loop would not have gone.
     failures: Dict[int, Exception] = {}
-    for level in levels:
+    for level in plan.levels:
         cliques = []
         for i in level:
             if failures and i > min(failures):
                 continue
             try:
-                cliques.append((i, _Clique(steps[i], separators, rules)))
+                cliques.append((i, _Clique(steps[i], fills[i], separators, rules)))
             except ValueError as e:
                 failures[i] = e
         _eliminate_independent([c for _, c in cliques])
@@ -432,7 +496,7 @@ def sum_product(g: HybridFactorGraph,
     if not total > 0.0:
         raise ValueError("all discrete assignments are impossible")
     return HybridBayesNet(conditionals,
-                          DecisionTree(product.keys, product.leaves / total))
+                          DecisionTree(product.keys, product.leaves / total), plan)
 
 
 def bn_map(bn: HybridBayesNet) -> HybridValues:
@@ -497,8 +561,8 @@ def _live_masks(support: DecisionTree
 
 def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     """Keep only the top-P joint discrete hypotheses: the same conditionals
-    over prune_to_top(joint, P) divided by its sum, or the net itself when
-    it has at most P live hypotheses.
+    and plan over prune_to_top(joint, P) divided by its sum, or the net
+    itself when it has at most P live hypotheses.
 
     The joint is the one record of which hypotheses live: every reader of
     a net takes the modes from its nonzero rows, and sum_product leaves a
@@ -512,7 +576,7 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     if np.array_equal(pruned.leaves, joint.leaves):
         return bn
     return HybridBayesNet(bn.conditionals, DecisionTree(
-        pruned.keys, pruned.leaves / pruned.leaves.sum()))
+        pruned.keys, pruned.leaves / pruned.leaves.sum()), bn.plan)
 
 
 def hypothesis_support(bn: HybridBayesNet) -> DecisionTree:

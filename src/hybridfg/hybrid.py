@@ -500,10 +500,12 @@ HybridGaussianFactorGraph = HybridFactorGraph
 class HybridBayesNet:
     """Gaussian and hybrid conditionals in elimination order, plus P(M | Z)
     as one normalized table over all of the net's discrete keys (the table
-    [1.0] over no keys when it has none)."""
+    [1.0] over no keys when it has none).  `plan` is the symbolic
+    elimination (elimination.Plan) whose order the conditionals follow,
+    None for a net that sum_product did not make."""
 
     def __init__(self, conditionals: Sequence[Any] = (),
-                 joint: DecisionTree = DecisionTree.constant(1.0)):
+                 joint: DecisionTree = DecisionTree.constant(1.0), plan=None):
         keys = {k.id for k in joint.keys}
         for c in conditionals:
             if not isinstance(c, (GaussianConditional, HybridGaussianConditional)):
@@ -515,6 +517,7 @@ class HybridBayesNet:
             raise ValueError("discrete joint must sum to 1")
         self.conditionals: List[Any] = list(conditionals)
         self._discrete_joint = joint
+        self.plan = plan
 
     def __iter__(self):
         return iter(self.conditionals)

@@ -381,7 +381,8 @@ Iteration = namedtuple("Iteration", "graph values support bn step fixed")
 
 def gauss_newton_step(graph: HybridFactorGraph, values: Mapping[Any, Any],
                       support: DecisionTree, prune: Optional[int],
-                      dmr_delta: Optional[float]) -> Iteration:
+                      dmr_delta: Optional[float],
+                      plan: Optional[elimination.Plan] = None) -> Iteration:
     """One hybrid iteration at `values`: linearize once, add the incoming
     support (a 0/1 table of the live joint hypotheses) as a discrete factor,
     eliminate with Sum-Product, which keeps only the mode cells it allows,
@@ -389,11 +390,14 @@ def gauss_newton_step(graph: HybridFactorGraph, values: Mapping[Any, Any],
     survivors as the new support.  The step is the hybrid MAP read off the
     (pruned) net, and `values` are retracted by it.  When `dmr_delta` is
     set, the modes whose marginal exceeds it leave the graph and support.
+    `plan`, the previous iteration's `bn.plan`, is reused while the
+    linearization has the continuous structure it was made for (see
+    elimination.sum_product); the net holds the plan it was eliminated by.
     """
     lin = graph.linearize(values)
     if support.keys:
         lin.add(DiscreteFactor(support.keys, support))
-    bn = elimination.sum_product(lin)
+    bn = elimination.sum_product(lin, plan=plan)
     if prune is not None:
         bn = elimination.prune_bayes_net(bn, prune)
         support = elimination.hypothesis_support(bn)
@@ -408,17 +412,28 @@ def gauss_newton_step(graph: HybridFactorGraph, values: Mapping[Any, Any],
 
 def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
              config: Optional[OptimizeConfig] = None,
-             support: DecisionTree = DecisionTree.constant(1.0)
+             support: DecisionTree = DecisionTree.constant(1.0),
+             plan: Optional[elimination.Plan] = None
              ) -> Tuple[HybridValues, HybridBayesNet]:
     """Gauss-Newton over the hybrid graph, restricted to `support`.
 
-    Each iteration is a gauss_newton_step, which carries the support and,
-    with `dmr_delta` set, removes dead modes.  A step that raises the error
-    on the graph it was taken on is rejected; when dead mode removal then
-    fixes nothing the next iteration would repeat it, so the loop stops: an
-    increase at rounding level means convergence, a larger one raises
-    OptimizationDiverged carrying the current iterate and its net.  A
-    support over a key the graph lacks raises ValueError.
+    Each iteration is a gauss_newton_step, which carries the support, the
+    symbolic plan (the first iteration's is `plan`, say that of the
+    iteration that led to `init`) and, with `dmr_delta` set, removes dead
+    modes.  A step that raises the error on the graph it was taken on is
+    rejected; when dead mode removal then fixes nothing the next iteration
+    would repeat it, so the loop stops: an increase at rounding level
+    means convergence, a larger one raises OptimizationDiverged carrying
+    the current iterate and its net.  A support over a key the graph lacks
+    raises ValueError.
+
+    Returns the estimate and a net.  When the last iteration fixed no mode
+    and either its step was accepted or it left the values and the support
+    as they were, the net is that iteration's: in the first case the
+    estimate is its MAP (the values its step retracted to, and its modes),
+    in the second a fresh read would repeat it bit for bit.  Otherwise one
+    more iteration, without dead mode removal, reads the net at the
+    estimate.
     """
     if not {k.id for k in support.keys} <= {k.id for k in g.discrete_keys()}:
         raise ValueError("support mentions keys absent from the graph")
@@ -426,13 +441,24 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
     values = dict(init)
     graph = g
     fixed_total: Dict[Any, int] = {}
+    # After an accepted step that fixed nothing: its modes and the error at
+    # `values` on `graph` under them.
+    known: Optional[Tuple[Dict[Any, int], float]] = None
+    last: Optional[Iteration] = None    # one whose net and modes are the answer
     for _ in range(cfg.max_iters):
-        it = gauss_newton_step(graph, values, support, cfg.prune, cfg.dmr_delta)
-        err_old = graph.error(values, it.step.discrete)
-        err_new = graph.error(it.values, it.step.discrete)
+        it = gauss_newton_step(graph, values, support, cfg.prune,
+                               cfg.dmr_delta, plan)
+        plan, modes = it.bn.plan, it.step.discrete
+        err_old = known[1] if known is not None and known[0] == modes \
+            else graph.error(values, modes)
+        err_new = graph.error(it.values, modes)
         accepted = err_new <= err_old + 1e-12
         if accepted:
             values = it.values
+        known = (modes, err_new) if accepted and not it.fixed else None
+        unchanged = it.support.keys == support.keys and \
+            np.array_equal(it.support.leaves, support.leaves)
+        last = it if not it.fixed and (accepted or unchanged) else None
         graph, support = it.graph, it.support
         fixed_total.update(it.fixed)
         step_norm = max((float(np.max(np.abs(d))) if np.asarray(d).size else 0.0
@@ -446,7 +472,8 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
                 f"diverged: step raised the error from {err_old:.6g} to "
                 f"{err_new:.6g}", values, {**it.step.discrete, **fixed_total},
                 it.bn)
-    final = gauss_newton_step(graph, values, support, cfg.prune, None)
+    final = last or gauss_newton_step(graph, values, support, cfg.prune, None,
+                                      plan)
     return (HybridValues(continuous=values,
                          discrete={**final.step.discrete, **fixed_total}),
             final.bn)

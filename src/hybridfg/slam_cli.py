@@ -124,6 +124,7 @@ class _Runner:
             PriorResidual(("x", 0), Pose2()),
             self.noise[_sigma_diag(ANCHOR_SIGMA, ANCHOR_SIGMA)]))
         self.support = DecisionTree.constant(1.0)
+        self.plan = None    # the last iteration's symbolic plan
         self.fixed: Dict[Any, int] = {}
         self.hybrid_count = 0
         self.elim_count = 0
@@ -161,8 +162,9 @@ class _Runner:
         t0 = time.perf_counter()
         for _ in range(1 + (self.elim_count % self.cfg.relin_every == 0)):
             it = gauss_newton_step(self.graph, self.values, self.support,
-                                   self.cfg.prune_p, self.cfg.dmr_delta)
+                                   self.cfg.prune_p, self.cfg.dmr_delta, self.plan)
             self.graph, self.values, self.support = it.graph, it.values, it.support
+            self.plan = it.bn.plan
             if it.fixed:
                 log.info("dead mode removal fixed %s", it.fixed)
                 self.fixed.update(it.fixed)
@@ -181,13 +183,15 @@ class _Runner:
 
     def finalize(self):
         """Final batch: optimize to convergence with pruning and DMR,
-        starting from the streaming support; timed as step "final"."""
+        starting from the streaming support and plan; timed as step
+        "final"."""
         t0 = time.perf_counter()
         cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=self.cfg.prune_p,
                              dmr_delta=self.cfg.dmr_delta)
         try:
             from .nonlinear import optimize
-            estimate, self.bn = optimize(self.graph, self.values, cfg, self.support)
+            estimate, self.bn = optimize(self.graph, self.values, cfg,
+                                         self.support, self.plan)
             self.values, assignment = estimate.continuous, estimate.discrete
         except OptimizationDiverged as e:
             log.warning("final optimization diverged; keeping best iterate")

@@ -79,8 +79,7 @@ class TestStrongOrdering:
             g.add(JacobianFactor({0: [[1.0]]}, [0.0]))
             for i in range(2 ** k - 1):
                 g.add(JacobianFactor({i: [[-1.0]], i + 1: [[1.0]]}, [1.0]))
-            _, levels, _ = elimination._plan(g, strong_ordering(g))
-            assert len(levels) == k + 1, k
+            assert len(sum_product(g).plan.levels) == k + 1, k
 
     def test_hybrid_path_still_continuous_first(self):
         """A path of 8 variables whose links are all two-mode: the same
@@ -89,7 +88,7 @@ class TestStrongOrdering:
         order = strong_ordering(g)
         assert sorted(order[:8]) == [f"x{i}" for i in range(8)]
         assert order[8:] == [f"m{i}" for i in range(7)]
-        assert len(elimination._plan(g, order)[1]) == 4
+        assert len(sum_product(g, order).plan.levels) == 4
 
 
 def _mmd_reference(g):
@@ -1009,7 +1008,7 @@ class TestWavefront:
     def test_qr_calls_and_systems_do_not_grow(self, monkeypatch, shape, config,
                                               most):
         """The batching a whole run gets: QR calls, the systems they take
-        and the wavefront levels of all its plans, on the streaming
+        and the wavefront levels its eliminations run, on the streaming
         benchmark's input, on C09's and on 200/10/10 with defaults, at most
         as many as when path variables first joined the ordering's rounds,
         so a change to the ordering, to how groups are filled or to which
@@ -1017,13 +1016,13 @@ class TestWavefront:
         entries, _, _ = square_loop_dataset(*shape)
         calls = _count_qr_systems(monkeypatch)
         levels = []
-        plan = elimination._plan
+        eliminate = elimination.sum_product
 
-        def counting_plan(g, ordering):
-            planned = plan(g, ordering)
-            levels.append(len(planned[1]))
-            return planned
-        monkeypatch.setattr(elimination, "_plan", counting_plan)
+        def counting_sum_product(*args, **kwargs):
+            bn = eliminate(*args, **kwargs)
+            levels.append(len(bn.plan.levels))
+            return bn
+        monkeypatch.setattr(elimination, "sum_product", counting_sum_product)
         slam_cli.run(config, entries)
         counts = (len(calls), sum(calls), sum(levels))
         assert all(n <= m for n, m in zip(counts, most)), counts
@@ -1077,13 +1076,14 @@ class TestNetStorage:
 
 class TestPlan:
     """The symbolic elimination sum_product plans once and its wavefront
-    reads (elimination._plan)."""
+    reads (elimination._plan, kept as the net's plan), and what each call
+    fills it with (elimination._fill)."""
 
     def test_separators_are_the_net_parents(self):
         """Random graphs and a pose graph under random strong orderings:
-        each conditional's frontal, parents and keys are the variable,
-        separator and keys the plan gave its position, and no position
-        feeds another of its level."""
+        each conditional's frontal, parents and keys are the variable and
+        separator the plan gave its position and the keys the call's fill
+        gave it, and no position feeds another of its level."""
         rng = np.random.default_rng(47)
         graphs = [random_hybrid_graph(rng, int(rng.integers(1, 7)),
                                       int(rng.integers(0, 5)),
@@ -1093,19 +1093,23 @@ class TestPlan:
         seen = {"separator": 0, "keys": 0, "boundary": 0}
         for trial, g in enumerate(graphs):
             ordering = _random_strong_ordering(rng, g)
-            steps, levels, tail = elimination._plan(g, ordering)
             bn = sum_product(g, ordering)
+            steps, levels = bn.plan.steps, bn.plan.levels
+            factors, firsts, _, _ = elimination._structure(g)
+            fills, tail = elimination._fill(bn.plan, factors, firsts,
+                                            g.discrete_factors,
+                                            ordering[len(steps):])
             assert len(steps) == len(bn.conditionals), trial
-            for step, c in zip(steps, bn.conditionals):
+            for step, fill, c in zip(steps, fills, bn.conditionals):
                 if isinstance(c, HybridGaussianConditional):
                     assert c.frontals == (step.var,), trial
-                    assert c.keys == step.keys, trial
+                    assert c.keys == fill.keys, trial
                 else:
-                    assert c.frontal == step.var and step.keys == (), trial
+                    assert c.frontal == step.var and fill.keys == (), trial
                 assert c.parents == step.separator, trial
                 seen["separator"] += bool(step.separator)
-                seen["keys"] += bool(step.keys)
-                seen["boundary"] += bool(step.keys) and not step.separator
+                seen["keys"] += bool(fill.keys)
+                seen["boundary"] += bool(fill.keys) and not step.separator
             done = set()
             for level in levels:
                 assert all(c in done for i in level for c in steps[i].children)
@@ -1113,6 +1117,46 @@ class TestPlan:
             assert sorted(done) == list(range(len(steps))), trial
             assert len(tail) == len(ordering) - len(steps), trial
         assert all(seen.values()), seen
+
+    def test_plan_kept_only_for_the_same_structure(self):
+        """A plan passed back is reused when the graph's continuous and
+        hybrid factors keep their variable tuples and dimensions, here
+        after modes are fixed and with a discrete factor added, and the net
+        is then the freshly planned one bit for bit; after a factor is
+        added, or with a variable of another dimension, it is planned
+        afresh."""
+        rng = np.random.default_rng(48)
+        g = random_hybrid_graph(rng, 5, 3, two_var_hybrids=True)
+        plan = sum_product(g).plan
+
+        def plus(f):
+            h = HybridFactorGraph()
+            for old in g.all_factors():
+                h.add(old)
+            return h.add(f)
+        for h in (g, g.restrict({"m0": 1, "m2": 0}),
+                  plus(DiscreteFactor([DiscreteKey("m1", 2)], [0.3, 0.7]))):
+            bn = sum_product(h, plan=plan)
+            assert bn.plan is plan
+            fresh = sum_product(h)
+            assert same_net(bn, fresh)
+            assert fresh.plan.steps == plan.steps
+            assert fresh.plan.levels == plan.levels
+        # A new edge, or a second factor over variables already joined.
+        for h in (plus(whiten({"x1": [[1.0]], "x3": [[1.0]]}, [0.5], 1.0)),
+                  plus(g.continuous_factors[1])):
+            bn = sum_product(h, plan=plan)
+            assert bn.plan is not plan
+            assert same_net(bn, sum_product(h))
+        narrow, wide = HybridFactorGraph(), HybridFactorGraph()
+        for h, d in ((narrow, 1), (wide, 2)):
+            h.add(JacobianFactor({"x": np.eye(d)}, np.zeros(d)))
+            h.add(JacobianFactor({"x": -np.eye(d), "y": np.eye(d)}, np.ones(d)))
+        plan = sum_product(narrow).plan
+        assert sum_product(narrow, plan=plan).plan is plan
+        assert sum_product(wide, plan=plan).plan is not plan
+        # An explicit ordering is always planned.
+        assert sum_product(narrow, ["x", "y"], plan).plan is not plan
 
     def test_inconsistent_dimension_raises(self):
         """Two factors that give x different widths, plain or hybrid."""

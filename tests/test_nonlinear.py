@@ -5,6 +5,7 @@ import pytest
 
 from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
+                      HybridValues, discrete_marginals, slam_cli,
                       JacobianFactor,
                       NonlinearFactor, OptimizationDiverged, OptimizeConfig,
                       Pose2, between, compose,
@@ -15,12 +16,14 @@ from hybridfg.nonlinear import (BetweenResidual, FuncResidual, LinearResidual,
                                 gauss_newton_step, inverse_stacked,
                                 numerical_jacobians, pose_rows, retract_stacked,
                                 retract_values, wrap_angle, wrap_angles)
+from hybridfg.dataset import square_loop_dataset
 from hybridfg.oracle import enumerate_map, enumerate_posterior
 
 from helpers import (random_nonlinear_graph, random_pose, reference_between,
                      reference_compose, reference_graph_error,
                      reference_inverse, reference_linearize,
-                     reference_retract_values, same_bits, same_marginal)
+                     reference_retract_values, same_bits, same_marginal,
+                     same_net)
 
 
 def _random_pose(rng):
@@ -570,6 +573,74 @@ class TestOptimize:
                              np.repeat(support.leaves[..., None], 2, axis=-1))
         with pytest.raises(ValueError, match="absent from the graph"):
             optimize(g, init, OptimizeConfig(prune=4), extra)
+
+    @staticmethod
+    def _reference_optimize(g, init, cfg, support):
+        """optimize as it ran before iterations carried their plan, error
+        and net: both errors computed on every step and a final read at the
+        estimate.  Also returns whether the last step was accepted."""
+        values, graph, fixed_total = dict(init), g, {}
+        for _ in range(cfg.max_iters):
+            it = gauss_newton_step(graph, values, support, cfg.prune,
+                                   cfg.dmr_delta)
+            err_old = graph.error(values, it.step.discrete)
+            err_new = graph.error(it.values, it.step.discrete)
+            accepted = err_new <= err_old + 1e-12
+            if accepted:
+                values = it.values
+            graph, support = it.graph, it.support
+            fixed_total.update(it.fixed)
+            step_norm = max((float(np.max(np.abs(d))) if np.asarray(d).size
+                             else 0.0 for d in it.step.continuous.values()),
+                            default=0.0)
+            if step_norm < cfg.tol:
+                break
+            if not accepted and not it.fixed:
+                if err_new - err_old <= 1e-9 * max(1.0, abs(err_old)):
+                    break
+                raise OptimizationDiverged("diverged", values, {}, it.bn)
+        final = gauss_newton_step(graph, values, support, cfg.prune, None)
+        return (HybridValues(continuous=values,
+                             discrete={**final.step.discrete, **fixed_total}),
+                final.bn, accepted)
+
+    @pytest.mark.parametrize("dmr_delta", [0.8, None])
+    @pytest.mark.parametrize("seed, last_accepted", [(0, False), (1, True)])
+    def test_last_net_matches_a_final_read(self, seed, last_accepted,
+                                           dmr_delta):
+        """C09's final batch, which ends without a read of its own: the
+        values and modes of a loop that reads the net at the estimate, bit
+        for bit.  Seed 0's last step is rejected, so that read repeats the
+        last iteration and the nets are equal; seed 1's is accepted, and its
+        marginals agree to 1e-12.  With the runner's dead mode removal the
+        batch fixes every open mode; without it three stay open."""
+        entries, _, _ = square_loop_dataset(seed, 100, 10, 4)
+        runner = slam_cli._Runner(slam_cli.RunConfig())
+        for index, entry in enumerate(entries):
+            if runner.add_entry(entry, index) and \
+                    runner.hybrid_count % runner.cfg.elim_every == 0:
+                runner.elimination_pass()
+        cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=runner.cfg.prune_p,
+                             dmr_delta=dmr_delta)
+        want, want_bn, accepted = self._reference_optimize(
+            runner.graph, runner.values, cfg, runner.support)
+        assert accepted == last_accepted
+        got, bn = optimize(runner.graph, runner.values, cfg, runner.support,
+                           runner.plan)
+        assert got.discrete == want.discrete
+        assert got.continuous.keys() == want.continuous.keys()
+        for vid, pose in want.continuous.items():
+            assert same_bits(pose_rows([got.continuous[vid]]),
+                             pose_rows([pose])), vid
+        got_m, want_m = discrete_marginals(bn), discrete_marginals(want_bn)
+        assert got_m.keys() == want_m.keys()
+        assert len(got_m) == (0 if dmr_delta else 3)
+        for kid, probs in want_m.items():
+            if accepted:
+                np.testing.assert_allclose(got_m[kid], probs, rtol=0, atol=1e-12)
+            else:
+                assert same_bits(got_m[kid], probs), kid
+        assert same_net(bn, want_bn) != accepted
 
     def test_divergence_reports_best(self):
         """A residual engineered to worsen under full Gauss-Newton steps

@@ -4,8 +4,8 @@ import logging
 import numpy as np
 import pytest
 
-from hybridfg import (DiscreteKey, Pose2, discrete, gaussian, nonlinear,
-                      sum_product)
+from hybridfg import (DiscreteKey, Pose2, discrete, elimination, gaussian,
+                      nonlinear, sum_product)
 from hybridfg.dataset import LoopClosure, Odometry, square_loop_dataset, write_dataset
 from hybridfg.elimination import discrete_marginals
 from hybridfg.hybrid import (HybridFactorGraph, HybridNonlinearFactor,
@@ -16,7 +16,7 @@ from hybridfg.slam_cli import (NoiseModels, RunConfig, RunResults, _Runner,
                                build_loop_factor, build_motion_factor,
                                emit_results, main, run)
 
-from helpers import run_module
+from helpers import run_module, same_net
 
 TIGHT = np.array([1e-4, 1e-4, 1e-4])
 
@@ -238,8 +238,9 @@ class TestRun:
                                             n_loops=2)
         nets = []
 
-        def diverge(graph, values, config, support):
-            it = gauss_newton_step(graph, values, support, config.prune, None)
+        def diverge(graph, values, config, support, plan):
+            it = gauss_newton_step(graph, values, support, config.prune, None,
+                                   plan)
             nets.append(it.bn)
             raise OptimizationDiverged("diverged", dict(values), it.step.discrete,
                                        it.bn)
@@ -270,6 +271,50 @@ class TestRun:
                   if isinstance(f, HybridNonlinearFactor)]
         assert len(hybrid) < runner.hybrid_count
         assert not {k.id for f in hybrid for k in f.keys} & runner.fixed.keys()
+
+    @pytest.mark.parametrize("shape, config, calls", [
+        ((0, 100, 10, 4), RunConfig(), (7, 5)),
+        ((0, 200, 10, 10), RunConfig(elim_every=1, relin_every=2), (32, 20))])
+    def test_plans_kept_across_iterations(self, monkeypatch, shape, config,
+                                          calls):
+        """Per solve, C09 and the streaming benchmark's input: the symbolic
+        plan is kept while the continuous structure is unchanged (the
+        second iteration of a pass, the final batch's iterations), and the
+        final batch ends without a read of its own."""
+        counts = {"sum_product": 0, "strong_ordering": 0}
+        for name in counts:
+            original = getattr(elimination, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(elimination, name, counting)
+        entries, _, _ = square_loop_dataset(*shape)
+        run(config, entries)
+        assert (counts["sum_product"], counts["strong_ordering"]) == calls
+
+    def test_reused_plans_eliminate_as_fresh_ones(self, monkeypatch):
+        """On every Gauss-Newton step of a C09 run the net is the one that
+        planning afresh gives, bit for bit (conditional rows,
+        log-normalizers and the joint); two steps reuse their plan, one of
+        them just after dead mode removal fixed modes and changed the keys."""
+        eliminate = elimination.sum_product
+        steps = {"reused": 0, "new keys": 0}
+        previous = []   # the keys of the previous step's graph
+
+        def checked(g, ordering=None, plan=None):
+            bn = eliminate(g, ordering, plan)
+            keys = g.discrete_keys()
+            assert same_net(bn, eliminate(g))
+            if plan is not None and bn.plan is plan:
+                steps["reused"] += 1
+                steps["new keys"] += keys != previous[-1]
+            previous.append(keys)
+            return bn
+        monkeypatch.setattr(elimination, "sum_product", checked)
+        entries, _, _ = square_loop_dataset(0, 100, 10, 4)
+        run(RunConfig(), entries)
+        assert steps == {"reused": 2, "new keys": 1}
 
     def test_pass_rows_count_carried_hypotheses(self):
         """A pass row of timing.csv counts the hypotheses carried into the
