@@ -199,12 +199,21 @@ class GaussianConditional:
 
 def sigma_cholesky(sigma, dim: int = None) -> np.ndarray:
     """Lower Cholesky factor of a covariance given as scalar variance,
-    diagonal of variances, or a full SPD matrix."""
+    diagonal of variances, or a full SPD matrix.
+
+    A scalar or 1-D covariance is factored as the diagonal of its square
+    roots, bit-identical to LAPACK's Cholesky of the dense diagonal matrix
+    (no symmetry test, no factorization); a 2-D one is tested for symmetry
+    and factored by LAPACK."""
     s = np.asarray(sigma, dtype=float)
     if s.ndim == 0:
-        s = np.eye(1 if dim is None else dim) * float(s)
-    elif s.ndim == 1:
-        s = np.diag(s)
+        s = np.full(1 if dim is None else dim, s)
+    if not np.isfinite(s).all():
+        raise ValueError("invalid noise model: covariance must be finite")
+    if s.ndim == 1:
+        if not (s > 0.0).all():
+            raise ValueError("invalid noise model: covariance not positive definite")
+        return np.diag(np.sqrt(s))
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("invalid noise model: covariance must be square")
     if not np.allclose(s, s.T, atol=1e-10):
@@ -222,8 +231,9 @@ def log_normalization_constant(sigma, dim: int = None) -> float:
 
 class NoiseModel:
     """Gaussian noise on `dim`-vectors (None: sigma's size), checked and
-    factored once into Sigma = L L^T.  `sigma` is a read-only copy, so L
-    cannot go stale."""
+    factored once into Sigma = L L^T by sigma_cholesky: a scalar or 1-D
+    covariance as the diagonal of its square roots, a 2-D one by LAPACK's
+    Cholesky.  `sigma` is a read-only copy, so L cannot go stale."""
 
     __slots__ = ("sigma", "L", "log_normalizer")
 
@@ -264,7 +274,9 @@ def whiten_stacked(L: np.ndarray, H: Optional[np.ndarray], z: np.ndarray
 def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
     """Whiten H x = z with noise covariance Sigma = L L^T: A = L^{-1} H,
     b = L^{-1} z, so 0.5||Ax-b||^2 = 0.5||Hx-z||^2_Sigma; whiten_stacked
-    on one system."""
+    on one system.  L comes from NoiseModel (for a scalar or 1-D Sigma the
+    diagonal of square roots), and the whitened arrays are checked for
+    finiteness once."""
     z = _as_vector(z)
     noise = NoiseModel(sigma, z.shape[0])
     mats = {vid: _as_matrix(H) for vid, H in blocks.items()}
@@ -277,7 +289,9 @@ def whiten(blocks: Mapping[Any, Any], z, sigma) -> JacobianFactor:
     for vid, M in mats.items():
         wb[vid] = W[0, :, c:c + M.shape[1]]
         c += M.shape[1]
-    return JacobianFactor(wb, w[0])
+    if (W is None or np.isfinite(W).all()) and np.isfinite(w).all():
+        return JacobianFactor._own(wb, w[0], tuple(sorted(wb)))
+    return JacobianFactor(wb, w[0])     # names the non-finite block
 
 
 def _dims(factors: Sequence[JacobianFactor]) -> Dict[Any, int]:

@@ -238,8 +238,10 @@ def linearize_components(uses: Sequence[Tuple[Any, NoiseModel]], values
     (residual, noise) pairs `uses` at `values`, in order, in one stacked
     pass: every distinct residual evaluated and differentiated once (see
     _evaluate), then each group of one class and Jacobian shape whitened
-    by whiten_stacked."""
-    stacks, where = _evaluate(uses, values)
+    by whiten_stacked.  A non-finite value makes the evaluation warn; the
+    checks after it raise the error instead."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacks, where = _evaluate(uses, values)
     if not all(_all_finite(H) for _, H, _ in stacks.values()):
         raise ValueError("linearization failure: non-finite Jacobian")
     if not all(_all_finite(r) for r, _, _ in stacks.values()):

@@ -7,7 +7,9 @@ from hybridfg.gaussian import (RANK_TOL, GaussianConditional, JacobianFactor,
                                UnderconstrainedVariable, _layout,
                                back_substitute, eliminate_one,
                                eliminate_stacked, log_normalization_constant,
-                               sigma_cholesky, whiten)
+                               NoiseModel, sigma_cholesky, whiten)
+from hybridfg.hybrid import NonlinearFactor
+from hybridfg.nonlinear import LinearResidual
 
 from helpers import (reference_back_substitute, reference_eliminate_one,
                      same_bits, same_elimination, stack_systems,
@@ -47,7 +49,13 @@ class TestWhiten:
     def test_non_pd_sigma_rejected(self):
         with pytest.raises(ValueError, match="invalid noise model"):
             whiten({"x": [[1.0], [1.0]]}, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
-
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            reason = "positive definite" if math.isfinite(bad) else "must be finite"
+            for sigma in (bad, [1.0, bad], [[1.0, 0.0], [0.0, bad]]):
+                with pytest.raises(ValueError, match=f"invalid noise model: .*{reason}"):
+                    whiten({"x": [[1.0], [1.0]]}, [2.0, 2.0], sigma)
+                with pytest.raises(ValueError, match=f"invalid noise model: .*{reason}"):
+                    log_normalization_constant(sigma, 2)
 
     @pytest.mark.parametrize("kind", ["scalar", "diagonal", "full"])
     def test_one_solve_matches_per_block_solves(self, kind):
@@ -65,6 +73,8 @@ class TestWhiten:
                      "diagonal": lambda: rng.uniform(1e-6, 10.0, size=n),
                      "full": lambda: _random_spd(rng, n)}[kind]()
             L = sigma_cholesky(sigma, n)
+            if kind != "full":
+                assert same_bits(L, np.linalg.cholesky(np.diag(np.broadcast_to(sigma, n))))
             blocks = {f"x{i}": rng.normal(size=(n, int(rng.integers(1, 5))))
                       for i in range(int(rng.integers(0, 4)))}
             z = rng.normal(size=n)
@@ -77,6 +87,37 @@ class TestWhiten:
                 else:
                     np.testing.assert_allclose(f.blocks[vid], want,
                                                rtol=1e-13, atol=1e-13)
+        if kind != "full":      # variances over 600 orders of magnitude
+            for _ in range(200):
+                n = int(rng.integers(1, 7))
+                sigma = 10.0 ** rng.uniform(-300, 300, size=() if kind == "scalar" else n)
+                assert same_bits(sigma_cholesky(sigma, n),
+                                 np.linalg.cholesky(np.diag(np.broadcast_to(sigma, n))))
+
+    @pytest.mark.parametrize("sigma", [2.5, [0.5, 2.0, 3.0]], ids=["scalar", "vector"])
+    def test_diagonal_covariance_skips_symmetry_test_and_lapack(self, monkeypatch, sigma):
+        """A scalar or 1-D covariance is factored as the diagonal of square
+        roots: building a NoiseModel, whiten and NonlinearFactor over one
+        calls neither np.allclose nor np.linalg.cholesky; a 2-D one calls
+        each once."""
+        calls = {"allclose": 0, "cholesky": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "allclose", counting("allclose", np.allclose))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            counting("cholesky", np.linalg.cholesky))
+        H = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        noise = NoiseModel(sigma, 3)
+        whiten({"x": H}, [1.0, 2.0, 3.0], sigma)
+        NonlinearFactor(LinearResidual({"x": H}, [1.0, 2.0, 3.0]), sigma)
+        assert calls == {"allclose": 0, "cholesky": 0}
+        NoiseModel(np.diag(np.broadcast_to(noise.sigma, 3)))
+        assert calls == {"allclose": 1, "cholesky": 1}
 
 
 class TestEliminateOne:
