@@ -254,7 +254,7 @@ class _Clique:
 
     def __init__(self, step: _Step, fill: _Fill, separators: Sequence[Any],
                  rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]]):
-        self.step, self.fill, self.error = step, fill, None
+        self.step, self.fill = step, fill
         # Rows after the plain factors: separators without keys, hybrid
         # factors, separators with keys.  Per input: its first row, its
         # blocks and rhs (see gaussian._put), one system's or stacked per
@@ -328,8 +328,6 @@ class _Clique:
         step = self.step
         var, separator, cols = step.var, step.separator, step.cols
         keys = self.fill.keys
-        if self.error is not None:
-            raise self.error
         if not keys:
             if self.results[0] is None or not self.results[0][0].live[self.results[0][1]]:
                 m = self.layouts[0][0]
@@ -378,8 +376,8 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
     """Run the QRs of cliques none of which feeds another: their systems,
     grouped by shape (rows, columns, the variable's dimension), fill one
     (K, m, n+1) array per group, by slices (gaussian._put), for one
-    eliminate_stacked call.  A group with fewer rows than the variable
-    needs runs none."""
+    eliminate_stacked call, whose ValueError on non-finite entries this
+    raises.  A group with fewer rows than the variable needs runs none."""
     groups: Dict[Tuple[int, int, int], List[Tuple[_Clique, int]]] = {}
     for c in cliques:
         for li, layout in enumerate(c.layouts):
@@ -403,18 +401,25 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
                 _put(S, r, blocks, rhs, offsets)
             c.results[li] = j
             heads += [(c.step.var, c.step.cols)] * k
-        try:
-            out = eliminate_stacked(M, dv, heads)
-            for c, li in parts:
-                c.results[li] = (out, c.results[li])
-        except ValueError:
-            # Non-finite entries: one QR per part finds whose.
-            for c, li in parts:
-                j, k = c.results[li], len(c.layouts[li][2])
-                try:
-                    c.results[li] = (eliminate_stacked(M[j:j + k], dv, heads[j:j + k]), 0)
-                except ValueError as e:
-                    c.results[li], c.error = None, e
+        out = eliminate_stacked(M, dv, heads)
+        for c, li in parts:
+            c.results[li] = (out, c.results[li])
+
+
+def _wavefront(steps: Sequence[_Step], fills: Sequence[_Fill],
+               rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]],
+               levels: Sequence[Sequence[int]]) -> Tuple[List[Any], List[Any]]:
+    """Eliminate the planned steps a level at a time: each level's cliques
+    read the separators of earlier levels by position, and their QRs run
+    together (see _eliminate_independent).  Returns the conditionals and
+    separators by position (see _Clique.finish)."""
+    conditionals, separators = [None] * len(steps), [None] * len(steps)
+    for level in levels:
+        cliques = [_Clique(steps[i], fills[i], separators, rules) for i in level]
+        _eliminate_independent(cliques)
+        for i, c in zip(level, cliques):
+            conditionals[i], separators[i] = c.finish()
+    return conditionals, separators
 
 
 def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
@@ -427,9 +432,8 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     firsts = [_first_component(f) for f in factors]
     step = _step(var, {v for f in firsts for v in f.variables}, (), (),
                  _dims(firsts))
-    clique = _Clique(step, _fill_step(factors, (), ()), (), ())
-    _eliminate_independent([clique])
-    conditional, sep = clique.finish()
+    (conditional,), (sep,) = _wavefront(
+        [step], [_fill_step(factors, (), ())], (), [[0]])
     if type(sep) is tuple:
         return conditional, _marginal(sep[0].T[sep[1]], step.cols, step.separator)
     if type(sep) is not _HybridSeparator:
@@ -453,12 +457,13 @@ def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
     variable tuples and the dimensions it was planned for (the mode keys
     and discrete factors may differ); the ordering, which for
     strong_ordering depends on that adjacency alone, is then the plan's.
-    The wavefront then eliminates one level of the elimination tree at a
-    time, batching the QRs of its buckets by shape (see
-    _eliminate_independent), and a finished separator waits by position
-    until its parent reads it.  For a given ordering the net is a
-    one-at-a-time bucket loop's bit for bit, and an error is that of the
-    first failing variable in the ordering.
+    The wavefront (see _wavefront) then eliminates one level of the
+    elimination tree at a time, batching the QRs of its buckets by shape,
+    and a finished separator waits by position until its parent reads it.
+    For a given ordering the net is a one-at-a-time bucket loop's bit for
+    bit.  Where the wavefront fails, the same steps run again one position
+    per level, in the ordering's order, so the error raised is that of the
+    first failing variable in the ordering, as the bucket loop raises it.
     """
     factors, firsts, structure, disc = _structure(g)
     if ordering is not None or plan is None or plan.structure != structure:
@@ -470,26 +475,14 @@ def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
     fills, tail = _fill(plan, factors, firsts, g.discrete_factors, disc)
     rules = [_live_masks(f.potentials) for f in g.discrete_factors
              if f.keys and not f.potentials.leaves.all()]
-    conditionals, separators = [None] * len(steps), [None] * len(steps)
-    # Errors by position: past the first, the loop would not have gone.
-    failures: Dict[int, Exception] = {}
-    for level in plan.levels:
-        cliques = []
-        for i in level:
-            if failures and i > min(failures):
-                continue
-            try:
-                cliques.append((i, _Clique(steps[i], fills[i], separators, rules)))
-            except ValueError as e:
-                failures[i] = e
-        _eliminate_independent([c for _, c in cliques])
-        for i, c in cliques:
-            try:
-                conditionals[i], separators[i] = c.finish()
-            except ValueError as e:
-                failures[i] = e
-    if failures:
-        raise failures[min(failures)]
+    try:
+        conditionals, separators = _wavefront(steps, fills, rules, plan.levels)
+    except ValueError:
+        conditionals = None
+    if conditionals is None:
+        # Outside the handler, so the replay's error has no __context__.
+        conditionals, separators = _wavefront(
+            steps, fills, rules, [[i] for i in range(len(steps))])
     product = multiply_factors([f for factors, kids in tail for f in factors
                                 + [separators[c] for c in kids]]).potentials
     total = float(product.leaves.sum())
@@ -497,6 +490,13 @@ def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
         raise ValueError("all discrete assignments are impossible")
     return HybridBayesNet(conditionals,
                           DecisionTree(product.keys, product.leaves / total), plan)
+
+
+def _components(bn: HybridBayesNet, modes: Mapping[Any, int]) -> List[Any]:
+    """The net's conditionals at the mode assignment `modes`: each hybrid
+    one replaced by its component there, None where it has none."""
+    return [c.component(modes) if isinstance(c, HybridGaussianConditional)
+            else c for c in bn.conditionals]
 
 
 def bn_map(bn: HybridBayesNet) -> HybridValues:
@@ -524,13 +524,9 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
         candidates.append(a)
         scores.append(score)
     modes = candidates[first_best(scores)]
-    chosen = []
-    for c in conditionals:
-        if isinstance(c, HybridGaussianConditional):
-            c = c.component(modes)
-            if c is None:
-                raise RuntimeError("MAP assignment selects a pruned component")
-        chosen.append(c)
+    chosen = _components(bn, modes)
+    if any(c is None for c in chosen):
+        raise RuntimeError("MAP assignment selects a pruned component")
     return HybridValues(continuous=back_substitute(chosen), discrete=modes)
 
 
@@ -621,15 +617,12 @@ def bn_evaluate(bn: HybridBayesNet, v: HybridValues) -> float:
     p = float(bn.discrete_joint().leaf(v.discrete))
     if p <= 0.0:
         return 0.0
+    chosen = _components(bn, v.discrete)
+    if any(c is None for c in chosen):
+        return 0.0
     total = math.log(p)
-    for c in bn.conditionals:
-        if isinstance(c, HybridGaussianConditional):
-            ld = c.log_density(v)
-            if ld == -math.inf:
-                return 0.0
-            total += ld
-        else:
-            total += c.log_density(v.continuous)
+    for c in chosen:
+        total += c.log_density(v.continuous)
     return math.exp(total)
 
 
@@ -644,13 +637,10 @@ def bn_sample(bn: HybridBayesNet, seed) -> HybridValues:
         row = rng.choice(joint.leaves.size, p=joint.leaves.reshape(-1))
         modes = {k.id: int(v) for k, v in
                  zip(joint.keys, np.unravel_index(row, joint.leaves.shape))}
+    chosen = _components(bn, modes)
+    if any(c is None for c in chosen):
+        raise RuntimeError("sampled a pruned component; net is inconsistent")
     values = {}
-    for c in reversed(bn.conditionals):
-        if isinstance(c, HybridGaussianConditional):
-            leaf = c.component({k.id: modes[k.id] for k in c.keys})
-            if leaf is None:
-                raise RuntimeError("sampled a pruned component; net is inconsistent")
-            values[leaf.frontal] = leaf.sample(values, rng)
-        else:
-            values[c.frontal] = c.sample(values, rng)
+    for c in reversed(chosen):
+        values[c.frontal] = c.sample(values, rng)
     return HybridValues(continuous=values, discrete=modes)

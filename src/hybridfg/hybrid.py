@@ -145,12 +145,6 @@ class HybridGaussianConditional:
     def component(self, assignment: Assignment) -> Optional[GaussianConditional]:
         return self.components.leaf(assignment)
 
-    def log_density(self, v: HybridValues) -> float:
-        leaf = self.component(v.discrete)
-        if leaf is None:
-            return -math.inf
-        return leaf.log_density(v.continuous)
-
     def __repr__(self):
         return (f"HybridGaussianConditional(p({list(self.frontals)} | "
                 f"{list(self.parents)}, {[k.id for k in self.keys]}))")

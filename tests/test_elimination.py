@@ -551,6 +551,27 @@ class TestEliminateHybridSum:
             eliminate_hybrid_sum([f], "x")
         assert sorted(shapes) == [(1, 2, 3), (2, 1, 3)]
 
+    def test_plain_factors_with_separator_match_reference(self):
+        """Factors without mode keys, one of them a hybrid factor over no
+        keys, eliminated onto a separator: the conditional and the marginal
+        JacobianFactor keep the bits of the per-stack reference."""
+        rng = np.random.default_rng(44)
+        dims = {"x": 1, "y": 2, "z": 1}
+        for trial in range(50):
+            dims["x"] = int(rng.integers(1, 3))
+            factors = [JacobianFactor(
+                {v: rng.normal(size=(rows, dims[v])) for v in vs},
+                rng.normal(size=rows))
+                for vs, rows in [(("x",), dims["x"]), (("x", "y"), 2),
+                                 (("x", "z"), 1)][:int(rng.integers(2, 4))]]
+            hybrid = HybridGaussianFactor.from_components([], [(factors[-1], 0.5)])
+            want = reference_eliminate_one(factors, "x")
+            for inputs in (factors, factors[:-1] + [hybrid]):
+                cond, sep = eliminate_hybrid_sum(inputs, "x")
+                assert isinstance(sep, JacobianFactor), trial
+                assert same_conditional(cond, want[0]), trial
+                assert same_marginal(sep, want[1]), trial
+
     def test_too_many_modes_refused_before_any_qr(self, monkeypatch):
         """21 binary modes on one variable exceed the enumeration cap: the
         clique fails at once instead of running a QR per mode."""
@@ -988,6 +1009,30 @@ class TestWavefront:
             assert str(err.value) == want
             assert _outcome(reference_sum_product, g, ordering) == \
                 (type(err.value), want)
+
+    def test_first_error_raised_without_context(self):
+        """The error found by replaying the ordering one position at a
+        time carries neither the wavefront's error nor any other as its
+        context."""
+        rng = np.random.default_rng(42)
+        cases = []
+        for _ in range(60):
+            g = _fragile_graph(rng)
+            cases.append((g, _random_strong_ordering(rng, g)))
+        g = HybridFactorGraph()
+        g.add(JacobianFactor({"a": [[1.0]] * 3, "z": [[1.0]] * 3}, [1.0] * 3))
+        g.add(JacobianFactor({"b": [[1.5e308]] * 3, "z": [[1.0]] * 3}, [1.0] * 3))
+        g.add(JacobianFactor({"c": [[0.0]], "z": [[1.0]]}, [1.0]))
+        g.add(JacobianFactor({"z": [[1.0]]}, [0.0]))
+        cases += [(g, ["a", "b", "c", "z"]), (g, ["a", "c", "b", "z"])]
+        failed = 0
+        for trial, (g, ordering) in enumerate(cases):
+            try:
+                sum_product(g, ordering)
+            except ValueError as e:
+                failed += 1
+                assert e.__context__ is None and e.__cause__ is None, trial
+        assert failed > 10, failed
 
     def test_one_qr_per_level_and_shape(self, monkeypatch):
         """A star's leaves form one level of one shape: one QR for all of
@@ -1632,3 +1677,29 @@ class TestBnSample:
         assert s1.discrete == s2.discrete
         for vid in s1.continuous:
             np.testing.assert_array_equal(s1.continuous[vid], s2.continuous[vid])
+
+
+class TestNilComponents:
+    """A hand-built net whose joint lives where x's hybrid conditional has
+    no component (m = 1) and is 0 where it has one (m = 0): every reader
+    picks the conditionals at a mode assignment the same way."""
+
+    def _net(self):
+        m = DiscreteKey("m", 2)
+        leaf = GaussianConditional("x", [[2.0]], {}, [1.0])
+        cond = HybridGaussianConditional([m], DecisionTree([m], [leaf, None]))
+        return HybridBayesNet([cond], DecisionTree([m], [0.0, 1.0]))
+
+    def test_evaluate_is_zero_at_a_zero_row_and_a_nil_component(self):
+        bn = self._net()
+        x = {"x": np.array([0.5])}
+        assert bn_evaluate(bn, HybridValues(x, {"m": 0})) == 0.0
+        assert bn_evaluate(bn, HybridValues(x, {"m": 1})) == 0.0
+
+    def test_sample_refuses_a_nil_component(self):
+        with pytest.raises(RuntimeError, match="sampled a pruned component"):
+            bn_sample(self._net(), 0)
+
+    def test_map_refuses_a_nil_component(self):
+        with pytest.raises(RuntimeError, match="selects a pruned component"):
+            bn_map(self._net())

@@ -389,6 +389,21 @@ class TestEmitResults:
             name = f"{kid[0]}{kid[1]}"
             assert probs[name] == 1.0
 
+    def test_open_mode_lines_print_map_value_and_marginal(self, tmp_path):
+        """With dead mode removal off no mode is fixed: each line holds the
+        MAP value and its marginal in the final net, to 9 decimals."""
+        entries, _, _ = square_loop_dataset(0, 65, 4, 2)
+        res = run(RunConfig(dmr_delta=1.0), entries)
+        emit_results(res, str(tmp_path))
+        marginals = discrete_marginals(res.bn)
+        rows = [l.split() for l in (tmp_path / "modes.txt").read_text().splitlines()]
+        assert len(rows) == len(marginals) == 6 and not res.fixed
+        for tag, name, val, prob in rows:
+            kid = next(k for k in marginals if f"{k[0]}{k[1]}" == name)
+            assert tag == "MODE" and int(val) == res.assignment[kid]
+            assert prob == f"{marginals[kid][int(val)]:.9f}"
+        assert any(prob != "1.000000000" for *_, prob in rows)
+
     def test_timing_csv_format(self, seed2_outputs):
         _, outdir = seed2_outputs
         with open(outdir / "timing.csv") as fh:
