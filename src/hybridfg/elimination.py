@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import namedtuple
 from itertools import accumulate
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
@@ -123,6 +124,13 @@ Plan = namedtuple("Plan", "structure bucket steps levels")
 # rows, the hybrid ones and the keys the step's clique spans.
 _Fill = namedtuple("_Fill", "plains rows hybrids base_const keys")
 
+# What a later call may reuse of a clique without mode keys, under its
+# variable: its separator variables, the inputs of its QR (the plain
+# factors of its fill and its children's separators, in order) and the
+# conditional and separator it gave.
+_Reusable = namedtuple("_Reusable",
+                       "parents plains children conditional separator")
+
 
 def _step(var, scope: set, children: Sequence[int], steps: Sequence[_Step],
           dims: Mapping[Any, int]) -> _Step:
@@ -173,11 +181,35 @@ def _structure(g: HybridFactorGraph):
     return factors, firsts, (scopes, dims), disc
 
 
-def _plan(ordering: Sequence[Any], structure, disc: Sequence[Any]) -> Plan:
+def _bucketed(bucket: Dict[Tuple[Any, ...], int],
+              factors: Sequence[ContinuousFactor],
+              firsts: Sequence[JacobianFactor], size: int,
+              position: Optional[Mapping[Any, int]] = None
+              ) -> List[List[ContinuousFactor]]:
+    """Per position, the factors of its bucket in graph order: a factor's
+    position is bucket[its variable tuple], put there when the tuple is new
+    (a plan being made) as the first of its variables' `position`s.  A
+    factor without variables is a constant and goes nowhere."""
+    held: List[List[ContinuousFactor]] = [[] for _ in range(size)]
+    for f, first in zip(factors, firsts):
+        ids = first.variables
+        if ids:
+            i = bucket.get(ids)
+            if i is None:
+                i = bucket[ids] = min(map(position.__getitem__, ids))
+            held[i].append(f)
+    return held
+
+
+def _plan(ordering: Sequence[Any], structure, disc: Sequence[Any],
+          factors: Sequence[ContinuousFactor],
+          firsts: Sequence[JacobianFactor]
+          ) -> Tuple[Plan, List[List[ContinuousFactor]]]:
     """The symbolic elimination of a graph of this structure and discrete
     ids under `ordering`: a factor or a separator waits in the bucket of
-    its first variable."""
-    scopes, dims = structure
+    its first variable.  Also returns the graph's `factors` by bucket (see
+    _bucketed), placed in the same pass."""
+    _, dims = structure
     named = set(ordering)
     if named != set(dims) | set(disc):
         raise ValueError("ordering must cover exactly the graph's variables")
@@ -189,8 +221,8 @@ def _plan(ordering: Sequence[Any], structure, disc: Sequence[Any]) -> Plan:
         raise ValueError(f"not a strong ordering: continuous variable {late[0]!r} "
                          "after a discrete one")
     position = {vid: i for i, vid in enumerate(ordering[:first])}
-    # A factor without variables is a constant.
-    bucket = {ids: min(map(position.__getitem__, ids)) for ids in scopes if ids}
+    bucket: Dict[Tuple[Any, ...], int] = {}
+    held = _bucketed(bucket, factors, firsts, len(position), position)
     buckets: List[set] = [set() for _ in position]
     for ids, i in bucket.items():
         buckets[i].update(ids)
@@ -206,22 +238,17 @@ def _plan(ordering: Sequence[Any], structure, disc: Sequence[Any]) -> Plan:
     levels: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
     for i, lv in enumerate(level):
         levels[lv].append(i)
-    return Plan(structure, bucket, steps, levels)
+    return Plan(structure, bucket, steps, levels), held
 
 
-def _fill(plan: Plan, factors: Sequence[ContinuousFactor],
-          firsts: Sequence[JacobianFactor], discrete_factors, tail: Sequence[Any]):
-    """Per planned step its _Fill, and per discrete id of `tail`, in that
-    order, its graph factors and the positions whose boundary factors wait
-    there."""
-    bucket = plan.bucket
-    buckets: List[List[Any]] = [[] for _ in plan.steps]
-    for f, first in zip(factors, firsts):
-        if first.variables:
-            buckets[bucket[first.variables]].append(f)
+def _fill(plan: Plan, held: Sequence[Sequence[ContinuousFactor]],
+          discrete_factors, tail: Sequence[Any]):
+    """Per planned step its _Fill, from its bucket's factors held[i], and
+    per discrete id of `tail`, in that order, its graph factors and the
+    positions whose boundary factors wait there."""
     fills: List[_Fill] = []
-    for step, held in zip(plan.steps, buckets):
-        fills.append(_fill_step(held, step.children, fills))
+    for step, factors in zip(plan.steps, held):
+        fills.append(_fill_step(factors, step.children, fills))
     at = {vid: t for t, vid in enumerate(tail)}
     waiting: List[Tuple[List[Any], List[int]]] = [([], []) for _ in tail]
     for f in discrete_factors:
@@ -408,18 +435,46 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
 
 def _wavefront(steps: Sequence[_Step], fills: Sequence[_Fill],
                rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]],
-               levels: Sequence[Sequence[int]]) -> Tuple[List[Any], List[Any]]:
+               levels: Sequence[Sequence[int]],
+               reusable: Mapping[Any, _Reusable]
+               ) -> Tuple[List[Any], List[Any], Dict[Any, _Reusable]]:
     """Eliminate the planned steps a level at a time: each level's cliques
     read the separators of earlier levels by position, and their QRs run
-    together (see _eliminate_independent).  Returns the conditionals and
-    separators by position (see _Clique.finish)."""
+    together (see _eliminate_independent).  A step without mode keys whose
+    variable `reusable` holds with its separator and the same QR inputs
+    (plain factors compare by identity) takes that clique's conditional
+    and separator, which a QR of the same rows would give bit for bit.
+    Returns the conditionals and separators by position (see
+    _Clique.finish) and the _Reusable of every step without mode keys."""
     conditionals, separators = [None] * len(steps), [None] * len(steps)
+    kept: Dict[Any, _Reusable] = {}
     for level in levels:
-        cliques = [_Clique(steps[i], fills[i], separators, rules) for i in level]
+        fresh, keyless = [], []
+        for i in level:
+            step, fill = steps[i], fills[i]
+            if fill.keys:
+                fresh.append(i)
+                continue
+            children = [separators[c] for c in step.children]
+            old = reusable.get(step.var)
+            if old is not None and old.parents == step.separator \
+                    and old.plains == fill.plains \
+                    and len(old.children) == len(children) \
+                    and all(map(operator.is_, old.children, children)):
+                kept[step.var] = old
+                conditionals[i], separators[i] = old.conditional, old.separator
+            else:
+                fresh.append(i)
+                keyless.append((i, children))
+        cliques = [_Clique(steps[i], fills[i], separators, rules) for i in fresh]
         _eliminate_independent(cliques)
-        for i, c in zip(level, cliques):
+        for i, c in zip(fresh, cliques):
             conditionals[i], separators[i] = c.finish()
-    return conditionals, separators
+        for i, children in keyless:
+            kept[steps[i].var] = _Reusable(steps[i].separator, fills[i].plains,
+                                           children, conditionals[i],
+                                           separators[i])
+    return conditionals, separators, kept
 
 
 def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
@@ -432,8 +487,8 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     firsts = [_first_component(f) for f in factors]
     step = _step(var, {v for f in firsts for v in f.variables}, (), (),
                  _dims(firsts))
-    (conditional,), (sep,) = _wavefront(
-        [step], [_fill_step(factors, (), ())], (), [[0]])
+    (conditional,), (sep,), _ = _wavefront(
+        [step], [_fill_step(factors, (), ())], (), [[0]], {})
     if type(sep) is tuple:
         return conditional, _marginal(sep[0].T[sep[1]], step.cols, step.separator)
     if type(sep) is not _HybridSeparator:
@@ -444,7 +499,7 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
 
 
 def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
-                plan: Optional[Plan] = None) -> HybridBayesNet:
+                previous: Optional[HybridBayesNet] = None) -> HybridBayesNet:
     """Eliminate the whole graph into a hybrid Bayes net for P(X, M | Z):
     the continuous conditionals p(X | M, Z), and P(M | Z) as one table, the
     product of the discrete factors left after continuous elimination
@@ -452,44 +507,54 @@ def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
     that is 0 everywhere raises ValueError, as the oracle does.
 
     The symbolic elimination is planned once (see _plan) and kept as the
-    net's `plan`.  Given the plan of an earlier net and no ordering, it is
-    reused when g's continuous and hybrid factors have the multiset of
-    variable tuples and the dimensions it was planned for (the mode keys
-    and discrete factors may differ); the ordering, which for
+    net's `plan`.  Given an earlier net, `previous`, and no ordering, its
+    plan is reused when g's continuous and hybrid factors have the
+    multiset of variable tuples and the dimensions it was planned for (the
+    mode keys and discrete factors may differ); the ordering, which for
     strong_ordering depends on that adjacency alone, is then the plan's.
     The wavefront (see _wavefront) then eliminates one level of the
     elimination tree at a time, batching the QRs of its buckets by shape,
     and a finished separator waits by position until its parent reads it.
+    A clique without mode keys whose variable, separator, plain factors
+    and children's separators are those of one of previous's (the same
+    objects, in order) takes that clique's conditional and separator
+    instead of a QR; the net keeps its own such cliques as `cliques`.
     For a given ordering the net is a one-at-a-time bucket loop's bit for
     bit.  Where the wavefront fails, the same steps run again one position
     per level, in the ordering's order, so the error raised is that of the
     first failing variable in the ordering, as the bucket loop raises it.
     """
     factors, firsts, structure, disc = _structure(g)
+    plan = None if previous is None else previous.plan
     if ordering is not None or plan is None or plan.structure != structure:
         if ordering is None:
             ordering = strong_ordering(g)
-        plan = _plan(ordering, structure, disc)
+        plan, held = _plan(ordering, structure, disc, factors, firsts)
         disc = ordering[len(plan.steps):]   # in the ordering's order
+    else:
+        held = _bucketed(plan.bucket, factors, firsts, len(plan.steps))
     steps = plan.steps
-    fills, tail = _fill(plan, factors, firsts, g.discrete_factors, disc)
+    fills, tail = _fill(plan, held, g.discrete_factors, disc)
     rules = [_live_masks(f.potentials) for f in g.discrete_factors
              if f.keys and not f.potentials.leaves.all()]
+    reusable = {} if previous is None else previous.cliques
     try:
-        conditionals, separators = _wavefront(steps, fills, rules, plan.levels)
+        conditionals, separators, cliques = _wavefront(
+            steps, fills, rules, plan.levels, reusable)
     except ValueError:
         conditionals = None
     if conditionals is None:
         # Outside the handler, so the replay's error has no __context__.
-        conditionals, separators = _wavefront(
-            steps, fills, rules, [[i] for i in range(len(steps))])
+        conditionals, separators, cliques = _wavefront(
+            steps, fills, rules, [[i] for i in range(len(steps))], reusable)
     product = multiply_factors([f for factors, kids in tail for f in factors
                                 + [separators[c] for c in kids]]).potentials
     total = float(product.leaves.sum())
     if not total > 0.0:
         raise ValueError("all discrete assignments are impossible")
     return HybridBayesNet(conditionals,
-                          DecisionTree(product.keys, product.leaves / total), plan)
+                          DecisionTree(product.keys, product.leaves / total), plan,
+                          cliques)
 
 
 def _components(bn: HybridBayesNet, modes: Mapping[Any, int]) -> List[Any]:
@@ -556,9 +621,9 @@ def _live_masks(support: DecisionTree
 
 
 def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
-    """Keep only the top-P joint discrete hypotheses: the same conditionals
-    and plan over prune_to_top(joint, P) divided by its sum, or the net
-    itself when it has at most P live hypotheses.
+    """Keep only the top-P joint discrete hypotheses: the same conditionals,
+    plan and reusable cliques over prune_to_top(joint, P) divided by its
+    sum, or the net itself when it has at most P live hypotheses.
 
     The joint is the one record of which hypotheses live: every reader of
     a net takes the modes from its nonzero rows, and sum_product leaves a
@@ -572,7 +637,7 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     if np.array_equal(pruned.leaves, joint.leaves):
         return bn
     return HybridBayesNet(bn.conditionals, DecisionTree(
-        pruned.keys, pruned.leaves / pruned.leaves.sum()), bn.plan)
+        pruned.keys, pruned.leaves / pruned.leaves.sum()), bn.plan, bn.cliques)
 
 
 def hypothesis_support(bn: HybridBayesNet) -> DecisionTree:

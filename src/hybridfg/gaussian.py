@@ -157,14 +157,18 @@ class GaussianConditional:
     def dim(self) -> int:
         return int(self._rows.shape[1])
 
-    def solve(self, values: VectorValues) -> np.ndarray:
-        """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
+    def _rhs(self, values: VectorValues) -> np.ndarray:
+        """d - sum_i S_i p_i at the parents' values."""
         rhs = self.d
         for vid, S in self.parent_blocks.items():
             if vid not in values:
                 raise ValueError(f"incomplete values: missing {vid!r}")
             rhs = rhs - S @ _as_vector(values[vid])
-        return np.linalg.solve(self.R, rhs)
+        return rhs
+
+    def solve(self, values: VectorValues) -> np.ndarray:
+        """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
+        return np.linalg.solve(self.R, self._rhs(values))
 
     def log_density(self, values: VectorValues) -> float:
         if self.frontal not in values:
@@ -184,9 +188,10 @@ class GaussianConditional:
         return Rinv @ Rinv.T
 
     def sample(self, values: VectorValues, rng: np.random.Generator) -> np.ndarray:
-        mean = self.solve(values)
-        eps = rng.standard_normal(self.dim)
-        return mean + np.linalg.solve(self.R, eps)
+        """A draw x = R^{-1} (d - sum_i S_i p_i + eps), eps standard normal:
+        the mean plus noise of covariance (R^T R)^{-1}, in one solve."""
+        rhs = self._rhs(values)
+        return np.linalg.solve(self.R, rhs + rng.standard_normal(self.dim))
 
     def as_factor(self) -> JacobianFactor:
         blocks = {self.frontal: self.R}

@@ -393,6 +393,11 @@ class HybridFactorGraph:
         self.continuous_factors: List[Any] = []
         self.hybrid_factors: List[Any] = []
         self.discrete_factors: List[DiscreteFactor] = []
+        # Set by linearize on the graph it returns: the values it was
+        # linearized at, and the nonlinear factors that its continuous and
+        # hybrid factors, in that order, linearize.
+        self.points: Optional[Dict[Any, Any]] = None
+        self.origin: Tuple[Any, ...] = ()
 
     def add(self, f):
         if isinstance(f, (HybridGaussianFactor, HybridNonlinearFactor)):
@@ -430,17 +435,36 @@ class HybridFactorGraph:
                 raise ValueError(f"id {k.id!r} used as both continuous and discrete")
         return keys
 
-    def linearize(self, values) -> "HybridFactorGraph":
+    def linearize(self, values, previous: Optional["HybridFactorGraph"] = None
+                  ) -> "HybridFactorGraph":
         """The linearization of a nonlinear model at `values`, every factor
-        in one linearize_components pass."""
+        in one linearize_components pass.
+
+        `previous`, an earlier linearization, lends its linear factors: a
+        factor it linearized keeps that linearization, the same object,
+        when each of its variables has in `values` the same value object
+        as in previous.points; every other factor (a new one, one that
+        dead mode removal restricted, one over a variable whose point
+        moved) is linearized at `values`."""
         factors = self.continuous_factors + self.hybrid_factors
+        kept: Dict[int, Any] = {}
+        if previous is not None:
+            moved = {v for v, p in previous.points.items()
+                     if values.get(v) is not p}
+            for f, lf in zip(previous.origin, previous.continuous_factors
+                             + previous.hybrid_factors):
+                if moved.isdisjoint(_variables(f)):
+                    kept[id(f)] = lf
+        fresh = [f for f in factors if id(f) not in kept]
         linearized = iter(linearize_components(
-            [use for f in factors for use in f._uses()], values))
+            [use for f in fresh for use in f._uses()], values))
         lin = HybridFactorGraph()
         for f in factors:
-            lin.add(f._assemble(linearized))
+            lf = kept.get(id(f))
+            lin.add(f._assemble(linearized) if lf is None else lf)
         for f in self.discrete_factors:
             lin.add(f)
+        lin.points, lin.origin = dict(values), tuple(factors)
         return lin
 
     def restrict(self, fixed: Assignment) -> "HybridFactorGraph":
@@ -489,6 +513,12 @@ class HybridFactorGraph:
         return total
 
 
+def _variables(f) -> Tuple[Any, ...]:
+    """The continuous variables of a nonlinear factor."""
+    return f.continuous_ids if isinstance(f, HybridNonlinearFactor) \
+        else f.residual.variables
+
+
 # perfbench/workloads.py imports this name.
 HybridGaussianFactorGraph = HybridFactorGraph
 
@@ -498,10 +528,13 @@ class HybridBayesNet:
     as one normalized table over all of the net's discrete keys (the table
     [1.0] over no keys when it has none).  `plan` is the symbolic
     elimination (elimination.Plan) whose order the conditionals follow,
-    None for a net that sum_product did not make."""
+    None for a net that sum_product did not make; `cliques` maps the
+    variable of each of its cliques without mode keys to what a later
+    sum_product may reuse of it (elimination._Reusable)."""
 
     def __init__(self, conditionals: Sequence[Any] = (),
-                 joint: DecisionTree = DecisionTree.constant(1.0), plan=None):
+                 joint: DecisionTree = DecisionTree.constant(1.0), plan=None,
+                 cliques: Optional[Dict[Any, Any]] = None):
         keys = {k.id for k in joint.keys}
         for c in conditionals:
             if not isinstance(c, (GaussianConditional, HybridGaussianConditional)):
@@ -514,6 +547,7 @@ class HybridBayesNet:
         self.conditionals: List[Any] = list(conditionals)
         self._discrete_joint = joint
         self.plan = plan
+        self.cliques = {} if cliques is None else cliques
 
     def __iter__(self):
         return iter(self.conditionals)

@@ -185,6 +185,34 @@ def retract_values(values: Mapping[Any, Any], delta: Mapping[Any, np.ndarray]):
     return out
 
 
+def linearization_points(points: Mapping[Any, Any], values: Mapping[Any, Any],
+                         threshold: float) -> Dict[Any, Any]:
+    """Per variable of `values`, the point to linearize it at: its point in
+    `points`, the same object, while its estimate in `values` lies within
+    `threshold` of it, else the estimate.  The distance is the largest
+    coordinate difference, a pose's angle taken the short way round (all
+    Pose2 values in one stacked pass); it is 0 only for equal values, so a
+    threshold of 0 keeps exactly the points the estimate equals."""
+    out = dict(values)
+    poses, others = [], []
+    for vid, v in values.items():
+        if points.get(vid, v) is not v:
+            (poses if isinstance(v, Pose2) else others).append(vid)
+    if poses:
+        D = np.abs(pose_rows(values[vid] for vid in poses)
+                   - pose_rows(points[vid] for vid in poses))
+        D[:, 2] = np.minimum(D[:, 2], 2.0 * math.pi - D[:, 2])
+        for vid, near in zip(poses, (D.max(axis=1) <= threshold).tolist()):
+            if near:
+                out[vid] = points[vid]
+    for vid in others:
+        a = np.asarray(values[vid], dtype=float)
+        b = np.asarray(points[vid], dtype=float)
+        if a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= threshold:
+            out[vid] = points[vid]
+    return out
+
+
 def numerical_jacobians(residual: Callable[[Mapping[Any, Any]], np.ndarray],
                         values: Mapping[Any, Any], variables: Sequence[Any]
                         ) -> Dict[Any, np.ndarray]:
@@ -375,29 +403,42 @@ class OptimizeConfig:
 
 
 # The state one hybrid iteration leaves: the graph, values and support to
-# go on with, the net and step it took, and the modes it fixed.
-Iteration = namedtuple("Iteration", "graph values support bn step fixed")
+# go on with, the net and step it took, the modes it fixed, and the linear
+# graph it eliminated, whose `points` are the values it linearized at.
+Iteration = namedtuple("Iteration", "graph values support bn step fixed lin")
 
 
 def gauss_newton_step(graph: HybridFactorGraph, values: Mapping[Any, Any],
                       support: DecisionTree, prune: Optional[int],
                       dmr_delta: Optional[float],
-                      plan: Optional[elimination.Plan] = None) -> Iteration:
+                      previous: Optional[Iteration] = None,
+                      threshold: float = 0.0) -> Iteration:
     """One hybrid iteration at `values`: linearize once, add the incoming
     support (a 0/1 table of the live joint hypotheses) as a discrete factor,
     eliminate with Sum-Product, which keeps only the mode cells it allows,
     and, when `prune` is set, prune to that many hypotheses and take the
     survivors as the new support.  The step is the hybrid MAP read off the
-    (pruned) net, and `values` are retracted by it.  When `dmr_delta` is
-    set, the modes whose marginal exceeds it leave the graph and support.
-    `plan`, the previous iteration's `bn.plan`, is reused while the
-    linearization has the continuous structure it was made for (see
-    elimination.sum_product); the net holds the plan it was eliminated by.
+    (pruned) net, and the linearization points are retracted by it.  When
+    `dmr_delta` is set, the modes whose marginal exceeds it leave the graph
+    and support.
+
+    Given the `previous` iteration, a variable keeps its linearization
+    point while its estimate stays within `threshold` of it (see
+    linearization_points), and a factor keeps its linearization while its
+    variables keep their points (see HybridFactorGraph.linearize): at
+    threshold 0 every variable that moved is relinearized, which gives the
+    linearization at `values` bit for bit.  Sum-Product reuses previous's
+    plan and its cliques without mode keys whose inputs are unchanged (see
+    elimination.sum_product), which is exact at any threshold.
     """
-    lin = graph.linearize(values)
+    if previous is None:
+        lin = graph.linearize(values)
+    else:
+        lin = graph.linearize(linearization_points(
+            previous.lin.points, values, threshold), previous.lin)
     if support.keys:
         lin.add(DiscreteFactor(support.keys, support))
-    bn = elimination.sum_product(lin, plan=plan)
+    bn = elimination.sum_product(lin, previous=previous and previous.bn)
     if prune is not None:
         bn = elimination.prune_bayes_net(bn, prune)
         support = elimination.hypothesis_support(bn)
@@ -406,26 +447,27 @@ def gauss_newton_step(graph: HybridFactorGraph, values: Mapping[Any, Any],
     if dmr_delta is not None:
         graph, fixed = elimination.dead_mode_removal(bn, graph, dmr_delta)
         support = support.choose(fixed)
-    return Iteration(graph, retract_values(values, step.continuous), support,
-                     bn, step, fixed)
+    return Iteration(graph, retract_values(lin.points, step.continuous),
+                     support, bn, step, fixed, lin)
 
 
 def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
              config: Optional[OptimizeConfig] = None,
              support: DecisionTree = DecisionTree.constant(1.0),
-             plan: Optional[elimination.Plan] = None
+             previous: Optional[Iteration] = None
              ) -> Tuple[HybridValues, HybridBayesNet]:
     """Gauss-Newton over the hybrid graph, restricted to `support`.
 
-    Each iteration is a gauss_newton_step, which carries the support, the
-    symbolic plan (the first iteration's is `plan`, say that of the
-    iteration that led to `init`) and, with `dmr_delta` set, removes dead
-    modes.  A step that raises the error on the graph it was taken on is
-    rejected; when dead mode removal then fixes nothing the next iteration
-    would repeat it, so the loop stops: an increase at rounding level
-    means convergence, a larger one raises OptimizationDiverged carrying
-    the current iterate and its net.  A support over a key the graph lacks
-    raises ValueError.
+    Each iteration is a gauss_newton_step at threshold 0, which carries the
+    support, the iteration before it (the first one's is `previous`, say
+    the iteration that led to `init`), whose linearizations of factors
+    over unmoved variables, plan and unchanged cliques it reuses, and,
+    with `dmr_delta` set, removes dead modes.  A step that raises the
+    error on the graph it was taken on is rejected; when dead mode removal
+    then fixes nothing the next iteration would repeat it, so the loop
+    stops: an increase at rounding level means convergence, a larger one
+    raises OptimizationDiverged carrying the current iterate and its net.
+    A support over a key the graph lacks raises ValueError.
 
     Returns the estimate and a net.  When the last iteration fixed no mode
     and either its step was accepted or it left the values and the support
@@ -447,8 +489,8 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
     last: Optional[Iteration] = None    # one whose net and modes are the answer
     for _ in range(cfg.max_iters):
         it = gauss_newton_step(graph, values, support, cfg.prune,
-                               cfg.dmr_delta, plan)
-        plan, modes = it.bn.plan, it.step.discrete
+                               cfg.dmr_delta, previous)
+        previous, modes = it, it.step.discrete
         err_old = known[1] if known is not None and known[0] == modes \
             else graph.error(values, modes)
         err_new = graph.error(it.values, modes)
@@ -473,7 +515,7 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
                 f"{err_new:.6g}", values, {**it.step.discrete, **fixed_total},
                 it.bn)
     final = last or gauss_newton_step(graph, values, support, cfg.prune, None,
-                                      plan)
+                                      previous)
     return (HybridValues(continuous=values,
                          discrete={**final.step.discrete, **fixed_total}),
             final.bn)

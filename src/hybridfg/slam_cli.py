@@ -3,9 +3,15 @@
 Ingests a dataset of (possibly ambiguous) odometry and switchable loop
 closures and, every elim_every hybrid factors, runs one streaming pass: one
 hybrid iteration (nonlinear.gauss_newton_step: eliminate, prune, retract,
-dead mode removal), two on every relin_every-th pass.  The final batch
-repeats the same iteration in nonlinear.optimize.  Writes the trajectory,
-mode decisions, per-update timing, and the history of MAP estimates.
+dead mode removal), two on every relin_every-th pass.  Streaming passes are
+incremental, as in iSAM2 (Kaess et al., IJRR 2012): a variable keeps its
+linearization point until its estimate moves more than RELIN_THRESHOLD
+from it, a factor keeps its linearization while its variables keep their
+points, and a clique without mode keys whose inputs did not change keeps
+its conditional.  The final batch repeats the same iteration in
+nonlinear.optimize, relinearizing every variable that moves.  Writes the
+trajectory, mode decisions, per-update timing, and the history of MAP
+estimates.
 
 Exit codes: 0 success, 1 solver error, 2 I/O error, input format error or
 bad command-line argument.
@@ -20,7 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,13 +37,17 @@ from .elimination import discrete_marginals
 from .gaussian import NoiseModel
 from .hybrid import (HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
                      NonlinearFactor)
-from .nonlinear import (BetweenResidual, OptimizationDiverged, OptimizeConfig,
-                        Pose2, PriorResidual, compose, gauss_newton_step)
+from .nonlinear import (BetweenResidual, Iteration, OptimizationDiverged,
+                        OptimizeConfig, Pose2, PriorResidual, compose,
+                        gauss_newton_step)
 
 log = logging.getLogger("hybridfg")
 
 ANCHOR_SIGMA = 1e-4
 LOOSE_LOOP_VARIANCE = 10.0
+# How far (metres or radians, largest coordinate) a streaming estimate may
+# move from its linearization point before its factors are relinearized.
+RELIN_THRESHOLD = 1e-3
 
 PARSERS = {"custom": parse_dataset}
 
@@ -124,7 +134,7 @@ class _Runner:
             PriorResidual(("x", 0), Pose2()),
             self.noise[_sigma_diag(ANCHOR_SIGMA, ANCHOR_SIGMA)]))
         self.support = DecisionTree.constant(1.0)
-        self.plan = None    # the last iteration's symbolic plan
+        self.last: Optional[Iteration] = None   # the last hybrid iteration
         self.fixed: Dict[Any, int] = {}
         self.hybrid_count = 0
         self.elim_count = 0
@@ -156,18 +166,27 @@ class _Runner:
         return True
 
     def elimination_pass(self):
-        """One hybrid iteration, two on every relin_every-th pass; every
-        step is accepted."""
+        """One hybrid iteration, two on every relin_every-th pass, each
+        carrying on from the last at RELIN_THRESHOLD; every step is
+        accepted.  Logs what the pass relinearized and reused."""
         self.elim_count += 1
         t0 = time.perf_counter()
-        for _ in range(1 + (self.elim_count % self.cfg.relin_every == 0)):
+        counts = [0, 0, 0, 0]
+        iterations = 1 + (self.elim_count % self.cfg.relin_every == 0)
+        for _ in range(iterations):
             it = gauss_newton_step(self.graph, self.values, self.support,
-                                   self.cfg.prune_p, self.cfg.dmr_delta, self.plan)
+                                   self.cfg.prune_p, self.cfg.dmr_delta,
+                                   self.last, RELIN_THRESHOLD)
+            if log.isEnabledFor(logging.INFO):
+                counts = [a + b for a, b in zip(counts, _reuse(self.last, it))]
             self.graph, self.values, self.support = it.graph, it.values, it.support
-            self.plan = it.bn.plan
+            self.last = it
             if it.fixed:
                 log.info("dead mode removal fixed %s", it.fixed)
                 self.fixed.update(it.fixed)
+        log.info("elimination %d: relinearized %d of %d factors, reused %d "
+                 "of %d key-free cliques over %d iterations", self.elim_count,
+                 *counts, iterations)
         self._record_timing(self.elim_count, t0, self.support)
         for (kind, k) in sorted(self.values):
             p = self.values[(kind, k)]
@@ -183,15 +202,15 @@ class _Runner:
 
     def finalize(self):
         """Final batch: optimize to convergence with pruning and DMR,
-        starting from the streaming support and plan; timed as step
-        "final"."""
+        starting from the streaming support and last iteration; timed as
+        step "final"."""
         t0 = time.perf_counter()
         cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=self.cfg.prune_p,
                              dmr_delta=self.cfg.dmr_delta)
         try:
             from .nonlinear import optimize
             estimate, self.bn = optimize(self.graph, self.values, cfg,
-                                         self.support, self.plan)
+                                         self.support, self.last)
             self.values, assignment = estimate.continuous, estimate.discrete
         except OptimizationDiverged as e:
             log.warning("final optimization diverged; keeping best iterate")
@@ -210,6 +229,21 @@ class _Runner:
                           fixed=dict(self.fixed),
                           marginals=discrete_marginals(self.bn),
                           timings=list(self.timings), history=list(self.history))
+
+
+def _reuse(before: Optional[Iteration], it: Iteration) -> Tuple[int, ...]:
+    """What iteration `it` made anew and took over from `before`: factors
+    relinearized (linear factors not among before's), all factors, cliques
+    reused (conditionals that are before's own) and all cliques without
+    mode keys."""
+    factors = it.lin.continuous_factors + it.lin.hybrid_factors
+    old = set() if before is None else \
+        set(map(id, before.lin.continuous_factors + before.lin.hybrid_factors))
+    cliques = {} if before is None else before.bn.cliques
+    reused = sum(1 for key, c in it.bn.cliques.items()
+                 if key in cliques and cliques[key].conditional is c.conditional)
+    return (sum(id(f) not in old for f in factors), len(factors), reused,
+            len(it.bn.cliques))
 
 
 def run(config: RunConfig, entries: List[DatasetEntry]) -> RunResults:

@@ -640,14 +640,15 @@ def hypothesis_chain_graph(rng, n_keys=8):
 OUTPUT_TOL = 5e-9
 
 
-def output_differences(dir_a, dir_b, tol=OUTPUT_TOL):
+def output_differences(dir_a, dir_b, tol=OUTPUT_TOL, history="history.txt"):
     """Lines of trajectory.txt, modes.txt and history.txt in which two runs
     differ: a word without a decimal point (record, index, key, mode value)
-    must match exactly, a number with one within `tol`.  Empty when the
-    runs agree."""
+    must match exactly, a number with one within `tol`.  dir_a's history is
+    the file `history`.  Empty when the runs agree."""
     diffs = []
     for name in ("trajectory.txt", "modes.txt", "history.txt"):
-        with open(os.path.join(dir_a, name), encoding="utf-8") as fh:
+        with open(os.path.join(dir_a, history if name == "history.txt"
+                               else name), encoding="utf-8") as fh:
             lines_a = fh.read().splitlines()
         with open(os.path.join(dir_b, name), encoding="utf-8") as fh:
             lines_b = fh.read().splitlines()

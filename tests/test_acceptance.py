@@ -20,6 +20,7 @@ from hybridfg import (HybridGaussianConditional, Pose2,
 from hybridfg.dataset import Odometry, square_loop_dataset, write_dataset
 from hybridfg.nonlinear import BetweenResidual, PriorResidual, numerical_jacobians
 from hybridfg.oracle import enumerate_map, enumerate_posterior
+from hybridfg import slam_cli
 from hybridfg.slam_cli import RunConfig, main, run
 
 from helpers import (hypothesis_chain_graph, mixture_graph, output_differences,
@@ -228,21 +229,35 @@ def test_c09_synthetic_slam_regression():
            f"{elapsed:.1f}s < 60s")
 
 
-# trajectory.txt, modes.txt and history.txt of the C09 run (CLI defaults),
-# kept so that a change meant to leave the solver's results alone is
-# checked against them.
+# trajectory.txt, modes.txt and history.txt of the C09 run (CLI defaults)
+# with streaming relinearizing every variable that moves, kept so that a
+# change meant to leave the solver's results alone is checked against them;
+# history_beta.txt is the history at the default relinearization threshold.
 C09_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "c09")
 
 
-def test_c09_outputs_match_golden(tmp_path):
-    """A fresh C09 run writes the stored outputs: words exactly, numbers
-    within OUTPUT_TOL."""
+def _c09_run(tmp_path):
     entries, _, _ = square_loop_dataset(seed=0)
     data = tmp_path / "data.txt"
     write_dataset(entries, data)
     assert main(["--input", str(data), "--output", str(tmp_path / "out")]) == 0
-    assert output_differences(C09_GOLDEN, str(tmp_path / "out")) == []
+    return str(tmp_path / "out")
+
+
+def test_c09_outputs_match_golden(tmp_path, monkeypatch):
+    """A fresh C09 run at relinearization threshold 0 writes the stored
+    outputs: words exactly, numbers within OUTPUT_TOL."""
+    monkeypatch.setattr(slam_cli, "RELIN_THRESHOLD", 0.0)
+    assert output_differences(C09_GOLDEN, _c09_run(tmp_path)) == []
     _ok(9, "trajectory, modes and history match the stored C09 outputs")
+
+
+def test_c09_outputs_at_default_threshold(tmp_path):
+    """At the default threshold streaming keeps linearization points, so
+    only the streaming history moves: the same trajectory and modes as at
+    threshold 0, and the stored history_beta.txt."""
+    assert output_differences(C09_GOLDEN, _c09_run(tmp_path),
+                              history="history_beta.txt") == []
 
 
 # The same three files of the streaming benchmark's run: 200 poses, 10
@@ -252,15 +267,27 @@ STREAM_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "data", "stream")
 
 
-def test_streaming_outputs_match_golden(tmp_path):
-    """A fresh streaming run writes the stored outputs: words exactly,
-    numbers within OUTPUT_TOL."""
+def _stream_run(tmp_path):
     entries, _, _ = square_loop_dataset(0, 200, 10, 10)
     data = tmp_path / "data.txt"
     write_dataset(entries, data)
     assert main(["--input", str(data), "--output", str(tmp_path / "out"),
                  "--elim-every", "1", "--relin-every", "2"]) == 0
-    assert output_differences(STREAM_GOLDEN, str(tmp_path / "out")) == []
+    return str(tmp_path / "out")
+
+
+def test_streaming_outputs_match_golden(tmp_path, monkeypatch):
+    """A fresh streaming run at relinearization threshold 0 writes the
+    stored outputs: words exactly, numbers within OUTPUT_TOL."""
+    monkeypatch.setattr(slam_cli, "RELIN_THRESHOLD", 0.0)
+    assert output_differences(STREAM_GOLDEN, _stream_run(tmp_path)) == []
+
+
+def test_streaming_outputs_at_default_threshold(tmp_path):
+    """The streaming run at the default threshold: the stored trajectory
+    and modes, and the stored history_beta.txt."""
+    assert output_differences(STREAM_GOLDEN, _stream_run(tmp_path),
+                              history="history_beta.txt") == []
 
 
 def test_c10_jacobian_checks():

@@ -1141,8 +1141,9 @@ class TestPlan:
             bn = sum_product(g, ordering)
             steps, levels = bn.plan.steps, bn.plan.levels
             factors, firsts, _, _ = elimination._structure(g)
-            fills, tail = elimination._fill(bn.plan, factors, firsts,
-                                            g.discrete_factors,
+            held = elimination._bucketed(bn.plan.bucket, factors, firsts,
+                                         len(steps))
+            fills, tail = elimination._fill(bn.plan, held, g.discrete_factors,
                                             ordering[len(steps):])
             assert len(steps) == len(bn.conditionals), trial
             for step, fill, c in zip(steps, fills, bn.conditionals):
@@ -1164,7 +1165,7 @@ class TestPlan:
         assert all(seen.values()), seen
 
     def test_plan_kept_only_for_the_same_structure(self):
-        """A plan passed back is reused when the graph's continuous and
+        """An earlier net's plan is reused when the graph's continuous and
         hybrid factors keep their variable tuples and dimensions, here
         after modes are fixed and with a discrete factor added, and the net
         is then the freshly planned one bit for bit; after a factor is
@@ -1172,7 +1173,8 @@ class TestPlan:
         afresh."""
         rng = np.random.default_rng(48)
         g = random_hybrid_graph(rng, 5, 3, two_var_hybrids=True)
-        plan = sum_product(g).plan
+        net = sum_product(g)
+        plan = net.plan
 
         def plus(f):
             h = HybridFactorGraph()
@@ -1181,7 +1183,7 @@ class TestPlan:
             return h.add(f)
         for h in (g, g.restrict({"m0": 1, "m2": 0}),
                   plus(DiscreteFactor([DiscreteKey("m1", 2)], [0.3, 0.7]))):
-            bn = sum_product(h, plan=plan)
+            bn = sum_product(h, previous=net)
             assert bn.plan is plan
             fresh = sum_product(h)
             assert same_net(bn, fresh)
@@ -1190,18 +1192,18 @@ class TestPlan:
         # A new edge, or a second factor over variables already joined.
         for h in (plus(whiten({"x1": [[1.0]], "x3": [[1.0]]}, [0.5], 1.0)),
                   plus(g.continuous_factors[1])):
-            bn = sum_product(h, plan=plan)
+            bn = sum_product(h, previous=net)
             assert bn.plan is not plan
             assert same_net(bn, sum_product(h))
         narrow, wide = HybridFactorGraph(), HybridFactorGraph()
         for h, d in ((narrow, 1), (wide, 2)):
             h.add(JacobianFactor({"x": np.eye(d)}, np.zeros(d)))
             h.add(JacobianFactor({"x": -np.eye(d), "y": np.eye(d)}, np.ones(d)))
-        plan = sum_product(narrow).plan
-        assert sum_product(narrow, plan=plan).plan is plan
-        assert sum_product(wide, plan=plan).plan is not plan
+        net = sum_product(narrow)
+        assert sum_product(narrow, previous=net).plan is net.plan
+        assert sum_product(wide, previous=net).plan is not net.plan
         # An explicit ordering is always planned.
-        assert sum_product(narrow, ["x", "y"], plan).plan is not plan
+        assert sum_product(narrow, ["x", "y"], net).plan is not net.plan
 
     def test_inconsistent_dimension_raises(self):
         """Two factors that give x different widths, plain or hybrid."""
@@ -1244,6 +1246,78 @@ class TestPlan:
             with pytest.raises(UnderconstrainedVariable) as err:
                 eliminate_hybrid_sum(factors, "x")
             assert str(err.value) == "underconstrained variable: 'x'"
+
+
+class TestCliqueReuse:
+    """Given an earlier net, sum_product takes that net's conditional and
+    separator for a clique without mode keys whose variable, separator,
+    plain factors and children's separators are the earlier net's own, and
+    eliminates every other clique again."""
+
+    @staticmethod
+    def _changed(lin, index):
+        """lin with its continuous factor `index` replaced by a new object
+        over the same variables, its rows scaled by 1.5."""
+        out = HybridFactorGraph()
+        for i, f in enumerate(lin.continuous_factors):
+            out.add(f if i != index else JacobianFactor(
+                {v: 1.5 * A for v, A in f.blocks.items()}, 1.5 * f.rhs))
+        for f in lin.hybrid_factors + lin.discrete_factors:
+            out.add(f)
+        return out
+
+    def test_reusing_net_is_the_net_from_scratch(self):
+        """The C11 pose graph, linearized, with one factor changed: the net
+        that reuses the first net's cliques is bit for bit the one that
+        its plan eliminates from scratch, and it reuses some cliques,
+        each without mode keys.  The unchanged graph reuses every clique
+        without mode keys and eliminates every one with them again."""
+        lin = _slam_graph(65, 4, 2)
+        bn = sum_product(lin)
+        changed = self._changed(lin, 5)
+        got = sum_product(changed, previous=bn)
+        scratch = sum_product(changed, previous=HybridBayesNet(plan=bn.plan))
+        assert got.plan is bn.plan and scratch.plan is bn.plan
+        assert not scratch.conditionals[0] is bn.conditionals[0]
+        assert same_net(got, scratch)
+        old = set(map(id, bn.conditionals))
+        reused = [c for c in got.conditionals if id(c) in old]
+        assert 0 < len(reused) < len(got.conditionals)
+        assert all(isinstance(c, GaussianConditional) for c in reused)
+        again = sum_product(lin, previous=bn)
+        assert same_net(again, bn)
+        keyed = [isinstance(c, HybridGaussianConditional)
+                 for c in bn.conditionals]
+        assert any(keyed) and not all(keyed)
+        for c, d, has_keys in zip(again.conditionals, bn.conditionals, keyed):
+            assert (c is d) != has_keys
+        assert again.cliques.keys() == bn.cliques.keys()
+
+    @pytest.mark.parametrize("index", [0, 5, 40])
+    def test_changed_bucket_factor_eliminated_again(self, index):
+        """The clique whose bucket holds the changed factor, and every clique
+        above it, is eliminated again; the net stays the fresh one."""
+        lin = _slam_graph(65, 4, 2)
+        bn = sum_product(lin)
+        changed = self._changed(lin, index)
+        got = sum_product(changed, previous=bn)
+        assert same_net(got, sum_product(changed))
+        position = {step.var: i for i, step in enumerate(bn.plan.steps)}
+        i = bn.plan.bucket[lin.continuous_factors[index].variables]
+        while True:
+            assert got.conditionals[i] is not bn.conditionals[i]
+            separator = bn.plan.steps[i].separator
+            if not separator:
+                break
+            i = min(map(position.__getitem__, separator))
+
+    def test_pruned_net_keeps_its_cliques(self):
+        """prune_bayes_net passes the reusable cliques on with the plan."""
+        lin = _slam_graph(65, 4, 2)
+        bn = sum_product(lin)
+        pruned = prune_bayes_net(bn, 2)
+        assert pruned is not bn
+        assert pruned.plan is bn.plan and pruned.cliques is bn.cliques
 
 
 class TestOrderingIndependence:

@@ -607,13 +607,17 @@ class TestOptimize:
     @pytest.mark.parametrize("dmr_delta", [0.8, None])
     @pytest.mark.parametrize("seed, last_accepted", [(0, False), (1, True)])
     def test_last_net_matches_a_final_read(self, seed, last_accepted,
-                                           dmr_delta):
+                                           dmr_delta, monkeypatch):
         """C09's final batch, which ends without a read of its own: the
         values and modes of a loop that reads the net at the estimate, bit
         for bit.  Seed 0's last step is rejected, so that read repeats the
         last iteration and the nets are equal; seed 1's is accepted, and its
         marginals agree to 1e-12.  With the runner's dead mode removal the
-        batch fixes every open mode; without it three stay open."""
+        batch fixes every open mode; without it three stay open.  Streaming
+        relinearizes every variable that moves, so that it ends where these
+        cases were recorded (at the default threshold seed 1's last step is
+        rejected too)."""
+        monkeypatch.setattr(slam_cli, "RELIN_THRESHOLD", 0.0)
         entries, _, _ = square_loop_dataset(seed, 100, 10, 4)
         runner = slam_cli._Runner(slam_cli.RunConfig())
         for index, entry in enumerate(entries):
@@ -626,7 +630,7 @@ class TestOptimize:
             runner.graph, runner.values, cfg, runner.support)
         assert accepted == last_accepted
         got, bn = optimize(runner.graph, runner.values, cfg, runner.support,
-                           runner.plan)
+                           runner.last)
         assert got.discrete == want.discrete
         assert got.continuous.keys() == want.continuous.keys()
         for vid, pose in want.continuous.items():
@@ -657,6 +661,118 @@ class TestOptimize:
             optimize(g, {"x": np.array([2.0])}, OptimizeConfig(max_iters=20))
         assert "x" in exc.value.best_values
         assert isinstance(exc.value.bn, HybridBayesNet)
+
+
+class TestRelinearization:
+    """Given the previous iteration, gauss_newton_step keeps a variable's
+    linearization point while its estimate lies within the threshold of
+    it, and a factor's linearization while its variables keep their
+    points; the new estimate is the points retracted by the step."""
+
+    SUPPORT = DecisionTree.constant(1.0)
+
+    @staticmethod
+    def _chain():
+        """Four poses with a prior and three odometry factors, away from
+        their optimum."""
+        sigma = [1e-2] * 3
+        g = HybridFactorGraph()
+        g.add(NonlinearFactor(PriorResidual("a", Pose2()), sigma))
+        for i, j in (("a", "b"), ("b", "c"), ("c", "d")):
+            g.add(NonlinearFactor(BetweenResidual(i, j, Pose2(1.0, 0.0, 0.1)),
+                                  sigma))
+        values = {"a": Pose2(0.05, -0.02, 0.01), "b": Pose2(1.1, 0.05, 0.12),
+                  "c": Pose2(2.0, 0.3, 0.15), "d": Pose2(2.9, 0.6, 0.33)}
+        return g, values
+
+    def test_threshold_decides_which_factors_relinearize(self):
+        """A variable moved just past the threshold gets its factors
+        relinearized at its estimate; one moved just under it keeps its
+        point, and factors over kept points stay the same objects."""
+        g, values = self._chain()
+        first = gauss_newton_step(g, values, self.SUPPORT, None, None)
+        points, beta = first.lin.points, 1e-3
+        moved = dict(points)
+        b, c = points["b"], points["c"]
+        moved["b"] = Pose2(b.x + 1.01 * beta, b.y, b.theta)
+        moved["c"] = Pose2(c.x, c.y - 0.99 * beta, c.theta + 0.99 * beta)
+        it = gauss_newton_step(g, moved, self.SUPPORT, None, None, first, beta)
+        assert it.lin.points["b"] is moved["b"]
+        assert all(it.lin.points[v] is points[v] for v in "acd")
+        assert it.lin.origin == tuple(g.continuous_factors)
+        for f, old, new in zip(g.continuous_factors, first.lin.continuous_factors,
+                               it.lin.continuous_factors):
+            assert (new is old) == ("b" not in f.variables)
+            assert same_marginal(new, f.linearize(it.lin.points))
+        assert it.values == retract_values(it.lin.points, it.step.continuous)
+
+    def test_threshold_zero_gives_a_fresh_iteration(self):
+        """At threshold 0 every variable that moved is relinearized: the
+        linear factors, net and values of an iteration without a previous
+        one, bit for bit."""
+        g, values = self._chain()
+        first = gauss_newton_step(g, values, self.SUPPORT, None, None)
+        moved = dict(first.values, a=first.lin.points["a"])
+        got = gauss_newton_step(g, moved, self.SUPPORT, None, None, first, 0.0)
+        want = gauss_newton_step(g, moved, self.SUPPORT, None, None)
+        assert got.lin.continuous_factors[0] is first.lin.continuous_factors[0]
+        for a, b in zip(got.lin.continuous_factors, want.lin.continuous_factors):
+            assert same_marginal(a, b)
+        assert same_net(got.bn, want.bn)
+        for v in values:
+            assert same_bits(pose_rows([got.values[v]]), pose_rows([want.values[v]]))
+
+    def test_restricted_factor_linearized_at_the_points(self):
+        """A factor that dead mode removal restricted is a new object: it is
+        linearized, at the linearization points that the other variables
+        keep, not at the estimate."""
+        g, values = self._chain()
+        key = DiscreteKey("m", 2)
+        g.add(HybridNonlinearFactor.from_components([key], [
+            (BetweenResidual("a", "c", Pose2(4.0, 3.0, 1.0)), [1.0] * 3),
+            (BetweenResidual("a", "c", compose(Pose2(1.0, 0.0, 0.1),
+                                               Pose2(1.0, 0.0, 0.1))),
+             [1e-2] * 3)]))
+        first = gauss_newton_step(g, values, self.SUPPORT, None, 0.8)
+        assert first.fixed == {"m": 1}
+        restricted = first.graph.continuous_factors[-1]
+        assert isinstance(restricted, NonlinearFactor)
+        # Every point is kept, and none is the estimate.
+        it = gauss_newton_step(first.graph, first.values, first.support, None,
+                               0.8, first, 10.0)
+        points = it.lin.points
+        assert all(points[v] is first.lin.points[v] for v in values)
+        assert all(points[v] != first.values[v] for v in values)
+        linearized = it.lin.continuous_factors[-1]
+        assert same_marginal(linearized, restricted.linearize(points))
+        assert not same_marginal(linearized, restricted.linearize(first.values))
+
+    def test_final_batch_from_kept_points_is_a_fresh_batch(self):
+        """The streaming benchmark's input: after streaming at the default
+        threshold, whose points lag the estimates, the final batch, which
+        relinearizes every variable that moves, gives the values and net
+        of a batch started without the last streaming iteration, bit for
+        bit."""
+        entries, _, _ = square_loop_dataset(0, 200, 10, 10)
+        runner = slam_cli._Runner(slam_cli.RunConfig(elim_every=1,
+                                                     relin_every=2))
+        for index, entry in enumerate(entries):
+            if runner.add_entry(entry, index) and \
+                    runner.hybrid_count % runner.cfg.elim_every == 0:
+                runner.elimination_pass()
+        assert any(p != runner.values[v]
+                   for v, p in runner.last.lin.points.items())
+        cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=runner.cfg.prune_p,
+                             dmr_delta=runner.cfg.dmr_delta)
+        got, bn = optimize(runner.graph, runner.values, cfg, runner.support,
+                           runner.last)
+        want, want_bn = optimize(runner.graph, runner.values, cfg,
+                                 runner.support)
+        assert got.discrete == want.discrete
+        for vid, pose in want.continuous.items():
+            assert same_bits(pose_rows([got.continuous[vid]]),
+                             pose_rows([pose])), vid
+        assert same_net(bn, want_bn)
 
 
 class TestHybridNonlinearFactor:

@@ -1,5 +1,6 @@
 import csv
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -300,21 +301,68 @@ class TestRun:
         them just after dead mode removal fixed modes and changed the keys."""
         eliminate = elimination.sum_product
         steps = {"reused": 0, "new keys": 0}
-        previous = []   # the keys of the previous step's graph
+        seen = []   # the keys of the previous step's graph
 
-        def checked(g, ordering=None, plan=None):
-            bn = eliminate(g, ordering, plan)
+        def checked(g, ordering=None, previous=None):
+            bn = eliminate(g, ordering, previous)
             keys = g.discrete_keys()
             assert same_net(bn, eliminate(g))
-            if plan is not None and bn.plan is plan:
+            if previous is not None and bn.plan is previous.plan:
                 steps["reused"] += 1
-                steps["new keys"] += keys != previous[-1]
-            previous.append(keys)
+                steps["new keys"] += keys != seen[-1]
+            seen.append(keys)
             return bn
         monkeypatch.setattr(elimination, "sum_product", checked)
         entries, _, _ = square_loop_dataset(0, 100, 10, 4)
         run(RunConfig(), entries)
         assert steps == {"reused": 2, "new keys": 1}
+
+    def test_passes_log_relinearized_factors_and_reused_cliques(
+            self, caplog, monkeypatch):
+        """The streaming benchmark's input: each pass logs, summed over its
+        iterations, the factors it relinearized of all factors and the
+        cliques without mode keys it reused of all such cliques.  The
+        counts repeat across runs; the first pass relinearizes everything
+        and reuses nothing; a pass that adds only an odometry edge
+        relinearizes just its new factors; and the cliques reused are the
+        ones the wavefront did not eliminate."""
+        pattern = re.compile(r"elimination (\d+): relinearized (\d+) of (\d+) "
+                             r"factors, reused (\d+) of (\d+) key-free "
+                             r"cliques over (\d+) iterations")
+        eliminated = {"streaming": True, "keyless": 0}
+        original = elimination._eliminate_independent
+
+        def counting(cliques):
+            if eliminated["streaming"]:
+                eliminated["keyless"] += sum(not c.fill.keys for c in cliques)
+            return original(cliques)
+        monkeypatch.setattr(elimination, "_eliminate_independent", counting)
+        finalize = _Runner.finalize
+
+        def final(runner):
+            eliminated["streaming"] = False
+            return finalize(runner)
+        monkeypatch.setattr(_Runner, "finalize", final)
+        entries, _, _ = square_loop_dataset(0, 200, 10, 10)
+        runs = []
+        for _ in range(2):
+            caplog.clear()
+            eliminated.update(streaming=True, keyless=0)
+            with caplog.at_level(logging.INFO, logger="hybridfg"):
+                run(RunConfig(elim_every=1, relin_every=2), entries)
+            runs.append([tuple(map(int, m.groups())) for m in map(
+                pattern.fullmatch, caplog.messages) if m])
+        counts = runs[0]
+        assert runs[1] == counts
+        assert [c[0] for c in counts] == list(range(1, 21))
+        assert [c[5] for c in counts] == [1, 2] * 10
+        _, relin, factors, reused, keyless, _ = counts[0]
+        assert relin == factors > 0 and reused == 0 < keyless
+        assert all(relin <= factors and reused <= keyless
+                   for _, relin, factors, reused, keyless, _ in counts)
+        assert min(relin for _, relin, _, _, _, _ in counts) == 2
+        assert sum(c[4] - c[3] for c in counts) == eliminated["keyless"]
+        assert sum(c[3] for c in counts) > sum(c[4] for c in counts) / 2
 
     def test_pass_rows_count_carried_hypotheses(self):
         """A pass row of timing.csv counts the hypotheses carried into the
