@@ -17,7 +17,7 @@ import heapq
 import math
 import operator
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -43,8 +43,30 @@ ContinuousFactor = Union[JacobianFactor, HybridGaussianFactor]
 
 
 def strong_ordering(g: HybridFactorGraph) -> List[Any]:
-    """Continuous variables first, by multiple minimum degree (Liu, ACM
-    TOMS 1985), then discrete variables in id order.  Each round takes the
+    """Continuous variables first, by multiple minimum degree (see _mmd)
+    over the graph that joins the variables of each factor, then discrete
+    variables in id order."""
+    adj = _adjacency([f.variables for f in g.continuous_factors]
+                     + [f.continuous_ids for f in g.hybrid_factors])
+    # adj's keys are the continuous variables.
+    disc = [k.id for k in g._discrete_keys(adj)]
+    if not adj and not disc:
+        raise ValueError("graph is empty")
+    return _mmd(adj, {}) + sorted(disc)
+
+
+def _adjacency(scopes: Sequence[Sequence[Any]]) -> Dict[Any, set]:
+    """Per variable of the tuples `scopes`, the others it shares one with."""
+    adj: Dict[Any, set] = {}
+    for vs in scopes:
+        for a in vs:
+            adj.setdefault(a, set()).update(v for v in vs if v != a)
+    return adj
+
+
+def _mmd(adj: Dict[Any, set], floors: Mapping[Any, int]) -> List[Any]:
+    """An elimination order of the variables of `adj` (consumed) by
+    multiple minimum degree (Liu, ACM TOMS 1985).  Each round takes the
     variables of degree at most max(d_min, 2), d_min the current minimum
     degree, in (degree, id) order and eliminates every one that no
     variable eliminated earlier in the round is adjacent to, so one round
@@ -52,22 +74,32 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     short.  Letting degree 2 join a round of degree 0 or 1 (Liu's delta)
     adds at most one fill edge per such variable, and lets the interior of
     a path go in the round its end goes: the elimination tree of a path of
-    2^k variables has k + 1 levels, not 2^(k-1) + 1."""
-    adj: Dict[Any, set] = {}
-    for vs in [f.variables for f in g.continuous_factors] \
-            + [f.continuous_ids for f in g.hybrid_factors]:
-        for a in vs:
-            adj.setdefault(a, set()).update(v for v in vs if v != a)
-    # adj's keys are the continuous variables.
-    disc = [k.id for k in g._discrete_keys(adj)]
-    if not adj and not disc:
-        raise ValueError("graph is empty")
+    2^k variables has k + 1 levels, not 2^(k-1) + 1.
+
+    A variable with a floor joins the rounds at round floor - base, base
+    the smallest floor (0 when some variable has none), so that a variable
+    a tall subtree feeds goes no earlier than the rounds that subtree's
+    height asks of it (see _plan)."""
+    base = min(floors.values()) if floors and len(floors) == len(adj) else 0
+    pending: Dict[int, List[Any]] = {}
+    for v, floor in floors.items():
+        if floor > base:
+            pending.setdefault(floor - base, []).append(v)
+    waiting = {v for vs in pending.values() for v in vs}
     # adj keeps only uneliminated neighbours, so len(adj[u]) is u's degree;
     # heap entries of eliminated variables or outdated degrees are skipped.
-    heap = [(len(neighbors), v) for v, neighbors in adj.items()]
+    heap = [(len(neighbors), v) for v, neighbors in adj.items()
+            if v not in waiting]
     heapq.heapify(heap)
-    order = []
-    while heap:
+    order: List[Any] = []
+    r = 0
+    while heap or pending:
+        if pending:
+            if not heap:
+                r = min(pending)
+            for v in pending.pop(r, ()):
+                waiting.discard(v)
+                heapq.heappush(heap, (len(adj[v]), v))
         # The round's candidates: every variable of degree at most
         # max(smallest current degree, 2), in (degree, id) order (one
         # pushed twice with a degree pops twice in a row).
@@ -90,11 +122,13 @@ def strong_ordering(g: HybridFactorGraph) -> List[Any]:
                 fill.discard(a)
                 fill.discard(v)
             touched |= neighbors
-        # Neighbours of the round's variables wait for the next round, at
-        # their new degrees.
+        # Neighbours of the round's variables that have joined wait for the
+        # next round, at their new degrees.
         for a in touched:
-            heapq.heappush(heap, (len(adj[a]), a))
-    return order + sorted(disc)
+            if a not in waiting:
+                heapq.heappush(heap, (len(adj[a]), a))
+        r += 1
+    return order
 
 
 def _first_component(f) -> JacobianFactor:
@@ -106,50 +140,63 @@ def _first_component(f) -> JacobianFactor:
     return f
 
 
-# A planned step: eliminating `var`, which the separators of the steps at
-# positions `children` reach, onto `separator` (the other variables,
-# sorted), with the columns of gaussian._layout.
-_Step = namedtuple("_Step", "var children separator dv cols offsets width")
+def _variables(f) -> Tuple[Any, ...]:
+    """The variable tuple of a Jacobian or hybrid factor."""
+    return f.variables if type(f) is JacobianFactor else f.continuous_ids
 
-# The symbolic elimination of a graph's continuous variables: the structure
-# it was planned for (see _structure), the bucket (position of the first
-# variable) of each variable tuple of its factors, a _Step per position and
-# the positions by level (1 + the largest level of those sending
-# separators to it).  The mode keys, the discrete factors and the factors'
+
+# A planned step: eliminating `var`, which the separators of the steps of
+# the variables `children` reach, onto `separator` (the other variables,
+# sorted), with the columns of gaussian._layout, and `level`, 1 + the
+# largest level of its children (0 without).
+_Step = namedtuple("_Step", "var children separator dv cols offsets width level")
+
+# The symbolic elimination of a graph's continuous variables: per variable
+# its _Step, in the ordering's order; per variable tuple of the factors the
+# variable whose bucket takes them; every variable's dimension; the
+# number of steps at each level; and per variable its rank, larger for a
+# later step.  The mode keys, the discrete factors and the factors'
 # numbers are filled in per call (see _fill).
-Plan = namedtuple("Plan", "structure bucket steps levels")
+Plan = namedtuple("Plan", "steps bucket dims levels rank")
 
 # What eliminating a planned step reads in one call: the plain factors (a
 # restricted hybrid's component too, its constant in base_const) and their
 # rows, the hybrid ones and the keys the step's clique spans.
 _Fill = namedtuple("_Fill", "plains rows hybrids base_const keys")
 
-# What a later call may reuse of a clique without mode keys, under its
-# variable: its separator variables, the inputs of its QR (the plain
-# factors of its fill and its children's separators, in order) and the
-# conditional and separator it gave.
-_Reusable = namedtuple("_Reusable",
-                       "parents plains children conditional separator")
+# What a later call takes over from a net (see sum_product): the
+# continuous and hybrid factors it eliminated, each with its place in
+# graph order; per variable the factors of its bucket, in graph order;
+# the separators of its steps without mode keys, and the variables of the
+# steps with them.
+_Cliques = namedtuple("_Cliques", "index held separators keyed")
+
+_NO_PLAN = Plan({}, {}, {}, [], {})
+_NO_CLIQUES = _Cliques({}, {}, {}, frozenset())
 
 
-def _step(var, scope: set, children: Sequence[int], steps: Sequence[_Step],
-          dims: Mapping[Any, int]) -> _Step:
+def _step(var, scope: set, children: Sequence[Any],
+          steps: Mapping[Any, _Step], dims: Mapping[Any, int]) -> _Step:
     """Eliminating `var` from factors over the variables `scope` (which
     this consumes) and the separators of steps[c] for c in children."""
+    level = 0
     for c in children:
-        scope.update(steps[c].separator)
+        child = steps[c]
+        scope.update(child.separator)
+        if child.level >= level:
+            level = child.level + 1
     if var not in scope:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r}")
     scope.discard(var)
     separator = tuple(sorted(scope))
-    return _Step(var, children, separator, dims[var],
-                 *_layout(var, separator, dims))
+    return _Step(var, tuple(children), separator, dims[var],
+                 *_layout(var, separator, dims), level)
 
 
-def _fill_step(factors: Sequence[ContinuousFactor], children: Sequence[int],
-               fills: Sequence[_Fill]) -> _Fill:
-    """The _Fill of a step whose bucket holds `factors` and whose children's
-    fills are fills[c]."""
+def _fill_step(factors: Sequence[ContinuousFactor], children: Sequence[Any],
+               fills: Mapping[Any, _Fill]) -> _Fill:
+    """The _Fill of a step whose bucket holds `factors` and whose children
+    have the fills in `fills` (a child without one has no mode keys)."""
     keys, plains, rows, hybrids, base_const = [], [], 0, [], 0.0
     for f in factors:
         if type(f) is not JacobianFactor:
@@ -162,54 +209,177 @@ def _fill_step(factors: Sequence[ContinuousFactor], children: Sequence[int],
         plains.append(f)
         rows += f.rhs.shape[0]
     for c in children:
-        keys += fills[c].keys
+        if c in fills:
+            keys += fills[c].keys
     return _Fill(plains, rows, hybrids, base_const,
                  _merge_keys((), keys) if keys else ())
 
 
-def _structure(g: HybridFactorGraph):
-    """What a plan of g depends on: its continuous and hybrid factors, the
-    first component of each (see _first_component), the multiset of their
-    variable tuples with the variables' dimensions, and the discrete ids."""
-    factors = g.continuous_factors + g.hybrid_factors
-    firsts = [_first_component(f) for f in factors]
-    dims = _dims(firsts)
+def _plan(g: HybridFactorGraph, factors: Sequence[ContinuousFactor],
+          plan: Plan, cliques: _Cliques, ordering: Optional[Sequence[Any]]):
+    """The plan of g's continuous and hybrid `factors`, extending `plan`,
+    which an earlier call made for the factors of `cliques`.
+
+    A factor that is not one of cliques' objects is new; one of cliques'
+    objects that g lacks is gone.  A variable tuple that a new factor
+    brings is added, one whose last factor is gone is removed.  The top is
+    every step whose variable lies in an added or removed tuple, and all
+    its ancestors.  Every other step keeps its _Step (its subtree and the
+    factors of its buckets are the same), its bucket and its level; the
+    top alone is ordered, planned and eliminated again.  Its ordering is
+    `ordering`'s continuous part when given (plan is then empty), else
+    _mmd over the top's own factors and the separators of the kept
+    subtrees hanging from it (the graph that eliminating the kept steps
+    leaves), where a top variable's floor is 1 + the level of the deepest
+    kept subtree whose separator holds it.  The ordering is the kept steps
+    in their order, then the top: each of the top's buckets takes its
+    tuples by the new order, and each step's children are in the
+    ordering's order, so the plan is the one this ordering gives afresh.
+    Factors in another order than cliques' (or a variable of another
+    dimension) plan the whole graph afresh.
+
+    Returns the plan, the _Cliques of g's factors with the separators of
+    the kept steps (keyed is left to the caller), the variables to
+    eliminate in the ordering's order (the top, and every step closed
+    upward whose bucket gained or lost a factor or that had mode keys),
+    and the discrete ids in the ordering's order."""
+    index = dict(zip(factors, range(len(factors))))
+    was = list(map(cliques.index.get, factors)) if cliques.index else []
+    old = list(compress(was, map(operator.is_not, was, repeat(None))))
+    if any(map(operator.gt, old, old[1:])):
+        return _plan(g, factors, _NO_PLAN, _NO_CLIQUES, ordering)
+    steps, bucket, dims, rank = plan.steps, plan.bucket, plan.dims, plan.rank
+    # New factors by bucket, or by tuple where the tuple is new, and the
+    # dimensions of new variables.
+    changed: Dict[Any, List[ContinuousFactor]] = {}
+    added: Dict[Tuple[Any, ...], List[ContinuousFactor]] = {}
+    extra: Dict[Any, int] = {}
+    for f in compress(factors, map(operator.is_, was, repeat(None))) if was \
+            else factors:
+        first = _first_component(f)
+        for vid, A in first.blocks.items():
+            d = dims.get(vid)
+            if d is None:
+                d = extra.setdefault(vid, A.shape[1])
+            if d != A.shape[1]:
+                if plan is _NO_PLAN:
+                    raise ValueError(f"inconsistent dimension for {vid!r}")
+                return _plan(g, factors, _NO_PLAN, _NO_CLIQUES, ordering)
+        if not first.variables:     # a constant: it goes nowhere
+            continue
+        b = bucket.get(first.variables)
+        if b is None:
+            added.setdefault(first.variables, []).append(f)
+        else:
+            changed.setdefault(b, []).append(f)
+    if len(old) < len(cliques.index):
+        for f in cliques.index:
+            if f not in index and _variables(f):
+                changed.setdefault(bucket[_variables(f)], [])
+    # The changed buckets' factors, in graph order, and the tuples that
+    # lost their last factor.
+    held = dict(cliques.held)
+    removed = set()
+    for b, news in changed.items():
+        before = held.get(b, ())
+        fs = [f for f in before if f in index] + news
+        fs.sort(key=index.__getitem__)
+        held[b] = fs
+        if len(fs) < len(before) + len(news):
+            removed.update(set(map(_variables, before)).difference(
+                map(_variables, fs)))
+    top = set()
+    for vs in chain(added, removed):
+        for v in vs:
+            while v in steps and v not in top:
+                top.add(v)
+                separator = steps[v].separator
+                if not separator:
+                    break
+                v = min(separator, key=rank.__getitem__)
+    separators = dict(cliques.separators)
+    order: List[Any] = []
+    if top or added or ordering is not None:
+        roots = sorted((c for t in top for c in steps[t].children if c not in top),
+                       key=rank.__getitem__)
+        # The top's factors by variable tuple, each in graph order.
+        factors_of: Dict[Tuple[Any, ...], List[ContinuousFactor]] = {}
+        for v in top:
+            for f in held.pop(v, ()):
+                factors_of.setdefault(_variables(f), []).append(f)
+        factors_of.update(added)
+        if ordering is None:
+            adj = _adjacency(list(factors_of)
+                             + [steps[r].separator for r in roots])
+            if extra or not top.issubset(adj):
+                dims = {v: d for v, d in chain(dims.items(), extra.items())
+                        if v in adj or v not in top}
+            floors: Dict[Any, int] = {}
+            for r in roots:
+                for v in steps[r].separator:
+                    floors[v] = max(floors.get(v, 0), steps[r].level + 1)
+            order = _mmd(adj, floors)
+            disc = [k.id for k in g._discrete_keys(dims)]
+        else:   # plan is empty
+            dims = extra
+            disc = _checked(ordering, dims, g)
+            order = list(ordering[:len(ordering) - len(disc)])
+        position = {v: i for i, v in enumerate(order)}
+        bucket = dict(bucket)
+        for t in removed:
+            del bucket[t]
+        scope: Dict[Any, set] = {v: set() for v in order}
+        for t, fs in factors_of.items():
+            b = bucket[t] = min(t, key=position.__getitem__)
+            scope[b].update(t)
+            held.setdefault(b, []).extend(fs)
+        children: Dict[Any, List[Any]] = {v: [] for v in order}
+        for r in roots:
+            children[min(steps[r].separator, key=position.__getitem__)].append(r)
+        levels = list(plan.levels)
+        for v in top:
+            levels[steps[v].level] -= 1
+        start = rank[next(reversed(steps))] + 1 if steps else 0
+        steps, rank = dict(steps), dict(rank)
+        for v in top:
+            del steps[v], rank[v]
+            separators.pop(v, None)
+        for i, v in enumerate(order):
+            s = steps[v] = _step(v, scope[v], children[v], steps, dims)
+            rank[v] = start + i
+            if v in held:
+                held[v].sort(key=index.__getitem__)
+            if s.separator:
+                children[min(s.separator, key=position.__getitem__)].append(v)
+            if s.level < len(levels):
+                levels[s.level] += 1
+            else:
+                levels.append(1)
+        while levels and not levels[-1]:
+            levels.pop()
+        plan = Plan(steps, bucket, dims, levels, rank)
+    else:
+        disc = [k.id for k in g._discrete_keys(dims)]
+    # Kept steps to eliminate again, closed upward until the top.
+    visited = set(order)
+    again = []
+    for v in chain(changed, cliques.keyed):
+        while v in steps and v not in visited:
+            visited.add(v)
+            again.append(v)
+            separator = steps[v].separator
+            if not separator:
+                break
+            v = min(separator, key=rank.__getitem__)
+    again.sort(key=rank.__getitem__)
+    return plan, _Cliques(index, held, separators, None), again + order, disc
+
+
+def _checked(ordering: Sequence[Any], dims: Mapping[Any, int],
+             g: HybridFactorGraph) -> List[Any]:
+    """The discrete part of an explicit ordering, which must name each of
+    g's variables once, the continuous ones (those of `dims`) first."""
     disc = [k.id for k in g._discrete_keys(dims)]
-    scopes: Dict[Tuple[Any, ...], int] = {}
-    for f in firsts:
-        scopes[f.variables] = scopes.get(f.variables, 0) + 1
-    return factors, firsts, (scopes, dims), disc
-
-
-def _bucketed(bucket: Dict[Tuple[Any, ...], int],
-              factors: Sequence[ContinuousFactor],
-              firsts: Sequence[JacobianFactor], size: int,
-              position: Optional[Mapping[Any, int]] = None
-              ) -> List[List[ContinuousFactor]]:
-    """Per position, the factors of its bucket in graph order: a factor's
-    position is bucket[its variable tuple], put there when the tuple is new
-    (a plan being made) as the first of its variables' `position`s.  A
-    factor without variables is a constant and goes nowhere."""
-    held: List[List[ContinuousFactor]] = [[] for _ in range(size)]
-    for f, first in zip(factors, firsts):
-        ids = first.variables
-        if ids:
-            i = bucket.get(ids)
-            if i is None:
-                i = bucket[ids] = min(map(position.__getitem__, ids))
-            held[i].append(f)
-    return held
-
-
-def _plan(ordering: Sequence[Any], structure, disc: Sequence[Any],
-          factors: Sequence[ContinuousFactor],
-          firsts: Sequence[JacobianFactor]
-          ) -> Tuple[Plan, List[List[ContinuousFactor]]]:
-    """The symbolic elimination of a graph of this structure and discrete
-    ids under `ordering`: a factor or a separator waits in the bucket of
-    its first variable.  Also returns the graph's `factors` by bucket (see
-    _bucketed), placed in the same pass."""
-    _, dims = structure
     named = set(ordering)
     if named != set(dims) | set(disc):
         raise ValueError("ordering must cover exactly the graph's variables")
@@ -220,43 +390,26 @@ def _plan(ordering: Sequence[Any], structure, disc: Sequence[Any],
     if late:
         raise ValueError(f"not a strong ordering: continuous variable {late[0]!r} "
                          "after a discrete one")
-    position = {vid: i for i, vid in enumerate(ordering[:first])}
-    bucket: Dict[Tuple[Any, ...], int] = {}
-    held = _bucketed(bucket, factors, firsts, len(position), position)
-    buckets: List[set] = [set() for _ in position]
-    for ids, i in bucket.items():
-        buckets[i].update(ids)
-    steps: List[_Step] = []
-    children: List[List[int]] = [[] for _ in position]
-    level = [0] * len(position)
-    for i, var in enumerate(ordering[:first]):
-        steps.append(_step(var, buckets[i], children[i], steps, dims))
-        if steps[i].separator:
-            t = min(map(position.__getitem__, steps[i].separator))
-            children[t].append(i)
-            level[t] = max(level[t], level[i] + 1)
-    levels: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
-    for i, lv in enumerate(level):
-        levels[lv].append(i)
-    return Plan(structure, bucket, steps, levels), held
+    return list(ordering[first:])
 
 
-def _fill(plan: Plan, held: Sequence[Sequence[ContinuousFactor]],
-          discrete_factors, tail: Sequence[Any]):
-    """Per planned step its _Fill, from its bucket's factors held[i], and
-    per discrete id of `tail`, in that order, its graph factors and the
-    positions whose boundary factors wait there."""
-    fills: List[_Fill] = []
-    for step, factors in zip(plan.steps, held):
-        fills.append(_fill_step(factors, step.children, fills))
+def _fill(steps: Mapping[Any, _Step], held: Mapping[Any, Sequence[ContinuousFactor]],
+          visited: Sequence[Any], discrete_factors, tail: Sequence[Any]):
+    """Per step of `visited` (in the ordering's order) its _Fill, from its
+    bucket's factors held[var], and per discrete id of `tail`, in that
+    order, its graph factors and the variables whose boundary factors wait
+    there."""
+    fills: Dict[Any, _Fill] = {}
+    for v in visited:
+        fills[v] = _fill_step(held.get(v, ()), steps[v].children, fills)
     at = {vid: t for t, vid in enumerate(tail)}
-    waiting: List[Tuple[List[Any], List[int]]] = [([], []) for _ in tail]
+    waiting: List[Tuple[List[Any], List[Any]]] = [([], []) for _ in tail]
     for f in discrete_factors:
         if f.keys:
             waiting[min(at[k.id] for k in f.keys)][0].append(f)
-    for i, (step, fill) in enumerate(zip(plan.steps, fills)):
-        if not step.separator and fill.keys:
-            waiting[min(at[k.id] for k in fill.keys)][1].append(i)
+    for v, fill in fills.items():
+        if fill.keys and not steps[v].separator:
+            waiting[min(at[k.id] for k in fill.keys)][1].append(v)
     return fills, waiting
 
 
@@ -433,48 +586,22 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
             c.results[li] = (out, c.results[li])
 
 
-def _wavefront(steps: Sequence[_Step], fills: Sequence[_Fill],
+def _wavefront(steps: Mapping[Any, _Step], fills: Mapping[Any, _Fill],
                rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]],
-               levels: Sequence[Sequence[int]],
-               reusable: Mapping[Any, _Reusable]
-               ) -> Tuple[List[Any], List[Any], Dict[Any, _Reusable]]:
-    """Eliminate the planned steps a level at a time: each level's cliques
-    read the separators of earlier levels by position, and their QRs run
-    together (see _eliminate_independent).  A step without mode keys whose
-    variable `reusable` holds with its separator and the same QR inputs
-    (plain factors compare by identity) takes that clique's conditional
-    and separator, which a QR of the same rows would give bit for bit.
-    Returns the conditionals and separators by position (see
-    _Clique.finish) and the _Reusable of every step without mode keys."""
-    conditionals, separators = [None] * len(steps), [None] * len(steps)
-    kept: Dict[Any, _Reusable] = {}
+               levels: Sequence[Sequence[Any]], separators: Dict[Any, Any]
+               ) -> Dict[Any, Any]:
+    """Eliminate the steps of the variables in `levels` a level at a time:
+    each level's cliques read their children's separators by variable from
+    `separators`, where theirs go too, and their QRs run together (see
+    _eliminate_independent).  Returns the conditionals by variable (see
+    _Clique.finish)."""
+    conditionals: Dict[Any, Any] = {}
     for level in levels:
-        fresh, keyless = [], []
-        for i in level:
-            step, fill = steps[i], fills[i]
-            if fill.keys:
-                fresh.append(i)
-                continue
-            children = [separators[c] for c in step.children]
-            old = reusable.get(step.var)
-            if old is not None and old.parents == step.separator \
-                    and old.plains == fill.plains \
-                    and len(old.children) == len(children) \
-                    and all(map(operator.is_, old.children, children)):
-                kept[step.var] = old
-                conditionals[i], separators[i] = old.conditional, old.separator
-            else:
-                fresh.append(i)
-                keyless.append((i, children))
-        cliques = [_Clique(steps[i], fills[i], separators, rules) for i in fresh]
+        cliques = [_Clique(steps[v], fills[v], separators, rules) for v in level]
         _eliminate_independent(cliques)
-        for i, c in zip(fresh, cliques):
-            conditionals[i], separators[i] = c.finish()
-        for i, children in keyless:
-            kept[steps[i].var] = _Reusable(steps[i].separator, fills[i].plains,
-                                           children, conditionals[i],
-                                           separators[i])
-    return conditionals, separators, kept
+        for v, c in zip(level, cliques):
+            conditionals[v], separators[v] = c.finish()
+    return conditionals
 
 
 def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
@@ -485,10 +612,12 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     when it carries no content beyond a mode-independent constant."""
     factors = list(factors)
     firsts = [_first_component(f) for f in factors]
-    step = _step(var, {v for f in firsts for v in f.variables}, (), (),
+    step = _step(var, {v for f in firsts for v in f.variables}, (), {},
                  _dims(firsts))
-    (conditional,), (sep,), _ = _wavefront(
-        [step], [_fill_step(factors, (), ())], (), [[0]], {})
+    separators: Dict[Any, Any] = {}
+    conditional = _wavefront({var: step}, {var: _fill_step(factors, (), {})},
+                             (), [[var]], separators)[var]
+    sep = separators[var]
     if type(sep) is tuple:
         return conditional, _marginal(sep[0].T[sep[1]], step.cols, step.separator)
     if type(sep) is not _HybridSeparator:
@@ -506,55 +635,64 @@ def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
     divided by its sum (over no keys, the empty product [1.0]).  A product
     that is 0 everywhere raises ValueError, as the oracle does.
 
-    The symbolic elimination is planned once (see _plan) and kept as the
-    net's `plan`.  Given an earlier net, `previous`, and no ordering, its
-    plan is reused when g's continuous and hybrid factors have the
-    multiset of variable tuples and the dimensions it was planned for (the
-    mode keys and discrete factors may differ); the ordering, which for
-    strong_ordering depends on that adjacency alone, is then the plan's.
-    The wavefront (see _wavefront) then eliminates one level of the
-    elimination tree at a time, batching the QRs of its buckets by shape,
-    and a finished separator waits by position until its parent reads it.
-    A clique without mode keys whose variable, separator, plain factors
-    and children's separators are those of one of previous's (the same
-    objects, in order) takes that clique's conditional and separator
-    instead of a QR; the net keeps its own such cliques as `cliques`.
-    For a given ordering the net is a one-at-a-time bucket loop's bit for
-    bit.  Where the wavefront fails, the same steps run again one position
-    per level, in the ordering's order, so the error raised is that of the
-    first failing variable in the ordering, as the bucket loop raises it.
+    The symbolic elimination (see _plan) is the net's `plan`.  Without an
+    earlier net, `previous`, it is planned afresh under `ordering`, by
+    default strong_ordering's.  Given previous and no ordering, its plan
+    is extended: only the top of the elimination tree that g's added and
+    removed variable tuples touch is ordered and planned again, and
+    without such tuples the plan is previous's own.  The wavefront (see
+    _wavefront) then eliminates one level of the elimination tree at a
+    time, batching the QRs of its buckets by shape, and a finished
+    separator waits by variable until its parent reads it.  It visits only
+    the top and the kept steps, closed upward, that have mode keys or
+    whose bucket gained or lost a factor (plain factors compare by
+    identity); every other step takes previous's conditional and
+    separator, which the same QR would give bit for bit.  The net keeps
+    what a later call takes over as `cliques`.  For the ordering of its
+    plan (its steps', then the discrete ids) the net is a one-at-a-time
+    bucket loop's bit for bit.  Where the wavefront fails, the same steps
+    run again one per level, in the ordering's order, so the error raised
+    is that of the first failing variable in the ordering, as the bucket
+    loop raises it.
     """
-    factors, firsts, structure, disc = _structure(g)
-    plan = None if previous is None else previous.plan
-    if ordering is not None or plan is None or plan.structure != structure:
+    factors = g.continuous_factors + g.hybrid_factors
+    if ordering is None and previous is not None and previous.cliques is not None:
+        plan, cliques = previous.plan, previous.cliques
+        conditionals = dict(zip(plan.steps, previous.conditionals))
+    else:
+        plan, cliques, conditionals = _NO_PLAN, _NO_CLIQUES, {}
         if ordering is None:
             ordering = strong_ordering(g)
-        plan, held = _plan(ordering, structure, disc, factors, firsts)
-        disc = ordering[len(plan.steps):]   # in the ordering's order
-    else:
-        held = _bucketed(plan.bucket, factors, firsts, len(plan.steps))
-    steps = plan.steps
-    fills, tail = _fill(plan, held, g.discrete_factors, disc)
+    plan, cliques, visited, disc = _plan(g, factors, plan, cliques, ordering)
+    steps, separators = plan.steps, cliques.separators
+    fills, tail = _fill(steps, cliques.held, visited, g.discrete_factors, disc)
     rules = [_live_masks(f.potentials) for f in g.discrete_factors
              if f.keys and not f.potentials.leaves.all()]
-    reusable = {} if previous is None else previous.cliques
+    waves: Dict[int, List[Any]] = {}
+    for v in visited:
+        waves.setdefault(steps[v].level, []).append(v)
     try:
-        conditionals, separators, cliques = _wavefront(
-            steps, fills, rules, plan.levels, reusable)
+        fresh = _wavefront(steps, fills, rules,
+                           [waves[level] for level in sorted(waves)], separators)
     except ValueError:
-        conditionals = None
-    if conditionals is None:
+        fresh = None
+    if fresh is None:
         # Outside the handler, so the replay's error has no __context__.
-        conditionals, separators, cliques = _wavefront(
-            steps, fills, rules, [[i] for i in range(len(steps))], reusable)
+        fresh = _wavefront(steps, fills, rules, [[v] for v in visited],
+                           separators)
     product = multiply_factors([f for factors, kids in tail for f in factors
                                 + [separators[c] for c in kids]]).potentials
     total = float(product.leaves.sum())
     if not total > 0.0:
         raise ValueError("all discrete assignments are impossible")
-    return HybridBayesNet(conditionals,
-                          DecisionTree(product.keys, product.leaves / total), plan,
-                          cliques)
+    keyed = frozenset(v for v, fill in fills.items() if fill.keys)
+    for v in keyed:
+        del separators[v]
+    conditionals.update(fresh)
+    return HybridBayesNet._own(
+        list(map(conditionals.__getitem__, steps)),
+        DecisionTree(product.keys, product.leaves / total), plan,
+        cliques._replace(keyed=keyed))
 
 
 def _components(bn: HybridBayesNet, modes: Mapping[Any, int]) -> List[Any]:
@@ -636,7 +774,7 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     pruned = prune_to_top(joint, P)
     if np.array_equal(pruned.leaves, joint.leaves):
         return bn
-    return HybridBayesNet(bn.conditionals, DecisionTree(
+    return HybridBayesNet._own(bn.conditionals, DecisionTree(
         pruned.keys, pruned.leaves / pruned.leaves.sum()), bn.plan, bn.cliques)
 
 

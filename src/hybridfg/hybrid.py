@@ -527,27 +527,53 @@ class HybridBayesNet:
     """Gaussian and hybrid conditionals in elimination order, plus P(M | Z)
     as one normalized table over all of the net's discrete keys (the table
     [1.0] over no keys when it has none).  `plan` is the symbolic
-    elimination (elimination.Plan) whose order the conditionals follow,
-    None for a net that sum_product did not make; `cliques` maps the
-    variable of each of its cliques without mode keys to what a later
-    sum_product may reuse of it (elimination._Reusable)."""
+    elimination (elimination.Plan) whose order the conditionals follow and
+    `cliques` what a later sum_product takes over of the net
+    (elimination._Cliques), both None for a net that sum_product did not
+    make.
+
+    The constructor checks the net: every hybrid conditional's keys are
+    the joint's, and the joint is 0 wherever a hybrid conditional has no
+    component, so every live hypothesis can be read."""
 
     def __init__(self, conditionals: Sequence[Any] = (),
                  joint: DecisionTree = DecisionTree.constant(1.0), plan=None,
-                 cliques: Optional[Dict[Any, Any]] = None):
+                 cliques=None):
         keys = {k.id for k in joint.keys}
+        live = joint.leaves > 0
         for c in conditionals:
             if not isinstance(c, (GaussianConditional, HybridGaussianConditional)):
                 raise TypeError(f"cannot add {type(c).__name__} to a hybrid Bayes net")
-            if isinstance(c, HybridGaussianConditional) and \
-                    not keys.issuperset(k.id for k in c.keys):
+            if isinstance(c, GaussianConditional):
+                continue
+            own = {k.id for k in c.keys}
+            if not keys.issuperset(own):
                 raise ValueError("hybrid conditional keys missing from the joint")
+            leaves = c.components.leaves
+            nil = np.array([leaf is None for leaf in leaves.flat]).reshape(leaves.shape)
+            if nil.any() and (nil & np.any(live, axis=tuple(
+                    i for i, k in enumerate(joint.keys) if k.id not in own))).any():
+                raise ValueError("the joint is positive where a hybrid "
+                                 "conditional has no component")
         if not math.isclose(float(joint.leaves.sum()), 1.0, abs_tol=1e-9):
             raise ValueError("discrete joint must sum to 1")
-        self.conditionals: List[Any] = list(conditionals)
+        self._init(list(conditionals), joint, plan, cliques)
+
+    @classmethod
+    def _own(cls, conditionals: List[Any], joint: DecisionTree, plan,
+             cliques) -> "HybridBayesNet":
+        """A net that sum_product or prune_bayes_net has just made, whose
+        joint is normalized and lives only where each hybrid conditional
+        has a component: no check."""
+        bn = object.__new__(cls)
+        bn._init(conditionals, joint, plan, cliques)
+        return bn
+
+    def _init(self, conditionals, joint, plan, cliques):
+        self.conditionals: List[Any] = conditionals
         self._discrete_joint = joint
         self.plan = plan
-        self.cliques = {} if cliques is None else cliques
+        self.cliques = cliques
 
     def __iter__(self):
         return iter(self.conditionals)

@@ -427,9 +427,9 @@ def gauss_newton_step(graph: HybridFactorGraph, values: Mapping[Any, Any],
     linearization_points), and a factor keeps its linearization while its
     variables keep their points (see HybridFactorGraph.linearize): at
     threshold 0 every variable that moved is relinearized, which gives the
-    linearization at `values` bit for bit.  Sum-Product reuses previous's
-    plan and its cliques without mode keys whose inputs are unchanged (see
-    elimination.sum_product), which is exact at any threshold.
+    linearization at `values` bit for bit.  Sum-Product extends previous's
+    plan and takes its cliques outside the top whose subtrees are unchanged
+    (see elimination.sum_product), which is exact at any threshold.
     """
     if previous is None:
         lin = graph.linearize(values)
@@ -461,7 +461,8 @@ def optimize(g: HybridFactorGraph, init: Mapping[Any, Any],
     Each iteration is a gauss_newton_step at threshold 0, which carries the
     support, the iteration before it (the first one's is `previous`, say
     the iteration that led to `init`), whose linearizations of factors
-    over unmoved variables, plan and unchanged cliques it reuses, and,
+    over unmoved variables and unchanged cliques it reuses and whose plan
+    it extends, and,
     with `dmr_delta` set, removes dead modes.  A step that raises the
     error on the graph it was taken on is rejected; when dead mode removal
     then fixes nothing the next iteration would repeat it, so the loop

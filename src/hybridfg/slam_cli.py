@@ -34,7 +34,7 @@ from .dataset import (DatasetEntry, DatasetParseError, LoopClosure, Odometry,
                       parse_dataset)
 from .discrete import DecisionTree, DiscreteKey
 from .elimination import discrete_marginals
-from .gaussian import NoiseModel
+from .gaussian import GaussianConditional, NoiseModel
 from .hybrid import (HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
                      NonlinearFactor)
 from .nonlinear import (BetweenResidual, Iteration, OptimizationDiverged,
@@ -239,11 +239,10 @@ def _reuse(before: Optional[Iteration], it: Iteration) -> Tuple[int, ...]:
     factors = it.lin.continuous_factors + it.lin.hybrid_factors
     old = set() if before is None else \
         set(map(id, before.lin.continuous_factors + before.lin.hybrid_factors))
-    cliques = {} if before is None else before.bn.cliques
-    reused = sum(1 for key, c in it.bn.cliques.items()
-                 if key in cliques and cliques[key].conditional is c.conditional)
-    return (sum(id(f) not in old for f in factors), len(factors), reused,
-            len(it.bn.cliques))
+    kept = set() if before is None else set(map(id, before.bn.conditionals))
+    keyless = [c for c in it.bn.conditionals if type(c) is GaussianConditional]
+    return (sum(id(f) not in old for f in factors), len(factors),
+            sum(id(c) in kept for c in keyless), len(keyless))
 
 
 def run(config: RunConfig, entries: List[DatasetEntry]) -> RunResults:
@@ -263,21 +262,23 @@ def _format_key(kid) -> str:
     return str(kid)
 
 
-def _fixed(*values: float) -> str:
-    """Values with 9 decimals, a value that rounds to zero as 0.000000000:
-    its sign would only show which way rounding went."""
-    return " ".join(f"{round(v, 9) + 0.0:.9f}" for v in values)
+def _text(lines) -> str:
+    """Lines whose values are written with 9 decimals, each value that
+    rounds to zero as 0.000000000: its sign would only show which way
+    rounding went.  Every value is a whole field, so "-0.000000000"
+    never matches inside another one."""
+    return "".join(lines).replace("-0.000000000", "0.000000000")
 
 
 def emit_results(results: RunResults, outdir: str):
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "trajectory.txt"), "w", encoding="utf-8") as fh:
-        for (_, k) in sorted(results.values):
-            p = results.values[("x", k)]
-            fh.write(f"POSE {k} {_fixed(p.x, p.y, p.theta)}\n")
+        fh.write(_text(f"POSE {k} {p.x:.9f} {p.y:.9f} {p.theta:.9f}\n"
+                       for (_, k), p in sorted(results.values.items())))
     with open(os.path.join(outdir, "modes.txt"), "w", encoding="utf-8") as fh:
         keys = sorted(set(results.assignment) | set(results.fixed)
                       | set(results.marginals))
+        lines = []
         for kid in keys:
             if kid in results.fixed:
                 val, prob = results.fixed[kid], 1.0
@@ -285,7 +286,8 @@ def emit_results(results: RunResults, outdir: str):
                 val = results.assignment.get(kid, 0)
                 m = results.marginals.get(kid)
                 prob = float(m[val]) if m is not None else 1.0
-            fh.write(f"MODE {_format_key(kid)} {val} {_fixed(prob)}\n")
+            lines.append(f"MODE {_format_key(kid)} {val} {prob:.9f}\n")
+        fh.write(_text(lines))
     with open(os.path.join(outdir, "timing.csv"), "w", encoding="utf-8",
               newline="") as fh:
         w = csv.writer(fh)
@@ -293,8 +295,8 @@ def emit_results(results: RunResults, outdir: str):
         for step, nf, nh, ms in results.timings:
             w.writerow([step, nf, nh, f"{ms:.3f}"])
     with open(os.path.join(outdir, "history.txt"), "w", encoding="utf-8") as fh:
-        for step, k, x, y, theta in results.history:
-            fh.write(f"HIST {step} {k} {_fixed(x, y, theta)}\n")
+        fh.write(_text(f"HIST {step} {k} {x:.9f} {y:.9f} {theta:.9f}\n"
+                       for step, k, x, y, theta in results.history))
 
 
 def main(argv=None) -> int:

@@ -315,6 +315,13 @@ def copy_net(bn):
         joint.keys, joint.leaves.copy()))
 
 
+def plan_ordering(bn, g):
+    """The ordering of bn's plan for g: the variables of its steps in
+    order, then g's discrete ids in id order, as strong_ordering puts
+    them."""
+    return list(bn.plan.steps) + sorted(k.id for k in g.discrete_keys())
+
+
 def same_net(a, b) -> bool:
     """Bitwise equal nets: conditionals in the same order, Gaussian ones
     (every live component of a hybrid one, nil at the same cells) as in

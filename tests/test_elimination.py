@@ -22,7 +22,7 @@ from hybridfg import elimination, slam_cli
 from hybridfg.dataset import square_loop_dataset, write_dataset
 
 from helpers import (copy_net, hypothesis_chain_graph, mixture_graph,
-                     output_differences, random_hybrid_graph,
+                     output_differences, plan_ordering, random_hybrid_graph,
                      reference_back_substitute,
                      reference_eliminate_one, reference_sum_product, same_bits,
                      same_conditional, same_marginal, same_net)
@@ -1072,6 +1072,24 @@ class TestWavefront:
         counts = (len(calls), sum(calls), sum(levels))
         assert all(n <= m for n, m in zip(counts, most)), counts
 
+    def test_streaming_orders_and_eliminates_the_top(self, monkeypatch):
+        """The streaming benchmark's input, exact counts over a run: the
+        continuous variables that multiple minimum degree orders (2,481
+        when every pass ordered the whole graph; now the first call's and
+        each top's) and the cliques the wavefront eliminates (1,901 then,
+        of 4,186 steps it visited)."""
+        entries, _, _ = square_loop_dataset(0, 200, 10, 10)
+        ordered = []
+        mmd = elimination._mmd
+
+        def counting(adj, floors):
+            ordered.append(len(adj))
+            return mmd(adj, floors)
+        monkeypatch.setattr(elimination, "_mmd", counting)
+        seen = _eliminated(monkeypatch)
+        slam_cli.run(slam_cli.RunConfig(elim_every=1, relin_every=2), entries)
+        assert (sum(ordered), len(seen)) == (381, 1848)
+
     def test_back_substitution_matches_per_conditional_solve(self):
         """The MAP of random nets and of a pose graph's net, solved a depth
         and a dimension at a time, keeps the bits of solving one conditional
@@ -1120,15 +1138,15 @@ class TestNetStorage:
 
 
 class TestPlan:
-    """The symbolic elimination sum_product plans once and its wavefront
-    reads (elimination._plan, kept as the net's plan), and what each call
-    fills it with (elimination._fill)."""
+    """The symbolic elimination sum_product plans, or extends, and its
+    wavefront reads (elimination._plan, kept as the net's plan), and what
+    each call fills it with (elimination._fill)."""
 
     def test_separators_are_the_net_parents(self):
         """Random graphs and a pose graph under random strong orderings:
         each conditional's frontal, parents and keys are the variable and
-        separator the plan gave its position and the keys the call's fill
-        gave it, and no position feeds another of its level."""
+        separator the plan gave its step and the keys the call's fill gave
+        it, and each step's level is above its children's."""
         rng = np.random.default_rng(47)
         graphs = [random_hybrid_graph(rng, int(rng.integers(1, 7)),
                                       int(rng.integers(0, 5)),
@@ -1140,13 +1158,13 @@ class TestPlan:
             ordering = _random_strong_ordering(rng, g)
             bn = sum_product(g, ordering)
             steps, levels = bn.plan.steps, bn.plan.levels
-            factors, firsts, _, _ = elimination._structure(g)
-            held = elimination._bucketed(bn.plan.bucket, factors, firsts,
-                                         len(steps))
-            fills, tail = elimination._fill(bn.plan, held, g.discrete_factors,
+            assert list(steps) == ordering[:len(steps)], trial
+            fills, tail = elimination._fill(steps, bn.cliques.held, list(steps),
+                                            g.discrete_factors,
                                             ordering[len(steps):])
             assert len(steps) == len(bn.conditionals), trial
-            for step, fill, c in zip(steps, fills, bn.conditionals):
+            for step, c in zip(steps.values(), bn.conditionals):
+                fill = fills[step.var]
                 if isinstance(c, HybridGaussianConditional):
                     assert c.frontals == (step.var,), trial
                     assert c.keys == fill.keys, trial
@@ -1156,21 +1174,25 @@ class TestPlan:
                 seen["separator"] += bool(step.separator)
                 seen["keys"] += bool(fill.keys)
                 seen["boundary"] += bool(fill.keys) and not step.separator
-            done = set()
-            for level in levels:
-                assert all(c in done for i in level for c in steps[i].children)
-                done.update(level)
-            assert sorted(done) == list(range(len(steps))), trial
+            for step in steps.values():
+                assert all(steps[c].level < step.level for c in step.children)
+                assert step.level == max((steps[c].level + 1 for c in step.children),
+                                         default=0), trial
+            counts = [0] * len(levels)
+            for step in steps.values():
+                counts[step.level] += 1
+            assert counts == levels, trial
             assert len(tail) == len(ordering) - len(steps), trial
         assert all(seen.values()), seen
 
     def test_plan_kept_only_for_the_same_structure(self):
-        """An earlier net's plan is reused when the graph's continuous and
+        """An earlier net's plan is kept when the graph's continuous and
         hybrid factors keep their variable tuples and dimensions, here
         after modes are fixed and with a discrete factor added, and the net
         is then the freshly planned one bit for bit; after a factor is
-        added, or with a variable of another dimension, it is planned
-        afresh."""
+        added it is extended, and the net is the one its ordering plans
+        afresh, bit for bit; with a variable of another dimension it is
+        planned afresh."""
         rng = np.random.default_rng(48)
         g = random_hybrid_graph(rng, 5, 3, two_var_hybrids=True)
         net = sum_product(g)
@@ -1194,7 +1216,7 @@ class TestPlan:
                   plus(g.continuous_factors[1])):
             bn = sum_product(h, previous=net)
             assert bn.plan is not plan
-            assert same_net(bn, sum_product(h))
+            assert same_net(bn, sum_product(h, plan_ordering(bn, h)))
         narrow, wide = HybridFactorGraph(), HybridFactorGraph()
         for h, d in ((narrow, 1), (wide, 2)):
             h.add(JacobianFactor({"x": np.eye(d)}, np.zeros(d)))
@@ -1250,9 +1272,9 @@ class TestPlan:
 
 class TestCliqueReuse:
     """Given an earlier net, sum_product takes that net's conditional and
-    separator for a clique without mode keys whose variable, separator,
-    plain factors and children's separators are the earlier net's own, and
-    eliminates every other clique again."""
+    separator for every step outside the top that has no mode keys and
+    whose subtree's buckets hold the earlier net's factors, and eliminates
+    every other clique again."""
 
     @staticmethod
     def _changed(lin, index):
@@ -1276,8 +1298,8 @@ class TestCliqueReuse:
         bn = sum_product(lin)
         changed = self._changed(lin, 5)
         got = sum_product(changed, previous=bn)
-        scratch = sum_product(changed, previous=HybridBayesNet(plan=bn.plan))
-        assert got.plan is bn.plan and scratch.plan is bn.plan
+        scratch = sum_product(changed, plan_ordering(bn, changed))
+        assert got.plan is bn.plan and scratch.plan.steps == bn.plan.steps
         assert not scratch.conditionals[0] is bn.conditionals[0]
         assert same_net(got, scratch)
         old = set(map(id, bn.conditionals))
@@ -1291,7 +1313,7 @@ class TestCliqueReuse:
         assert any(keyed) and not all(keyed)
         for c, d, has_keys in zip(again.conditionals, bn.conditionals, keyed):
             assert (c is d) != has_keys
-        assert again.cliques.keys() == bn.cliques.keys()
+        assert again.cliques.separators.keys() == bn.cliques.separators.keys()
 
     @pytest.mark.parametrize("index", [0, 5, 40])
     def test_changed_bucket_factor_eliminated_again(self, index):
@@ -1302,14 +1324,16 @@ class TestCliqueReuse:
         changed = self._changed(lin, index)
         got = sum_product(changed, previous=bn)
         assert same_net(got, sum_product(changed))
-        position = {step.var: i for i, step in enumerate(bn.plan.steps)}
-        i = bn.plan.bucket[lin.continuous_factors[index].variables]
+        steps, rank = bn.plan.steps, bn.plan.rank
+        before = dict(zip(steps, bn.conditionals))
+        after = dict(zip(got.plan.steps, got.conditionals))
+        v = bn.plan.bucket[lin.continuous_factors[index].variables]
         while True:
-            assert got.conditionals[i] is not bn.conditionals[i]
-            separator = bn.plan.steps[i].separator
+            assert after[v] is not before[v]
+            separator = steps[v].separator
             if not separator:
                 break
-            i = min(map(position.__getitem__, separator))
+            v = min(separator, key=rank.__getitem__)
 
     def test_pruned_net_keeps_its_cliques(self):
         """prune_bayes_net passes the reusable cliques on with the plan."""
@@ -1318,6 +1342,207 @@ class TestCliqueReuse:
         pruned = prune_bayes_net(bn, 2)
         assert pruned is not bn
         assert pruned.plan is bn.plan and pruned.cliques is bn.cliques
+
+
+def _graph_of(factors):
+    g = HybridFactorGraph()
+    for f in factors:
+        g.add(f)
+    return g
+
+
+def _extended_ordering(g, bn):
+    """The ordering sum_product(g, previous=bn) eliminates under."""
+    plan, _, _, disc = elimination._plan(
+        g, g.continuous_factors + g.hybrid_factors, bn.plan, bn.cliques, None)
+    return list(plan.steps) + disc
+
+
+def _top(plan, touched):
+    """The variables `touched` and all their ancestors in plan's tree."""
+    top = set()
+    for v in touched:
+        while v not in top:
+            top.add(v)
+            separator = plan.steps[v].separator
+            if not separator:
+                break
+            v = min(separator, key=plan.rank.__getitem__)
+    return top
+
+
+def _eliminated(monkeypatch):
+    """The variables of the cliques the wavefront eliminates, as it runs."""
+    seen = []
+    original = elimination._eliminate_independent
+
+    def recording(cliques):
+        seen.extend(c.step.var for c in cliques)
+        return original(cliques)
+    monkeypatch.setattr(elimination, "_eliminate_independent", recording)
+    return seen
+
+
+class TestPlanExtension:
+    """Given an earlier net, sum_product orders, plans and eliminates only
+    the top of the tree that the added and removed variable tuples touch,
+    and the net is the one its ordering plans afresh, bit for bit."""
+
+    def test_steps_outside_the_top_are_kept(self, monkeypatch):
+        """A prior on one pose of the C11 pose graph: the top is that pose
+        and its ancestors; every other step is the earlier plan's _Step
+        object, and the wavefront visits the top and the steps with mode
+        keys only, so every other clique keeps its conditional."""
+        lin = _slam_graph(65, 4, 2)
+        bn = sum_product(lin)
+        steps = bn.plan.steps
+        leaf = next(v for v, s in steps.items()
+                    if not s.children and len(s.separator) > 1)
+        h = _graph_of(lin.all_factors()
+                      + [JacobianFactor({leaf: np.eye(3)}, np.zeros(3))])
+        seen = _eliminated(monkeypatch)
+        got = sum_product(h, previous=bn)
+        top = _top(bn.plan, [leaf])
+        assert 1 < len(top) < len(steps) / 4
+        assert got.plan.steps.keys() == steps.keys()
+        for v in steps:
+            assert (got.plan.steps[v] is steps[v]) == (v not in top), v
+        assert sorted(seen) == sorted(top | bn.cliques.keyed)
+        assert bn.cliques.keyed and not bn.cliques.keyed <= top
+        before = dict(zip(steps, bn.conditionals))
+        for v, c in zip(got.plan.steps, got.conditionals):
+            assert (c is before[v]) == (v not in seen), v
+        monkeypatch.undo()
+        assert same_net(got, sum_product(h, plan_ordering(got, h)))
+
+    def test_removed_tuple_plans_correctly(self, monkeypatch):
+        """Dropping a loop closure removes its variable tuple and keys: the
+        net is its ordering's, and the steps outside the top are kept."""
+        lin = _slam_graph(65, 4, 2)
+        bn = sum_product(lin)
+        loop = next(f for f in lin.hybrid_factors if f.continuous_ids[0] != (
+            "x", int(f.continuous_ids[1][1]) - 1))
+        h = _graph_of([f for f in lin.all_factors() if f is not loop])
+        got = sum_product(h, previous=bn)
+        assert same_net(got, sum_product(h, plan_ordering(got, h)))
+        top = _top(bn.plan, loop.continuous_ids)
+        assert len(top) < len(bn.plan.steps)
+        for v, step in bn.plan.steps.items():
+            assert (got.plan.steps[v] is step) == (v not in top), v
+        assert {k.id for k in loop.keys}.isdisjoint(
+            k.id for k in got.discrete_keys())
+
+    def test_changed_dimension_plans_afresh(self):
+        """A variable of another dimension, in a small graph and in the pose
+        graph, is planned afresh: the net and plan are strong_ordering's."""
+        narrow, wide = HybridFactorGraph(), HybridFactorGraph()
+        for h, d in ((narrow, 1), (wide, 2)):
+            h.add(JacobianFactor({"x": np.eye(d)}, np.zeros(d)))
+            h.add(JacobianFactor({"x": -np.eye(d), "y": np.eye(d)}, np.ones(d)))
+        lin = _slam_graph(65, 4, 2)
+        pose = ("x", 30)
+        wider = _graph_of(
+            [f if pose not in f.variables else JacobianFactor(
+                {v: np.hstack([A, np.ones((A.shape[0], 1))]) if v == pose else A
+                 for v, A in f.blocks.items()}, f.rhs)
+             for f in lin.continuous_factors]
+            + lin.hybrid_factors + lin.discrete_factors)
+        for g, h in ((narrow, wide), (lin, wider)):
+            got = sum_product(h, previous=sum_product(g))
+            fresh = sum_product(h)
+            assert got.plan.steps == fresh.plan.steps
+            assert same_net(got, fresh)
+
+    def test_constant_factor_goes_nowhere(self):
+        """A factor without variables is a constant: no bucket takes it,
+        in a fresh plan or an extended one, added or removed."""
+        constant = JacobianFactor({}, np.array([1.0]))
+        prior = JacobianFactor({"x": [[1.0]]}, [0.5])
+        edge = JacobianFactor({"x": [[2.0]], "y": [[1.0]]}, [0.0])
+        with_it, without = _graph_of([prior, constant]), _graph_of([prior, edge])
+        bn = sum_product(with_it)
+        assert same_net(bn, sum_product(_graph_of([prior])))
+        for g in (without, with_it):
+            got = sum_product(g, previous=bn)
+            assert same_net(got, sum_product(g, plan_ordering(got, g)))
+            bn = got
+
+    def test_fresh_plan_is_strong_orderings_on_the_c01_corpus(self):
+        """On C01's corpus of graphs the fresh plan orders by the plain
+        multiple-minimum-degree loop and its net is that ordering's bit for
+        bit; extending the net of a graph that shares no variable, so that
+        every variable is in the top and none has a floor, gives it too."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            g = random_hybrid_graph(rng, n_cont=int(rng.integers(1, 7)),
+                                    n_disc=int(rng.integers(0, 6)),
+                                    two_var_hybrids=True)
+            order = _mmd_reference(g)
+            bn = sum_product(g)
+            assert list(bn.plan.steps) == order[:len(bn.plan.steps)], seed
+            assert same_net(bn, sum_product(g, order)), seed
+            other = sum_product(_random_structure_graph(
+                rng, [("y", k) for k in range(int(rng.integers(1, 6)))]))
+            extended = sum_product(g, previous=other)
+            assert extended.plan.steps == bn.plan.steps, seed
+            assert same_net(extended, bn), seed
+
+    def test_random_edits_plan_as_their_ordering(self):
+        """Random graphs through random edits (a factor added over old or
+        new variables, one removed, one replaced by a new object over the
+        same variables, modes fixed, the factors shuffled): each net that
+        extends the previous one is, bit for bit, the net its ordering
+        plans afresh, and an error is the one that ordering raises."""
+        rng = np.random.default_rng(49)
+        seen = {"kept": 0, "extended": 0, "afresh": 0, "error": 0}
+        for trial in range(60):
+            g = random_hybrid_graph(rng, int(rng.integers(2, 7)),
+                                    int(rng.integers(0, 4)), two_var_hybrids=True)
+            net = sum_product(g)
+            for edit in range(6):
+                factors = g.continuous_factors + g.hybrid_factors
+                kind = rng.integers(5)
+                if kind == 0:
+                    names = sorted(g.continuous_variables()) + ["x9"]
+                    vs = rng.choice(len(names), size=int(rng.integers(1, 3)),
+                                    replace=False)
+                    new = whiten({names[i]: [[rng.normal()]] for i in vs},
+                                 [rng.normal()], 1.0)
+                    factors = factors + [new]
+                elif kind == 1 and len(factors) > 1:
+                    del factors[int(rng.integers(len(factors)))]
+                elif kind == 2:
+                    i = int(rng.integers(len(factors)))
+                    f = factors[i]
+                    if isinstance(f, JacobianFactor):
+                        factors[i] = JacobianFactor(
+                            {v: 2.0 * A for v, A in f.blocks.items()}, f.rhs)
+                elif kind == 3:
+                    factors = [f.restrict({"m0": 1}) if isinstance(
+                        f, HybridGaussianFactor) else f for f in factors]
+                else:
+                    rng.shuffle(factors)
+                g = _graph_of(factors + g.discrete_factors)
+                got = _outcome(sum_product, g, None, net)
+                try:
+                    ordering = _extended_ordering(g, net)
+                except ValueError as e:
+                    assert got == (ValueError, str(e)), (trial, edit)
+                    seen["error"] += 1
+                    break
+                want = _outcome(sum_product, g, ordering)
+                if isinstance(want, tuple):
+                    assert got == want, (trial, edit)
+                    seen["error"] += 1
+                    break
+                assert same_net(got, want), (trial, edit)
+                seen["kept" if got.plan is net.plan else "extended"
+                     if got.plan.steps.keys() & net.plan.steps.keys()
+                     and any(got.plan.steps[v] is s
+                             for v, s in net.plan.steps.items()
+                             if v in got.plan.steps) else "afresh"] += 1
+                net = got
+        assert all(seen.values()), seen
 
 
 class TestOrderingIndependence:
@@ -1359,8 +1584,9 @@ class TestOrderingIndependence:
                 base, sum_product(g, _random_strong_ordering(rng, g)), trial)
 
     def test_slam_runs_under_random_orderings(self, tmp_path, monkeypatch):
-        """The whole streaming run, every elimination under a random strong
-        ordering: the same modes, numbers within helpers.OUTPUT_TOL."""
+        """The whole streaming run, each solve's plan started from a random
+        strong ordering, which every later elimination extends: the same
+        modes, numbers within helpers.OUTPUT_TOL."""
         entries, _, _ = square_loop_dataset(0, 65, 4, 2)
         path = str(tmp_path / "data.txt")
         write_dataset(entries, path)
@@ -1486,11 +1712,15 @@ class TestBnMap:
                 np.testing.assert_allclose(got.continuous[vid], vec, atol=1e-9)
 
     def test_nil_pick_raises(self):
+        """The constructor refuses a net whose live row meets a nil
+        component; one built without the check fails at the read."""
         m = DiscreteKey("m", 2)
         leaf = GaussianConditional("x", [[1.0]], {}, [0.0])
-        bn = HybridBayesNet(
-            [HybridGaussianConditional([m], DecisionTree([m], [leaf, None]))],
-            DecisionTree([m], [0.0, 1.0]))
+        parts = ([HybridGaussianConditional([m], DecisionTree([m], [leaf, None]))],
+                 DecisionTree([m], [0.0, 1.0]))
+        with pytest.raises(ValueError, match="no component"):
+            HybridBayesNet(*parts)
+        bn = HybridBayesNet._own(*parts, None, None)
         with pytest.raises(RuntimeError, match="pruned component"):
             bn_map(bn)
 
@@ -1755,14 +1985,19 @@ class TestBnSample:
 
 class TestNilComponents:
     """A hand-built net whose joint lives where x's hybrid conditional has
-    no component (m = 1) and is 0 where it has one (m = 0): every reader
-    picks the conditionals at a mode assignment the same way."""
+    no component (m = 1) and is 0 where it has one (m = 0): the constructor
+    refuses it, and built without that check every reader picks the
+    conditionals at a mode assignment the same way."""
 
     def _net(self):
         m = DiscreteKey("m", 2)
         leaf = GaussianConditional("x", [[2.0]], {}, [1.0])
         cond = HybridGaussianConditional([m], DecisionTree([m], [leaf, None]))
-        return HybridBayesNet([cond], DecisionTree([m], [0.0, 1.0]))
+        joint = DecisionTree([m], [0.0, 1.0])
+        with pytest.raises(ValueError, match="the joint is positive where a "
+                                             "hybrid conditional has no component"):
+            HybridBayesNet([cond], joint)
+        return HybridBayesNet._own([cond], joint, None, None)
 
     def test_evaluate_is_zero_at_a_zero_row_and_a_nil_component(self):
         bn = self._net()

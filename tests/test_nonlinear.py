@@ -5,7 +5,7 @@ import pytest
 
 from hybridfg import (DecisionTree, DiscreteFactor, DiscreteKey,
                       HybridBayesNet, HybridFactorGraph, HybridNonlinearFactor,
-                      HybridValues, discrete_marginals, slam_cli,
+                      HybridValues, discrete_marginals, elimination, slam_cli,
                       JacobianFactor,
                       NonlinearFactor, OptimizationDiverged, OptimizeConfig,
                       Pose2, between, compose,
@@ -22,8 +22,8 @@ from hybridfg.oracle import enumerate_map, enumerate_posterior
 from helpers import (random_nonlinear_graph, random_pose, reference_between,
                      reference_compose, reference_graph_error,
                      reference_inverse, reference_linearize,
-                     reference_retract_values, same_bits, same_marginal,
-                     same_net)
+                     reference_retract_values, plan_ordering, same_bits,
+                     same_marginal, same_net)
 
 
 def _random_pose(rng):
@@ -616,7 +616,9 @@ class TestOptimize:
         batch fixes every open mode; without it three stay open.  Streaming
         relinearizes every variable that moves, so that it ends where these
         cases were recorded (at the default threshold seed 1's last step is
-        rejected too)."""
+        rejected too).  Every iteration of the batch extends the streaming
+        plan to one plan, and the reference plans each afresh under its
+        ordering."""
         monkeypatch.setattr(slam_cli, "RELIN_THRESHOLD", 0.0)
         entries, _, _ = square_loop_dataset(seed, 100, 10, 4)
         runner = slam_cli._Runner(slam_cli.RunConfig())
@@ -626,11 +628,14 @@ class TestOptimize:
                 runner.elimination_pass()
         cfg = OptimizeConfig(tol=1e-9, max_iters=15, prune=runner.cfg.prune_p,
                              dmr_delta=dmr_delta)
+        got, bn = optimize(runner.graph, runner.values, cfg, runner.support,
+                           runner.last)
+        monkeypatch.setattr(elimination, "strong_ordering",
+                            lambda g: plan_ordering(bn, g))
         want, want_bn, accepted = self._reference_optimize(
             runner.graph, runner.values, cfg, runner.support)
         assert accepted == last_accepted
-        got, bn = optimize(runner.graph, runner.values, cfg, runner.support,
-                           runner.last)
+        assert want_bn.plan.steps == bn.plan.steps
         assert got.discrete == want.discrete
         assert got.continuous.keys() == want.continuous.keys()
         for vid, pose in want.continuous.items():
@@ -747,12 +752,13 @@ class TestRelinearization:
         assert same_marginal(linearized, restricted.linearize(points))
         assert not same_marginal(linearized, restricted.linearize(first.values))
 
-    def test_final_batch_from_kept_points_is_a_fresh_batch(self):
+    def test_final_batch_from_kept_points_is_a_fresh_batch(self, monkeypatch):
         """The streaming benchmark's input: after streaming at the default
         threshold, whose points lag the estimates, the final batch, which
         relinearizes every variable that moves, gives the values and net
-        of a batch started without the last streaming iteration, bit for
-        bit."""
+        of a batch started without the last streaming iteration, whose
+        first iteration plans afresh under the ordering the batch extends
+        the streaming plan to, bit for bit."""
         entries, _, _ = square_loop_dataset(0, 200, 10, 10)
         runner = slam_cli._Runner(slam_cli.RunConfig(elim_every=1,
                                                      relin_every=2))
@@ -766,8 +772,11 @@ class TestRelinearization:
                              dmr_delta=runner.cfg.dmr_delta)
         got, bn = optimize(runner.graph, runner.values, cfg, runner.support,
                            runner.last)
+        monkeypatch.setattr(elimination, "strong_ordering",
+                            lambda g: plan_ordering(bn, g))
         want, want_bn = optimize(runner.graph, runner.values, cfg,
                                  runner.support)
+        assert want_bn.plan.steps == bn.plan.steps
         assert got.discrete == want.discrete
         for vid, pose in want.continuous.items():
             assert same_bits(pose_rows([got.continuous[vid]]),
