@@ -18,8 +18,8 @@ import math
 import operator
 from collections import namedtuple
 from itertools import accumulate, chain, compress, repeat
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -45,13 +45,11 @@ ContinuousFactor = Union[JacobianFactor, HybridGaussianFactor]
 def strong_ordering(g: HybridFactorGraph) -> List[Any]:
     """Continuous variables first, by multiple minimum degree (see _mmd)
     over the graph that joins the variables of each factor, then discrete
-    variables in id order."""
+    variables in id order; empty for a graph without variables."""
     adj = _adjacency([f.variables for f in g.continuous_factors]
                      + [f.continuous_ids for f in g.hybrid_factors])
     # adj's keys are the continuous variables.
     disc = [k.id for k in g._discrete_keys(adj)]
-    if not adj and not disc:
-        raise ValueError("graph is empty")
     return _mmd(adj, {}) + sorted(disc)
 
 
@@ -153,16 +151,11 @@ _Step = namedtuple("_Step", "var children separator dv cols offsets width level"
 
 # The symbolic elimination of a graph's continuous variables: per variable
 # its _Step, in the ordering's order; per variable tuple of the factors the
-# variable whose bucket takes them; every variable's dimension; the
-# number of steps at each level; and per variable its rank, larger for a
-# later step.  The mode keys, the discrete factors and the factors'
-# numbers are filled in per call (see _fill).
-Plan = namedtuple("Plan", "steps bucket dims levels rank")
-
-# What eliminating a planned step reads in one call: the plain factors (a
-# restricted hybrid's component too, its constant in base_const) and their
-# rows, the hybrid ones and the keys the step's clique spans.
-_Fill = namedtuple("_Fill", "plains rows hybrids base_const keys")
+# variable whose bucket takes them; every variable's dimension; and per
+# variable its rank, larger for a later step.  The factors of each bucket,
+# their mode keys and the discrete factors are read per call (see _Clique
+# and sum_product).
+Plan = namedtuple("Plan", "steps bucket dims rank")
 
 # What a later call takes over from a net (see sum_product): the
 # continuous and hybrid factors it eliminated, each with its place in
@@ -171,7 +164,7 @@ _Fill = namedtuple("_Fill", "plains rows hybrids base_const keys")
 # steps with them.
 _Cliques = namedtuple("_Cliques", "index held separators keyed")
 
-_NO_PLAN = Plan({}, {}, {}, [], {})
+_NO_PLAN = Plan({}, {}, {}, {})
 _NO_CLIQUES = _Cliques({}, {}, {}, frozenset())
 
 
@@ -193,28 +186,6 @@ def _step(var, scope: set, children: Sequence[Any],
                  *_layout(var, separator, dims), level)
 
 
-def _fill_step(factors: Sequence[ContinuousFactor], children: Sequence[Any],
-               fills: Mapping[Any, _Fill]) -> _Fill:
-    """The _Fill of a step whose bucket holds `factors` and whose children
-    have the fills in `fills` (a child without one has no mode keys)."""
-    keys, plains, rows, hybrids, base_const = [], [], 0, [], 0.0
-    for f in factors:
-        if type(f) is not JacobianFactor:
-            if f.keys:
-                keys += f.keys
-                hybrids.append((f.keys, f.components.leaves, None))
-                continue
-            f, c = f.components.leaves[()]
-            base_const += c
-        plains.append(f)
-        rows += f.rhs.shape[0]
-    for c in children:
-        if c in fills:
-            keys += fills[c].keys
-    return _Fill(plains, rows, hybrids, base_const,
-                 _merge_keys((), keys) if keys else ())
-
-
 def _plan(g: HybridFactorGraph, factors: Sequence[ContinuousFactor],
           plan: Plan, cliques: _Cliques, ordering: Optional[Sequence[Any]]):
     """The plan of g's continuous and hybrid `factors`, extending `plan`,
@@ -224,9 +195,9 @@ def _plan(g: HybridFactorGraph, factors: Sequence[ContinuousFactor],
     objects that g lacks is gone.  A variable tuple that a new factor
     brings is added, one whose last factor is gone is removed.  The top is
     every step whose variable lies in an added or removed tuple, and all
-    its ancestors.  Every other step keeps its _Step (its subtree and the
-    factors of its buckets are the same), its bucket and its level; the
-    top alone is ordered, planned and eliminated again.  Its ordering is
+    its ancestors (see _ancestors).  Every other step keeps its _Step (its
+    subtree and the factors of its buckets are the same), its bucket and
+    its level; the top alone is ordered, planned and eliminated again.  Its ordering is
     `ordering`'s continuous part when given (plan is then empty), else
     _mmd over the top's own factors and the separators of the kept
     subtrees hanging from it (the graph that eliminating the kept steps
@@ -288,15 +259,8 @@ def _plan(g: HybridFactorGraph, factors: Sequence[ContinuousFactor],
         if len(fs) < len(before) + len(news):
             removed.update(set(map(_variables, before)).difference(
                 map(_variables, fs)))
-    top = set()
-    for vs in chain(added, removed):
-        for v in vs:
-            while v in steps and v not in top:
-                top.add(v)
-                separator = steps[v].separator
-                if not separator:
-                    break
-                v = min(separator, key=rank.__getitem__)
+    top = set(_ancestors(chain.from_iterable(chain(added, removed)), steps,
+                         rank, ()))
     separators = dict(cliques.separators)
     order: List[Any] = []
     if top or added or ordering is not None:
@@ -336,9 +300,6 @@ def _plan(g: HybridFactorGraph, factors: Sequence[ContinuousFactor],
         children: Dict[Any, List[Any]] = {v: [] for v in order}
         for r in roots:
             children[min(steps[r].separator, key=position.__getitem__)].append(r)
-        levels = list(plan.levels)
-        for v in top:
-            levels[steps[v].level] -= 1
         start = rank[next(reversed(steps))] + 1 if steps else 0
         steps, rank = dict(steps), dict(rank)
         for v in top:
@@ -351,28 +312,32 @@ def _plan(g: HybridFactorGraph, factors: Sequence[ContinuousFactor],
                 held[v].sort(key=index.__getitem__)
             if s.separator:
                 children[min(s.separator, key=position.__getitem__)].append(v)
-            if s.level < len(levels):
-                levels[s.level] += 1
-            else:
-                levels.append(1)
-        while levels and not levels[-1]:
-            levels.pop()
-        plan = Plan(steps, bucket, dims, levels, rank)
+        plan = Plan(steps, bucket, dims, rank)
     else:
         disc = [k.id for k in g._discrete_keys(dims)]
     # Kept steps to eliminate again, closed upward until the top.
-    visited = set(order)
-    again = []
-    for v in chain(changed, cliques.keyed):
-        while v in steps and v not in visited:
-            visited.add(v)
-            again.append(v)
+    again = _ancestors(chain(changed, cliques.keyed), steps, rank, order)
+    again.sort(key=rank.__getitem__)
+    return plan, _Cliques(index, held, separators, None), again + order, disc
+
+
+def _ancestors(starts: Iterable[Any], steps: Mapping[Any, _Step],
+               rank: Mapping[Any, int], stop: Iterable[Any]) -> List[Any]:
+    """The planned steps of the variables `starts` and their ancestors up
+    to the steps of `stop`, each once: from each start the walk climbs to
+    a step's parent, its separator's earliest variable, until it meets a
+    root, `stop` or a step already found."""
+    seen = set(stop)
+    found = []
+    for v in starts:
+        while v in steps and v not in seen:
+            seen.add(v)
+            found.append(v)
             separator = steps[v].separator
             if not separator:
                 break
             v = min(separator, key=rank.__getitem__)
-    again.sort(key=rank.__getitem__)
-    return plan, _Cliques(index, held, separators, None), again + order, disc
+    return found
 
 
 def _checked(ordering: Sequence[Any], dims: Mapping[Any, int],
@@ -393,26 +358,6 @@ def _checked(ordering: Sequence[Any], dims: Mapping[Any, int],
     return list(ordering[first:])
 
 
-def _fill(steps: Mapping[Any, _Step], held: Mapping[Any, Sequence[ContinuousFactor]],
-          visited: Sequence[Any], discrete_factors, tail: Sequence[Any]):
-    """Per step of `visited` (in the ordering's order) its _Fill, from its
-    bucket's factors held[var], and per discrete id of `tail`, in that
-    order, its graph factors and the variables whose boundary factors wait
-    there."""
-    fills: Dict[Any, _Fill] = {}
-    for v in visited:
-        fills[v] = _fill_step(held.get(v, ()), steps[v].children, fills)
-    at = {vid: t for t, vid in enumerate(tail)}
-    waiting: List[Tuple[List[Any], List[Any]]] = [([], []) for _ in tail]
-    for f in discrete_factors:
-        if f.keys:
-            waiting[min(at[k.id] for k in f.keys)][0].append(f)
-    for v, fill in fills.items():
-        if fill.keys and not steps[v].separator:
-            waiting[min(at[k.id] for k in fill.keys)][1].append(v)
-    return fills, waiting
-
-
 # A separator with keys waiting in sum_product: per mode cell, None or its
 # rows' (eliminate_stacked output, system, constant), and the columns of
 # those rows (see gaussian._layout); without keys: (output, system, columns).
@@ -426,20 +371,36 @@ def _blocks(cols, rows: np.ndarray):
 
 
 class _Clique:
-    """The numeric elimination of a planned step and its fill, given the
-    finished separators by position and the live-row projectors (see
-    _live_masks) of the graph's zero-holding discrete factors: the row
-    layouts of its systems, one or one per live mode cell, then, once
-    _eliminate_independent has run them, the conditional and separator."""
+    """The numeric elimination of a planned step from its bucket's
+    `factors`, given the finished separators by variable and the live-row
+    projectors (see _live_masks) of the graph's zero-holding discrete
+    factors.  Its hybrid inputs are the bucket's hybrid factors with mode
+    keys and the children's separators with keys; `keys` is theirs merged
+    in id order.  It holds the row layouts of its systems, one or one per
+    live mode cell, then, once _eliminate_independent has run them, the
+    conditional and separator."""
 
-    def __init__(self, step: _Step, fill: _Fill, separators: Sequence[Any],
+    def __init__(self, step: _Step, factors: Sequence[ContinuousFactor],
+                 separators: Mapping[Any, Any],
                  rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]]):
-        self.step, self.fill = step, fill
+        self.step = step
+        # The plain factors (a restricted hybrid's one component too, its
+        # constant in base_const) and, per hybrid input, its keys, its
+        # leaves and its columns (None: a factor).
+        self.plains, hybrids, base_const = [], [], 0.0
+        for f in factors:
+            if type(f) is not JacobianFactor:
+                if f.keys:
+                    hybrids.append((f.keys, f.components.leaves, None))
+                    continue
+                f, c = f.components.leaves[()]
+                base_const += c
+            self.plains.append(f)
         # Rows after the plain factors: separators without keys, hybrid
         # factors, separators with keys.  Per input: its first row, its
         # blocks and rhs (see gaussian._put), one system's or stacked per
         # system.
-        r, inputs, hybrids = fill.rows, [], list(fill.hybrids)
+        r, inputs = sum(f.rhs.shape[0] for f in self.plains), []
         for s in map(separators.__getitem__, step.children):
             if type(s) is _HybridSeparator:
                 hybrids.append(s)
@@ -449,7 +410,8 @@ class _Clique:
                 r += out.T.shape[1]
         # Per layout: (rows, inputs, its cells' indices: live cells in flat
         # order, 0 without keys); once run, (output, its first system).
-        keys = fill.keys
+        keys = self.keys = _merge_keys(
+            (), [k for h in hybrids for k in h[0]]) if hybrids else ()
         if not keys:
             # base_const is mode-independent here and cancels in any posterior.
             self.layouts, self.results = [(r, inputs, [0])], [None]
@@ -475,7 +437,7 @@ class _Clique:
         # Per hybrid input: its columns (None: a factor) and its cells' leaves.
         picked = [(cols, leaves[tuple(cells[pos[k.id]] for k in f_keys)])
                   for f_keys, leaves, cols in hybrids]
-        c_in = np.full(len(cells[0]), fill.base_const)
+        c_in = np.full(len(cells[0]), base_const)
         for _, leaves in picked:
             c_in += [leaf[-1] for leaf in leaves]
         self.c_in = c_in.tolist()
@@ -507,7 +469,7 @@ class _Clique:
         mode-independent constant)."""
         step = self.step
         var, separator, cols = step.var, step.separator, step.cols
-        keys = self.fill.keys
+        keys = self.keys
         if not keys:
             if self.results[0] is None or not self.results[0][0].live[self.results[0][1]]:
                 m = self.layouts[0][0]
@@ -575,7 +537,7 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
             # per system.
             S = M[j:j + k]
             r = 0
-            for f in c.fill.plains:
+            for f in c.plains:
                 r = _put(S, r, f.blocks.items(), f.rhs, offsets)
             for r, blocks, rhs in inputs:
                 _put(S, r, blocks, rhs, offsets)
@@ -586,18 +548,21 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
             c.results[li] = (out, c.results[li])
 
 
-def _wavefront(steps: Mapping[Any, _Step], fills: Mapping[Any, _Fill],
+def _wavefront(steps: Mapping[Any, _Step],
+               held: Mapping[Any, Sequence[ContinuousFactor]],
                rules: Sequence[Callable[[Sequence[DiscreteKey]], np.ndarray]],
                levels: Sequence[Sequence[Any]], separators: Dict[Any, Any]
                ) -> Dict[Any, Any]:
     """Eliminate the steps of the variables in `levels` a level at a time:
-    each level's cliques read their children's separators by variable from
-    `separators`, where theirs go too, and their QRs run together (see
+    each level's cliques read their buckets' factors by variable from
+    `held` and their children's separators by variable from `separators`,
+    where theirs go too, and their QRs run together (see
     _eliminate_independent).  Returns the conditionals by variable (see
     _Clique.finish)."""
     conditionals: Dict[Any, Any] = {}
     for level in levels:
-        cliques = [_Clique(steps[v], fills[v], separators, rules) for v in level]
+        cliques = [_Clique(steps[v], held.get(v, ()), separators, rules)
+                   for v in level]
         _eliminate_independent(cliques)
         for v, c in zip(level, cliques):
             conditionals[v], separators[v] = c.finish()
@@ -615,8 +580,8 @@ def eliminate_hybrid_sum(factors: Sequence[ContinuousFactor], var):
     step = _step(var, {v for f in firsts for v in f.variables}, (), {},
                  _dims(firsts))
     separators: Dict[Any, Any] = {}
-    conditional = _wavefront({var: step}, {var: _fill_step(factors, (), {})},
-                             (), [[var]], separators)[var]
+    conditional = _wavefront({var: step}, {var: factors}, (), [[var]],
+                             separators)[var]
     sep = separators[var]
     if type(sep) is tuple:
         return conditional, _marginal(sep[0].T[sep[1]], step.cols, step.separator)
@@ -647,8 +612,13 @@ def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
     the top and the kept steps, closed upward, that have mode keys or
     whose bucket gained or lost a factor (plain factors compare by
     identity); every other step takes previous's conditional and
-    separator, which the same QR would give bit for bit.  The net keeps
-    what a later call takes over as `cliques`.  For the ordering of its
+    separator, which the same QR would give bit for bit.  Each step reads
+    its bucket's factors itself (see _Clique).  The product multiplies, per
+    discrete id in the ordering's order, the graph's discrete factors whose
+    earliest key it is, then the boundary factors of the steps without a
+    separator whose earliest key it is, in the ordering's order.  The net
+    keeps what a later call takes over as `cliques`, whose `keyed` steps
+    are those with a hybrid conditional.  For the ordering of its
     plan (its steps', then the discrete ids) the net is a one-at-a-time
     bucket loop's bit for bit.  Where the wavefront fails, the same steps
     run again one per level, in the ordering's order, so the error raised
@@ -664,35 +634,39 @@ def sum_product(g: HybridFactorGraph, ordering: Optional[Sequence[Any]] = None,
         if ordering is None:
             ordering = strong_ordering(g)
     plan, cliques, visited, disc = _plan(g, factors, plan, cliques, ordering)
-    steps, separators = plan.steps, cliques.separators
-    fills, tail = _fill(steps, cliques.held, visited, g.discrete_factors, disc)
+    steps, held, separators = plan.steps, cliques.held, cliques.separators
     rules = [_live_masks(f.potentials) for f in g.discrete_factors
              if f.keys and not f.potentials.leaves.all()]
     waves: Dict[int, List[Any]] = {}
     for v in visited:
         waves.setdefault(steps[v].level, []).append(v)
     try:
-        fresh = _wavefront(steps, fills, rules,
+        fresh = _wavefront(steps, held, rules,
                            [waves[level] for level in sorted(waves)], separators)
     except ValueError:
         fresh = None
     if fresh is None:
         # Outside the handler, so the replay's error has no __context__.
-        fresh = _wavefront(steps, fills, rules, [[v] for v in visited],
+        fresh = _wavefront(steps, held, rules, [[v] for v in visited],
                            separators)
-    product = multiply_factors([f for factors, kids in tail for f in factors
-                                + [separators[c] for c in kids]]).potentials
+    keyed = [v for v in visited if type(fresh[v]) is HybridGaussianConditional]
+    at = {vid: t for t, vid in enumerate(disc)}
+    operands: List[List[Any]] = [[] for _ in disc]
+    for f in chain(g.discrete_factors, (separators[v] for v in keyed
+                                        if not steps[v].separator)):
+        if f.keys:
+            operands[min(at[k.id] for k in f.keys)].append(f)
+    product = multiply_factors(list(chain.from_iterable(operands))).potentials
     total = float(product.leaves.sum())
     if not total > 0.0:
         raise ValueError("all discrete assignments are impossible")
-    keyed = frozenset(v for v, fill in fills.items() if fill.keys)
     for v in keyed:
         del separators[v]
     conditionals.update(fresh)
     return HybridBayesNet._own(
         list(map(conditionals.__getitem__, steps)),
         DecisionTree(product.keys, product.leaves / total), plan,
-        cliques._replace(keyed=keyed))
+        cliques._replace(keyed=frozenset(keyed)))
 
 
 def _components(bn: HybridBayesNet, modes: Mapping[Any, int]) -> List[Any]:
@@ -733,10 +707,9 @@ def bn_map(bn: HybridBayesNet) -> HybridValues:
     return HybridValues(continuous=back_substitute(chosen), discrete=modes)
 
 
-def max_product(g: HybridFactorGraph,
-                ordering: Optional[Sequence[Any]] = None) -> HybridValues:
+def max_product(g: HybridFactorGraph) -> HybridValues:
     """Hybrid MAP of a graph: the MAP of its Sum-Product net."""
-    return bn_map(sum_product(g, ordering))
+    return bn_map(sum_product(g))
 
 
 def _live_masks(support: DecisionTree

@@ -529,16 +529,15 @@ class HybridBayesNet:
     [1.0] over no keys when it has none).  `plan` is the symbolic
     elimination (elimination.Plan) whose order the conditionals follow and
     `cliques` what a later sum_product takes over of the net
-    (elimination._Cliques), both None for a net that sum_product did not
-    make.
+    (elimination._Cliques), both None for a net built by the
+    constructor.
 
     The constructor checks the net: every hybrid conditional's keys are
     the joint's, and the joint is 0 wherever a hybrid conditional has no
     component, so every live hypothesis can be read."""
 
     def __init__(self, conditionals: Sequence[Any] = (),
-                 joint: DecisionTree = DecisionTree.constant(1.0), plan=None,
-                 cliques=None):
+                 joint: DecisionTree = DecisionTree.constant(1.0)):
         keys = {k.id for k in joint.keys}
         live = joint.leaves > 0
         for c in conditionals:
@@ -557,7 +556,9 @@ class HybridBayesNet:
                                  "conditional has no component")
         if not math.isclose(float(joint.leaves.sum()), 1.0, abs_tol=1e-9):
             raise ValueError("discrete joint must sum to 1")
-        self._init(list(conditionals), joint, plan, cliques)
+        self.conditionals: List[Any] = list(conditionals)
+        self._discrete_joint = joint
+        self.plan = self.cliques = None
 
     @classmethod
     def _own(cls, conditionals: List[Any], joint: DecisionTree, plan,
@@ -566,14 +567,9 @@ class HybridBayesNet:
         joint is normalized and lives only where each hybrid conditional
         has a component: no check."""
         bn = object.__new__(cls)
-        bn._init(conditionals, joint, plan, cliques)
+        bn.conditionals, bn._discrete_joint = conditionals, joint
+        bn.plan, bn.cliques = plan, cliques
         return bn
-
-    def _init(self, conditionals, joint, plan, cliques):
-        self.conditionals: List[Any] = conditionals
-        self._discrete_joint = joint
-        self.plan = plan
-        self.cliques = cliques
 
     def __iter__(self):
         return iter(self.conditionals)

@@ -322,6 +322,16 @@ def plan_ordering(bn, g):
     return list(bn.plan.steps) + sorted(k.id for k in g.discrete_keys())
 
 
+def plan_levels(plan):
+    """The number of steps at each wavefront level of a plan, counted from
+    the levels of its steps."""
+    counts = []
+    for step in plan.steps.values():
+        counts += [0] * (step.level + 1 - len(counts))
+        counts[step.level] += 1
+    return counts
+
+
 def same_net(a, b) -> bool:
     """Bitwise equal nets: conditionals in the same order, Gaussian ones
     (every live component of a hybrid one, nil at the same cells) as in

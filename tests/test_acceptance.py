@@ -290,6 +290,26 @@ def test_streaming_outputs_at_default_threshold(tmp_path):
                               history="history_beta.txt") == []
 
 
+# The same three files of 100 poses, 16 ambiguous edges and 4 loops with
+# dead mode removal off (--dmr-delta 1): modes stay open, so every clique
+# with mode keys is eliminated again on each pass and boundary factors
+# meet the discrete table at several keys.
+OPEN_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "data", "open16")
+
+
+def test_open_modes_outputs_match_golden(tmp_path):
+    """A fresh run of 100/16/4 with its modes kept open writes the stored
+    outputs: words exactly, numbers within OUTPUT_TOL."""
+    entries, _, _ = square_loop_dataset(0, 100, 16, 4)
+    data = tmp_path / "data.txt"
+    write_dataset(entries, data)
+    out = tmp_path / "out"
+    assert main(["--input", str(data), "--output", str(out),
+                 "--dmr-delta", "1"]) == 0
+    assert output_differences(OPEN_GOLDEN, str(out)) == []
+
+
 def test_c10_jacobian_checks():
     rng = np.random.default_rng(17)
     worst = 0.0

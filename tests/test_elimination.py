@@ -22,7 +22,8 @@ from hybridfg import elimination, slam_cli
 from hybridfg.dataset import square_loop_dataset, write_dataset
 
 from helpers import (copy_net, hypothesis_chain_graph, mixture_graph,
-                     output_differences, plan_ordering, random_hybrid_graph,
+                     output_differences, plan_levels, plan_ordering,
+                     random_hybrid_graph,
                      reference_back_substitute,
                      reference_eliminate_one, reference_sum_product, same_bits,
                      same_conditional, same_marginal, same_net)
@@ -79,7 +80,7 @@ class TestStrongOrdering:
             g.add(JacobianFactor({0: [[1.0]]}, [0.0]))
             for i in range(2 ** k - 1):
                 g.add(JacobianFactor({i: [[-1.0]], i + 1: [[1.0]]}, [1.0]))
-            assert len(sum_product(g).plan.levels) == k + 1, k
+            assert len(plan_levels(sum_product(g).plan)) == k + 1, k
 
     def test_hybrid_path_still_continuous_first(self):
         """A path of 8 variables whose links are all two-mode: the same
@@ -88,7 +89,7 @@ class TestStrongOrdering:
         order = strong_ordering(g)
         assert sorted(order[:8]) == [f"x{i}" for i in range(8)]
         assert order[8:] == [f"m{i}" for i in range(7)]
-        assert len(sum_product(g, order).plan.levels) == 4
+        assert len(plan_levels(sum_product(g, order).plan)) == 4
 
 
 def _mmd_reference(g):
@@ -623,6 +624,26 @@ class TestSumProduct:
                                                  "are impossible"):
                 query(g)
 
+    def test_empty_graphs_match_oracle(self):
+        """A graph without factors and one holding only a constant: the
+        default ordering is empty, and sum_product under it, under the
+        empty ordering and given an earlier net, and max_product give the
+        oracle's empty posterior [1.0] and its empty MAP."""
+        for g in (HybridFactorGraph(),
+                  HybridFactorGraph().add(JacobianFactor({}, [1.0]))):
+            probs, _ = enumerate_posterior(g)
+            want = enumerate_map(g)
+            assert strong_ordering(g) == []
+            net = sum_product(g)
+            for bn in (net, sum_product(g, []), sum_product(g, previous=net)):
+                assert bn.conditionals == []
+                joint = bn.discrete_joint()
+                assert list(joint.keys) == list(probs.keys) == []
+                assert same_bits(joint.leaves, probs.leaves)
+            got = max_product(g)
+            assert dict(got.continuous) == dict(want.continuous) == {}
+            assert got.discrete == want.discrete == {}
+
     def test_tiny_priors_match_oracle(self):
         """40 priors [1e-10, 2e-10] multiply to 1e-400 * [1, 2**40], below
         the smallest double, yet the posterior is the oracle's."""
@@ -1065,7 +1086,7 @@ class TestWavefront:
 
         def counting_sum_product(*args, **kwargs):
             bn = eliminate(*args, **kwargs)
-            levels.append(len(bn.plan.levels))
+            levels.append(len(plan_levels(bn.plan)))
             return bn
         monkeypatch.setattr(elimination, "sum_product", counting_sum_product)
         slam_cli.run(config, entries)
@@ -1139,14 +1160,15 @@ class TestNetStorage:
 
 class TestPlan:
     """The symbolic elimination sum_product plans, or extends, and its
-    wavefront reads (elimination._plan, kept as the net's plan), and what
-    each call fills it with (elimination._fill)."""
+    wavefront reads (elimination._plan, kept as the net's plan), and the
+    buckets' factors each call reads (the net's cliques.held)."""
 
     def test_separators_are_the_net_parents(self):
         """Random graphs and a pose graph under random strong orderings:
-        each conditional's frontal, parents and keys are the variable and
-        separator the plan gave its step and the keys the call's fill gave
-        it, and each step's level is above its children's."""
+        each conditional's frontal and parents are the variable and
+        separator the plan gave its step, its keys those of its bucket's
+        hybrid factors and its children's conditionals, in id order, each
+        step's level is above its children's, and no level is empty."""
         rng = np.random.default_rng(47)
         graphs = [random_hybrid_graph(rng, int(rng.integers(1, 7)),
                                       int(rng.integers(0, 5)),
@@ -1157,32 +1179,30 @@ class TestPlan:
         for trial, g in enumerate(graphs):
             ordering = _random_strong_ordering(rng, g)
             bn = sum_product(g, ordering)
-            steps, levels = bn.plan.steps, bn.plan.levels
+            steps = bn.plan.steps
             assert list(steps) == ordering[:len(steps)], trial
-            fills, tail = elimination._fill(steps, bn.cliques.held, list(steps),
-                                            g.discrete_factors,
-                                            ordering[len(steps):])
             assert len(steps) == len(bn.conditionals), trial
+            keys = {}
             for step, c in zip(steps.values(), bn.conditionals):
-                fill = fills[step.var]
+                by_id = {k.id: k for f in bn.cliques.held.get(step.var, ())
+                         if type(f) is HybridGaussianFactor for k in f.keys}
+                by_id.update((k.id, k) for child in step.children
+                             for k in keys[child])
+                want = keys[step.var] = tuple(by_id[i] for i in sorted(by_id))
                 if isinstance(c, HybridGaussianConditional):
                     assert c.frontals == (step.var,), trial
-                    assert c.keys == fill.keys, trial
+                    assert c.keys == want, trial
                 else:
-                    assert c.frontal == step.var and fill.keys == (), trial
+                    assert c.frontal == step.var and want == (), trial
                 assert c.parents == step.separator, trial
                 seen["separator"] += bool(step.separator)
-                seen["keys"] += bool(fill.keys)
-                seen["boundary"] += bool(fill.keys) and not step.separator
+                seen["keys"] += bool(want)
+                seen["boundary"] += bool(want) and not step.separator
             for step in steps.values():
                 assert all(steps[c].level < step.level for c in step.children)
                 assert step.level == max((steps[c].level + 1 for c in step.children),
                                          default=0), trial
-            counts = [0] * len(levels)
-            for step in steps.values():
-                counts[step.level] += 1
-            assert counts == levels, trial
-            assert len(tail) == len(ordering) - len(steps), trial
+            assert all(plan_levels(bn.plan)), trial
         assert all(seen.values()), seen
 
     def test_plan_kept_only_for_the_same_structure(self):
@@ -1210,7 +1230,7 @@ class TestPlan:
             fresh = sum_product(h)
             assert same_net(bn, fresh)
             assert fresh.plan.steps == plan.steps
-            assert fresh.plan.levels == plan.levels
+            assert plan_levels(fresh.plan) == plan_levels(plan)
         # A new edge, or a second factor over variables already joined.
         for h in (plus(whiten({"x1": [[1.0]], "x3": [[1.0]]}, [0.5], 1.0)),
                   plus(g.continuous_factors[1])):

@@ -335,7 +335,7 @@ class TestRun:
 
         def counting(cliques):
             if eliminated["streaming"]:
-                eliminated["keyless"] += sum(not c.fill.keys for c in cliques)
+                eliminated["keyless"] += sum(not c.keys for c in cliques)
             return original(cliques)
         monkeypatch.setattr(elimination, "_eliminate_independent", counting)
         finalize = _Runner.finalize
