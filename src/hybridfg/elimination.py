@@ -528,10 +528,10 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
         if m < dv:
             continue
         M = np.zeros((sum(len(c.layouts[li][2]) for c, li in parts), m, width))
-        heads: List[Any] = []
+        names: List[Any] = []
         for c, li in parts:
             _, inputs, members = c.layouts[li]
-            j, k, offsets = len(heads), len(members), c.step.offsets
+            j, k, offsets = len(names), len(members), c.step.offsets
             # Rows: the plain factors and the separators without keys, the
             # same in every system, then per hybrid input one cell's rows
             # per system.
@@ -542,8 +542,8 @@ def _eliminate_independent(cliques: Sequence[_Clique]) -> None:
             for r, blocks, rhs in inputs:
                 _put(S, r, blocks, rhs, offsets)
             c.results[li] = j
-            heads += [(c.step.var, c.step.cols)] * k
-        out = eliminate_stacked(M, dv, heads)
+            names += [c.step.var] * k
+        out = eliminate_stacked(M, dv, names)
         for c, li in parts:
             c.results[li] = (out, c.results[li])
 
@@ -744,9 +744,9 @@ def prune_bayes_net(bn: HybridBayesNet, P: int) -> HybridBayesNet:
     if P < 1:
         raise ValueError("P must be >= 1")
     joint = bn.discrete_joint()
-    pruned = prune_to_top(joint, P)
-    if np.array_equal(pruned.leaves, joint.leaves):
+    if np.count_nonzero(joint.leaves) <= P:
         return bn
+    pruned = prune_to_top(joint, P)
     return HybridBayesNet._own(bn.conditionals, DecisionTree(
         pruned.keys, pruned.leaves / pruned.leaves.sum()), bn.plan, bn.cliques)
 

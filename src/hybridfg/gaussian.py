@@ -96,32 +96,32 @@ class JacobianFactor:
 
 
 class GaussianConditional:
-    """p(x | parents) = exp(-0.5 ||R x + sum_i S_i p_i - d||^2 - log_normalizer).
+    """p(x | parents) = exp(-0.5 ||R x + S p - d||^2 - log_normalizer),
+    S every parent column as one block, p their values in that order.
 
-    A view of `_rows[_at]`, rows [R S | d] of a batch (eliminate_stacked's;
-    one built here is a batch of one), parent blocks at the column ranges
-    `_cols`; R, d and parent_blocks are made on first read."""
+    A view of `_rows[_at]`, rows [R S | d] of an eliminate_stacked batch
+    (the constructor's is a batch of one: it keeps an upper-triangular R
+    up to row signs and triangularizes any other); R, d and parent_blocks
+    are views of them, the blocks at the column ranges `_cols`."""
 
-    __slots__ = ("frontal", "parents", "log_normalizer", "_rows", "_at",
-                 "_cols", "R", "d", "parent_blocks")
+    __slots__ = ("frontal", "parents", "log_normalizer", "_rows", "_at", "_cols")
 
     def __init__(self, frontal, R, parent_blocks: Mapping[Any, Any], d):
         R, d = _as_matrix(R), _as_vector(d)
         n = R.shape[0]
         if R.shape != (n, n) or d.shape != (n,):
             raise ValueError("R must be square and match d")
-        if np.any(np.abs(np.diag(R)) <= 1e-12):
-            raise ValueError("R is singular (|R_ii| <= 1e-12)")
+        if frontal in parent_blocks:
+            raise ValueError(f"{frontal!r} cannot be its own parent")
         blocks = [_as_matrix(S) for S in parent_blocks.values()]
         if any(S.shape[0] != n for S in blocks):
             raise ValueError("parent block row count must match R")
         dims = {vid: S.shape[1] for vid, S in zip(parent_blocks, blocks)}
         cols = _layout(frontal, tuple(parent_blocks), {**dims, frontal: n})[0]
-        # Canonical sign: flip rows so the diagonal is positive.
-        rows = np.hstack([R] + blocks + [d[:, None]])
-        rows *= np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]
-        log_norm = 0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(rows))))
-        self._init(frontal, rows[None], 0, cols, log_norm, tuple(sorted(parent_blocks)))
+        out = eliminate_stacked(np.hstack([R] + blocks + [d[:, None]])[None], n, [frontal])
+        if not out.live[0]:
+            raise ValueError("R is singular")
+        self._init(frontal, out.rows, 0, cols, out.log_norms[0], tuple(sorted(parent_blocks)))
 
     @classmethod
     def _own(cls, frontal, rows: np.ndarray, at: int,
@@ -141,15 +141,6 @@ class GaussianConditional:
         object.__setattr__(self, "log_normalizer", log_normalizer)
         object.__setattr__(self, "parents", parents)
 
-    def __getattr__(self, name):     # only while a slot is unset
-        if name not in ("R", "d", "parent_blocks"):
-            raise AttributeError(name)
-        rows = self._rows[self._at]
-        object.__setattr__(self, "R", rows[:, :rows.shape[0]])
-        object.__setattr__(self, "d", rows[:, -1])
-        object.__setattr__(self, "parent_blocks", {v: rows[:, a:b] for v, a, b in self._cols})
-        return object.__getattribute__(self, name)
-
     def __setattr__(self, name, value):
         raise AttributeError("GaussianConditional is immutable")
 
@@ -157,27 +148,40 @@ class GaussianConditional:
     def dim(self) -> int:
         return int(self._rows.shape[1])
 
+    @property
+    def R(self) -> np.ndarray:
+        return self._rows[self._at, :, :self._rows.shape[1]]
+
+    @property
+    def d(self) -> np.ndarray:
+        return self._rows[self._at, :, -1]
+
+    @property
+    def parent_blocks(self) -> Dict[Any, np.ndarray]:
+        return {vid: self._rows[self._at, :, a:b] for vid, a, b in self._cols}
+
     def _rhs(self, values: VectorValues) -> np.ndarray:
-        """d - sum_i S_i p_i at the parents' values."""
-        rhs = self.d
-        for vid, S in self.parent_blocks.items():
+        """d - S p at the parents' values: S every parent column as one
+        block, p the values joined in column order (`_cols`), as
+        back_substitute forms it for a whole group."""
+        rows, p = self._rows[self._at], []
+        for vid, a, b in self._cols:
             if vid not in values:
                 raise ValueError(f"incomplete values: missing {vid!r}")
-            rhs = rhs - S @ _as_vector(values[vid])
-        return rhs
+            # reshape raises on a value of the wrong size
+            p.append(np.asarray(values[vid], dtype=float).reshape(b - a))
+        if not p:
+            return rows[:, -1]
+        return rows[:, -1] - rows[:, rows.shape[0]:-1] @ np.concatenate(p)
 
     def solve(self, values: VectorValues) -> np.ndarray:
-        """Mean of the frontal variable: R^{-1} (d - sum_i S_i p_i)."""
+        """Mean of the frontal variable: R^{-1} (d - S p)."""
         return np.linalg.solve(self.R, self._rhs(values))
 
     def log_density(self, values: VectorValues) -> float:
         if self.frontal not in values:
             raise ValueError(f"incomplete values: missing {self.frontal!r}")
-        r = self.R @ _as_vector(values[self.frontal]) - self.d
-        for vid, S in self.parent_blocks.items():
-            if vid not in values:
-                raise ValueError(f"incomplete values: missing {vid!r}")
-            r = r + S @ _as_vector(values[vid])
+        r = self.R @ _as_vector(values[self.frontal]) - self._rhs(values)
         return -0.5 * float(r @ r) - self.log_normalizer
 
     def density(self, values: VectorValues) -> float:
@@ -188,7 +192,7 @@ class GaussianConditional:
         return Rinv @ Rinv.T
 
     def sample(self, values: VectorValues, rng: np.random.Generator) -> np.ndarray:
-        """A draw x = R^{-1} (d - sum_i S_i p_i + eps), eps standard normal:
+        """A draw x = R^{-1} (d - S p + eps), eps standard normal:
         the mean plus noise of covariance (R^T R)^{-1}, in one solve."""
         rhs = self._rhs(values)
         return np.linalg.solve(self.R, rhs + rng.standard_normal(self.dim))
@@ -341,14 +345,12 @@ def _layout(var, separator: Sequence[Any], dims: Mapping[Any, int]):
 Eliminated = namedtuple("Eliminated", "live rows log_norms T")
 
 
-def eliminate_stacked(M: np.ndarray, dv: int,
-                      heads: Sequence[Tuple[Any, Tuple[Tuple[Any, int, int], ...]]]
-                      ) -> Eliminated:
+def eliminate_stacked(M: np.ndarray, dv: int, names: Sequence[Any]) -> Eliminated:
     """Eliminate k stacked systems at once, with one QR.
 
     M is (k, m, n+1): k matrices [A | b].  System j eliminates the
-    variable heads[j][0], whose dv columns come first, onto the separator
-    whose column ranges heads[j][1] gives as (vid, a, b) (see _layout).
+    variable names[j], whose dv columns come first, onto the separator in
+    the columns after them (see _layout); the names serve the errors.
     Returns Eliminated: per system `live` (not rank deficient; only then
     do the rest hold), conditional rows [R S | d] (k, dv, n+1) with R's
     diagonal positive, log-normalizers, and marginal rows T (k, m - dv,
@@ -366,12 +368,12 @@ def eliminate_stacked(M: np.ndarray, dv: int,
     m = M.shape[1]
     if m < dv:
         raise UnderconstrainedVariable(f"underconstrained variable: "
-                                       f"{heads[0][0]!r} has {m} rows, needs {dv}")
+                                       f"{names[0]!r} has {m} rows, needs {dv}")
     Rfull = np.linalg.qr(M, mode="r")
     A = np.abs(Rfull)
     scale = A.max(axis=(1, 2))
     if not math.isfinite(scale.max()):     # a NaN propagates through max
-        raise ValueError(f"eliminating {heads[int(np.isfinite(scale).argmin())][0]!r}"
+        raise ValueError(f"eliminating {names[int(np.isfinite(scale).argmin())]!r}"
                          ": non-finite entries")
     tol = RANK_TOL * np.maximum(scale, 1.0)
     diag = A.diagonal(0, 1, 2)[:, :dv]
@@ -411,7 +413,7 @@ def eliminate_one(factors: Sequence[JacobianFactor], var
     r = 0
     for f in factors:
         r = _put(M[0], r, f.blocks.items(), f.rhs, offsets)
-    out = eliminate_stacked(M, dims[var], [(var, cols)])
+    out = eliminate_stacked(M, dims[var], [var])
     if not out.live[0]:
         raise UnderconstrainedVariable(f"underconstrained variable: {var!r} "
                                        "is rank deficient")
@@ -423,9 +425,9 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
     """Solve the triangular system of conditionals in elimination order
     (parents eliminated later).  Those of one depth below the roots (1 +
     their deepest parent's) and row shape are solved together: their rows
-    [R S | d] in one array, d - sum_i S_i p_i by one batched matmul over
-    the whole group per parent position and column range, in each one's
-    parent order, then one stacked LU solve: each gets its `solve`'s bits."""
+    [R S | d] in one array, d - S p for all of them by one batched matmul,
+    p each one's parent values joined in its column order as `_rhs` joins
+    them, then one stacked LU solve: each gets its `solve`'s bits."""
     depth: Dict[Any, int] = {}
     levels: Dict[Tuple[int, ...], List[GaussianConditional]] = {}
     for cond in reversed(list(conditionals)):
@@ -437,25 +439,14 @@ def back_substitute(conditionals: Sequence[GaussianConditional]) -> VectorValues
         depth[cond.frontal] = level
         levels.setdefault((level,) + cond._rows.shape[1:], []).append(cond)
     values: VectorValues = {}
-    for (_, dv, _), group in sorted(levels.items()):
-        # A copy: the subtractions below go into its d column.
+    for (_, dv, width), group in sorted(levels.items()):
         X = np.concatenate([cond._rows[cond._at:cond._at + 1] for cond in group])
         rhs = X[:, :, -1]
-        # Per (parent position, column range): every conditional's value
-        # there, 0 for one without that term.  Columns a:b lie within every
-        # conditional's parent blocks, so such a 0 subtracts +0.0, which
-        # changes no bit.
-        terms: Dict[Tuple[int, int, int], List[Any]] = {}
-        for j, cond in enumerate(group):
-            for i, (vid, a, b) in enumerate(cond._cols):
-                xs = terms.get((i, a, b))
-                if xs is None:
-                    xs = terms[i, a, b] = [np.zeros(b - a)] * len(group)
-                xs[j] = values[vid]
-        for (_, a, b), xs in sorted(terms.items()):
-            # A contiguous (k, dv, p) @ (k, p, 1), as S @ p per conditional.
-            rhs -= (np.ascontiguousarray(X[:, :, a:b])
-                    @ np.array(xs)[:, :, None])[:, :, 0]
+        if width > dv + 1:
+            p = np.concatenate([values[vid] for cond in group for vid, _, _ in cond._cols])
+            # A contiguous (k, dv, n - dv) @ (k, n - dv, 1), as S @ p per conditional.
+            rhs = rhs - (np.ascontiguousarray(X[:, :, dv:-1])
+                         @ p.reshape(len(group), -1, 1))[:, :, 0]
         for cond, x in zip(group, np.linalg.solve(X[:, :, :dv], rhs[:, :, None])[:, :, 0]):
             values[cond.frontal] = x
     return values

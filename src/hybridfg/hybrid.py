@@ -533,8 +533,9 @@ class HybridBayesNet:
     constructor.
 
     The constructor checks the net: every hybrid conditional's keys are
-    the joint's, and the joint is 0 wherever a hybrid conditional has no
-    component, so every live hypothesis can be read."""
+    the joint's, the joint is a distribution (no negative entry, sum 1)
+    and 0 wherever a hybrid conditional has no component, so every live
+    hypothesis can be read."""
 
     def __init__(self, conditionals: Sequence[Any] = (),
                  joint: DecisionTree = DecisionTree.constant(1.0)):
@@ -554,6 +555,8 @@ class HybridBayesNet:
                     i for i, k in enumerate(joint.keys) if k.id not in own))).any():
                 raise ValueError("the joint is positive where a hybrid "
                                  "conditional has no component")
+        if (joint.leaves < 0).any():
+            raise ValueError("discrete joint has a negative entry")
         if not math.isclose(float(joint.leaves.sum()), 1.0, abs_tol=1e-9):
             raise ValueError("discrete joint must sum to 1")
         self.conditionals: List[Any] = list(conditionals)

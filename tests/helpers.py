@@ -66,6 +66,27 @@ def reference_eliminate_one(factors, var):
     return conditional, marginal
 
 
+def reference_conditional(frontal, R, parent_blocks, d):
+    """Reference: the public GaussianConditional constructor before it ran
+    the elimination kernel.  Rows [R S | d], the parent blocks in the
+    order given, each row negated where R's diagonal is negative, and the
+    log-normalizer (n/2) log(2 pi) - sum_i log R_ii.  Returns (rows,
+    log-normalizer, parent column ranges (vid, a, b), parents in id
+    order)."""
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    d = np.atleast_1d(np.asarray(d, dtype=float)).reshape(-1)
+    n = R.shape[0]
+    blocks = [np.atleast_2d(np.asarray(S, dtype=float)) for S in parent_blocks.values()]
+    cols, c = [], n
+    for vid, S in zip(parent_blocks, blocks):
+        cols.append((vid, c, c + S.shape[1]))
+        c += S.shape[1]
+    rows = np.hstack([R] + blocks + [d[:, None]])
+    rows *= np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]
+    log_norm = 0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(rows))))
+    return rows, log_norm, tuple(cols), tuple(sorted(parent_blocks))
+
+
 def stack_systems(shared, order, dims, per_cell=()):
     """Test input: k systems [A | b] of one layout as a (k, m, n+1) array,
     columns laid out per `order`: the rows of the `shared` factors, the

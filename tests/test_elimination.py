@@ -1753,6 +1753,14 @@ class TestPruneBayesNet:
         bn2 = prune_bayes_net(bn, 100)
         np.testing.assert_array_equal(_joint(bn2), _joint(bn))
 
+    def test_net_itself_when_at_most_p_live(self):
+        """A net with at most P nonzero rows comes back as it is, zeros
+        outside them or not; with more, a new net."""
+        a, b = DiscreteKey("a", 2), DiscreteKey("b", 2)
+        bn = HybridBayesNet([], DecisionTree([a, b], [0.5, 0.0, 0.5, 0.0]))
+        assert prune_bayes_net(bn, 2) is bn and prune_bayes_net(bn, 5) is bn
+        assert _joint(prune_bayes_net(bn, 1)).reshape(-1).tolist() == [1.0, 0.0, 0.0, 0.0]
+
     def test_uniform_hypotheses_keep_smallest_index(self):
         a, b = DiscreteKey("a", 2), DiscreteKey("b", 2)
         bn = HybridBayesNet([], DecisionTree([a, b], [0.25] * 4))

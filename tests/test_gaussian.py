@@ -11,9 +11,9 @@ from hybridfg.gaussian import (RANK_TOL, GaussianConditional, JacobianFactor,
 from hybridfg.hybrid import NonlinearFactor
 from hybridfg.nonlinear import LinearResidual
 
-from helpers import (reference_back_substitute, reference_eliminate_one,
-                     same_bits, same_elimination, stack_systems,
-                     stacked_results)
+from helpers import (reference_back_substitute, reference_conditional,
+                     reference_eliminate_one, same_bits, same_elimination,
+                     stack_systems, stacked_results)
 
 
 def _random_spd(rng, n):
@@ -286,8 +286,9 @@ def _random_batch(rng):
 
 
 def _one_head(M, present, dims):
-    """eliminate_stacked's (dv, heads) for k systems that all eliminate "x"
-    onto `present`."""
+    """(dv, heads) for k systems that all eliminate "x" onto `present`:
+    the dimension eliminate_stacked takes and the (variable, column
+    ranges) pairs stacked_results reads."""
     return dims["x"], [("x", _layout("x", present, dims)[0])] * len(M)
 
 
@@ -311,10 +312,11 @@ class TestEliminateStacked:
             if M.shape[1] < dims["x"]:
                 seen["too few rows"] += 1
                 with pytest.raises(UnderconstrainedVariable, match="rows"):
-                    eliminate_stacked(M, *_one_head(M, present, dims))
+                    eliminate_stacked(M, dims["x"], ["x"] * len(M))
                 continue
             dv, heads = _one_head(M, present, dims)
-            got = stacked_results(eliminate_stacked(M, dv, heads), heads)
+            got = stacked_results(eliminate_stacked(M, dv, [v for v, _ in heads]),
+                                  heads)
             assert len(got) == len(systems), trial
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), trial
@@ -369,7 +371,7 @@ class TestEliminateStacked:
                 except UnderconstrainedVariable:
                     want.append(None)
             got = stacked_results(eliminate_stacked(
-                np.concatenate(stacks), dv, heads), heads)
+                np.concatenate(stacks), dv, [v for v, _ in heads]), heads)
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), trial
                 if g is not None:
@@ -383,14 +385,14 @@ class TestEliminateStacked:
         M[1, 2, 1] = np.nan
         heads = [(v, (("y", 1, 2),)) for v in ("a", "b", "c")]
         with pytest.raises(ValueError, match="eliminating 'b': non-finite"):
-            eliminate_stacked(M, 1, heads)
+            eliminate_stacked(M, 1, [v for v, _ in heads])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):
         M = np.random.default_rng(33).normal(size=(3, 4, 3))
         M[1, 2, 1] = bad
         with pytest.raises(ValueError):
-            eliminate_stacked(M, *_one_head(M, ["y"], {"x": 1, "y": 1}))
+            eliminate_stacked(M, 1, ["x"] * len(M))
 
 
 class TestSortedIds:
@@ -477,6 +479,45 @@ class TestBackSubstitute:
         assert got.keys() == want.keys()
         assert all(same_bits(got[v], want[v]) for v in want)
 
+    def test_parents_out_of_id_order(self):
+        """Parent blocks given out of id order, of mixed dimensions, lie in
+        the columns in the order given: solve and log_density match the
+        dense formulas on the given blocks, and back_substitute, whose
+        groups mix the column orders (z, a) and (a, z), matches the
+        one-at-a-time reference bit for bit."""
+        rng = np.random.default_rng(9)
+        given = {}
+
+        def cond(frontal, parents, dim):
+            R = np.triu(rng.normal(size=(dim, dim))) + 3.0 * np.eye(dim)
+            blocks = {v: rng.normal(size=(dim, d)) for v, d in parents}
+            d = rng.normal(size=dim)
+            given[frontal] = (R, blocks, d)
+            return GaussianConditional(frontal, R, blocks, d)
+        roots = [cond("a", (), 2), cond("m", (), 1), cond("z", (), 3)]
+        children = [cond("c1", (("z", 3), ("a", 2)), 2),
+                    cond("c2", (("a", 2), ("z", 3)), 2),
+                    cond("c3", (("z", 3), ("m", 1), ("a", 2)), 1),
+                    cond("c4", (("m", 1), ("a", 2)), 2)]
+        conds = children + roots
+        got, want = back_substitute(conds), reference_back_substitute(conds)
+        assert got.keys() == want.keys()
+        assert all(same_bits(got[v], want[v]) for v in want)
+        values = {v: rng.normal(size=n) for v, n in
+                  (("a", 2), ("m", 1), ("z", 3), ("c1", 2), ("c2", 2),
+                   ("c3", 1), ("c4", 2))}
+        for c in children:
+            R, blocks, d = given[c.frontal]
+            rhs = d - sum(S @ values[v] for v, S in blocks.items())
+            np.testing.assert_allclose(c.solve(values), np.linalg.solve(R, rhs),
+                                       rtol=1e-12, atol=1e-12)
+            r = R @ values[c.frontal] - rhs
+            n = R.shape[0]
+            log_norm = 0.5 * n * math.log(2.0 * math.pi) \
+                - math.log(abs(np.linalg.det(R)))
+            assert c.log_density(values) == pytest.approx(
+                -0.5 * float(r @ r) - log_norm, rel=1e-12, abs=1e-12)
+
     def test_chain_matches_dense_least_squares(self):
         rng = np.random.default_rng(6)
         f1 = whiten({"x0": [[1.0]]}, [rng.normal()], 0.5)
@@ -540,6 +581,77 @@ class TestConditionalValidation:
     def test_singular_r_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             GaussianConditional("x", [[0.0]], {}, [1.0])
+
+    def test_parent_value_of_wrong_size_rejected(self):
+        """Parent values of sizes 2 and 1 where the blocks take 1 and 2 join
+        to the right length, but each must fit its own block."""
+        c = GaussianConditional("x", [[1.0]], {"a": [[1.0]], "b": [[1.0, 1.0]]}, [0.0])
+        values = {"a": np.array([1.0, 2.0]), "b": np.array([3.0]), "x": np.array([0.0])}
+        for read in (c.solve, c.log_density):
+            with pytest.raises(ValueError):
+                read(values)
+
+    def test_frontal_cannot_be_its_own_parent(self):
+        with pytest.raises(ValueError, match="own parent"):
+            GaussianConditional("x", [[2.0]], {"x": [[1.0]]}, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array, at", [("R", (1, 1)), ("R", (0, 1)),
+                                           ("S", (1, 0)), ("d", 0)])
+    def test_non_finite_entries_rejected(self, bad, array, at):
+        args = {"R": np.array([[2.0, 0.5], [0.0, 1.0]]),
+                "S": np.array([[1.0], [-1.0]]), "d": np.array([1.0, 2.0])}
+        args[array][at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianConditional("x", args["R"], {"y": args["S"]}, args["d"])
+
+    def test_upper_triangular_keeps_the_former_bits(self):
+        """On upper-triangular R the constructor gives, bit for bit, the
+        rows, log-normalizer, column ranges and parents of the former
+        sign-flip construction (helpers.reference_conditional): 1,200
+        random inputs with mixed diagonal signs, entries over six orders
+        of magnitude and 0-3 parents in random order."""
+        rng = np.random.default_rng(36)
+        seen = {"negative diagonal": 0, "unsorted parents": 0, "no parents": 0}
+        for trial in range(1200):
+            n = int(rng.integers(1, 7))
+            R = np.triu(rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n)))
+            R[np.diag_indices(n)] = (rng.choice([-1.0, 1.0], n)
+                                     * 10.0 ** rng.uniform(-1, 1, n))
+            names = [str(v) for v in rng.permutation(list("abcdef"))[:rng.integers(0, 4)]]
+            blocks = {v: rng.normal(size=(n, int(rng.integers(1, 4))))
+                      * 10.0 ** rng.uniform(-3, 3) for v in names}
+            d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            c = GaussianConditional("x", R, blocks, d)
+            rows, log_norm, cols, parents = reference_conditional("x", R, blocks, d)
+            assert same_bits(c._rows[c._at], rows), trial
+            assert same_bits(c.log_normalizer, log_norm), trial
+            assert c._cols == cols and c.parents == parents, trial
+            seen["negative diagonal"] += bool((np.diag(R) < 0).any())
+            seen["unsorted parents"] += names != sorted(names)
+            seen["no parents"] += not names
+        assert all(seen.values()), seen
+
+    def test_non_triangular_r_is_normalized(self):
+        """A nonsingular R that is not triangular gets the log-normalizer
+        (n/2) log(2 pi) - log|det R|, and its density integrates to 1 over
+        a 2-D grid at a fixed parent value."""
+        rng = np.random.default_rng(37)
+        Rs = [np.array([[1.0, 1.0], [1.0, 2.0]])] + [rng.normal(size=(2, 2)) + np.eye(2)
+                                                     for _ in range(3)]
+        for R in Rs:
+            cond = GaussianConditional("x", R, {"y": rng.normal(size=(2, 1))},
+                                       rng.normal(size=2))
+            want = math.log(2.0 * math.pi) - math.log(abs(np.linalg.det(R)))
+            assert cond.log_normalizer == pytest.approx(want, abs=1e-12)
+            y = rng.normal(size=1)
+            mean = cond.solve({"y": y})
+            sd = np.sqrt(np.diag(cond.covariance()))
+            axes = [np.linspace(mu - 9 * s, mu + 9 * s, 161) for mu, s in zip(mean, sd)]
+            dens = np.array([[cond.density({"x": np.array([u, v]), "y": y})
+                              for v in axes[1]] for u in axes[0]])
+            total = np.trapezoid(np.trapezoid(dens, axes[1], axis=1), axes[0])
+            assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_sign_normalization(self):
         cond = GaussianConditional("x", [[-2.0]], {"y": [[1.0]]}, [-6.0])

@@ -247,3 +247,9 @@ class TestDiscreteJoint:
         with pytest.raises(ValueError, match="missing from the joint"):
             HybridBayesNet([_two_mode_conditional()],
                            DecisionTree([K], [0.5, 0.5]))
+
+    def test_negative_entry_refused(self):
+        """A joint that sums to 1 through a negative entry is no
+        distribution."""
+        with pytest.raises(ValueError, match="negative entry"):
+            HybridBayesNet([], DecisionTree((M,), [1.5, -0.5]))
